@@ -13,6 +13,7 @@ from .adaptation import (
     AngleAudit,
     CutClass,
     PatchConfig,
+    PatchConfigs,
     RefinementRequired,
     adapt,
     angle_cosines_two_edges,

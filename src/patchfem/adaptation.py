@@ -26,6 +26,7 @@ __all__ = [
     "RefinementRequired",
     "CutClass",
     "PatchConfig",
+    "PatchConfigs",
     "Classification",
     "classify_patch",
     "classify_all",
@@ -62,6 +63,9 @@ _TOPOLOGY_VERTEX = {
     2: np.array([[0, 3, 5], [5, 3, 2], [3, 4, 2], [3, 1, 4]], dtype=np.int8),
 }
 
+# All four tables, indexed by 0 (uncut or edge-edge) or 1 + the cut vertex.
+_TOPOLOGIES = np.stack([_TOPOLOGY_UNCUT] + [_TOPOLOGY_VERTEX[v] for v in range(3)])
+
 # For each cut situation: (subtriangles on the side of the cut segment away
 # from it, their anchor vertex) and the complementary group. The anchor is a
 # patch vertex not lying on the cut, used to resolve side labels robustly.
@@ -73,6 +77,16 @@ _SIDE_GROUPS = {
     (VERTEX_EDGE, 1): (((0, 1), 0), ((2, 3), 2)),
     (VERTEX_EDGE, 2): (((0, 1), 0), ((2, 3), 1)),
 }
+# The same table as arrays over the situation index: group membership masks
+# (6, 4) and anchor vertices (6,) for the groups a and b.
+_SITUATION = {key: idx for idx, key in enumerate(_SIDE_GROUPS)}
+_GROUP_A = np.array([np.isin(np.arange(4), a) for (a, _), _ in _SIDE_GROUPS.values()])
+_GROUP_B = ~_GROUP_A  # the two groups tile the patch
+_ANCHOR_A = np.array([anchor for (_, anchor), _ in _SIDE_GROUPS.values()])
+_ANCHOR_B = np.array([anchor for _, (_, anchor) in _SIDE_GROUPS.values()])
+
+# Cut kinds in the order of their codes in PatchConfigs.kind.
+CUT_KINDS = (UNCUT, EDGE_EDGE, VERTEX_EDGE)
 
 
 class RefinementRequired(Exception):
@@ -105,7 +119,7 @@ class CutClass:
 
 @dataclass(frozen=True)
 class PatchConfig:
-    """Frozen per-patch adaptation result: cut class, parameters (q, r, s),
+    """One patch's adaptation result: cut class, parameters (q, r, s),
     subtriangle topology (4 triples of local node ids) and side labels
     (1 or 2 per subtriangle)."""
 
@@ -115,18 +129,57 @@ class PatchConfig:
     sides: np.ndarray
 
 
+@dataclass(frozen=True)
+class PatchConfigs:
+    """Adaptation result of every patch, as arrays indexed by patch id.
+
+    ``kind`` codes index ``CUT_KINDS``; ``cuts`` is the classification's list
+    of cut classes. Indexing gives one patch's ``PatchConfig`` for
+    inspection; the pipeline reads the arrays.
+    """
+
+    cuts: list[CutClass]
+    kind: np.ndarray  # (n_patches,) int8
+    params: np.ndarray  # (n_patches, 3) float: q, r, s
+    topology: np.ndarray  # (n_patches, 4, 3) int8
+    sides: np.ndarray  # (n_patches, 4) int8
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __getitem__(self, pid: int) -> PatchConfig:
+        q, r, s = self.params[pid].tolist()
+        return PatchConfig(self.cuts[pid], (q, r, s), self.topology[pid],
+                           self.sides[pid])
+
+    def __iter__(self):
+        return (self[pid] for pid in range(len(self)))
+
+    def kind_names(self) -> list[str]:
+        """Cut kind of every patch as its name."""
+        return np.array(CUT_KINDS)[self.kind].tolist()
+
+
 @dataclass
 class Classification:
     """Cut classes for every patch plus the interface crossings found on each
-    edge (storage parameters, keyed by edge id)."""
+    edge (storage parameters, keyed by edge id). ``cut_ids`` lists the cut
+    patches in ascending order; it is derived from ``cuts`` when not given."""
 
     cuts: list[CutClass]
     edge_crossings: dict[int, float]
     vertex_hits: np.ndarray  # bool per mesh vertex
+    cut_ids: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.cut_ids is None:
+            self.cut_ids = np.array(
+                [pid for pid, c in enumerate(self.cuts) if c.is_cut], dtype=np.intp
+            )
 
     @property
     def n_cut(self) -> int:
-        return sum(1 for c in self.cuts if c.is_cut)
+        return len(self.cut_ids)
 
 
 def _patch_edge_crossings(mesh, pid, levelset):
@@ -208,18 +261,21 @@ def classify_all(mesh: PatchMesh, levelset) -> Classification:
     )[0]
 
     cuts = [CutClass(UNCUT)] * mesh.n_patches
+    cut_ids = []
     edge_crossings: dict[int, float] = {}
     for pid in candidates:
         cls, per_edge = _classify(mesh, int(pid), levelset)
         cuts[pid] = cls
         if cls.is_cut:
+            cut_ids.append(pid)
             for k in cls.edges:
                 eid = int(mesh.patch_edges[pid, k])
                 if eid not in edge_crossings:
                     (t_local,) = per_edge[k]
                     t = t_local if mesh.patch_edge_forward[pid, k] else 1.0 - t_local
                     edge_crossings[eid] = t
-    return Classification(cuts, edge_crossings, vhit)
+    return Classification(cuts, edge_crossings, vhit,
+                          np.array(cut_ids, dtype=np.intp))
 
 
 def determined_params(cut: CutClass, crossings: dict[int, float]) -> dict[str, float]:
@@ -341,9 +397,8 @@ def resolve_edge_params(mesh: PatchMesh, classification: Classification,
         mesh.edge_lock[eid] = INTERFACE_LOCKED
 
     conflicts: list[Conflict] = []
-    for pid, cut in enumerate(classification.cuts):
-        if not cut.is_cut:
-            continue
+    for pid in classification.cut_ids.tolist():
+        cut = classification.cuts[pid]
         local_ts = {k: mesh.local_t(pid, k) for k in cut.edges}
         fixed = determined_params(cut, local_ts)
         if cut.kind == EDGE_EDGE:
@@ -382,48 +437,70 @@ def _group_key(cut: CutClass):
     return (VERTEX_EDGE, cut.vertex)
 
 
-def side_labels(nodes, topology, levelset, cut: CutClass | None = None,
-                scale: float = 1.0) -> np.ndarray:
+def side_labels(nodes, topology, levelset, scale=1.0) -> np.ndarray:
     """Side label (1 or 2) per subtriangle from the level-set sign at its
     centroid; ties break toward side 2.
 
-    For cut patches the labels are made consistent along the cut segment: the
-    two subtriangle groups separated by it are re-anchored at a patch vertex
-    off the interface whenever a sliver centroid lands on the wrong side of a
-    curved interface.
+    Batched over leading axes: ``nodes`` (..., 6, 2), ``topology``
+    (..., 4, 3) and ``scale`` (...) give labels (..., 4), int8. The sign
+    threshold is ``-SNAP_TOL * scale``.
     """
-    tris = nodes[topology]  # (4, 3, 2)
-    centroids = tris.mean(axis=1)
-    phi = levelset.eval(centroids)
-    labels = np.where(phi < -SNAP_TOL * scale, 1, 2).astype(np.int8)
+    idx = np.asarray(topology, dtype=np.intp)[..., None]  # (..., 4, 3, 1)
+    tris = np.take_along_axis(np.asarray(nodes)[..., None, :, :], idx, axis=-2)
+    phi = levelset.eval(tris.mean(axis=-2))
+    threshold = -SNAP_TOL * np.asarray(scale)[..., None]
+    return np.where(phi < threshold, 1, 2).astype(np.int8)
 
-    if cut is not None and cut.is_cut:
-        (group_a, anchor_a), (group_b, anchor_b) = _SIDE_GROUPS[_group_key(cut)]
-        for group, anchor in ((group_a, anchor_a), (group_b, anchor_b)):
-            group = list(group)
-            if len(set(labels[group])) > 1:
-                lab = 1 if levelset.eval(nodes[anchor]) < 0 else 2
-                labels[group] = lab
-        if labels[list(group_a)][0] == labels[list(group_b)][0]:
-            # Degenerate sliver on both sides: fall back to the anchors.
-            labels[list(group_a)] = 1 if levelset.eval(nodes[anchor_a]) < 0 else 2
-            labels[list(group_b)] = 1 if levelset.eval(nodes[anchor_b]) < 0 else 2
-    return labels
+
+def _anchor_labels(labels, nodes, situation, levelset) -> np.ndarray:
+    """Make the side labels of cut patches consistent along the cut segment.
+
+    ``labels`` (Nc, 4), ``nodes`` (Nc, 6, 2) and ``situation`` (Nc,) index
+    into ``_SIDE_GROUPS``. A subtriangle group whose labels disagree (a sliver
+    centroid across a curved interface) takes the label of its anchor vertex,
+    off the interface. If both groups then carry the same label, each falls
+    back to its anchor.
+    """
+    rows = np.arange(len(situation))
+    group_a, group_b = _GROUP_A[situation], _GROUP_B[situation]  # (Nc, 4)
+    label_a = np.where(levelset.eval(nodes[rows, _ANCHOR_A[situation]]) < 0, 1, 2)
+    label_b = np.where(levelset.eval(nodes[rows, _ANCHOR_B[situation]]) < 0, 1, 2)
+    label_a, label_b = label_a[:, None], label_b[:, None]
+    for group, anchor in ((group_a, label_a), (group_b, label_b)):
+        lowest = np.where(group, labels, 2).min(axis=1)
+        highest = np.where(group, labels, 1).max(axis=1)
+        labels = np.where(group & (lowest != highest)[:, None], anchor, labels)
+    # Both groups are uniform now; compare their first members.
+    first_a, first_b = group_a.argmax(axis=1), group_b.argmax(axis=1)
+    same = labels[rows, first_a] == labels[rows, first_b]
+    labels = np.where(same[:, None], np.where(group_a, label_a, label_b), labels)
+    return labels.astype(np.int8)
 
 
 def build_configs(mesh: PatchMesh, classification: Classification,
-                  levelset) -> list[PatchConfig]:
-    """Per-patch configurations after the edge parameters are resolved."""
-    nodes_all = mesh.local_nodes_all()
-    params_all = mesh.local_params_all()
-    configs = []
-    for pid, cut in enumerate(classification.cuts):
-        topo = subtriangle_topology(cut)
-        sides = side_labels(nodes_all[pid], topo, levelset, cut,
-                            scale=mesh.patch_diameter(pid))
-        q, r, s = params_all[pid]
-        configs.append(PatchConfig(cut, (float(q), float(r), float(s)), topo, sides))
-    return configs
+                  levelset) -> PatchConfigs:
+    """Configurations of all patches after the edge parameters are resolved.
+
+    Topologies come from the fixed tables and side labels from one level-set
+    evaluation at every subtriangle centroid; only the cut patches are
+    visited one by one, to look up their cut situation.
+    """
+    cut_ids = classification.cut_ids
+    cut = [classification.cuts[pid] for pid in cut_ids]
+    kind = np.zeros(mesh.n_patches, dtype=np.int8)
+    kind[cut_ids] = [CUT_KINDS.index(c.kind) for c in cut]
+    table = np.zeros(mesh.n_patches, dtype=np.intp)
+    table[cut_ids] = [1 + c.vertex if c.kind == VERTEX_EDGE else 0 for c in cut]
+    topology = _TOPOLOGIES[table]
+
+    nodes = mesh.local_nodes_all()
+    sides = side_labels(nodes, topology, levelset, mesh.patch_diameters())
+    if len(cut_ids):
+        situation = np.array([_SITUATION[_group_key(c)] for c in cut])
+        sides[cut_ids] = _anchor_labels(sides[cut_ids], nodes[cut_ids], situation,
+                                        levelset)
+    return PatchConfigs(classification.cuts, kind, mesh.local_params_all(),
+                        topology, sides)
 
 
 def adapt(mesh: PatchMesh, levelset, strategy: int):
@@ -522,27 +599,31 @@ def reference_local_nodes(q, r, s) -> np.ndarray:
 class AngleAudit:
     """Per-patch maxima of the physical subtriangle interior angles."""
 
-    rows: list  # (patch_id, cut kind, q, r, s, max_angle_deg)
+    configs: PatchConfigs
+    per_patch: np.ndarray  # (n_patches,) max angle in degrees
     global_max: float
     histogram: np.ndarray  # counts in 10-degree bins over [0, 180)
     bin_edges: np.ndarray = field(
         default_factory=lambda: np.linspace(0.0, 180.0, 19)
     )
 
+    @property
+    def rows(self) -> list:
+        """One (patch_id, cut kind, q, r, s, max_angle_deg) row per patch,
+        built on each access."""
+        q, r, s = self.configs.params.T.tolist()
+        return list(zip(range(len(self.per_patch)), self.configs.kind_names(),
+                        q, r, s, self.per_patch.tolist()))
 
-def max_angle_audit(mesh: PatchMesh, configs: list[PatchConfig]) -> AngleAudit:
+
+def max_angle_audit(mesh: PatchMesh, configs: PatchConfigs) -> AngleAudit:
     """All interior angles of all physical subtriangles, reduced per patch."""
     nodes = mesh.local_nodes_all()  # (Np, 6, 2)
-    topo = np.stack([cfg.topology for cfg in configs])  # (Np, 4, 3)
-    tris = nodes[np.arange(mesh.n_patches)[:, None, None], topo]  # (Np, 4, 3, 2)
+    tris = nodes[np.arange(mesh.n_patches)[:, None, None], configs.topology]
     angles = interior_angles(tris)  # (Np, 4, 3)
     per_patch = angles.reshape(mesh.n_patches, -1).max(axis=1)
     hist, edges = np.histogram(angles.ravel(), bins=np.linspace(0.0, 180.0, 19))
-    rows = [
-        (pid, configs[pid].cut.kind, *configs[pid].params, float(per_patch[pid]))
-        for pid in range(mesh.n_patches)
-    ]
-    return AngleAudit(rows, float(per_patch.max()), hist, edges)
+    return AngleAudit(configs, per_patch, float(per_patch.max()), hist, edges)
 
 
 def subtriangle_tiling_defect(q, r, s, cut: CutClass) -> np.ndarray:

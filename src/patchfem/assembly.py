@@ -195,8 +195,8 @@ def kappa_of(side: int, problem) -> float:
 
 def _gather_subtriangles(mesh: PatchMesh, configs):
     nodes = mesh.local_nodes_all()  # (Np, 6, 2)
-    topo = np.stack([cfg.topology for cfg in configs]).astype(np.int64)
-    sides = np.stack([cfg.sides for cfg in configs])
+    topo = configs.topology.astype(np.int64)
+    sides = configs.sides
     tris = nodes[np.arange(mesh.n_patches)[:, None, None], topo]  # (Np,4,3,2)
     return nodes, topo, sides, tris
 

@@ -38,11 +38,34 @@ def _float_list(text: str):
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
 
 
-def _int_list(text: str):
-    try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad int list {text!r}") from exc
+def _size(text: str) -> int:
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"grid size {n} must be >= 2")
+    return n
+
+
+def _size_list(text: str):
+    return [_size(v) for v in text.split(",") if v.strip() != ""]
+
+
+# Upper ends of the allowed [0, hi] ranges of the interface parameters.
+_PARAM_MAX = {"eps": 1.0, "alpha": float(np.pi)}
+
+
+def _check_param(name: str, value: float) -> float:
+    if not 0.0 <= value <= _PARAM_MAX[name]:
+        raise argparse.ArgumentTypeError(
+            f"{name} {value!r} outside [0, {_PARAM_MAX[name]!r}]")
+    return value
+
+
+def _eps(text: str) -> float:
+    return _check_param("eps", float(text))
+
+
+def _alpha(text: str) -> float:
+    return _check_param("alpha", float(text))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,33 +82,33 @@ def build_parser() -> argparse.ArgumentParser:
         if with_mode:
             p.add_argument("--mode", choices=["adapted", "baseline"],
                            default="adapted")
-        p.add_argument("--eps", type=float, default=0.5,
-                       help="interface offset for the horizontal problem")
-        p.add_argument("--alpha", type=float, default=float(np.pi / 4),
-                       help="interface angle for the tilted problem")
+        p.add_argument("--eps", type=_eps, default=0.5,
+                       help="interface offset for the horizontal problem, in [0, 1]")
+        p.add_argument("--alpha", type=_alpha, default=float(np.pi / 4),
+                       help="interface angle for the tilted problem, in [0, pi]")
         p.add_argument("--out", default=None, help="CSV output path")
 
     p_solve = sub.add_parser("solve", help="solve one configuration")
     common(p_solve)
-    p_solve.add_argument("--n", type=int, default=16)
+    p_solve.add_argument("--n", type=_size, default=16)
     p_solve.add_argument("--dump-mesh", default=None,
                          help="write the adapted mesh as JSON")
 
     p_conv = sub.add_parser("convergence", help="refinement study with rates")
     common(p_conv)
-    p_conv.add_argument("--levels", type=_int_list, default=[8, 16, 32, 64, 128],
+    p_conv.add_argument("--levels", type=_size_list, default=[8, 16, 32, 64, 128],
                         help="comma-separated grid sizes")
 
     p_sweep = sub.add_parser("sweep", help="interface-position sweep")
     common(p_sweep, with_mode=False)
     p_sweep.add_argument("--values", type=_float_list, default=None,
                          help="comma-separated sweep values")
-    p_sweep.add_argument("--n", type=_int_list, default=[16, 32, 64],
+    p_sweep.add_argument("--n", type=_size_list, default=[16, 32, 64],
                          help="comma-separated grid sizes")
 
     p_angles = sub.add_parser("angles", help="per-patch maximum-angle audit")
     common(p_angles, with_mode=False)
-    p_angles.add_argument("--n", type=int, default=32)
+    p_angles.add_argument("--n", type=_size, default=32)
     return parser
 
 
@@ -135,6 +158,11 @@ def _cmd_sweep(args, parser) -> int:
     values = args.values if args.values is not None else default
     if not values:
         parser.error("empty sweep value grid")
+    try:
+        for value in values:
+            _check_param(param, value)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
     rows = run_sweep(args.problem, param, values, args.n, args.strategy)
     if args.out:
         write_csv(args.out, SWEEP_HEADER, rows)
@@ -148,7 +176,7 @@ def _cmd_angles(args) -> int:
     if args.out:
         write_csv(args.out, ANGLES_HEADER, audit.rows)
     print(f"global max angle: {audit.global_max:.6f} deg over "
-          f"{len(audit.rows)} patches")
+          f"{len(audit.per_patch)} patches")
     if audit.global_max > MAX_ANGLE_BOUND:
         print("maximum angle bound exceeded", file=sys.stderr)
         return 1

@@ -192,45 +192,51 @@ def build_structured_mesh(n: int, domain=((-1.0, -1.0), (1.0, 1.0))) -> PatchMes
     (x0, y0), (x1, y1) = domain
     xs = np.linspace(x0, x1, n + 1)
     ys = np.linspace(y0, y1, n + 1)
+    gx, gy = np.meshgrid(xs, ys)
+    vertices = np.column_stack([gx.ravel(), gy.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
+    # Cell corners, indexed [row j, column i].
+    j, i = np.mgrid[0:n, 0:n]
+    bl = j * (n + 1) + i
+    br, tl = bl + 1, bl + n + 1
+    tr = tl + 1
 
-    vertices = np.array([[xs[i], ys[j]] for j in range(n + 1) for i in range(n + 1)])
+    # Edge ids follow a row-major walk over the cells that numbers each edge
+    # when first met: right vertical, diagonal, bottom (new only in row 0),
+    # left (new only in column 0), top. Closed form of that walk:
+    first_row, first_col = (j == 0).astype(np.int64), (i == 0).astype(np.int64)
+    base = j * (3 * n + 1) + n * (j > 0) + i * (3 + first_row) + (i > 0)
+    right, diag = base, base + 1
+    top = base + 2 + first_row + first_col
+    bottom = np.empty_like(base)
+    bottom[0] = base[0] + 2
+    bottom[1:] = top[:-1]
+    left = np.empty_like(base)
+    left[:, 0] = base[:, 0] + 2 + first_row[:, 0]
+    left[:, 1:] = right[:, :-1]
 
-    edge_ids: dict[tuple[int, int], int] = {}
-    edges: list[tuple[int, int]] = []
+    edges = np.empty((3 * n * n + 2 * n, 2), dtype=np.int64)
+    edges[right] = np.stack([br, tr], axis=-1)
+    edges[diag] = np.stack([bl, tr], axis=-1)
+    edges[bottom[0]] = np.stack([bl[0], br[0]], axis=-1)
+    edges[left[:, 0]] = np.stack([bl[:, 0], tl[:, 0]], axis=-1)
+    edges[top] = np.stack([tl, tr], axis=-1)
 
-    def edge(a, b):
-        key = (a, b) if a < b else (b, a)
-        if key not in edge_ids:
-            edge_ids[key] = len(edges)
-            edges.append(key)
-        return edge_ids[key]
-
-    patches = []
-    patch_edges = []
     # Each square splits along its bottom-left -> top-right diagonal. Patches
     # are rooted at their right-angle corner so the reference map is a
     # similarity and reference-coordinate angle bounds carry over verbatim.
-    for j in range(n):
-        for i in range(n):
-            bl, br = vid(i, j), vid(i + 1, j)
-            tr, tl = vid(i + 1, j + 1), vid(i, j + 1)
-            # lower triangle: right vertical, diagonal, bottom horizontal
-            patches.append((br, tr, bl))
-            patch_edges.append((edge(br, tr), edge(tr, bl), edge(bl, br)))
-            # upper triangle: left vertical, diagonal, top horizontal
-            patches.append((tl, bl, tr))
-            patch_edges.append((edge(tl, bl), edge(bl, tr), edge(tr, tl)))
+    # Lower triangle: right vertical, diagonal, bottom horizontal; upper
+    # triangle: left vertical, diagonal, top horizontal.
+    patches = np.stack([np.stack([br, tr, bl], axis=-1),
+                        np.stack([tl, bl, tr], axis=-1)], axis=2).reshape(-1, 3)
+    patch_edges = np.stack([np.stack([right, diag, bottom], axis=-1),
+                            np.stack([left, diag, top], axis=-1)],
+                           axis=2).reshape(-1, 3)
 
-    boundary = np.zeros(len(edges), dtype=bool)
-    for eid, (a, b) in enumerate(edges):
-        ax, ay = vertices[a]
-        bx, by = vertices[b]
-        on_vert = (ax == bx) and (ax in (x0, x1))
-        on_horz = (ay == by) and (ay in (y0, y1))
-        boundary[eid] = on_vert or on_horz
+    a, b = vertices[edges[:, 0]], vertices[edges[:, 1]]
+    on_vert = (a[:, 0] == b[:, 0]) & ((a[:, 0] == x0) | (a[:, 0] == x1))
+    on_horz = (a[:, 1] == b[:, 1]) & ((a[:, 1] == y0) | (a[:, 1] == y1))
+    boundary = on_vert | on_horz
 
     return PatchMesh(vertices, edges, boundary, patches, patch_edges, n=n,
                      domain=domain)
@@ -247,7 +253,8 @@ def refine(mesh: PatchMesh) -> PatchMesh:
 
 
 def mesh_to_json(mesh: PatchMesh, configs=None) -> str:
-    """JSON dump of the mesh, optionally including adapted subtriangulations.
+    """JSON dump of the mesh, optionally including the adapted
+    subtriangulations from ``adaptation.PatchConfigs``.
 
     Schema: {"vertices": [[x, y], ...],
              "edges": [[v0, v1, t, lock], ...],
@@ -259,26 +266,20 @@ def mesh_to_json(mesh: PatchMesh, configs=None) -> str:
     doc = {
         "vertices": mesh.vertices.tolist(),
         "edges": [
-            [int(a), int(b), float(t), LOCK_NAMES[int(lk)]]
-            for (a, b), t, lk in zip(mesh.edges, mesh.edge_param, mesh.edge_lock)
+            [a, b, t, LOCK_NAMES[lk]]
+            for (a, b), t, lk in zip(mesh.edges.tolist(), mesh.edge_param.tolist(),
+                                     mesh.edge_lock.tolist())
         ],
-        "patches": [
-            [int(v) for v in pv] + [int(e) for e in pe]
-            for pv, pe in zip(mesh.patches, mesh.patch_edges)
-        ],
+        "patches": np.concatenate([mesh.patches, mesh.patch_edges], axis=1).tolist(),
         "subtriangles": [],
     }
     if configs is not None:
-        nodes = mesh.local_nodes_all()
-        for pid, cfg in enumerate(configs):
-            doc["subtriangles"].append(
-                {
-                    "patch": pid,
-                    "cut": cfg.cut.kind,
-                    "params": [float(p) for p in cfg.params],
-                    "nodes": nodes[pid].tolist(),
-                    "triangles": cfg.topology.tolist(),
-                    "sides": [int(s) for s in cfg.sides],
-                }
-            )
+        columns = zip(configs.kind_names(), configs.params.tolist(),
+                      mesh.local_nodes_all().tolist(), configs.topology.tolist(),
+                      configs.sides.tolist())
+        doc["subtriangles"] = [
+            {"patch": pid, "cut": kind, "params": params, "nodes": nodes,
+             "triangles": triangles, "sides": sides}
+            for pid, (kind, params, nodes, triangles, sides) in enumerate(columns)
+        ]
     return json.dumps(doc)

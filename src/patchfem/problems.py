@@ -293,7 +293,7 @@ def error_norms(mesh, configs, problem: ProblemSpec, u_h: np.ndarray,
 
     dof_map = build_dof_map(mesh)
     nodes = mesh.local_nodes_all()
-    topo = np.stack([cfg.topology for cfg in configs]).astype(np.int64)
+    topo = configs.topology.astype(np.int64)
     tris = nodes[np.arange(mesh.n_patches)[:, None, None], topo]  # (Np,4,3,2)
     areas = triangle_area(tris)
 

@@ -9,6 +9,7 @@ round-trip float formatting, no timestamps).
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +125,7 @@ def _solve_once(config: RunConfig, n: int):
         # The baseline ignores the interface: uniform splits, pointwise kappa.
         classification = Classification(
             [CutClass("uncut")] * mesh.n_patches, {},
-            np.zeros(mesh.n_vertices, dtype=bool),
+            np.zeros(mesh.n_vertices, dtype=bool), np.empty(0, dtype=np.intp),
         )
         configs = build_configs(mesh, classification, problem.levelset)
     else:
@@ -152,14 +153,18 @@ def _solve_once(config: RunConfig, n: int):
 
 def run_single(config: RunConfig) -> ResultRow:
     """Solve one configuration; on an unresolvable cut, retry with the grid
-    doubled, up to three times."""
+    doubled, up to three times. Each retry is reported on stderr with the
+    old and new n, the offending patch and the reason."""
     n = config.n
     last: RefinementRequired | None = None
-    for _ in range(MAX_REFINE_RETRIES + 1):
+    for attempt in range(MAX_REFINE_RETRIES + 1):
         try:
             return _solve_once(config, n)
         except RefinementRequired as exc:
             last = exc
+            if attempt < MAX_REFINE_RETRIES:
+                print(f"refining: n={n} -> n={2 * n} (patch {exc.patch_id}: "
+                      f"{exc.reason})", file=sys.stderr)
             n *= 2
     raise RuntimeError(
         f"cut unresolvable after {MAX_REFINE_RETRIES} refinements "

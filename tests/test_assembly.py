@@ -17,7 +17,13 @@ from patchfem.assembly import (
 from patchfem.geometry import reference_quad_rule, triangle_area
 from patchfem.levelset import Circle
 from patchfem.mesh import build_structured_mesh
-from patchfem.problems import ProblemSpec, circle_problem, error_norms
+from patchfem.problems import (
+    ProblemSpec,
+    circle_problem,
+    error_norms,
+    horizontal_problem,
+    tilted_problem,
+)
 from patchfem.solver import cg_solve
 
 UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -287,3 +293,37 @@ class TestInterpolateNodal:
             errs.append(error_norms(mesh, configs, p, u_i)[1])
         ratio = errs[0] / errs[1]
         assert ratio == pytest.approx(2.0, rel=0.25)
+
+
+class TestSparsityPattern:
+    """The dof set never depends on the interface. The stored pattern does,
+    through vertex cuts: their topology couples a patch vertex with the node
+    on the opposite edge and drops the coupling of the two other edge nodes."""
+
+    N = 16
+
+    def _pattern(self, problem):
+        mesh = build_structured_mesh(self.N, problem.domain)
+        configs, classification, _ = adapt(mesh, problem.levelset, 2)
+        matrix = assemble(mesh, configs, problem).matrix.tocsr()
+        has_vertex_cut = any(c.kind == "vertex_edge" for c in classification.cuts)
+        return (matrix.indptr.tobytes(), matrix.indices.tobytes()), has_vertex_cut
+
+    def test_horizontal_sweep_has_one_pattern(self):
+        patterns = set()
+        for eps in np.linspace(0.0, 1.0, 11):
+            pattern, has_vertex_cut = self._pattern(horizontal_problem(eps, 2.0 / self.N))
+            assert not has_vertex_cut
+            patterns.add(pattern)
+        assert len(patterns) == 1
+
+    def test_vertex_cuts_change_the_pattern(self):
+        uncut, _ = self._pattern(horizontal_problem(0.0, 2.0 / self.N))
+        patterns, n_vertex_cut = set(), 0
+        for alpha in np.linspace(0.1, 1.4, 11):
+            pattern, has_vertex_cut = self._pattern(tilted_problem(alpha))
+            assert (pattern != uncut) == has_vertex_cut
+            patterns.add(pattern)
+            n_vertex_cut += has_vertex_cut
+        assert n_vertex_cut > 0
+        assert len(patterns) > 1

@@ -91,6 +91,18 @@ class TestRefinementRetry:
         with pytest.raises(RuntimeError, match="patch 3"):
             run_single(RunConfig(problem="circle", n=4))
 
+    def test_real_retry_reported_on_stderr(self, capsys):
+        # at n = 12 the circle passes through a vertex of patch 59 and also
+        # crosses an edge next to it; n = 24 resolves every cut
+        row = run_single(RunConfig(problem="circle", n=12))
+        assert row.n == 24
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "refining: n=12 -> n=24 (patch 59: vertex cut with crossing on "
+            "adjacent edge)"
+        ]
+        assert captured.out == ""
+
 
 class TestRunSweep:
     def test_rows_sorted_and_bounded(self):
@@ -147,6 +159,33 @@ class TestCliExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["sweep", "--problem", "circle"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--n", "1"],
+            ["solve", "--n", "two"],
+            ["solve", "--eps", "2"],
+            ["solve", "--eps", "-0.1"],
+            ["solve", "--alpha", "4"],
+            ["solve", "--alpha", "nan"],
+            ["angles", "--n", "0"],
+            ["sweep", "--problem", "horizontal", "--n", "0"],
+            ["sweep", "--problem", "horizontal", "--n", "16,1"],
+            ["sweep", "--problem", "horizontal", "--values", "0.5,1.5", "--n", "8"],
+            ["sweep", "--problem", "tilted", "--values", "4", "--n", "8"],
+            ["convergence", "--levels", "8,1"],
+        ],
+    )
+    def test_out_of_range_arguments_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_range_ends_accepted(self, capsys):
+        assert main(["solve", "--problem", "horizontal", "--eps", "1", "--n", "2"]) == 0
+        assert main(["solve", "--problem", "tilted", "--alpha", "0", "--n", "2"]) == 0
 
     def test_convergence_single_level_exits_1_but_emits_rows(self, tmp_path, capsys):
         out = tmp_path / "conv.csv"
