@@ -30,21 +30,14 @@ from .adaptation import (
 from .assembly import (
     DofMap,
     LinearSystem,
-    PatchQuadrature,
     assemble,
     build_dof_map,
     interpolate_nodal,
-    kappa_of,
-    local_load,
-    local_stiffness,
-    patch_quadrature,
 )
 from .geometry import (
-    AffineMap,
     DegenerateTriangle,
     QuadRule,
     UnsupportedDegree,
-    affine_map_between,
     interior_angles,
     reference_quad_rule,
     triangle_area,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import interior_angles, triangle_area
+from .geometry import barycentric_gradients, interior_angles, triangle_area
 from .levelset import SNAP_TOL, vertex_hit
 from .mesh import FREE, INTERFACE_LOCKED, STRATEGY_SET, PatchMesh
 
@@ -134,8 +134,10 @@ class PatchConfigs:
     """Adaptation result of every patch, as arrays indexed by patch id.
 
     ``kind`` codes index ``CUT_KINDS``; ``cuts`` is the classification's list
-    of cut classes. Indexing gives one patch's ``PatchConfig`` for
-    inspection; the pipeline reads the arrays.
+    of cut classes. ``tris``, ``areas`` and ``grads`` are the physical
+    subtriangle geometry that assembly, error norms and the angle audit
+    share. Indexing gives one patch's ``PatchConfig`` for inspection; the
+    pipeline reads the arrays.
     """
 
     cuts: list[CutClass]
@@ -143,6 +145,9 @@ class PatchConfigs:
     params: np.ndarray  # (n_patches, 3) float: q, r, s
     topology: np.ndarray  # (n_patches, 4, 3) int8
     sides: np.ndarray  # (n_patches, 4) int8
+    tris: np.ndarray  # (n_patches, 4, 3, 2) subtriangle vertices
+    areas: np.ndarray  # (n_patches, 4) signed subtriangle areas
+    grads: np.ndarray  # (n_patches, 4, 3, 2) barycentric gradients
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -437,16 +442,14 @@ def _group_key(cut: CutClass):
     return (VERTEX_EDGE, cut.vertex)
 
 
-def side_labels(nodes, topology, levelset, scale=1.0) -> np.ndarray:
+def side_labels(tris, levelset, scale=1.0) -> np.ndarray:
     """Side label (1 or 2) per subtriangle from the level-set sign at its
     centroid; ties break toward side 2.
 
-    Batched over leading axes: ``nodes`` (..., 6, 2), ``topology``
-    (..., 4, 3) and ``scale`` (...) give labels (..., 4), int8. The sign
-    threshold is ``-SNAP_TOL * scale``.
+    Batched over leading axes: subtriangles ``tris`` (..., 4, 3, 2) and
+    ``scale`` (...) give labels (..., 4), int8. The sign threshold is
+    ``-SNAP_TOL * scale``.
     """
-    idx = np.asarray(topology, dtype=np.intp)[..., None]  # (..., 4, 3, 1)
-    tris = np.take_along_axis(np.asarray(nodes)[..., None, :, :], idx, axis=-2)
     phi = levelset.eval(tris.mean(axis=-2))
     threshold = -SNAP_TOL * np.asarray(scale)[..., None]
     return np.where(phi < threshold, 1, 2).astype(np.int8)
@@ -481,9 +484,11 @@ def build_configs(mesh: PatchMesh, classification: Classification,
                   levelset) -> PatchConfigs:
     """Configurations of all patches after the edge parameters are resolved.
 
-    Topologies come from the fixed tables and side labels from one level-set
-    evaluation at every subtriangle centroid; only the cut patches are
-    visited one by one, to look up their cut situation.
+    Topologies come from the fixed tables. The physical subtriangles, their
+    areas and barycentric gradients are gathered here once per adapted mesh,
+    and side labels come from one level-set evaluation at every subtriangle
+    centroid; only the cut patches are visited one by one, to look up their
+    cut situation.
     """
     cut_ids = classification.cut_ids
     cut = [classification.cuts[pid] for pid in cut_ids]
@@ -494,13 +499,16 @@ def build_configs(mesh: PatchMesh, classification: Classification,
     topology = _TOPOLOGIES[table]
 
     nodes = mesh.local_nodes_all()
-    sides = side_labels(nodes, topology, levelset, mesh.patch_diameters())
+    tris = nodes[np.arange(mesh.n_patches)[:, None, None], topology]
+    areas = triangle_area(tris)
+    sides = side_labels(tris, levelset, mesh.patch_diameters())
     if len(cut_ids):
         situation = np.array([_SITUATION[_group_key(c)] for c in cut])
         sides[cut_ids] = _anchor_labels(sides[cut_ids], nodes[cut_ids], situation,
                                         levelset)
     return PatchConfigs(classification.cuts, kind, mesh.local_params_all(),
-                        topology, sides)
+                        topology, sides, tris, areas,
+                        barycentric_gradients(tris, areas))
 
 
 def adapt(mesh: PatchMesh, levelset, strategy: int):
@@ -618,18 +626,8 @@ class AngleAudit:
 
 def max_angle_audit(mesh: PatchMesh, configs: PatchConfigs) -> AngleAudit:
     """All interior angles of all physical subtriangles, reduced per patch."""
-    nodes = mesh.local_nodes_all()  # (Np, 6, 2)
-    tris = nodes[np.arange(mesh.n_patches)[:, None, None], configs.topology]
-    angles = interior_angles(tris)  # (Np, 4, 3)
+    angles = interior_angles(configs.tris)  # (Np, 4, 3)
     per_patch = angles.reshape(mesh.n_patches, -1).max(axis=1)
     hist, edges = np.histogram(angles.ravel(), bins=np.linspace(0.0, 180.0, 19))
     return AngleAudit(configs, per_patch, float(per_patch.max()), hist, edges)
 
-
-def subtriangle_tiling_defect(q, r, s, cut: CutClass) -> np.ndarray:
-    """|sum of subtriangle areas - 1/2| on the reference patch (test helper)."""
-    nodes = reference_local_nodes(q, r, s)
-    topo = subtriangle_topology(cut)
-    tris = nodes[..., topo, :]
-    areas = triangle_area(tris)
-    return np.abs(np.asarray(areas).sum(axis=-1) - 0.5)

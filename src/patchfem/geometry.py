@@ -1,5 +1,6 @@
-"""Planar triangle primitives: signed areas, interior angles, affine maps,
-and quadrature rules on the unit reference triangle.
+"""Planar triangle primitives: signed areas, interior angles, barycentric
+gradients, quadrature rules on the unit reference triangle and their images
+on physical triangles.
 
 Triangles are ``(..., 3, 2)`` arrays of vertex coordinates in counterclockwise
 order; all routines broadcast over leading axes. Everything here is pure and
@@ -15,17 +16,14 @@ import numpy as np
 __all__ = [
     "DegenerateTriangle",
     "UnsupportedDegree",
-    "AffineMap",
     "QuadRule",
-    "REFERENCE_TRIANGLE",
     "triangle_area",
     "interior_angles",
-    "affine_map_between",
+    "barycentric_gradients",
     "reference_quad_rule",
+    "reference_lambdas",
+    "map_rule",
 ]
-
-# Unit reference triangle (0,0)-(1,0)-(0,1); area 1/2.
-REFERENCE_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 # A triangle is degenerate when |2*area| < DEGENERACY_TOL * (longest edge)^2;
 # scale invariant.
@@ -108,47 +106,16 @@ def interior_angles(tri) -> np.ndarray:
     return angles
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """Affine map x -> linear @ x + offset with invertible linear part."""
+def barycentric_gradients(tris, areas) -> np.ndarray:
+    """Constant gradients (..., 3, 2) of the three barycentric functions.
 
-    linear: np.ndarray  # (2, 2)
-    offset: np.ndarray  # (2,)
-
-    def __post_init__(self):
-        object.__setattr__(self, "linear", np.asarray(self.linear, dtype=float))
-        object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float))
-        if abs(np.linalg.det(self.linear)) == 0.0:
-            raise DegenerateTriangle("affine map has singular linear part")
-
-    def __call__(self, points):
-        """Apply the map to points of shape (..., 2)."""
-        points = np.asarray(points, dtype=float)
-        return points @ self.linear.T + self.offset
-
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.linear))
-
-    def inverse(self) -> "AffineMap":
-        inv = np.linalg.inv(self.linear)
-        return AffineMap(inv, -inv @ self.offset)
-
-
-def affine_map_between(source, target) -> AffineMap:
-    """Affine map sending the vertices of ``source`` onto ``target`` in order.
-
-    Both arguments are (3, 2) triangles; the source must be non-degenerate.
+    ``grad(l_i)`` is the edge opposite vertex i turned by +90 degrees and
+    divided by twice the signed area ``areas`` (...).
     """
-    source = np.asarray(source, dtype=float)
-    target = np.asarray(target, dtype=float)
-    _check_nondegenerate(source)
-    # Columns of S/T span the edge vectors from vertex 0.
-    s_mat = np.column_stack([source[1] - source[0], source[2] - source[0]])
-    t_mat = np.column_stack([target[1] - target[0], target[2] - target[0]])
-    linear = t_mat @ np.linalg.inv(s_mat)
-    offset = target[0] - linear @ source[0]
-    return AffineMap(linear, offset)
+    opp = tris[..., [2, 0, 1], :] - tris[..., [1, 2, 0], :]
+    return np.stack([-opp[..., 1], opp[..., 0]], axis=-1) / (
+        2.0 * areas[..., None, None]
+    )
 
 
 @dataclass(frozen=True)
@@ -218,3 +185,25 @@ def reference_quad_rule(degree: int) -> QuadRule:
         wts = np.array([9.0 / 80.0, wa, wa, wa, wb, wb, wb])
         return QuadRule(pts, wts, 5)
     raise UnsupportedDegree(f"no rule tabulated for degree {degree}")
+
+
+def reference_lambdas(rule: QuadRule) -> np.ndarray:
+    """Barycentric values (nq, 3) of the rule's reference points."""
+    x, y = rule.points[:, 0], rule.points[:, 1]
+    return np.column_stack([1.0 - x - y, x, y])
+
+
+def map_rule(tris, areas, rule: QuadRule):
+    """``rule`` carried onto the triangles ``tris`` (..., 3, 2) of signed
+    area ``areas`` (...).
+
+    Returns points (..., nq, 2), x = A + xhat (B - A) + yhat (C - A), and
+    weights (..., nq) scaled by the Jacobian 2 * area, so each triangle's
+    weights sum to its area.
+    """
+    a = tris[..., 0, :][..., None, :]
+    e1 = (tris[..., 1, :] - tris[..., 0, :])[..., None, :]
+    e2 = (tris[..., 2, :] - tris[..., 0, :])[..., None, :]
+    x = rule.points[:, 0][..., None]
+    y = rule.points[:, 1][..., None]
+    return a + x * e1 + y * e2, rule.weights * (2.0 * np.asarray(areas))[..., None]

@@ -127,29 +127,11 @@ class PatchMesh:
         out[:, 3:] = ep[self.patch_edges]
         return out
 
-    def local_nodes(self, pid: int) -> np.ndarray:
-        """Six node positions of one patch, (6, 2)."""
-        out = np.empty((6, 2))
-        out[:3] = self.vertices[self.patches[pid]]
-        for k in range(3):
-            eid = self.patch_edges[pid, k]
-            a, b = self.edges[eid]
-            t = self.edge_param[eid]
-            out[3 + k] = (1.0 - t) * self.vertices[a] + t * self.vertices[b]
-        return out
-
     def local_t(self, pid: int, k: int) -> float:
         """Edge-node parameter of local edge k, measured in local direction."""
         eid = self.patch_edges[pid, k]
         t = float(self.edge_param[eid])
         return t if self.patch_edge_forward[pid, k] else 1.0 - t
-
-    def local_params(self, pid: int) -> tuple[float, float, float]:
-        """Local (q, r, s) of one patch derived from the edge registry."""
-        s = self.local_t(pid, 0)
-        r = self.local_t(pid, 1)
-        q = 1.0 - self.local_t(pid, 2)
-        return q, r, s
 
     def local_params_all(self) -> np.ndarray:
         """(n_patches, 3) array of (q, r, s)."""
@@ -169,11 +151,6 @@ class PatchMesh:
         t = t_local if self.patch_edge_forward[pid, k] else 1.0 - t_local
         self.edge_param[eid] = t
         self.edge_lock[eid] = lock
-
-    def reset_params(self) -> None:
-        """Return every edge node to the midpoint and unlock it."""
-        self.edge_param[:] = 0.5
-        self.edge_lock[:] = FREE
 
 
 def build_structured_mesh(n: int, domain=((-1.0, -1.0), (1.0, 1.0))) -> PatchMesh:

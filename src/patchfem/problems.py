@@ -13,7 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import reference_quad_rule, triangle_area
+from .assembly import build_dof_map
+from .geometry import map_rule, reference_lambdas, reference_quad_rule
 from .levelset import Circle, HorizontalLine, TiltedLine
 
 __all__ = [
@@ -39,8 +40,7 @@ class ProblemSpec:
     """One manufactured interface problem on an axis-aligned rectangle.
 
     u1/u2, grad_u1/grad_u2, f1/f2 are the per-side branches; ``u``, ``grad_u``
-    and ``f`` select the branch by the level-set sign. ``boundary`` is the
-    trace of u.
+    and ``f`` select the branch by the level-set sign.
     """
 
     name: str
@@ -73,12 +73,6 @@ class ProblemSpec:
 
     def f(self, points):
         return self._select(points, self.f1, self.f2)
-
-    def boundary(self, points):
-        return self.u(points)
-
-    def kappa(self, side: int) -> float:
-        return self.kappa1 if side == 1 else self.kappa2
 
 
 def circle_problem(radius: float = 0.5, kappa1: float = 0.1,
@@ -289,31 +283,12 @@ def error_norms(mesh, configs, problem: ProblemSpec, u_h: np.ndarray,
     every quadrature point follows the true interface sign, while u_h and its
     gradient come from the linear basis on the subtriangle.
     """
-    from .assembly import _map_points, _ref_lambdas, build_dof_map
-
-    dof_map = build_dof_map(mesh)
-    nodes = mesh.local_nodes_all()
-    topo = configs.topology.astype(np.int64)
-    tris = nodes[np.arange(mesh.n_patches)[:, None, None], topo]  # (Np,4,3,2)
-    areas = triangle_area(tris)
-
     rule = reference_quad_rule(degree)
-    qpts = _map_points(tris, rule.points)  # (Np, 4, nq, 2)
-    qwts = rule.weights[None, None, :] * (2.0 * areas)[..., None]
-    lam = _ref_lambdas(rule.points)  # (nq, 3)
-
-    sub_dofs = np.take_along_axis(
-        dof_map.patch_dofs[:, None, :].repeat(4, axis=1), topo, axis=2
-    )
-    coeffs = u_h[sub_dofs]  # (Np, 4, 3)
-
-    uh_q = np.einsum("pqa,na->pqn", coeffs, lam)
+    qpts, qwts = map_rule(configs.tris, configs.areas, rule)  # (Np, 4, nq, 2)
+    coeffs = u_h[build_dof_map(mesh).subtriangle_dofs(configs.topology)]
+    uh_q = np.einsum("pqa,na->pqn", coeffs, reference_lambdas(rule))
     # Constant gradient per subtriangle from the barycentric gradients.
-    opp = tris[:, :, [2, 0, 1], :] - tris[:, :, [1, 2, 0], :]
-    grads = np.stack([-opp[..., 1], opp[..., 0]], axis=-1) / (
-        2.0 * areas[..., None, None]
-    )
-    guh = np.einsum("pqa,pqad->pqd", coeffs, grads)  # (Np, 4, 2)
+    guh = np.einsum("pqa,pqad->pqd", coeffs, configs.grads)  # (Np, 4, 2)
 
     flat = qpts.reshape(-1, 2)
     u_exact = problem.u(flat).reshape(uh_q.shape)

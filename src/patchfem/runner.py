@@ -151,18 +151,17 @@ def _solve_once(config: RunConfig, n: int):
     )
 
 
-def run_single(config: RunConfig) -> ResultRow:
-    """Solve one configuration; on an unresolvable cut, retry with the grid
+def _refining(attempt, n: int):
+    """Call ``attempt(n)``; on an unresolvable cut, retry with the grid
     doubled, up to three times. Each retry is reported on stderr with the
     old and new n, the offending patch and the reason."""
-    n = config.n
     last: RefinementRequired | None = None
-    for attempt in range(MAX_REFINE_RETRIES + 1):
+    for retry in range(MAX_REFINE_RETRIES + 1):
         try:
-            return _solve_once(config, n)
+            return attempt(n)
         except RefinementRequired as exc:
             last = exc
-            if attempt < MAX_REFINE_RETRIES:
+            if retry < MAX_REFINE_RETRIES:
                 print(f"refining: n={n} -> n={2 * n} (patch {exc.patch_id}: "
                       f"{exc.reason})", file=sys.stderr)
             n *= 2
@@ -170,6 +169,11 @@ def run_single(config: RunConfig) -> ResultRow:
         f"cut unresolvable after {MAX_REFINE_RETRIES} refinements "
         f"(last offender: {last})"
     )
+
+
+def run_single(config: RunConfig) -> ResultRow:
+    """Solve one configuration, refining the grid while a cut needs it."""
+    return _refining(lambda n: _solve_once(config, n), config.n)
 
 
 def run_convergence(problem: str, levels, strategy: int, mode: str,
@@ -209,12 +213,16 @@ def run_sweep(problem: str, param: str, values, ns, strategy: int):
 
 def run_angles(problem: str, n: int, strategy: int, eps: float = 0.5,
                alpha: float = np.pi / 4.0):
-    """Angle audit rows for one adapted mesh plus the global maximum."""
-    instance = make_problem(problem, n, eps, alpha)
-    mesh = build_structured_mesh(n, instance.domain)
-    configs, _, _ = adapt(mesh, instance.levelset, strategy)
-    audit = max_angle_audit(mesh, configs)
-    return audit
+    """Angle audit of one adapted mesh, refining the grid while a cut needs
+    it, as ``run_single`` does."""
+
+    def audit(n):
+        instance = make_problem(problem, n, eps, alpha)
+        mesh = build_structured_mesh(n, instance.domain)
+        configs, _, _ = adapt(mesh, instance.levelset, strategy)
+        return max_angle_audit(mesh, configs)
+
+    return _refining(audit, n)
 
 
 def _fmt(value) -> str:

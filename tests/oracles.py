@@ -6,6 +6,11 @@ per patch, with ``side_labels_reference`` evaluating the level set patch by
 patch. ``mesh_to_json_reference`` dumps from that list. The package computes
 the same results with whole-array NumPy passes; the tests require them to be
 exactly equal.
+
+``local_nodes`` and ``local_params`` read one patch from the edge registry,
+and ``local_stiffness``, ``local_load`` and ``barycentric`` are the textbook
+per-element formulas; the tests scatter them element by element to check
+the vectorised assembly.
 """
 
 from __future__ import annotations
@@ -20,8 +25,69 @@ from patchfem.adaptation import (
     _group_key,
     subtriangle_topology,
 )
+from patchfem.geometry import DegenerateTriangle, triangle_area
 from patchfem.levelset import SNAP_TOL
 from patchfem.mesh import LOCK_NAMES, PatchMesh
+
+
+def local_nodes(mesh: PatchMesh, pid: int) -> np.ndarray:
+    """Six node positions of one patch, (6, 2)."""
+    out = np.empty((6, 2))
+    out[:3] = mesh.vertices[mesh.patches[pid]]
+    for k in range(3):
+        eid = mesh.patch_edges[pid, k]
+        a, b = mesh.edges[eid]
+        t = mesh.edge_param[eid]
+        out[3 + k] = (1.0 - t) * mesh.vertices[a] + t * mesh.vertices[b]
+    return out
+
+
+def local_params(mesh: PatchMesh, pid: int) -> tuple[float, float, float]:
+    """Local (q, r, s) of one patch derived from the edge registry."""
+    s = mesh.local_t(pid, 0)
+    r = mesh.local_t(pid, 1)
+    q = 1.0 - mesh.local_t(pid, 2)
+    return q, r, s
+
+
+def local_stiffness(tri, kappa: float) -> np.ndarray:
+    """Exact 3x3 linear-element stiffness: kappa * area * grad(l_a).grad(l_b).
+
+    Rows sum to zero (constants lie in the kernel); symmetric.
+    """
+    tri = np.asarray(tri, dtype=float)
+    area = triangle_area(tri)
+    if abs(area) < 1e-300:
+        raise DegenerateTriangle("zero-area triangle in stiffness")
+    # grad(l_i) = perp(opposite edge) / (2 area), perp (x,y) -> (-y, x)
+    edges = tri[[2, 0, 1]] - tri[[1, 2, 0]]  # edge opposite vertex i
+    grads = np.column_stack([-edges[:, 1], edges[:, 0]]) / (2.0 * area)
+    return kappa * area * (grads @ grads.T)
+
+
+def barycentric(tri, points) -> np.ndarray:
+    """Barycentric coordinates of ``points`` (nq, 2) in ``tri`` (3, 2)."""
+    tri = np.asarray(tri, dtype=float)
+    points = np.asarray(points, dtype=float)
+    area = triangle_area(tri)
+    lam = np.empty(points.shape[:-1] + (3,))
+    for i in range(3):
+        sub = np.broadcast_to(tri, points.shape[:-1] + (3, 2)).copy()
+        sub[..., i, :] = points
+        lam[..., i] = triangle_area(sub) / area
+    return lam
+
+
+def local_load(tri, points, weights, f) -> np.ndarray:
+    """Load vector of one subtriangle from its mapped quadrature.
+
+    ``points`` and ``weights`` are a rule mapped onto ``tri`` (weights
+    scaled to its area); entries are sum_q w_q f(x_q) l_a(x_q).
+    """
+    lam = barycentric(tri, points)
+    return (np.asarray(weights)[:, None] * np.asarray(f(points))[:, None] * lam).sum(
+        axis=0
+    )
 
 
 def build_structured_mesh_reference(n: int,

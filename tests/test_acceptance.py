@@ -21,8 +21,8 @@ from patchfem.adaptation import (
     reference_local_nodes,
     subtriangle_topology,
 )
-from patchfem.assembly import assemble, interpolate_nodal, patch_quadrature
-from patchfem.geometry import interior_angles, reference_quad_rule, triangle_area
+from patchfem.assembly import assemble, interpolate_nodal
+from patchfem.geometry import interior_angles, map_rule, reference_quad_rule, triangle_area
 from patchfem.mesh import build_structured_mesh
 from patchfem.problems import (
     circle_problem,
@@ -177,15 +177,15 @@ class TestCriterion4QuadratureGoldenVectors:
         """criterion 4: the twelve mapped points for q=9/16, s=1/2, r=11/16
         match the tabulated rationals to 1e-14."""
         nodes = reference_local_nodes(9 / 16, 11 / 16, 1 / 2)
-        topo = subtriangle_topology(CutClass("uncut"))
-        pq = patch_quadrature(nodes, topo, [1, 1, 1, 1], reference_quad_rule(2))
+        tris = nodes[subtriangle_topology(CutClass("uncut"))]
+        points, _ = map_rule(tris, triangle_area(tris), reference_quad_rule(2))
         expected = np.array([
             [1 / 3, 3 / 32], [1 / 12, 3 / 32], [1 / 12, 3 / 8],
             [77 / 96, 11 / 96], [53 / 96, 11 / 96], [11 / 24, 11 / 24],
             [5 / 24, 23 / 32], [5 / 96, 21 / 32], [5 / 96, 7 / 8],
             [13 / 96, 47 / 96], [7 / 24, 53 / 96], [37 / 96, 5 / 24],
         ])
-        got = pq.points.reshape(-1, 2)
+        got = points.reshape(-1, 2)
         dist = np.linalg.norm(expected[:, None, :] - got[None, :, :], axis=2)
         defect = dist.min(axis=1).max()
         assert defect <= 1e-14
@@ -218,12 +218,12 @@ class TestCriterion5QuadratureConsistency:
                 tri[1] + r * (tri[2] - tri[1]),
                 tri[2] + (1 - q) * (tri[0] - tri[2]),
             ])
-            topo = subtriangle_topology(cuts[rng.integers(len(cuts))])
-            pq = patch_quadrature(nodes, topo, [1, 1, 1, 1], rule)
-            worst_area = max(worst_area, abs(pq.weights.sum() - area) / area)
+            tris = nodes[subtriangle_topology(cuts[rng.integers(len(cuts))])]
+            points, weights = map_rule(tris, triangle_area(tris), rule)
+            worst_area = max(worst_area, abs(weights.sum() - area) / area)
             a, b, c = rng.uniform(-2, 2, 3)
-            pts = pq.points.reshape(-1, 2)
-            got = (pq.weights.ravel() * (a * pts[:, 0] + b * pts[:, 1] + c)).sum()
+            pts = points.reshape(-1, 2)
+            got = (weights.ravel() * (a * pts[:, 0] + b * pts[:, 1] + c)).sum()
             cen = tri.mean(axis=0)
             exact = area * (a * cen[0] + b * cen[1] + c)
             scale = max(abs(exact), 1e-3)

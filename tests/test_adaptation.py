@@ -27,6 +27,8 @@ from patchfem.geometry import interior_angles, triangle_area
 from patchfem.levelset import Circle, HorizontalLine
 from patchfem.mesh import FREE, INTERFACE_LOCKED, STRATEGY_SET, PatchMesh, build_structured_mesh
 
+from .oracles import local_params
+
 
 def single_patch(v0, v1, v2):
     """One-triangle mesh for classification tests."""
@@ -89,7 +91,7 @@ class TestDeterminedParams:
         mesh.set_local_t(0, 2, t, INTERFACE_LOCKED)
         fixed = determined_params(CutClass("vertex_edge", (2,), 1), {2: t})
         assert fixed["q"] == pytest.approx(9 / 16)
-        assert np.allclose(mesh.local_nodes(0)[5], [0.0, 9 / 16])
+        assert np.allclose(mesh.local_nodes_all()[0, 5], [0.0, 9 / 16])
 
     def test_edge_bookkeeping(self):
         fixed = determined_params(CutClass("edge_edge", (1, 2)), {1: 0.3, 2: 0.8})
@@ -319,7 +321,7 @@ class TestResolveEdgeParams:
 class TestSideLabels:
     def test_uncut_inside_circle(self):
         nodes = reference_local_nodes(0.5, 0.5, 0.5) * 0.1
-        labels = side_labels(nodes, subtriangle_topology(CutClass("uncut")),
+        labels = side_labels(nodes[subtriangle_topology(CutClass("uncut"))],
                              Circle((0, 0), 0.5))
         assert np.all(labels == 1)
 
@@ -456,4 +458,4 @@ class TestAdaptEndToEnd:
         mesh = build_structured_mesh(8)
         configs, _, _ = adapt(mesh, Circle((0, 0), 0.5), 3)
         for pid, cfg in enumerate(configs):
-            assert cfg.params == pytest.approx(mesh.local_params(pid))
+            assert cfg.params == pytest.approx(local_params(mesh, pid))

@@ -1,20 +1,11 @@
-"""Tests for dof management, composed quadrature, and global assembly."""
+"""Tests for dof management, subtriangle quadrature, and global assembly."""
 
 import numpy as np
 import pytest
 
 from patchfem.adaptation import CutClass, adapt, reference_local_nodes, subtriangle_topology
-from patchfem.assembly import (
-    assemble,
-    barycentric,
-    build_dof_map,
-    interpolate_nodal,
-    kappa_of,
-    local_load,
-    local_stiffness,
-    patch_quadrature,
-)
-from patchfem.geometry import reference_quad_rule, triangle_area
+from patchfem.assembly import assemble, build_dof_map, interpolate_nodal
+from patchfem.geometry import map_rule, reference_quad_rule, triangle_area
 from patchfem.levelset import Circle
 from patchfem.mesh import build_structured_mesh
 from patchfem.problems import (
@@ -26,8 +17,17 @@ from patchfem.problems import (
 )
 from patchfem.solver import cg_solve
 
+from .oracles import barycentric, local_load, local_nodes, local_stiffness
+
 UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 TOPO_A = subtriangle_topology(CutClass("uncut"))
+
+
+def patch_rule(nodes, topology, rule):
+    """The pipeline's quadrature on the four subtriangles of one patch:
+    points (4, nq, 2) and weights (4, nq)."""
+    tris = nodes[topology]
+    return map_rule(tris, triangle_area(tris), rule)
 
 
 def constant_kappa_problem(u, grad, f, kappa=1.0):
@@ -79,26 +79,26 @@ class TestPatchQuadrature:
     def test_worked_example_points(self):
         """Twelve mapped points for q=9/16, s=1/2, r=11/16 on the unit patch."""
         nodes = reference_local_nodes(9 / 16, 11 / 16, 1 / 2)
-        pq = patch_quadrature(nodes, TOPO_A, [1, 1, 1, 1], reference_quad_rule(2))
+        points, weights = patch_rule(nodes, TOPO_A, reference_quad_rule(2))
         expected = np.array([
             [1 / 3, 3 / 32], [1 / 12, 3 / 32], [1 / 12, 3 / 8],
             [77 / 96, 11 / 96], [53 / 96, 11 / 96], [11 / 24, 11 / 24],
             [5 / 24, 23 / 32], [5 / 96, 21 / 32], [5 / 96, 7 / 8],
             [13 / 96, 47 / 96], [7 / 24, 53 / 96], [37 / 96, 5 / 24],
         ])
-        got = pq.points.reshape(-1, 2)
+        got = points.reshape(-1, 2)
         dists = np.linalg.norm(expected[:, None, :] - got[None, :, :], axis=2)
         # every listed point appears among the computed ones (the fourth
         # block is listed under a rotated vertex order)
         assert dists.min(axis=1).max() <= 1e-14
         # weights scale with the subtriangle areas, 3/64 on the first block
-        assert np.allclose(pq.weights[0], 3 / 64)
-        assert pq.weights.sum() == pytest.approx(0.5, abs=1e-15)
+        assert np.allclose(weights[0], 3 / 64)
+        assert weights.sum() == pytest.approx(0.5, abs=1e-15)
 
     def test_uniform_params_weights_are_1_24(self):
         nodes = reference_local_nodes(0.5, 0.5, 0.5)
-        pq = patch_quadrature(nodes, TOPO_A, [1, 1, 1, 1], reference_quad_rule(2))
-        assert np.allclose(pq.weights, 1 / 24)
+        _, weights = patch_rule(nodes, TOPO_A, reference_quad_rule(2))
+        assert np.allclose(weights, 1 / 24)
 
     def test_weights_match_subtriangle_areas(self):
         rng = np.random.default_rng(21)
@@ -106,9 +106,9 @@ class TestPatchQuadrature:
         for _ in range(500):
             q, r, s = rng.uniform(0.02, 0.98, 3)
             nodes = reference_local_nodes(q, r, s)
-            pq = patch_quadrature(nodes, TOPO_A, [1, 1, 1, 1], rule)
+            _, weights = patch_rule(nodes, TOPO_A, rule)
             areas = triangle_area(nodes[TOPO_A])
-            assert np.allclose(pq.weights.sum(axis=1), areas, rtol=1e-13)
+            assert np.allclose(weights.sum(axis=1), areas, rtol=1e-13)
 
     def test_integrates_linear_functions_exactly(self):
         rng = np.random.default_rng(22)
@@ -117,9 +117,9 @@ class TestPatchQuadrature:
             q, r, s = rng.uniform(0.02, 0.98, 3)
             a, b, c = rng.uniform(-2, 2, 3)
             nodes = reference_local_nodes(q, r, s)
-            pq = patch_quadrature(nodes, TOPO_A, [1, 1, 1, 1], rule)
-            pts = pq.points.reshape(-1, 2)
-            val = (pq.weights.ravel() * (a * pts[:, 0] + b * pts[:, 1] + c)).sum()
+            points, weights = patch_rule(nodes, TOPO_A, rule)
+            pts = points.reshape(-1, 2)
+            val = (weights.ravel() * (a * pts[:, 0] + b * pts[:, 1] + c)).sum()
             # reference integral over the unit patch: area 1/2, centroid (1/3,1/3)
             exact = 0.5 * (a / 3 + b / 3 + c)
             assert val == pytest.approx(exact, rel=1e-13, abs=1e-15)
@@ -147,12 +147,7 @@ class TestLocalStiffness:
 
 class TestLocalLoad:
     def _quad(self, tri):
-        rule = reference_quad_rule(2)
-        pq = patch_quadrature(
-            np.vstack([tri, tri.mean(axis=0)[None].repeat(3, 0)]),
-            np.array([[0, 1, 2]] * 4), [1] * 4, rule,
-        )
-        return pq.points[0], pq.weights[0]
+        return map_rule(tri, triangle_area(tri), reference_quad_rule(2))
 
     def test_constant_one(self):
         pts, wts = self._quad(UNIT)
@@ -187,17 +182,6 @@ class TestLocalLoad:
         lam = barycentric(tri, pts)
         assert np.allclose(lam.sum(axis=1), 1.0)
         assert np.allclose(lam @ tri, pts)
-
-
-class TestKappaOf:
-    def test_circle_values(self):
-        p = circle_problem()
-        assert kappa_of(1, p) == 0.1
-        assert kappa_of(2, p) == 1.0
-
-    def test_equal_kappas(self):
-        p = constant_kappa_problem(lambda x: 0, lambda x: 0, lambda x: 0, kappa=3.0)
-        assert kappa_of(1, p) == kappa_of(2, p) == 3.0
 
 
 class TestAssemble:
@@ -251,18 +235,41 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble(mesh, configs, LINEAR_X, mode="magic")
 
-    def test_triplet_csv_export(self, tmp_path):
-        from patchfem.assembly import matrix_to_triplet_csv
 
-        mesh, configs = self._adapted(2, LINEAR_X)
-        system = assemble(mesh, configs, LINEAR_X)
-        path = tmp_path / "matrix.csv"
-        matrix_to_triplet_csv(system, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "row,col,value"
-        assert len(lines) == 1 + system.matrix.nnz
-        i, j, v = lines[1].split(",")
-        assert system.matrix[int(i), int(j)] == float(v)
+class TestAssemblyOracle:
+    """``assemble`` against the per-element formulas of ``tests/oracles.py``,
+    scattered subtriangle by subtriangle into a dense matrix and vector."""
+
+    @pytest.mark.parametrize(
+        "problem,n,strategy",
+        [(circle_problem(), 6, 2), (tilted_problem(0.3), 8, 3)],
+        ids=["circle-n6", "tilted-n8"],
+    )
+    def test_matches_per_element_scatter(self, problem, n, strategy):
+        mesh = build_structured_mesh(n, problem.domain)
+        configs, classification, _ = adapt(mesh, problem.levelset, strategy)
+        assert classification.n_cut > 0
+        system = assemble(mesh, configs, problem)
+
+        patch_dofs = build_dof_map(mesh).patch_dofs
+        rule = reference_quad_rule(2)
+        x, y = rule.points.T
+        matrix = np.zeros((system.n_dof, system.n_dof))
+        rhs = np.zeros(system.n_dof)
+        for pid, cfg in enumerate(configs):
+            nodes = local_nodes(mesh, pid)
+            for topo, side in zip(cfg.topology, cfg.sides):
+                tri, dofs = nodes[topo], patch_dofs[pid, topo]
+                kappa = problem.kappa1 if side == 1 else problem.kappa2
+                matrix[np.ix_(dofs, dofs)] += local_stiffness(tri, kappa)
+                points = (np.outer(1 - x - y, tri[0]) + np.outer(x, tri[1])
+                          + np.outer(y, tri[2]))
+                weights = 2 * triangle_area(tri) * rule.weights
+                rhs[dofs] += local_load(tri, points, weights, problem.f)
+
+        dense = system.matrix.toarray()
+        assert np.abs(dense - matrix).max() <= 1e-13 * np.abs(matrix).max()
+        assert np.abs(system.rhs - rhs).max() <= 1e-13 * np.abs(rhs).max()
 
 
 class TestInterpolateNodal:

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import patchfem
 from patchfem.cli import main
 from patchfem.runner import (
     RunConfig,
@@ -221,6 +226,24 @@ class TestCliExitCodes:
             rows = list(csv.reader(fh))
         assert rows[0] == ["patch_id", "cut_class", "q", "r", "s", "max_angle_deg"]
         assert len(rows) == 1 + 2 * 16 * 16
+
+    def test_angles_refines_unresolvable_cut(self):
+        # the circle at n = 12 needs refinement, as in TestRefinementRetry;
+        # run as a separate process so an uncaught exception would show
+        src = str(Path(patchfem.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "patchfem.cli", "angles", "--n", "12"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "refining: n=12 -> n=24 (patch 59: vertex cut with crossing on "
+            "adjacent edge)"
+        ]
+        assert f"over {2 * 24 * 24} patches" in proc.stdout
 
     def test_angles_strategy1_circle_reports_violation(self):
         # strategy 1 leaves vertex-cut patches unremedied; the audit must

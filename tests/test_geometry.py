@@ -8,7 +8,6 @@ import pytest
 from patchfem.geometry import (
     DegenerateTriangle,
     UnsupportedDegree,
-    affine_map_between,
     interior_angles,
     reference_quad_rule,
     triangle_area,
@@ -67,43 +66,6 @@ class TestInteriorAngles:
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateTriangle):
             interior_angles([[0, 0], [1, 0], [2, 0]])
-
-
-class TestAffineMap:
-    def test_identity(self):
-        m = affine_map_between(UNIT, UNIT)
-        assert np.allclose(m.linear, np.eye(2))
-        assert np.allclose(m.offset, 0.0)
-
-    def test_diagonal_scaling(self):
-        target = np.array([[0, 0], [0.5, 0], [0, 9 / 16]])
-        m = affine_map_between(UNIT, target)
-        assert np.allclose(m.linear, np.diag([0.5, 9 / 16]))
-        # mapped quadrature point from the worked example
-        assert np.allclose(m([2 / 3, 1 / 6]), [1 / 3, 3 / 32])
-
-    def test_roundtrip_is_identity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            a = rng.uniform(-1, 1, size=(3, 2))
-            b = rng.uniform(-1, 1, size=(3, 2))
-            if min(abs(triangle_area(a)), abs(triangle_area(b))) < 1e-2:
-                continue
-            fwd = affine_map_between(a, b)
-            back = affine_map_between(b, a)
-            pts = rng.uniform(-1, 1, size=(5, 2))
-            assert np.allclose(back(fwd(pts)), pts, atol=1e-12)
-
-    def test_vertices_map_in_order(self):
-        rng = np.random.default_rng(3)
-        src = rng.uniform(-1, 1, (3, 2))
-        dst = rng.uniform(-1, 1, (3, 2))
-        m = affine_map_between(src, dst)
-        assert np.allclose(m(src), dst, atol=1e-13)
-
-    def test_degenerate_source(self):
-        with pytest.raises(DegenerateTriangle):
-            affine_map_between([[0, 0], [1, 0], [2, 0]], UNIT)
 
 
 class TestQuadRules:

@@ -8,6 +8,8 @@ import pytest
 from patchfem.geometry import triangle_area
 from patchfem.mesh import build_structured_mesh, mesh_to_json, refine
 
+from .oracles import local_params
+
 
 class TestBuild:
     def test_n1_counts(self):
@@ -91,7 +93,7 @@ class TestLocalNodes:
     def test_midpoints_by_default(self):
         mesh = build_structured_mesh(2)
         for pid in range(mesh.n_patches):
-            nodes = mesh.local_nodes(pid)
+            nodes = mesh.local_nodes_all()[pid]
             v = nodes[:3]
             assert np.allclose(nodes[3], 0.5 * (v[0] + v[1]))
             assert np.allclose(nodes[4], 0.5 * (v[1] + v[2]))
@@ -105,12 +107,12 @@ class TestLocalNodes:
         mesh.set_local_t(pid, 0, 0.5, 2)
         mesh.set_local_t(pid, 1, 11 / 16, 2)
         mesh.set_local_t(pid, 2, 1 - 9 / 16, 2)
-        nodes = mesh.local_nodes(pid)
+        nodes = mesh.local_nodes_all()[pid]
         v0, v1, v2 = nodes[:3]
         assert np.allclose(nodes[3], v0 + 0.5 * (v1 - v0))
         assert np.allclose(nodes[4], v1 + 11 / 16 * (v2 - v1))
         assert np.allclose(nodes[5], v2 + (1 - 9 / 16) * (v0 - v2))
-        q, r, s = mesh.local_params(pid)
+        q, r, s = mesh.local_params_all()[pid]
         assert (q, r, s) == pytest.approx((9 / 16, 11 / 16, 1 / 2))
 
     def test_shared_edge_node_is_bitwise_identical(self):
@@ -125,8 +127,8 @@ class TestLocalNodes:
         )
         mesh.edge_param[eid] = 0.37
         (p1, k1), (p2, k2) = owners
-        n1 = mesh.local_nodes(p1)[3 + k1]
-        n2 = mesh.local_nodes(p2)[3 + k2]
+        n1 = mesh.local_nodes_all()[p1, 3 + k1]
+        n2 = mesh.local_nodes_all()[p2, 3 + k2]
         assert np.array_equal(n1, n2)
 
     def test_positive_subtriangle_areas_any_params(self):
@@ -148,10 +150,10 @@ class TestLocalNodes:
             mesh.set_local_t(pid, 0, s, 2)
             mesh.set_local_t(pid, 1, r, 2)
             mesh.set_local_t(pid, 2, 1 - q, 2)
-            assert mesh.local_params(pid) == pytest.approx((q, r, s))
+            assert local_params(mesh, pid) == pytest.approx((q, r, s))
         assert np.allclose(
             mesh.local_params_all(),
-            [mesh.local_params(p) for p in range(mesh.n_patches)],
+            [local_params(mesh, p) for p in range(mesh.n_patches)],
         )
 
 

@@ -20,6 +20,7 @@ from patchfem.adaptation import (
     side_labels,
     subtriangle_topology,
 )
+from patchfem.geometry import triangle_area
 from patchfem.levelset import Circle, HorizontalLine, TiltedLine
 from patchfem.mesh import PatchMesh, build_structured_mesh, mesh_to_json
 
@@ -69,7 +70,8 @@ def _configs(mesh, build, levelset, strategy):
 
 
 def check_against_oracles(levelset, n, strategy):
-    """Either both paths need refinement or every output is exactly equal."""
+    """Either both paths need refinement or every output is exactly equal and
+    the subtriangles tile the patches."""
     mesh = build_structured_mesh(n)
     ref_mesh = build_structured_mesh_reference(n)
     for name in MESH_FIELDS:
@@ -88,6 +90,11 @@ def check_against_oracles(levelset, n, strategy):
     assert configs.topology.dtype == configs.sides.dtype == np.int8
     assert configs.params.tolist() == [list(cfg.params) for cfg in reference]
     assert mesh_to_json(mesh, configs) == mesh_to_json_reference(ref_mesh, reference)
+
+    # The four subtriangles tile each patch.
+    assert np.all(configs.areas > 0)
+    patch_areas = triangle_area(mesh.vertices[mesh.patches])
+    assert np.allclose(configs.areas.sum(axis=1), patch_areas, rtol=1e-12, atol=0.0)
 
 
 @settings(derandomize=True, deadline=None, max_examples=20, database=None,
@@ -158,6 +165,7 @@ def test_centroid_within_snap_tolerance_is_side_2():
     topology = subtriangle_topology(CutClass("uncut"))
     y = nodes[topology].mean(axis=1)[0, 1]
     # phi = -1e-12 at the first centroid: inside the tolerance 1e-10 * scale
-    assert side_labels(nodes, topology, HorizontalLine(y + 1e-12))[0] == 2
-    assert side_labels(nodes, topology, HorizontalLine(y + 1e-12), scale=1e-3)[0] == 1
-    assert side_labels(nodes, topology, HorizontalLine(y + 1e-9))[0] == 1
+    tris = nodes[topology]
+    assert side_labels(tris, HorizontalLine(y + 1e-12))[0] == 2
+    assert side_labels(tris, HorizontalLine(y + 1e-12), scale=1e-3)[0] == 1
+    assert side_labels(tris, HorizontalLine(y + 1e-9))[0] == 1
