@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import barycentric_gradients, interior_angles, triangle_area
 from .levelset import SNAP_TOL, vertex_hit
-from .mesh import FREE, INTERFACE_LOCKED, STRATEGY_SET, PatchMesh
+from .mesh import FREE, INTERFACE_LOCKED, STRATEGY_SET, PatchMesh, patch_blocks
 
 __all__ = [
     "RefinementRequired",
@@ -625,9 +625,17 @@ class AngleAudit:
 
 
 def max_angle_audit(mesh: PatchMesh, configs: PatchConfigs) -> AngleAudit:
-    """All interior angles of all physical subtriangles, reduced per patch."""
-    angles = interior_angles(configs.tris)  # (Np, 4, 3)
-    per_patch = angles.reshape(mesh.n_patches, -1).max(axis=1)
-    hist, edges = np.histogram(angles.ravel(), bins=np.linspace(0.0, 180.0, 19))
+    """All interior angles of all physical subtriangles, reduced per patch.
+
+    Angles are computed one patch block at a time; the per-patch maxima and
+    the histogram counts do not depend on the block size.
+    """
+    edges = np.linspace(0.0, 180.0, 19)
+    per_patch = np.empty(mesh.n_patches)
+    hist = np.zeros(len(edges) - 1, dtype=np.intp)
+    for blk in patch_blocks(mesh.n_patches):
+        angles = interior_angles(configs.tris[blk])  # (nb, 4, 3)
+        per_patch[blk] = angles.reshape(len(angles), -1).max(axis=1)
+        hist += np.histogram(angles.ravel(), bins=edges)[0]
     return AngleAudit(configs, per_patch, float(per_patch.max()), hist, edges)
 

@@ -5,8 +5,10 @@ The subtriangles, their areas and barycentric gradients come from
 ``PatchConfigs``. The basis restricted to a subtriangle is linear, so
 stiffness entries use the exact constant-gradient formulas and only the load
 (and the pointwise diffusion sampling of the unfitted baseline) needs
-quadrature. The global accumulation is a deterministic reduction in patch
-order.
+quadrature. The per-patch work runs over fixed-size patch blocks
+(``mesh.patch_blocks``), so its temporaries do not grow with the mesh; the
+global accumulation is one deterministic reduction in patch order over the
+filled arrays, which makes the result independent of the block size.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import DegenerateTriangle, map_rule, reference_lambdas, reference_quad_rule
-from .mesh import PatchMesh
+from .mesh import PatchMesh, patch_blocks
 
 __all__ = [
     "DofMap",
@@ -45,10 +47,11 @@ class DofMap:
     def n_dof(self) -> int:
         return self.n_vertices + self.n_edges
 
-    def subtriangle_dofs(self, topology) -> np.ndarray:
-        """Global dofs (n_patches, 4, 3) of the subtriangles given by the
-        local node triples ``topology`` (n_patches, 4, 3)."""
-        return np.take_along_axis(self.patch_dofs[:, None, :], topology, axis=2)
+    def subtriangle_dofs(self, patches, topology) -> np.ndarray:
+        """Global dofs (n, 4, 3) of the subtriangles of the patches selected
+        by ``patches``, given by their local node triples ``topology``
+        (n, 4, 3)."""
+        return np.take_along_axis(self.patch_dofs[patches, None, :], topology, axis=2)
 
 
 def build_dof_map(mesh: PatchMesh) -> DofMap:
@@ -86,8 +89,9 @@ class LinearSystem:
     def reduced(self):
         """(A_ff, b_f - A_fb g, free mask): the SPD system on free dofs."""
         free = self.free_mask()
-        a_ff = self.matrix[free][:, free].tocsr()
-        b = self.rhs[free] - self.matrix[free][:, ~free] @ self.dirichlet_values
+        free_rows = self.matrix[free]
+        a_ff = free_rows[:, free].tocsr()
+        b = self.rhs[free] - free_rows[:, ~free] @ self.dirichlet_values
         return a_ff, b, free
 
     def embed(self, x_free: np.ndarray) -> np.ndarray:
@@ -108,41 +112,45 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
     diffusion is sampled pointwise at the quadrature points from the true
     level-set sign, i.e. the mesh ignores the interface. Dirichlet rows and
     columns are eliminated symmetrically against the problem's boundary data.
+
+    Element matrices, loads and their global dofs are formed one patch block
+    at a time (``patch_blocks``) into arrays over all patches; the sparse
+    matrix and the load vector are then reduced once from those arrays in
+    patch order, so the result does not depend on the block size.
     """
     if mode not in ("adapted", "baseline"):
         raise ValueError(f"unknown mode {mode!r}")
     dof_map = build_dof_map(mesh)
-    areas, grads = configs.areas, configs.grads
-    if np.any(areas <= 0.0):
+    if np.any(configs.areas <= 0.0):
         raise DegenerateTriangle("inverted subtriangle during assembly")
 
     rule = reference_quad_rule(load_degree)
-    qpts, qwts = map_rule(configs.tris, areas, rule)  # (Np,4,nq,2), (Np,4,nq)
-
-    if mode == "adapted":
-        kap = np.where(configs.sides == 1, problem.kappa1, problem.kappa2)  # (Np, 4)
-    else:
-        # Pointwise diffusion from the true interface, averaged by quadrature.
-        phi_q = problem.levelset.eval(qpts)
-        kap_q = np.where(phi_q < 0.0, problem.kappa1, problem.kappa2)
-        kap = (qwts * kap_q).sum(axis=-1) / qwts.sum(axis=-1)
-
-    cell = np.einsum("pqad,pqbd->pqab", grads, grads)  # (Np, 4, 3, 3)
-    cell *= (kap * areas)[..., None, None]
-
-    # Load: f from the true level-set sign at each quadrature point.
-    fvals = problem.f(qpts.reshape(-1, 2)).reshape(qpts.shape[:-1])
     lam = reference_lambdas(rule)  # (nq, 3)
-    load = np.einsum("pqn,pqn,na->pqa", qwts, fvals, lam)  # (Np, 4, 3)
+    n_dof = dof_map.n_dof
+    cell = np.empty((mesh.n_patches, 4, 3, 3))
+    load = np.empty((mesh.n_patches, 4, 3))
+    sub_dofs = np.empty(load.shape, dtype=np.int32 if n_dof < 2**31 else np.int64)
+    for blk in patch_blocks(mesh.n_patches):
+        areas, grads = configs.areas[blk], configs.grads[blk]
+        qpts, qwts = map_rule(configs.tris[blk], areas, rule)  # (nb,4,nq,2), (nb,4,nq)
+        mask = problem.inside(qpts)  # true interface side at each load point
+        if mode == "adapted":
+            kap = np.where(configs.sides[blk] == 1, problem.kappa1, problem.kappa2)
+        else:
+            # Pointwise diffusion from the true interface, averaged by quadrature.
+            kap_q = np.where(mask, problem.kappa1, problem.kappa2)
+            kap = (qwts * kap_q).sum(axis=-1) / qwts.sum(axis=-1)  # (nb, 4)
 
-    sub_dofs = dof_map.subtriangle_dofs(configs.topology)
+        np.einsum("pqad,pqbd->pqab", grads, grads, out=cell[blk])
+        cell[blk] *= (kap * areas)[..., None, None]
+        # Load: f from the true level-set sign at each quadrature point.
+        np.einsum("pqn,pqn,na->pqa", qwts, problem.f(qpts, mask), lam, out=load[blk])
+        sub_dofs[blk] = dof_map.subtriangle_dofs(blk, configs.topology[blk])
 
     rows = np.repeat(sub_dofs[..., :, None], 3, axis=-1).ravel()
     cols = np.repeat(sub_dofs[..., None, :], 3, axis=-2).ravel()
-    matrix = sp.coo_matrix(
-        (cell.ravel(), (rows, cols)), shape=(dof_map.n_dof, dof_map.n_dof)
-    ).tocsr()
-    rhs = np.zeros(dof_map.n_dof)
+    matrix = sp.coo_matrix((cell.ravel(), (rows, cols)), shape=(n_dof, n_dof)).tocsr()
+    rhs = np.zeros(n_dof)
     np.add.at(rhs, sub_dofs.ravel(), load.ravel())
 
     dirichlet = np.nonzero(dof_map.boundary)[0]

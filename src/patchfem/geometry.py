@@ -110,11 +110,12 @@ def barycentric_gradients(tris, areas) -> np.ndarray:
     """Constant gradients (..., 3, 2) of the three barycentric functions.
 
     ``grad(l_i)`` is the edge opposite vertex i turned by +90 degrees and
-    divided by twice the signed area ``areas`` (...).
+    divided by twice the signed area ``areas`` (...). The result is
+    C-contiguous, so a slice over leading axes is one block of memory.
     """
     opp = tris[..., [2, 0, 1], :] - tris[..., [1, 2, 0], :]
-    return np.stack([-opp[..., 1], opp[..., 0]], axis=-1) / (
-        2.0 * areas[..., None, None]
+    return np.ascontiguousarray(
+        np.stack([-opp[..., 1], opp[..., 0]], axis=-1) / (2.0 * areas[..., None, None])
     )
 
 

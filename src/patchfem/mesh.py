@@ -29,6 +29,7 @@ import numpy as np
 __all__ = [
     "PatchMesh",
     "build_structured_mesh",
+    "patch_blocks",
     "refine",
     "mesh_to_json",
     "FREE",
@@ -43,6 +44,20 @@ FREE = 0
 INTERFACE_LOCKED = 1
 STRATEGY_SET = 2
 LOCK_NAMES = {FREE: "free", INTERFACE_LOCKED: "interface", STRATEGY_SET: "strategy"}
+
+# Patches per block of the per-patch integrals (assembly, error norms, angle
+# audit): their quadrature temporaries are sized by a block, not the mesh.
+PATCH_BLOCK = 2**14
+
+
+def patch_blocks(n_patches: int):
+    """Consecutive slices of at most ``PATCH_BLOCK`` patches, in patch order.
+
+    Per-patch work is local, so a pass that fills its outputs block by block
+    and reduces them once afterwards gives the same bytes for any block size.
+    """
+    for start in range(0, n_patches, PATCH_BLOCK):
+        yield slice(start, min(start + PATCH_BLOCK, n_patches))
 
 
 class PatchMesh:

@@ -3,7 +3,9 @@
 Each problem ships an analytic solution with matching continuity and flux
 conditions across its interface, the right-hand side derived from it, and the
 diffusion pair. The solutions are vectorized over (..., 2) point arrays; the
-branch is always selected by the sign of the interface level set.
+branch is always selected by the sign of the interface level set. The error
+norms integrate one patch block at a time (``mesh.patch_blocks``) and sum
+once over all patches, so they do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from .assembly import build_dof_map
 from .geometry import map_rule, reference_lambdas, reference_quad_rule
 from .levelset import Circle, HorizontalLine, TiltedLine
+from .mesh import patch_blocks
 
 __all__ = [
     "ProblemSpec",
@@ -40,7 +43,9 @@ class ProblemSpec:
     """One manufactured interface problem on an axis-aligned rectangle.
 
     u1/u2, grad_u1/grad_u2, f1/f2 are the per-side branches; ``u``, ``grad_u``
-    and ``f`` select the branch by the level-set sign.
+    and ``f`` select the branch by the level-set sign. A caller evaluating
+    several of them at the same points passes the side mask from ``inside``
+    once, so the level set is evaluated once per point set.
     """
 
     name: str
@@ -55,24 +60,29 @@ class ProblemSpec:
     f1: Callable
     f2: Callable
 
-    def _select(self, points, inside, outside):
+    def inside(self, points) -> np.ndarray:
+        """Side mask: True where the level set is negative (branch 1)."""
+        return np.asarray(self.levelset.eval(np.asarray(points, dtype=float))) < 0.0
+
+    def _select(self, points, branch1, branch2, mask):
         points = np.asarray(points, dtype=float)
-        mask = self.levelset.eval(points) < 0.0
-        v_in = np.asarray(inside(points))
-        v_out = np.asarray(outside(points))
-        if v_in.ndim == mask.ndim + 1:  # gradient-valued
+        if mask is None:
+            mask = self.inside(points)
+        v1 = np.asarray(branch1(points))
+        v2 = np.asarray(branch2(points))
+        if v1.ndim == mask.ndim + 1:  # gradient-valued
             mask = mask[..., None]
-        out = np.where(mask, v_in, v_out)
+        out = np.where(mask, v1, v2)
         return out if out.ndim else float(out)
 
-    def u(self, points):
-        return self._select(points, self.u1, self.u2)
+    def u(self, points, mask=None):
+        return self._select(points, self.u1, self.u2, mask)
 
-    def grad_u(self, points):
-        return self._select(points, self.grad_u1, self.grad_u2)
+    def grad_u(self, points, mask=None):
+        return self._select(points, self.grad_u1, self.grad_u2, mask)
 
-    def f(self, points):
-        return self._select(points, self.f1, self.f2)
+    def f(self, points, mask=None):
+        return self._select(points, self.f1, self.f2, mask)
 
 
 def circle_problem(radius: float = 0.5, kappa1: float = 0.1,
@@ -281,23 +291,27 @@ def error_norms(mesh, configs, problem: ProblemSpec, u_h: np.ndarray,
 
     Integrated per subtriangle with the degree-5 rule; the analytic branch at
     every quadrature point follows the true interface sign, while u_h and its
-    gradient come from the linear basis on the subtriangle.
+    gradient come from the linear basis on the subtriangle. The integrands
+    are formed one patch block at a time (``patch_blocks``) into arrays over
+    all patches, and each norm is one sum over its array, so the result does
+    not depend on the block size.
     """
     rule = reference_quad_rule(degree)
-    qpts, qwts = map_rule(configs.tris, configs.areas, rule)  # (Np, 4, nq, 2)
-    coeffs = u_h[build_dof_map(mesh).subtriangle_dofs(configs.topology)]
-    uh_q = np.einsum("pqa,na->pqn", coeffs, reference_lambdas(rule))
-    # Constant gradient per subtriangle from the barycentric gradients.
-    guh = np.einsum("pqa,pqad->pqd", coeffs, configs.grads)  # (Np, 4, 2)
-
-    flat = qpts.reshape(-1, 2)
-    u_exact = problem.u(flat).reshape(uh_q.shape)
-    g_exact = problem.grad_u(flat).reshape(qpts.shape)
-
-    l2_sq = float(np.sum(qwts * (u_exact - uh_q) ** 2))
-    diff = g_exact - guh[..., None, :]
-    h1_sq = float(np.sum(qwts * np.sum(diff**2, axis=-1)))
-    return float(np.sqrt(l2_sq)), float(np.sqrt(h1_sq))
+    lam = reference_lambdas(rule)  # (nq, 3)
+    dof_map = build_dof_map(mesh)
+    l2_terms = np.empty((mesh.n_patches, 4, len(rule.weights)))
+    h1_terms = np.empty_like(l2_terms)
+    for blk in patch_blocks(mesh.n_patches):
+        qpts, qwts = map_rule(configs.tris[blk], configs.areas[blk], rule)
+        coeffs = u_h[dof_map.subtriangle_dofs(blk, configs.topology[blk])]
+        uh_q = np.einsum("pqa,na->pqn", coeffs, lam)
+        # Constant gradient per subtriangle from the barycentric gradients.
+        guh = np.einsum("pqa,pqad->pqd", coeffs, configs.grads[blk])  # (nb, 4, 2)
+        mask = problem.inside(qpts)
+        l2_terms[blk] = qwts * (problem.u(qpts, mask) - uh_q) ** 2
+        diff = problem.grad_u(qpts, mask) - guh[..., None, :]
+        h1_terms[blk] = qwts * np.sum(diff**2, axis=-1)
+    return float(np.sqrt(np.sum(l2_terms))), float(np.sqrt(np.sum(h1_terms)))
 
 
 def convergence_rate(pairs) -> float:

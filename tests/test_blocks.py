@@ -1,0 +1,163 @@
+"""The per-patch integrals run over fixed patch blocks: the results must not
+depend on the block size, and their working memory must not grow with the
+mesh beyond the arrays they return."""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from patchfem import mesh as mesh_module
+from patchfem.adaptation import Classification, CutClass, adapt, build_configs, max_angle_audit
+from patchfem.assembly import assemble
+from patchfem.mesh import build_structured_mesh, patch_blocks
+from patchfem.problems import circle_problem, error_norms, tilted_problem
+
+MIB = 2**20
+
+
+class TestPatchBlocks:
+    @pytest.mark.parametrize("n_patches", [0, 1, 4, 5, 12, 15])
+    def test_slices_cover_patches_in_order(self, monkeypatch, n_patches):
+        monkeypatch.setattr(mesh_module, "PATCH_BLOCK", 5)
+        blocks = list(patch_blocks(n_patches))
+        covered = np.concatenate([np.arange(n_patches)[b] for b in blocks] + [[]])
+        np.testing.assert_array_equal(covered, np.arange(n_patches))
+        assert all(0 < b.stop - b.start <= 5 for b in blocks)
+
+    def test_sweep_sizes_run_one_block(self):
+        # n <= 64 gives at most 8192 patches: every sweep solve is one block.
+        assert len(list(patch_blocks(build_structured_mesh(64).n_patches))) == 1
+
+
+def _uncut_configs(mesh, levelset):
+    """Uniform splits, as the unfitted baseline builds them."""
+    classification = Classification(
+        [CutClass("uncut")] * mesh.n_patches, {},
+        np.zeros(mesh.n_vertices, dtype=bool), np.empty(0, dtype=np.intp),
+    )
+    return build_configs(mesh, classification, levelset)
+
+
+def _pipeline(problem, n, mode):
+    mesh = build_structured_mesh(n, problem.domain)
+    if mode == "baseline":
+        configs = _uncut_configs(mesh, problem.levelset)
+    else:
+        configs, _, _ = adapt(mesh, problem.levelset, 2)
+    system = assemble(mesh, configs, problem, mode=mode)
+    u_h = np.random.default_rng(n).standard_normal(system.n_dof)
+    audit = max_angle_audit(mesh, configs)
+    return mesh, configs, system, error_norms(mesh, configs, problem, u_h), audit
+
+
+class TestBlockInvariance:
+    """A block size that does not divide the patch count (5) gives the same
+    bytes as one block over the whole mesh."""
+
+    @pytest.mark.parametrize(
+        "problem, n, mode",
+        [
+            (circle_problem(), 6, "adapted"),
+            (tilted_problem(0.3), 8, "adapted"),  # vertex cuts
+            (circle_problem(), 6, "baseline"),
+        ],
+        ids=["circle", "tilted", "baseline"],
+    )
+    def test_bitwise_equal_to_one_block(self, monkeypatch, problem, n, mode):
+        _, _, whole, norms, audit = _pipeline(problem, n, mode)
+        monkeypatch.setattr(mesh_module, "PATCH_BLOCK", 5)
+        mesh, configs, blocked, blocked_norms, blocked_audit = _pipeline(problem, n, mode)
+
+        assert mesh.n_patches % 5 != 0
+        if problem.name == "tilted":
+            assert np.any(configs.kind == 2)
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(blocked.matrix, attr),
+                                          getattr(whole.matrix, attr))
+        np.testing.assert_array_equal(blocked.rhs, whole.rhs)
+        np.testing.assert_array_equal(blocked.dirichlet_values, whole.dirichlet_values)
+        assert blocked_norms == norms
+        np.testing.assert_array_equal(blocked_audit.per_patch, audit.per_patch)
+        np.testing.assert_array_equal(blocked_audit.histogram, audit.histogram)
+        assert blocked_audit.global_max == audit.global_max
+
+
+class _CountingLevelSet:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def eval(self, points):
+        self.calls += 1
+        return self.inner.eval(points)
+
+
+class TestOneLevelSetPass:
+    """The side mask at a set of quadrature points is computed once and
+    selects every analytic field evaluated there."""
+
+    @pytest.mark.parametrize("mode", ["adapted", "baseline"])
+    def test_per_block(self, monkeypatch, mode):
+        problem = circle_problem()
+        mesh = build_structured_mesh(6, problem.domain)
+        configs, _, _ = adapt(mesh, problem.levelset, 2)
+        monkeypatch.setattr(mesh_module, "PATCH_BLOCK", 5)
+        n_blocks = len(list(patch_blocks(mesh.n_patches)))
+        counting = _CountingLevelSet(problem.levelset)
+        problem = dataclasses.replace(problem, levelset=counting)
+
+        system = assemble(mesh, configs, problem, mode=mode)
+        assert counting.calls == n_blocks + 1  # load points, then Dirichlet data
+        counting.calls = 0
+        error_norms(mesh, configs, problem, np.zeros(system.n_dof))
+        assert counting.calls == n_blocks
+
+    def test_mask_selects_like_the_level_set(self):
+        problem = circle_problem()
+        points = np.random.default_rng(1).uniform(-1.0, 1.0, size=(5, 7, 2))
+        mask = problem.inside(points)
+        assert mask.any() and not mask.all()
+        for field in (problem.u, problem.grad_u, problem.f):
+            np.testing.assert_array_equal(field(points, mask), field(points))
+
+
+def _traced_peak_mib(fn, *args, **kwargs):
+    """Peak of traced allocations during ``fn`` above what was held on entry."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return (tracemalloc.get_traced_memory()[1] - base) / MIB
+    finally:
+        tracemalloc.stop()
+
+
+# Measured traced peaks at n = 128 are 48.3 MiB (assemble) and 60.5 MiB
+# (error_norms); the bounds add 20%. Without the patch blocks the same calls
+# peaked at 84.6 and 89.0 MiB.
+ASSEMBLE_BOUND_MIB = 58.0
+ERRORS_BOUND_MIB = 72.6
+
+
+class TestPeakMemory:
+    """Traced peaks at n = 128 (32,768 patches, two blocks), above what each
+    call holds on entry. tracemalloc sees every NumPy allocation, so a new
+    quadrature temporary over the whole mesh fails these bounds."""
+
+    @pytest.fixture(scope="class")
+    def circle(self):
+        problem = circle_problem()
+        mesh = build_structured_mesh(128, problem.domain)
+        configs, _, _ = adapt(mesh, problem.levelset, 2)
+        return problem, mesh, configs
+
+    def test_assemble(self, circle):
+        problem, mesh, configs = circle
+        assert _traced_peak_mib(assemble, mesh, configs, problem) < ASSEMBLE_BOUND_MIB
+
+    def test_error_norms(self, circle):
+        problem, mesh, configs = circle
+        u_h = np.zeros(mesh.n_vertices + mesh.n_edges)
+        assert _traced_peak_mib(error_norms, mesh, configs, problem, u_h) < ERRORS_BOUND_MIB
