@@ -19,7 +19,6 @@ from .adaptation import (
     angle_cosines_two_edges,
     angle_cosines_vertex_edge,
     classify_all,
-    classify_patch,
     free_params_two_edges,
     free_params_vertex_edge,
     max_angle_audit,

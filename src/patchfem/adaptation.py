@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import barycentric_gradients, interior_angles, triangle_area
-from .levelset import SNAP_TOL, vertex_hit
+from .levelset import SNAP_TOL
 from .mesh import FREE, INTERFACE_LOCKED, STRATEGY_SET, PatchMesh, patch_blocks
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "PatchConfig",
     "PatchConfigs",
     "Classification",
-    "classify_patch",
     "classify_all",
     "determined_params",
     "free_params_two_edges",
@@ -48,9 +47,6 @@ __all__ = [
 UNCUT = "uncut"
 EDGE_EDGE = "edge_edge"
 VERTEX_EDGE = "vertex_edge"
-
-# Local edge opposite each local vertex (edge k runs from vertex k to k+1).
-_OPPOSITE_EDGE = {0: 1, 1: 2, 2: 0}
 
 # Subtriangle index triples over the six local nodes, counterclockwise in
 # reference coordinates, one table per cut situation. Constraints pinning the
@@ -117,6 +113,20 @@ class CutClass:
         return self.kind != UNCUT
 
 
+# Every cut class a patch can have: uncut, the three edge-edge cuts (the
+# uncrossed edge is 2, 1, 0) and the vertex cuts at vertex 0, 1, 2, whose
+# crossing lies on the opposite edge.
+_CUT_CLASSES = (
+    CutClass(UNCUT),
+    CutClass(EDGE_EDGE, (0, 1)),
+    CutClass(EDGE_EDGE, (0, 2)),
+    CutClass(EDGE_EDGE, (1, 2)),
+    CutClass(VERTEX_EDGE, (1,), 0),
+    CutClass(VERTEX_EDGE, (2,), 1),
+    CutClass(VERTEX_EDGE, (0,), 2),
+)
+
+
 @dataclass(frozen=True)
 class PatchConfig:
     """One patch's adaptation result: cut class, parameters (q, r, s),
@@ -136,8 +146,12 @@ class PatchConfigs:
     ``kind`` codes index ``CUT_KINDS``; ``cuts`` is the classification's list
     of cut classes. ``tris``, ``areas`` and ``grads`` are the physical
     subtriangle geometry that assembly, error norms and the angle audit
-    share. Indexing gives one patch's ``PatchConfig`` for inspection; the
-    pipeline reads the arrays.
+    share. They are stored coordinate-major (Fortran order): ``tris`` is the
+    transposed view of a C-ordered (2, 3, 4, n_patches) array, so every
+    component of every subtriangle vertex is one contiguous plane over the
+    patches, and a patch block ``tris[blk]`` keeps that property. Indexing
+    gives one patch's ``PatchConfig`` for inspection; the pipeline reads the
+    arrays.
     """
 
     cuts: list[CutClass]
@@ -145,9 +159,9 @@ class PatchConfigs:
     params: np.ndarray  # (n_patches, 3) float: q, r, s
     topology: np.ndarray  # (n_patches, 4, 3) int8
     sides: np.ndarray  # (n_patches, 4) int8
-    tris: np.ndarray  # (n_patches, 4, 3, 2) subtriangle vertices
-    areas: np.ndarray  # (n_patches, 4) signed subtriangle areas
-    grads: np.ndarray  # (n_patches, 4, 3, 2) barycentric gradients
+    tris: np.ndarray  # (n_patches, 4, 3, 2) subtriangle vertices, F order
+    areas: np.ndarray  # (n_patches, 4) signed subtriangle areas, F order
+    grads: np.ndarray  # (n_patches, 4, 3, 2) barycentric gradients, F order
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -187,100 +201,71 @@ class Classification:
         return len(self.cut_ids)
 
 
-def _patch_edge_crossings(mesh, pid, levelset):
-    """Interior crossing parameters per local edge, in local direction."""
-    out = []
-    for k in range(3):
-        eid = mesh.patch_edges[pid, k]
-        a, b = mesh.edges[eid]
-        ts = levelset.segment_crossings(mesh.vertices[a], mesh.vertices[b])
-        if not mesh.patch_edge_forward[pid, k]:
-            ts = sorted(1.0 - t for t in ts)
-        out.append(ts)
-    return out
-
-
-def _classify(mesh: PatchMesh, pid: int, levelset):
-    """Cut class of one patch plus its filtered per-edge crossings."""
-    scale = mesh.patch_diameter(pid)
-    verts = mesh.vertices[mesh.patches[pid]]
-    hits = [vertex_hit(levelset, v, scale) for v in verts]
-    per_edge = _patch_edge_crossings(mesh, pid, levelset)
-    # Crossings on an edge whose endpoint is hit belong to the vertex.
-    for k in range(3):
-        if hits[k] or hits[(k + 1) % 3]:
-            per_edge[k] = [
-                t
-                for t in per_edge[k]
-                if not (hits[k] and t <= SNAP_TOL * 10)
-                and not (hits[(k + 1) % 3] and t >= 1.0 - SNAP_TOL * 10)
-            ]
-    counts = [len(ts) for ts in per_edge]
-    n_hits = sum(hits)
-    total = sum(counts)
-
-    if max(counts) >= 2:
-        raise RefinementRequired(pid, "interface enters and leaves through one edge")
-    if total == 0:
-        return CutClass(UNCUT), per_edge
-    if total == 1:
-        (k,) = [k for k in range(3) if counts[k] == 1]
-        if n_hits == 0:
-            raise RefinementRequired(pid, "single boundary contact point")
-        if n_hits > 1:
-            raise RefinementRequired(pid, "more than two boundary cut points")
-        v = hits.index(True)
-        if _OPPOSITE_EDGE[v] != k:
-            raise RefinementRequired(pid, "vertex cut with crossing on adjacent edge")
-        return CutClass(VERTEX_EDGE, edges=(k,), vertex=v), per_edge
-    if total == 2 and n_hits == 0:
-        cut_edges = tuple(k for k in range(3) if counts[k] == 1)
-        return CutClass(EDGE_EDGE, edges=cut_edges), per_edge
-    raise RefinementRequired(pid, "more than two boundary cut points")
-
-
-def classify_patch(mesh: PatchMesh, pid: int, levelset) -> CutClass:
-    """Classify one patch against the interface.
-
-    Raises RefinementRequired for cuts the method cannot represent: two
-    crossings on one edge, more than two boundary cut points, a crossing on
-    an edge adjacent to a cut vertex, or a lone tangential contact point. A
-    patch whose interface passes through two vertices counts as uncut.
-    """
-    return _classify(mesh, pid, levelset)[0]
-
-
 def classify_all(mesh: PatchMesh, levelset) -> Classification:
-    """Classify every patch; cheap prefilter via vertex distances.
+    """Classify every patch against the interface in whole-array passes.
 
-    The shipped level sets are signed distances, so a patch whose vertices
-    are all farther from the interface than its diameter cannot be cut.
-    The recorded edge crossings are exactly the ones classification counted,
-    converted to the edge storage direction.
+    A vertex is hit when |phi| <= SNAP_TOL times the patch diameter. Each
+    mesh edge's interior crossings are found once and turned to each
+    patch's local direction; a crossing within 10 * SNAP_TOL of a hit
+    endpoint belongs to that vertex and is dropped. Two crossings on one
+    edge, more than two boundary cut points, a crossing on an edge adjacent
+    to a cut vertex, or a lone tangential contact point raise
+    RefinementRequired for the lowest such patch id. A patch whose interface
+    passes through two vertices counts as uncut. The recorded edge crossings
+    are the ones classification counted, taken from the lowest cut patch
+    through each edge and converted to the edge storage direction.
     """
     phi = levelset.eval(mesh.vertices)
     vhit = np.abs(phi) <= SNAP_TOL * mesh.h_max
-    patch_phi = phi[mesh.patches]
-    candidates = np.nonzero(
-        np.abs(patch_phi).min(axis=1) <= mesh.patch_diameters()
-    )[0]
+    hits = np.abs(phi[mesh.patches]) <= SNAP_TOL * mesh.patch_diameters()[:, None]
 
-    cuts = [CutClass(UNCUT)] * mesh.n_patches
-    cut_ids = []
-    edge_crossings: dict[int, float] = {}
-    for pid in candidates:
-        cls, per_edge = _classify(mesh, int(pid), levelset)
-        cuts[pid] = cls
-        if cls.is_cut:
-            cut_ids.append(pid)
-            for k in cls.edges:
-                eid = int(mesh.patch_edges[pid, k])
-                if eid not in edge_crossings:
-                    (t_local,) = per_edge[k]
-                    t = t_local if mesh.patch_edge_forward[pid, k] else 1.0 - t_local
-                    edge_crossings[eid] = t
-    return Classification(cuts, edge_crossings, vhit,
-                          np.array(cut_ids, dtype=np.intp))
+    roots = levelset.segment_crossings(mesh.vertices[mesh.edges[:, 0]],
+                                       mesh.vertices[mesh.edges[:, 1]])
+    local = roots[mesh.patch_edges]  # (Np, 3, 2) in storage direction
+    local = np.where(mesh.patch_edge_forward[:, :, None], local, 1.0 - local)
+    local.sort(axis=-1)
+    # Local edge k runs from local vertex k to k + 1.
+    start_hit = hits[:, :, None]
+    end_hit = np.roll(hits, -1, axis=1)[:, :, None]
+    counted = (~np.isnan(local) & ~(start_hit & (local <= SNAP_TOL * 10))
+               & ~(end_hit & (local >= 1.0 - SNAP_TOL * 10)))
+
+    counts = counted.sum(axis=2)
+    n_hits = hits.sum(axis=1)
+    total = counts.sum(axis=1)
+    single = total == 1
+    hit_vertex = hits.argmax(axis=1)
+    checks = (
+        (counts.max(axis=1) >= 2, "interface enters and leaves through one edge"),
+        (single & (n_hits == 0), "single boundary contact point"),
+        (single & (n_hits > 1), "more than two boundary cut points"),
+        (single & (n_hits == 1) & (counts.argmax(axis=1) != (hit_vertex + 1) % 3),
+         "vertex cut with crossing on adjacent edge"),
+        ((total >= 2) & ((total > 2) | (n_hits > 0)), "more than two boundary cut points"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        pid = int(bad.argmax())
+        raise RefinementRequired(pid, next(reason for mask, reason in checks if mask[pid]))
+
+    # Codes into _CUT_CLASSES: an edge-edge cut by its uncrossed edge, a
+    # vertex cut by its vertex.
+    code = np.where(single, 4 + hit_vertex, 3 - counts.argmin(axis=1))
+    code[total == 0] = 0
+    cuts = np.array(_CUT_CLASSES, dtype=object)[code].tolist()
+
+    cut_ids = np.nonzero(total)[0]
+    pid, k = np.nonzero(counts[cut_ids] == 1)  # by patch, then local edge
+    pid = cut_ids[pid]
+    # A cut edge of a representable patch has one root, sorted first: a
+    # dropped root needs a hit endpoint, and a hit with a counted crossing on
+    # an adjacent edge has raised above.
+    t_local = local[pid, k, 0]
+    t = np.where(mesh.patch_edge_forward[pid, k], t_local, 1.0 - t_local)
+    eids = mesh.patch_edges[pid, k]
+    first = np.sort(np.unique(eids, return_index=True)[1])
+    edge_crossings = dict(zip(eids[first].tolist(), t[first].tolist()))
+    return Classification(cuts, edge_crossings, vhit, cut_ids)
 
 
 def determined_params(cut: CutClass, crossings: dict[int, float]) -> dict[str, float]:
@@ -450,7 +435,11 @@ def side_labels(tris, levelset, scale=1.0) -> np.ndarray:
     ``scale`` (...) give labels (..., 4), int8. The sign threshold is
     ``-SNAP_TOL * scale``.
     """
-    phi = levelset.eval(tris.mean(axis=-2))
+    centroids = np.empty(tris.shape[:-2] + (2,), order="F")
+    for c in range(2):
+        x = tris[..., c]
+        centroids[..., c] = (x[..., 0] + x[..., 1] + x[..., 2]) / 3.0
+    phi = levelset.eval(centroids)
     threshold = -SNAP_TOL * np.asarray(scale)[..., None]
     return np.where(phi < threshold, 1, 2).astype(np.int8)
 
@@ -486,9 +475,9 @@ def build_configs(mesh: PatchMesh, classification: Classification,
 
     Topologies come from the fixed tables. The physical subtriangles, their
     areas and barycentric gradients are gathered here once per adapted mesh,
-    and side labels come from one level-set evaluation at every subtriangle
-    centroid; only the cut patches are visited one by one, to look up their
-    cut situation.
+    coordinate-major, and side labels come from one level-set evaluation at
+    every subtriangle centroid; only the cut patches are visited one by one,
+    to look up their cut situation.
     """
     cut_ids = classification.cut_ids
     cut = [classification.cuts[pid] for pid in cut_ids]
@@ -499,7 +488,10 @@ def build_configs(mesh: PatchMesh, classification: Classification,
     topology = _TOPOLOGIES[table]
 
     nodes = mesh.local_nodes_all()
-    tris = nodes[np.arange(mesh.n_patches)[:, None, None], topology]
+    rows = np.arange(mesh.n_patches)[:, None]
+    tris = np.empty(topology.shape + (2,), order="F")
+    for v in range(3):
+        tris[:, :, v] = nodes[rows, topology[:, :, v]]
     areas = triangle_area(tris)
     sides = side_labels(tris, levelset, mesh.patch_diameters())
     if len(cut_ids):
@@ -635,7 +627,7 @@ def max_angle_audit(mesh: PatchMesh, configs: PatchConfigs) -> AngleAudit:
     hist = np.zeros(len(edges) - 1, dtype=np.intp)
     for blk in patch_blocks(mesh.n_patches):
         angles = interior_angles(configs.tris[blk])  # (nb, 4, 3)
-        per_patch[blk] = angles.reshape(len(angles), -1).max(axis=1)
-        hist += np.histogram(angles.ravel(), bins=edges)[0]
+        per_patch[blk] = angles.max(axis=(1, 2))
+        hist += np.histogram(angles, bins=edges)[0]
     return AngleAudit(configs, per_patch, float(per_patch.max()), hist, edges)
 

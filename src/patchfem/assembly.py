@@ -141,11 +141,19 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
             kap_q = np.where(mask, problem.kappa1, problem.kappa2)
             kap = (qwts * kap_q).sum(axis=-1) / qwts.sum(axis=-1)  # (nb, 4)
 
-        np.einsum("pqad,pqbd->pqab", grads, grads, out=cell[blk])
-        cell[blk] *= (kap * areas)[..., None, None]
+        # kappa * area * grad(l_a).grad(l_b), symmetric in a and b.
+        gx, gy = grads[..., 0], grads[..., 1]
+        kap *= areas
+        for a in range(3):
+            for b in range(a, 3):
+                cell[blk, :, a, b] = (gx[..., a] * gx[..., b] + gy[..., a] * gy[..., b]) * kap
+                cell[blk, :, b, a] = cell[blk, :, a, b]
         # Load: f from the true level-set sign at each quadrature point.
         np.einsum("pqn,pqn,na->pqa", qwts, problem.f(qpts, mask), lam, out=load[blk])
         sub_dofs[blk] = dof_map.subtriangle_dofs(blk, configs.topology[blk])
+    # The last block's quadrature would otherwise stay alive through the
+    # COO -> CSR conversion, the peak of the whole solve.
+    del qpts, qwts, mask, kap
 
     rows = np.repeat(sub_dofs[..., :, None], 3, axis=-1).ravel()
     cols = np.repeat(sub_dofs[..., None, :], 3, axis=-2).ravel()

@@ -3,7 +3,12 @@ gradients, quadrature rules on the unit reference triangle and their images
 on physical triangles.
 
 Triangles are ``(..., 3, 2)`` arrays of vertex coordinates in counterclockwise
-order; all routines broadcast over leading axes. Everything here is pure and
+order; all routines broadcast over leading axes. They work on x and y planes
+(``tri[..., i, 0]``, ``tri[..., i, 1]``), so a coordinate-major input (one
+contiguous plane over the leading axes per vertex and component, as
+``PatchConfigs`` stores its subtriangles) runs every NumPy call over long
+contiguous runs; the arrays they return are coordinate-major too. Every
+value is the same for any input layout. Everything here is pure and
 allocation-only, safe for unrestricted concurrent use.
 """
 
@@ -50,28 +55,10 @@ def triangle_area(tri) -> np.ndarray | float:
     float or ndarray of shape (...)
     """
     tri = np.asarray(tri, dtype=float)
-    d1 = tri[..., 1, :] - tri[..., 0, :]
-    d2 = tri[..., 2, :] - tri[..., 0, :]
-    area = 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
+    x, y = tri[..., 0], tri[..., 1]
+    area = 0.5 * ((x[..., 1] - x[..., 0]) * (y[..., 2] - y[..., 0])
+                  - (y[..., 1] - y[..., 0]) * (x[..., 2] - x[..., 0]))
     return area if area.ndim else float(area)
-
-
-def _edge_lengths_sq(tri):
-    e0 = tri[..., 1, :] - tri[..., 0, :]
-    e1 = tri[..., 2, :] - tri[..., 1, :]
-    e2 = tri[..., 0, :] - tri[..., 2, :]
-    return np.stack(
-        [np.sum(e0 * e0, axis=-1), np.sum(e1 * e1, axis=-1), np.sum(e2 * e2, axis=-1)],
-        axis=-1,
-    )
-
-
-def _check_nondegenerate(tri):
-    area = np.asarray(triangle_area(tri))
-    longest_sq = _edge_lengths_sq(tri).max(axis=-1)
-    bad = np.abs(2.0 * area) < DEGENERACY_TOL * longest_sq
-    if np.any(bad):
-        raise DegenerateTriangle("triangle vertices are (numerically) collinear")
 
 
 def interior_angles(tri) -> np.ndarray:
@@ -94,14 +81,22 @@ def interior_angles(tri) -> np.ndarray:
         If any triangle is numerically collinear.
     """
     tri = np.asarray(tri, dtype=float)
-    _check_nondegenerate(tri)
-    angles = np.empty(tri.shape[:-1])
+    x, y = tri[..., 0], tri[..., 1]
+    # Edge i runs from vertex i to vertex i + 1.
+    dx = [x[..., (i + 1) % 3] - x[..., i] for i in range(3)]
+    dy = [y[..., (i + 1) % 3] - y[..., i] for i in range(3)]
+    lengths_sq = [dx[i] * dx[i] + dy[i] * dy[i] for i in range(3)]
+    longest_sq = np.maximum(np.maximum(lengths_sq[0], lengths_sq[1]), lengths_sq[2])
+    if np.any(np.abs(2.0 * triangle_area(tri)) < DEGENERACY_TOL * longest_sq):
+        raise DegenerateTriangle("triangle vertices are (numerically) collinear")
+    lengths = [np.sqrt(sq) for sq in lengths_sq]
+    angles = np.empty(tri.shape[:-1], order="F")
     for i in range(3):
-        a = tri[..., (i + 1) % 3, :] - tri[..., i, :]
-        b = tri[..., (i + 2) % 3, :] - tri[..., i, :]
-        cosang = np.sum(a * b, axis=-1) / (
-            np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
-        )
+        # Edge i leaves vertex i and edge j arrives at it: the second edge
+        # vector at vertex i is -edge j.
+        j = (i + 2) % 3
+        dot = -(dx[i] * dx[j] + dy[i] * dy[j])
+        cosang = dot / (lengths[i] * lengths[j])
         angles[..., i] = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
     return angles
 
@@ -110,13 +105,18 @@ def barycentric_gradients(tris, areas) -> np.ndarray:
     """Constant gradients (..., 3, 2) of the three barycentric functions.
 
     ``grad(l_i)`` is the edge opposite vertex i turned by +90 degrees and
-    divided by twice the signed area ``areas`` (...). The result is
-    C-contiguous, so a slice over leading axes is one block of memory.
+    divided by twice the signed area ``areas`` (...). The result is stored
+    coordinate-major (Fortran order): each component of each vertex is one
+    contiguous plane over the leading axes.
     """
-    opp = tris[..., [2, 0, 1], :] - tris[..., [1, 2, 0], :]
-    return np.ascontiguousarray(
-        np.stack([-opp[..., 1], opp[..., 0]], axis=-1) / (2.0 * areas[..., None, None])
-    )
+    x, y = tris[..., 0], tris[..., 1]
+    twice = 2.0 * areas
+    grads = np.empty(tris.shape, order="F")
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3  # the opposite edge runs j -> k
+        grads[..., i, 0] = -(y[..., k] - y[..., j]) / twice
+        grads[..., i, 1] = (x[..., k] - x[..., j]) / twice
+    return grads
 
 
 @dataclass(frozen=True)
@@ -200,11 +200,20 @@ def map_rule(tris, areas, rule: QuadRule):
 
     Returns points (..., nq, 2), x = A + xhat (B - A) + yhat (C - A), and
     weights (..., nq) scaled by the Jacobian 2 * area, so each triangle's
-    weights sum to its area.
+    weights sum to its area. Both are stored coordinate-major (Fortran
+    order), so each component at each rule point is one contiguous plane
+    over the leading axes.
     """
-    a = tris[..., 0, :][..., None, :]
-    e1 = (tris[..., 1, :] - tris[..., 0, :])[..., None, :]
-    e2 = (tris[..., 2, :] - tris[..., 0, :])[..., None, :]
-    x = rule.points[:, 0][..., None]
-    y = rule.points[:, 1][..., None]
-    return a + x * e1 + y * e2, rule.weights * (2.0 * np.asarray(areas))[..., None]
+    lead = tris.shape[:-2]
+    points = np.empty(lead + rule.points.shape, order="F")
+    for c in range(2):
+        a = tris[..., 0, c]
+        e1 = tris[..., 1, c] - a
+        e2 = tris[..., 2, c] - a
+        for k, (x, y) in enumerate(rule.points):
+            points[..., k, c] = a + x * e1 + y * e2
+    twice = 2.0 * np.asarray(areas)
+    weights = np.empty(lead + rule.weights.shape, order="F")
+    for k, w in enumerate(rule.weights):
+        weights[..., k] = w * twice
+    return points, weights

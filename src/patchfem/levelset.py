@@ -3,7 +3,8 @@
 Each level set evaluates a signed distance phi; phi < 0 marks subdomain 1 and
 phi > 0 subdomain 2. Crossings of straight segments are solved exactly (linear
 equation for lines, quadratic for circles), so no iterative root finding is
-involved. Values are immutable and all queries are pure.
+involved. ``segment_crossings`` is batched over leading axes of its
+endpoints. Values are immutable and all queries are pure.
 """
 
 from __future__ import annotations
@@ -19,19 +20,37 @@ __all__ = ["Circle", "TiltedLine", "HorizontalLine", "vertex_hit", "SNAP_TOL"]
 SNAP_TOL = 1e-10
 
 
-def _interior(roots):
-    """Sorted roots strictly inside (0,1) after endpoint snapping."""
-    kept = [float(t) for t in roots if SNAP_TOL < t < 1.0 - SNAP_TOL]
-    kept.sort()
-    return kept
+def _interior(t1, t2):
+    """The roots t1, t2 (...) strictly inside (0,1) after endpoint snapping,
+    sorted, as (..., 2) with NaN where a root was dropped (NaN sorts last)."""
+    roots = np.stack([t1, t2], axis=-1)
+    inside = (roots > SNAP_TOL) & (roots < 1.0 - SNAP_TOL)
+    roots = np.where(inside, roots, np.nan)
+    roots.sort(axis=-1)
+    return roots
 
 
-def _line_segment_crossings(phi_a: float, phi_b: float):
+def _crossing_result(roots):
+    """Batched segments keep the (..., 2) array; one segment gets the list
+    of its interior roots."""
+    if roots.ndim > 1:
+        return roots
+    return [float(t) for t in roots if not np.isnan(t)]
+
+
+def _line_segment_crossings(phi_a, phi_b):
+    phi_a, phi_b = np.asarray(phi_a), np.asarray(phi_b)
     denom = phi_a - phi_b
-    if denom == 0.0:
-        # Segment parallel to (or lying on) the line: no isolated crossing.
-        return []
-    return _interior([phi_a / denom])
+    # A segment parallel to (or lying on) the line has no isolated crossing.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(denom == 0.0, np.nan, phi_a / denom)
+    return _crossing_result(_interior(t, np.full_like(t, np.nan)))
+
+
+def _dot(u, v):
+    """Dot products over the last axis of (..., 2) arrays. A stacked
+    (1, 2) @ (2, 1) matmul rounds exactly as the BLAS dot of one pair."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -48,8 +67,9 @@ class Circle:
 
     def eval(self, points):
         points = np.asarray(points, dtype=float)
-        d = points - np.asarray(self.center)
-        out = np.linalg.norm(d, axis=-1) - self.radius
+        dx = points[..., 0] - self.center[0]
+        dy = points[..., 1] - self.center[1]
+        out = np.sqrt(dx * dx + dy * dy) - self.radius
         return out if out.ndim else float(out)
 
     def segment_crossings(self, a, b):
@@ -57,27 +77,29 @@ class Circle:
 
         At most two, solved from the quadratic in t with the numerically
         stable formula. Double roots (tangency) do not cross and yield none.
+        Segments with endpoints ``a``, ``b`` (..., 2) give sorted roots
+        (..., 2), NaN-padded; a single segment gives a list.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         d = b - a
         m = a - np.asarray(self.center)
-        qa = float(d @ d)
-        qb = 2.0 * float(m @ d)
-        qc = float(m @ m) - self.radius**2
-        if qa == 0.0:
+        qa = _dot(d, d)
+        qb = 2.0 * _dot(m, d)
+        qc = _dot(m, m) - self.radius**2
+        if np.any(qa == 0.0):
             raise ValueError("segment endpoints coincide")
         disc = qb * qb - 4.0 * qa * qc
-        if disc <= 0.0:
-            return []
-        sq = np.sqrt(disc)
-        # Stable split: q has the sign of qb, avoiding cancellation.
-        qq = -0.5 * (qb + np.copysign(sq, qb))
-        t1 = qq / qa
-        t2 = qc / qq if qq != 0.0 else t1
-        if abs(t1 - t2) <= SNAP_TOL:
-            return []  # grazing contact, sign does not change
-        return _interior([t1, t2])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sq = np.sqrt(disc)
+            # Stable split: q has the sign of qb, avoiding cancellation.
+            qq = -0.5 * (qb + np.copysign(sq, qb))
+            t1 = qq / qa
+            t2 = np.where(qq != 0.0, qc / qq, t1)
+        # No sign change without two distinct roots (grazing contact).
+        crossing = (disc > 0.0) & ~(np.abs(t1 - t2) <= SNAP_TOL)
+        t1, t2 = np.where(crossing, t1, np.nan), np.where(crossing, t2, np.nan)
+        return _crossing_result(_interior(t1, t2))
 
 
 @dataclass(frozen=True)
@@ -92,6 +114,8 @@ class TiltedLine:
         return out if out.ndim else float(out)
 
     def segment_crossings(self, a, b):
+        """Parameter t in (0,1) where the segment a -> b crosses the line:
+        (..., 2) NaN-padded for batched endpoints, a list for one segment."""
         return _line_segment_crossings(self.eval(a), self.eval(b))
 
 
@@ -107,6 +131,8 @@ class HorizontalLine:
         return out if out.ndim else float(out)
 
     def segment_crossings(self, a, b):
+        """Parameter t in (0,1) where the segment a -> b crosses the line:
+        (..., 2) NaN-padded for batched endpoints, a list for one segment."""
         return _line_segment_crossings(self.eval(a), self.eval(b))
 
 

@@ -305,12 +305,16 @@ def error_norms(mesh, configs, problem: ProblemSpec, u_h: np.ndarray,
         qpts, qwts = map_rule(configs.tris[blk], configs.areas[blk], rule)
         coeffs = u_h[dof_map.subtriangle_dofs(blk, configs.topology[blk])]
         uh_q = np.einsum("pqa,na->pqn", coeffs, lam)
-        # Constant gradient per subtriangle from the barycentric gradients.
-        guh = np.einsum("pqa,pqad->pqd", coeffs, configs.grads[blk])  # (nb, 4, 2)
         mask = problem.inside(qpts)
         l2_terms[blk] = qwts * (problem.u(qpts, mask) - uh_q) ** 2
-        diff = problem.grad_u(qpts, mask) - guh[..., None, :]
-        h1_terms[blk] = qwts * np.sum(diff**2, axis=-1)
+        # Constant gradient per subtriangle from the barycentric gradients.
+        grads = configs.grads[blk]
+        diff = problem.grad_u(qpts, mask)
+        for d in range(2):
+            diff[..., d] -= (coeffs[..., 0] * grads[..., 0, d] + coeffs[..., 1] * grads[..., 1, d]
+                             + coeffs[..., 2] * grads[..., 2, d])[..., None]
+        dx, dy = diff[..., 0], diff[..., 1]
+        h1_terms[blk] = qwts * (dx * dx + dy * dy)
     return float(np.sqrt(np.sum(l2_terms))), float(np.sqrt(np.sum(h1_terms)))
 
 

@@ -1,5 +1,13 @@
 """Reference oracles: straightforward per-patch versions of the array code.
 
+``classify_patch`` classifies one patch with the scalar level-set queries
+(``segment_crossings_reference``, ``levelset_eval_reference``) and
+``classify_all_reference`` loops it over every patch. The ``*_reference``
+geometry kernels are the patch-major versions, which compute on (..., 2)
+coordinate pairs; ``patch_major_geometry``, ``assemble_reference`` and
+``error_norms_reference`` rebuild the per-patch integrals from them. The
+package's coordinate-major kernels must give exactly the same bytes.
+
 ``build_structured_mesh_reference`` numbers the edges with a dictionary while
 walking the cells, and ``build_configs_reference`` builds one configuration
 per patch, with ``side_labels_reference`` evaluating the level set patch by
@@ -18,15 +26,29 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import scipy.sparse as sp
 
 from patchfem.adaptation import (
     _SIDE_GROUPS,
+    EDGE_EDGE,
+    UNCUT,
+    VERTEX_EDGE,
+    Classification,
+    CutClass,
     PatchConfig,
+    RefinementRequired,
     _group_key,
     subtriangle_topology,
 )
-from patchfem.geometry import DegenerateTriangle, triangle_area
-from patchfem.levelset import SNAP_TOL
+from patchfem.assembly import build_dof_map
+from patchfem.geometry import (
+    DEGENERACY_TOL,
+    DegenerateTriangle,
+    reference_lambdas,
+    reference_quad_rule,
+    triangle_area,
+)
+from patchfem.levelset import SNAP_TOL, Circle
 from patchfem.mesh import LOCK_NAMES, PatchMesh
 
 
@@ -197,3 +219,228 @@ def mesh_to_json_reference(mesh: PatchMesh, configs: list[PatchConfig]) -> str:
             }
         )
     return json.dumps(doc)
+
+
+# -- patch-major geometry kernels ----------------------------------------------
+
+def triangle_area_reference(tri):
+    """Signed areas of (..., 3, 2) triangles from coordinate pairs."""
+    tri = np.asarray(tri, dtype=float)
+    d1 = tri[..., 1, :] - tri[..., 0, :]
+    d2 = tri[..., 2, :] - tri[..., 0, :]
+    return 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
+
+
+def _edge_lengths_sq_reference(tri):
+    e0 = tri[..., 1, :] - tri[..., 0, :]
+    e1 = tri[..., 2, :] - tri[..., 1, :]
+    e2 = tri[..., 0, :] - tri[..., 2, :]
+    return np.stack(
+        [np.sum(e0 * e0, axis=-1), np.sum(e1 * e1, axis=-1), np.sum(e2 * e2, axis=-1)],
+        axis=-1,
+    )
+
+
+def interior_angles_reference(tri):
+    """Interior angles (..., 3) in degrees from normalised dot products."""
+    tri = np.asarray(tri, dtype=float)
+    area = triangle_area_reference(tri)
+    longest_sq = _edge_lengths_sq_reference(tri).max(axis=-1)
+    if np.any(np.abs(2.0 * area) < DEGENERACY_TOL * longest_sq):
+        raise DegenerateTriangle("triangle vertices are (numerically) collinear")
+    angles = np.empty(tri.shape[:-1])
+    for i in range(3):
+        a = tri[..., (i + 1) % 3, :] - tri[..., i, :]
+        b = tri[..., (i + 2) % 3, :] - tri[..., i, :]
+        cosang = np.sum(a * b, axis=-1) / (
+            np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
+        )
+        angles[..., i] = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    return angles
+
+
+def barycentric_gradients_reference(tris, areas):
+    """Barycentric gradients (..., 3, 2): opposite edges turned by +90 degrees."""
+    opp = tris[..., [2, 0, 1], :] - tris[..., [1, 2, 0], :]
+    return np.stack([-opp[..., 1], opp[..., 0]], axis=-1) / (2.0 * areas[..., None, None])
+
+
+def map_rule_reference(tris, areas, rule):
+    """Rule points (..., nq, 2) and weights (..., nq) on the triangles."""
+    a = tris[..., 0, :][..., None, :]
+    e1 = (tris[..., 1, :] - tris[..., 0, :])[..., None, :]
+    e2 = (tris[..., 2, :] - tris[..., 0, :])[..., None, :]
+    x = rule.points[:, 0][..., None]
+    y = rule.points[:, 1][..., None]
+    return a + x * e1 + y * e2, rule.weights * (2.0 * np.asarray(areas))[..., None]
+
+
+def centroids_reference(tris):
+    """Subtriangle centroids (..., 2) as the mean of the vertices."""
+    return tris.mean(axis=-2)
+
+
+def patch_major_geometry(mesh: PatchMesh, topology):
+    """C-ordered subtriangles (Np, 4, 3, 2), areas and gradients."""
+    nodes = mesh.local_nodes_all()
+    tris = nodes[np.arange(mesh.n_patches)[:, None, None], topology]
+    areas = triangle_area_reference(tris)
+    return tris, areas, barycentric_gradients_reference(tris, areas)
+
+
+def assemble_reference(mesh: PatchMesh, configs, problem):
+    """Adapted-mode stiffness matrix and load vector over the whole mesh at
+    once, from the patch-major geometry."""
+    tris, areas, grads = patch_major_geometry(mesh, configs.topology)
+    rule = reference_quad_rule(2)
+    qpts, qwts = map_rule_reference(tris, areas, rule)
+    kap = np.where(configs.sides == 1, problem.kappa1, problem.kappa2)
+    cell = np.einsum("pqad,pqbd->pqab", grads, grads) * (kap * areas)[..., None, None]
+    f = problem.f(qpts, problem.inside(qpts))
+    load = np.einsum("pqn,pqn,na->pqa", qwts, f, reference_lambdas(rule))
+    dof_map = build_dof_map(mesh)
+    sub_dofs = dof_map.subtriangle_dofs(slice(None), configs.topology)
+    rows = np.repeat(sub_dofs[..., :, None], 3, axis=-1).ravel()
+    cols = np.repeat(sub_dofs[..., None, :], 3, axis=-2).ravel()
+    matrix = sp.coo_matrix((cell.ravel(), (rows, cols)),
+                           shape=(dof_map.n_dof, dof_map.n_dof)).tocsr()
+    rhs = np.zeros(dof_map.n_dof)
+    np.add.at(rhs, sub_dofs.ravel(), load.ravel())
+    return matrix, rhs
+
+
+def error_norms_reference(mesh: PatchMesh, configs, problem, u_h, degree=5):
+    """L2 and H1-seminorm errors over the whole mesh at once, from the
+    patch-major geometry."""
+    tris, areas, grads = patch_major_geometry(mesh, configs.topology)
+    rule = reference_quad_rule(degree)
+    qpts, qwts = map_rule_reference(tris, areas, rule)
+    coeffs = u_h[build_dof_map(mesh).subtriangle_dofs(slice(None), configs.topology)]
+    uh_q = np.einsum("pqa,na->pqn", coeffs, reference_lambdas(rule))
+    guh = np.einsum("pqa,pqad->pqd", coeffs, grads)
+    mask = problem.inside(qpts)
+    l2_terms = qwts * (problem.u(qpts, mask) - uh_q) ** 2
+    diff = problem.grad_u(qpts, mask) - guh[..., None, :]
+    h1_terms = qwts * np.sum(diff**2, axis=-1)
+    return float(np.sqrt(np.sum(l2_terms))), float(np.sqrt(np.sum(h1_terms)))
+
+
+# -- scalar level-set queries and per-patch classification --------------------
+
+def levelset_eval_reference(levelset, points):
+    """Level-set values; a circle's distance comes from ``np.linalg.norm``."""
+    if isinstance(levelset, Circle):
+        d = np.asarray(points, dtype=float) - np.asarray(levelset.center)
+        out = np.linalg.norm(d, axis=-1) - levelset.radius
+        return out if out.ndim else float(out)
+    return levelset.eval(points)
+
+
+def _interior(roots):
+    kept = [float(t) for t in roots if SNAP_TOL < t < 1.0 - SNAP_TOL]
+    kept.sort()
+    return kept
+
+
+def segment_crossings_reference(levelset, a, b) -> list[float]:
+    """Sorted interior crossings of one segment, from scalar arithmetic (a
+    circle's quadratic takes its coefficients from BLAS dot products)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not isinstance(levelset, Circle):
+        phi_a, phi_b = levelset.eval(a), levelset.eval(b)
+        denom = phi_a - phi_b
+        return [] if denom == 0.0 else _interior([phi_a / denom])
+    d = b - a
+    m = a - np.asarray(levelset.center)
+    qa = float(d @ d)
+    qb = 2.0 * float(m @ d)
+    qc = float(m @ m) - levelset.radius**2
+    if qa == 0.0:
+        raise ValueError("segment endpoints coincide")
+    disc = qb * qb - 4.0 * qa * qc
+    if disc <= 0.0:
+        return []
+    sq = np.sqrt(disc)
+    qq = -0.5 * (qb + np.copysign(sq, qb))
+    t1 = qq / qa
+    t2 = qc / qq if qq != 0.0 else t1
+    if abs(t1 - t2) <= SNAP_TOL:
+        return []
+    return _interior([t1, t2])
+
+
+def _patch_edge_crossings(mesh, pid, levelset):
+    """Interior crossing parameters per local edge, in local direction."""
+    out = []
+    for k in range(3):
+        eid = mesh.patch_edges[pid, k]
+        a, b = mesh.edges[eid]
+        ts = segment_crossings_reference(levelset, mesh.vertices[a], mesh.vertices[b])
+        if not mesh.patch_edge_forward[pid, k]:
+            ts = sorted(1.0 - t for t in ts)
+        out.append(ts)
+    return out
+
+
+def _classify(mesh: PatchMesh, pid: int, levelset):
+    """Cut class of one patch plus its filtered per-edge crossings."""
+    scale = mesh.patch_diameter(pid)
+    verts = mesh.vertices[mesh.patches[pid]]
+    hits = [abs(levelset_eval_reference(levelset, v)) <= SNAP_TOL * scale for v in verts]
+    per_edge = _patch_edge_crossings(mesh, pid, levelset)
+    # Crossings on an edge whose endpoint is hit belong to the vertex.
+    for k in range(3):
+        if hits[k] or hits[(k + 1) % 3]:
+            per_edge[k] = [
+                t
+                for t in per_edge[k]
+                if not (hits[k] and t <= SNAP_TOL * 10)
+                and not (hits[(k + 1) % 3] and t >= 1.0 - SNAP_TOL * 10)
+            ]
+    counts = [len(ts) for ts in per_edge]
+    n_hits = sum(hits)
+    total = sum(counts)
+
+    if max(counts) >= 2:
+        raise RefinementRequired(pid, "interface enters and leaves through one edge")
+    if total == 0:
+        return CutClass(UNCUT), per_edge
+    if total == 1:
+        (k,) = [k for k in range(3) if counts[k] == 1]
+        if n_hits == 0:
+            raise RefinementRequired(pid, "single boundary contact point")
+        if n_hits > 1:
+            raise RefinementRequired(pid, "more than two boundary cut points")
+        v = hits.index(True)
+        if (v + 1) % 3 != k:  # the edge opposite vertex v
+            raise RefinementRequired(pid, "vertex cut with crossing on adjacent edge")
+        return CutClass(VERTEX_EDGE, edges=(k,), vertex=v), per_edge
+    if total == 2 and n_hits == 0:
+        cut_edges = tuple(k for k in range(3) if counts[k] == 1)
+        return CutClass(EDGE_EDGE, edges=cut_edges), per_edge
+    raise RefinementRequired(pid, "more than two boundary cut points")
+
+
+def classify_patch(mesh: PatchMesh, pid: int, levelset) -> CutClass:
+    """Classify one patch against the interface."""
+    return _classify(mesh, pid, levelset)[0]
+
+
+def classify_all_reference(mesh: PatchMesh, levelset) -> Classification:
+    """Classify patch by patch in ascending id; the first crossing recorded
+    on an edge wins."""
+    phi = levelset_eval_reference(levelset, mesh.vertices)
+    vhit = np.abs(phi) <= SNAP_TOL * mesh.h_max
+    cuts = []
+    edge_crossings: dict[int, float] = {}
+    for pid in range(mesh.n_patches):
+        cls, per_edge = _classify(mesh, pid, levelset)
+        cuts.append(cls)
+        for k in cls.edges:
+            eid = int(mesh.patch_edges[pid, k])
+            if eid not in edge_crossings:
+                (t_local,) = per_edge[k]
+                t = t_local if mesh.patch_edge_forward[pid, k] else 1.0 - t_local
+                edge_crossings[eid] = t
+    return Classification(cuts, edge_crossings, vhit)

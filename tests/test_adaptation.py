@@ -13,7 +13,6 @@ from patchfem.adaptation import (
     angle_cosines_vertex_edge,
     build_configs,
     classify_all,
-    classify_patch,
     determined_params,
     free_params_two_edges,
     free_params_vertex_edge,
@@ -35,6 +34,11 @@ def single_patch(v0, v1, v2):
     vertices = np.array([v0, v1, v2], dtype=float)
     edges = [(0, 1), (1, 2), (0, 2)]
     return PatchMesh(vertices, edges, [True] * 3, [(0, 1, 2)], [(0, 1, 2)])
+
+
+def classify_patch(mesh, pid, levelset):
+    """Cut class of one patch, from classifying the whole mesh."""
+    return classify_all(mesh, levelset).cuts[pid]
 
 
 class TestClassifyPatch:

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from patchfem import mesh as mesh_module
-from patchfem.adaptation import Classification, CutClass, adapt, build_configs, max_angle_audit
+from patchfem.adaptation import (
+    Classification,
+    CutClass,
+    adapt,
+    build_configs,
+    classify_all,
+    max_angle_audit,
+)
 from patchfem.assembly import assemble
 from patchfem.mesh import build_structured_mesh, patch_blocks
 from patchfem.problems import circle_problem, error_norms, tilted_problem
@@ -139,6 +146,11 @@ def _traced_peak_mib(fn, *args, **kwargs):
 # peaked at 84.6 and 89.0 MiB.
 ASSEMBLE_BOUND_MIB = 58.0
 ERRORS_BOUND_MIB = 72.6
+# The same for the coordinate-major geometry: 19.8 MiB (build_configs, which
+# returns 14.3 MiB of arrays; 30.6 MiB when it gathered the subtriangles
+# patch-major) and 11.8 MiB (max_angle_audit, 8.8 before), plus 20%.
+CONFIGS_BOUND_MIB = 23.7
+AUDIT_BOUND_MIB = 14.1
 
 
 class TestPeakMemory:
@@ -161,3 +173,13 @@ class TestPeakMemory:
         problem, mesh, configs = circle
         u_h = np.zeros(mesh.n_vertices + mesh.n_edges)
         assert _traced_peak_mib(error_norms, mesh, configs, problem, u_h) < ERRORS_BOUND_MIB
+
+    def test_build_configs(self, circle):
+        problem, mesh, _ = circle
+        classification = classify_all(mesh, problem.levelset)
+        assert _traced_peak_mib(build_configs, mesh, classification,
+                                problem.levelset) < CONFIGS_BOUND_MIB
+
+    def test_max_angle_audit(self, circle):
+        _, mesh, configs = circle
+        assert _traced_peak_mib(max_angle_audit, mesh, configs) < AUDIT_BOUND_MIB
