@@ -55,6 +55,6 @@ from .problems import (
     verify_jump_conditions,
 )
 from .runner import RunConfig, run_angles, run_convergence, run_single, run_sweep
-from .solver import NonConvergence, SingularSystem, SolveReport, cg_solve, dense_solve_oracle
+from .solver import NonConvergence, SolveReport, cg_solve
 
 __version__ = "0.1.0"

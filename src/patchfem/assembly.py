@@ -6,9 +6,12 @@ The subtriangles, their areas and barycentric gradients come from
 stiffness entries use the exact constant-gradient formulas and only the load
 (and the pointwise diffusion sampling of the unfitted baseline) needs
 quadrature. The per-patch work runs over fixed-size patch blocks
-(``mesh.patch_blocks``), so its temporaries do not grow with the mesh; the
-global accumulation is one deterministic reduction in patch order over the
-filled arrays, which makes the result independent of the block size.
+(``mesh.patch_blocks``), so its temporaries do not grow with the mesh. The
+element matrices go straight into a CSR array with duplicates, laid out as
+SciPy's COO -> CSR conversion of all element matrices in patch order would
+lay them out, and SciPy sums the duplicates; the loads are added in patch
+order. The result is the same for any block size, and no COO over the whole
+mesh is held.
 """
 
 from __future__ import annotations
@@ -113,10 +116,12 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
     level-set sign, i.e. the mesh ignores the interface. Dirichlet rows and
     columns are eliminated symmetrically against the problem's boundary data.
 
-    Element matrices, loads and their global dofs are formed one patch block
-    at a time (``patch_blocks``) into arrays over all patches; the sparse
-    matrix and the load vector are then reduced once from those arrays in
-    patch order, so the result does not depend on the block size.
+    Element matrices and loads are formed one patch block at a time
+    (``patch_blocks``). Each element-matrix row goes straight into its slot
+    of a row-bucketed CSR array with duplicates, laid out as SciPy's COO ->
+    CSR conversion lays out the triplets in patch order; ``sum_duplicates``
+    then sorts and sums it, and the loads are added in patch order. So the
+    result is the one of a single COO over the whole mesh, for any block size.
     """
     if mode not in ("adapted", "baseline"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -127,9 +132,13 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
     rule = reference_quad_rule(load_degree)
     lam = reference_lambdas(rule)  # (nq, 3)
     n_dof = dof_map.n_dof
-    cell = np.empty((mesh.n_patches, 4, 3, 3))
-    load = np.empty((mesh.n_patches, 4, 3))
-    sub_dofs = np.empty(load.shape, dtype=np.int32 if n_dof < 2**31 else np.int64)
+    # The index type SciPy picks for a COO with 36 entries per patch.
+    index = np.int32 if max(36 * mesh.n_patches, n_dof) < 2**31 else np.int64
+    sub_dofs = dof_map.subtriangle_dofs(slice(None), configs.topology).astype(index)
+    slots, indptr, indices = _row_buckets(sub_dofs, n_dof)
+    data = np.empty(indices.shape)
+    row_item = np.dtype((np.void, 3 * data.itemsize))
+    rhs = np.zeros(n_dof)
     for blk in patch_blocks(mesh.n_patches):
         areas, grads = configs.areas[blk], configs.grads[blk]
         qpts, qwts = map_rule(configs.tris[blk], areas, rule)  # (nb,4,nq,2), (nb,4,nq)
@@ -144,27 +153,58 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
         # kappa * area * grad(l_a).grad(l_b), symmetric in a and b.
         gx, gy = grads[..., 0], grads[..., 1]
         kap *= areas
+        cell = np.empty(areas.shape + (3, 3))
         for a in range(3):
             for b in range(a, 3):
-                cell[blk, :, a, b] = (gx[..., a] * gx[..., b] + gy[..., a] * gy[..., b]) * kap
-                cell[blk, :, b, a] = cell[blk, :, a, b]
+                cell[..., a, b] = (gx[..., a] * gx[..., b] + gy[..., a] * gy[..., b]) * kap
+                cell[..., b, a] = cell[..., a, b]
+        # One element-matrix row is one 24-byte item, so the scatter moves
+        # whole rows.
+        np.put(data.view(row_item).ravel(), slots[12 * blk.start:12 * blk.stop],
+               cell.view(row_item).ravel())
         # Load: f from the true level-set sign at each quadrature point.
-        np.einsum("pqn,pqn,na->pqa", qwts, problem.f(qpts, mask), lam, out=load[blk])
-        sub_dofs[blk] = dof_map.subtriangle_dofs(blk, configs.topology[blk])
-    # The last block's quadrature would otherwise stay alive through the
-    # COO -> CSR conversion, the peak of the whole solve.
-    del qpts, qwts, mask, kap
-
-    rows = np.repeat(sub_dofs[..., :, None], 3, axis=-1).ravel()
-    cols = np.repeat(sub_dofs[..., None, :], 3, axis=-2).ravel()
-    matrix = sp.coo_matrix((cell.ravel(), (rows, cols)), shape=(n_dof, n_dof)).tocsr()
-    rhs = np.zeros(n_dof)
-    np.add.at(rhs, sub_dofs.ravel(), load.ravel())
+        load = np.einsum("pqn,pqn,na->pqa", qwts, problem.f(qpts, mask), lam)
+        np.add.at(rhs, sub_dofs[blk].ravel(), load.ravel())
+    # Nothing but the CSR arrays stays alive through ``sum_duplicates``, the
+    # peak of the whole solve; its final copy then frees them.
+    del qpts, qwts, mask, kap, cell, load, slots, sub_dofs
+    matrix = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(n_dof, n_dof))
+    del data, indices
+    matrix.sum_duplicates()
 
     dirichlet = np.nonzero(dof_map.boundary)[0]
     positions = _dof_positions(mesh)
     values = problem.u(positions[dirichlet])
     return LinearSystem(matrix, rhs, dirichlet, values)
+
+
+def _row_buckets(sub_dofs: np.ndarray, n_dof: int):
+    """Slots of the element-matrix rows in a row-bucketed CSR with duplicates.
+
+    Row k of the element matrices (subtriangle k // 3, local vertex k % 3)
+    couples dof ``sub_dofs.flat[k]`` with the three dofs of its subtriangle.
+    In the COO triplets of all element matrices in patch order, its three
+    entries are consecutive, and SciPy's COO -> CSR conversion buckets them
+    by row in that order. So row k starts at ``indptr[dof] + 3 * rank``,
+    where rank counts the earlier rows of the same dof; that is 3 times the
+    position of k in a stable sort of the row dofs. Returns the slot (in
+    units of 3 entries) of every row, the CSR ``indptr`` and the column
+    indices (n_rows, 3).
+    """
+    rows = sub_dofs.ravel()
+    # A stable argsort of the row dofs, as one sort of distinct keys
+    # (dof, k) packed into int64.
+    shift = rows.size.bit_length()
+    order = rows.astype(np.int64) << shift
+    order |= np.arange(rows.size)
+    order.sort()
+    order &= (1 << shift) - 1
+    slots = np.empty_like(rows)
+    slots[order] = np.arange(rows.size, dtype=rows.dtype)
+    indptr = np.zeros(n_dof + 1, dtype=rows.dtype)
+    np.cumsum(3 * np.bincount(rows, minlength=n_dof), out=indptr[1:])
+    indices = np.take(sub_dofs.reshape(-1, 3), order // 3, axis=0)
+    return slots, indptr, indices
 
 
 def _dof_positions(mesh: PatchMesh) -> np.ndarray:

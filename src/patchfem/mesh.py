@@ -30,6 +30,7 @@ __all__ = [
     "PatchMesh",
     "build_structured_mesh",
     "patch_blocks",
+    "pairwise_sums",
     "refine",
     "mesh_to_json",
     "FREE",
@@ -58,6 +59,37 @@ def patch_blocks(n_patches: int):
     """
     for start in range(0, n_patches, PATCH_BLOCK):
         yield slice(start, min(start + PATCH_BLOCK, n_patches))
+
+
+# NumPy sums a contiguous float64 array pairwise: a run of at most 128
+# elements is summed directly, a longer one is split at half its length
+# rounded down to a multiple of 8 and the sums of the two parts are added.
+_PAIRWISE_RUN = 128
+
+
+def pairwise_sums(leaf, n_patches: int, per_patch: int):
+    """``np.sum`` of per-patch arrays that are never formed over the mesh.
+
+    The arrays are C-ordered with ``per_patch`` elements per patch, i.e.
+    ``n_patches * per_patch`` elements flat. ``leaf(start, stop)`` returns
+    the ``np.sum`` of every array over the flat span [start, stop), which
+    covers at most ``PATCH_BLOCK`` patches' worth of elements. The spans are
+    NumPy's own pairwise split, and their sums are combined in its order, so
+    each result equals ``np.sum`` of the whole array bit for bit, for any
+    block size.
+    """
+    leaf_size = max(PATCH_BLOCK * per_patch, _PAIRWISE_RUN)
+    return _pairwise(leaf, 0, n_patches * per_patch, leaf_size)
+
+
+def _pairwise(leaf, start: int, stop: int, leaf_size: int):
+    if stop - start <= leaf_size:
+        return leaf(start, stop)
+    half = (stop - start) // 2
+    half -= half % 8
+    left = _pairwise(leaf, start, start + half, leaf_size)
+    right = _pairwise(leaf, start + half, stop, leaf_size)
+    return tuple(a + b for a, b in zip(left, right))
 
 
 class PatchMesh:

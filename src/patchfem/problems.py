@@ -4,8 +4,9 @@ Each problem ships an analytic solution with matching continuity and flux
 conditions across its interface, the right-hand side derived from it, and the
 diffusion pair. The solutions are vectorized over (..., 2) point arrays; the
 branch is always selected by the sign of the interface level set. The error
-norms integrate one patch block at a time (``mesh.patch_blocks``) and sum
-once over all patches, so they do not depend on the block size.
+norms form their integrands for at most one patch block at a time and sum
+them in NumPy's pairwise order (``mesh.pairwise_sums``), so they equal one
+``np.sum`` over all patches for any block size.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .assembly import build_dof_map
 from .geometry import map_rule, reference_lambdas, reference_quad_rule
 from .levelset import Circle, HorizontalLine, TiltedLine
-from .mesh import patch_blocks
+from .mesh import pairwise_sums
 
 __all__ = [
     "ProblemSpec",
@@ -291,22 +292,24 @@ def error_norms(mesh, configs, problem: ProblemSpec, u_h: np.ndarray,
 
     Integrated per subtriangle with the degree-5 rule; the analytic branch at
     every quadrature point follows the true interface sign, while u_h and its
-    gradient come from the linear basis on the subtriangle. The integrands
-    are formed one patch block at a time (``patch_blocks``) into arrays over
-    all patches, and each norm is one sum over its array, so the result does
-    not depend on the block size.
+    gradient come from the linear basis on the subtriangle. Each norm is the
+    ``np.sum`` of its integrand over all patches (C order, patches
+    outermost), but the integrands are only formed for the patches under one
+    span of ``pairwise_sums`` at a time, so the result does not depend on the
+    block size and no integrand array over the whole mesh is held.
     """
     rule = reference_quad_rule(degree)
     lam = reference_lambdas(rule)  # (nq, 3)
     dof_map = build_dof_map(mesh)
-    l2_terms = np.empty((mesh.n_patches, 4, len(rule.weights)))
-    h1_terms = np.empty_like(l2_terms)
-    for blk in patch_blocks(mesh.n_patches):
+    per_patch = 4 * len(rule.weights)
+
+    def leaf(start, stop):
+        blk = slice(start // per_patch, -(-stop // per_patch))
         qpts, qwts = map_rule(configs.tris[blk], configs.areas[blk], rule)
         coeffs = u_h[dof_map.subtriangle_dofs(blk, configs.topology[blk])]
         uh_q = np.einsum("pqa,na->pqn", coeffs, lam)
         mask = problem.inside(qpts)
-        l2_terms[blk] = qwts * (problem.u(qpts, mask) - uh_q) ** 2
+        l2 = qwts * (problem.u(qpts, mask) - uh_q) ** 2
         # Constant gradient per subtriangle from the barycentric gradients.
         grads = configs.grads[blk]
         diff = problem.grad_u(qpts, mask)
@@ -314,8 +317,13 @@ def error_norms(mesh, configs, problem: ProblemSpec, u_h: np.ndarray,
             diff[..., d] -= (coeffs[..., 0] * grads[..., 0, d] + coeffs[..., 1] * grads[..., 1, d]
                              + coeffs[..., 2] * grads[..., 2, d])[..., None]
         dx, dy = diff[..., 0], diff[..., 1]
-        h1_terms[blk] = qwts * (dx * dx + dy * dy)
-    return float(np.sqrt(np.sum(l2_terms))), float(np.sqrt(np.sum(h1_terms)))
+        h1 = qwts * (dx * dx + dy * dy)
+        span = slice(start - blk.start * per_patch, stop - blk.start * per_patch)
+        # ravel() reads the integrands in C order, as np.sum of the whole would.
+        return np.sum(l2.ravel()[span]), np.sum(h1.ravel()[span])
+
+    l2, h1 = pairwise_sums(leaf, mesh.n_patches, per_patch)
+    return float(np.sqrt(l2)), float(np.sqrt(h1))
 
 
 def convergence_rate(pairs) -> float:

@@ -155,15 +155,17 @@ def _refining(attempt, n: int):
     """Call ``attempt(n)``; on an unresolvable cut, retry with the grid
     doubled, up to three times. Each retry is reported on stderr with the
     old and new n, the offending patch and the reason."""
-    last: RefinementRequired | None = None
+    last = None
     for retry in range(MAX_REFINE_RETRIES + 1):
         try:
             return attempt(n)
         except RefinementRequired as exc:
-            last = exc
+            # Only the message: the exception's traceback would keep the
+            # failed attempt's frames (its mesh and arrays) alive in a
+            # reference cycle through this frame.
+            last = f"patch {exc.patch_id}: {exc.reason}"
             if retry < MAX_REFINE_RETRIES:
-                print(f"refining: n={n} -> n={2 * n} (patch {exc.patch_id}: "
-                      f"{exc.reason})", file=sys.stderr)
+                print(f"refining: n={n} -> n={2 * n} ({last})", file=sys.stderr)
             n *= 2
     raise RuntimeError(
         f"cut unresolvable after {MAX_REFINE_RETRIES} refinements "

@@ -1,18 +1,14 @@
-"""Jacobi-preconditioned conjugate gradients plus a dense oracle for tests."""
+"""Jacobi-preconditioned conjugate gradients."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .assembly import LinearSystem
 
-__all__ = ["SolveReport", "NonConvergence", "SingularSystem", "cg_solve",
-           "dense_solve_oracle"]
-
-DENSE_GUARD = 5000
+__all__ = ["SolveReport", "NonConvergence", "cg_solve"]
 
 
 @dataclass
@@ -30,10 +26,6 @@ class NonConvergence(RuntimeError):
             f"after {report.iterations} iterations (tol {tol:.1e})"
         )
         self.report = report
-
-
-class SingularSystem(np.linalg.LinAlgError):
-    pass
 
 
 def cg_solve(system: LinearSystem, tol: float = 1e-10,
@@ -77,20 +69,3 @@ def cg_solve(system: LinearSystem, tol: float = 1e-10,
         rz = rz_new
     report = SolveReport(system.embed(x), max_iter, history[-1], np.array(history))
     raise NonConvergence(report, tol)
-
-
-def dense_solve_oracle(system: LinearSystem) -> np.ndarray:
-    """Direct factorization of the densified free-dof system (tests only)."""
-    a, b, _ = system.reduced()
-    if a.shape[0] > DENSE_GUARD:
-        raise ValueError(f"dense oracle limited to {DENSE_GUARD} dofs")
-    if a.shape[0] == 0:
-        return system.embed(np.empty(0))
-    dense = a.toarray()
-    try:
-        x = scipy.linalg.solve(dense, b, assume_a="sym")
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularSystem("non-finite solution from dense factorization")
-    return system.embed(x)

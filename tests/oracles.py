@@ -18,7 +18,8 @@ exactly equal.
 ``local_nodes`` and ``local_params`` read one patch from the edge registry,
 and ``local_stiffness``, ``local_load`` and ``barycentric`` are the textbook
 per-element formulas; the tests scatter them element by element to check
-the vectorised assembly.
+the vectorised assembly. ``dense_solve_oracle`` solves a small system by a
+dense factorization, against which the tests check the CG solver.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from patchfem.adaptation import (
@@ -288,15 +290,20 @@ def patch_major_geometry(mesh: PatchMesh, topology):
     return tris, areas, barycentric_gradients_reference(tris, areas)
 
 
-def assemble_reference(mesh: PatchMesh, configs, problem):
-    """Adapted-mode stiffness matrix and load vector over the whole mesh at
-    once, from the patch-major geometry."""
+def assemble_reference(mesh: PatchMesh, configs, problem, mode="adapted"):
+    """Stiffness matrix and load vector over the whole mesh at once, from the
+    patch-major geometry, with one COO over all element matrices."""
     tris, areas, grads = patch_major_geometry(mesh, configs.topology)
     rule = reference_quad_rule(2)
     qpts, qwts = map_rule_reference(tris, areas, rule)
-    kap = np.where(configs.sides == 1, problem.kappa1, problem.kappa2)
+    inside = problem.inside(qpts)
+    if mode == "adapted":
+        kap = np.where(configs.sides == 1, problem.kappa1, problem.kappa2)
+    else:
+        kap_q = np.where(inside, problem.kappa1, problem.kappa2)
+        kap = (qwts * kap_q).sum(axis=-1) / qwts.sum(axis=-1)
     cell = np.einsum("pqad,pqbd->pqab", grads, grads) * (kap * areas)[..., None, None]
-    f = problem.f(qpts, problem.inside(qpts))
+    f = problem.f(qpts, inside)
     load = np.einsum("pqn,pqn,na->pqa", qwts, f, reference_lambdas(rule))
     dof_map = build_dof_map(mesh)
     sub_dofs = dof_map.subtriangle_dofs(slice(None), configs.topology)
@@ -444,3 +451,30 @@ def classify_all_reference(mesh: PatchMesh, levelset) -> Classification:
                 t = t_local if mesh.patch_edge_forward[pid, k] else 1.0 - t_local
                 edge_crossings[eid] = t
     return Classification(cuts, edge_crossings, vhit)
+
+
+# -- dense direct solve -------------------------------------------------------
+
+DENSE_GUARD = 5000
+
+
+class SingularSystem(np.linalg.LinAlgError):
+    pass
+
+
+def dense_solve_oracle(system) -> np.ndarray:
+    """Direct factorization of the densified free-dof system of a
+    ``LinearSystem``; the full dof vector, Dirichlet values included."""
+    a, b, _ = system.reduced()
+    if a.shape[0] > DENSE_GUARD:
+        raise ValueError(f"dense oracle limited to {DENSE_GUARD} dofs")
+    if a.shape[0] == 0:
+        return system.embed(np.empty(0))
+    dense = a.toarray()
+    try:
+        x = scipy.linalg.solve(dense, b, assume_a="sym")
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from exc
+    if not np.all(np.isfinite(x)):
+        raise SingularSystem("non-finite solution from dense factorization")
+    return system.embed(x)

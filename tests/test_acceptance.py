@@ -33,7 +33,9 @@ from patchfem.problems import (
     tilted_problem,
 )
 from patchfem.runner import RunConfig, run_single, run_sweep
-from patchfem.solver import cg_solve, dense_solve_oracle
+from patchfem.solver import cg_solve
+
+from .oracles import dense_solve_oracle
 
 LEVELS = [8, 16, 32, 64, 128]
 ANGLE_BOUND = 162.0 + 1e-9

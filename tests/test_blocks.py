@@ -1,12 +1,15 @@
 """The per-patch integrals run over fixed patch blocks: the results must not
-depend on the block size, and their working memory must not grow with the
-mesh beyond the arrays they return."""
+depend on the block size, must equal the whole-mesh references bit for bit,
+and their working memory must not grow with the mesh beyond the arrays they
+return."""
 
 import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchfem import mesh as mesh_module
 from patchfem.adaptation import (
@@ -18,8 +21,10 @@ from patchfem.adaptation import (
     max_angle_audit,
 )
 from patchfem.assembly import assemble
-from patchfem.mesh import build_structured_mesh, patch_blocks
+from patchfem.mesh import build_structured_mesh, pairwise_sums, patch_blocks
 from patchfem.problems import circle_problem, error_norms, tilted_problem
+
+from .oracles import assemble_reference, error_norms_reference
 
 MIB = 2**20
 
@@ -90,6 +95,54 @@ class TestBlockInvariance:
         np.testing.assert_array_equal(blocked_audit.histogram, audit.histogram)
         assert blocked_audit.global_max == audit.global_max
 
+    @pytest.mark.parametrize(
+        "problem, n, mode",
+        [
+            (circle_problem(), 6, "adapted"),
+            (tilted_problem(0.3), 8, "adapted"),  # vertex cuts
+            (circle_problem(), 6, "baseline"),
+        ],
+        ids=["circle", "tilted", "baseline"],
+    )
+    def test_bitwise_equal_to_whole_mesh_reference(self, monkeypatch, problem, n, mode):
+        monkeypatch.setattr(mesh_module, "PATCH_BLOCK", 5)
+        mesh, configs, system, norms, _ = _pipeline(problem, n, mode)
+        matrix, rhs = assemble_reference(mesh, configs, problem, mode)
+        u_h = np.random.default_rng(n).standard_normal(system.n_dof)
+
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(system.matrix, attr),
+                                          getattr(matrix, attr))
+        np.testing.assert_array_equal(system.rhs, rhs)
+        assert norms == error_norms_reference(mesh, configs, problem, u_h)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(n_patches=st.integers(1, 40000), block=st.sampled_from([1, 5, 2**14]),
+       seed=st.integers(0, 2**32 - 1))
+def test_pairwise_sums_equal_np_sum(n_patches, block, seed):
+    """The spans tile the flat arrays in order, each at most 28 * block
+    elements (or NumPy's 128-element run), and their sums combine to
+    ``np.sum`` of the whole C-ordered arrays bit for bit."""
+    rng = np.random.default_rng(seed)
+    shape = (n_patches, 4, 7)
+    positive = rng.random(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    signed = rng.standard_normal(shape)
+    spans = []
+
+    def leaf(start, stop):
+        spans.append((start, stop))
+        return np.sum(positive.ravel()[start:stop]), np.sum(signed.ravel()[start:stop])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mesh_module, "PATCH_BLOCK", block)
+        sums = pairwise_sums(leaf, n_patches, 28)
+    assert sums == (np.sum(positive), np.sum(signed))
+    starts, stops = np.array(spans).T
+    assert starts[0] == 0 and stops[-1] == positive.size
+    np.testing.assert_array_equal(starts[1:], stops[:-1])
+    assert np.all(stops - starts <= max(28 * block, 128))
+
 
 class _CountingLevelSet:
     def __init__(self, inner):
@@ -119,7 +172,9 @@ class TestOneLevelSetPass:
         assert counting.calls == n_blocks + 1  # load points, then Dirichlet data
         counting.calls = 0
         error_norms(mesh, configs, problem, np.zeros(system.n_dof))
-        assert counting.calls == n_blocks
+        # The error integrands are formed per span of the pairwise sum.
+        (n_spans,) = pairwise_sums(lambda start, stop: (1,), mesh.n_patches, 4 * 7)
+        assert counting.calls == n_spans
 
     def test_mask_selects_like_the_level_set(self):
         problem = circle_problem()
@@ -141,11 +196,21 @@ def _traced_peak_mib(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-# Measured traced peaks at n = 128 are 48.3 MiB (assemble) and 60.5 MiB
-# (error_norms); the bounds add 20%. Without the patch blocks the same calls
-# peaked at 84.6 and 89.0 MiB.
-ASSEMBLE_BOUND_MIB = 58.0
-ERRORS_BOUND_MIB = 72.6
+# Measured traced peaks at n = 128 are 36.5 MiB (assemble, straight into
+# the CSR with duplicates) and 42.0 MiB (error_norms, integrands per span of
+# the pairwise sum); the bounds add 20%. With the whole-mesh COO and
+# integrand arrays the same calls peaked at 43.1 and 59.5 MiB, and without
+# the patch blocks at 84.6 and 89.0 MiB.
+ASSEMBLE_BOUND_MIB = 43.8
+ERRORS_BOUND_MIB = 50.4
+# With blocks of 512 patches the block temporaries are small, and the peaks
+# show what each call holds over the whole mesh: measured 19.4 MiB
+# (assemble: the CSR arrays with duplicates, the row slots, the returned
+# matrix) and 2.8 MiB (error_norms), plus 20%. The whole-mesh COO and the
+# whole-mesh integrand arrays peaked at 43.1 and 16.9 MiB.
+SMALL_BLOCK = 512
+ASSEMBLE_SMALL_BLOCK_BOUND_MIB = 23.3
+ERRORS_SMALL_BLOCK_BOUND_MIB = 3.4
 # The same for the coordinate-major geometry: 19.8 MiB (build_configs, which
 # returns 14.3 MiB of arrays; 30.6 MiB when it gathered the subtriangles
 # patch-major) and 11.8 MiB (max_angle_audit, 8.8 before), plus 20%.
@@ -173,6 +238,19 @@ class TestPeakMemory:
         problem, mesh, configs = circle
         u_h = np.zeros(mesh.n_vertices + mesh.n_edges)
         assert _traced_peak_mib(error_norms, mesh, configs, problem, u_h) < ERRORS_BOUND_MIB
+
+    def test_assemble_small_blocks(self, circle, monkeypatch):
+        problem, mesh, configs = circle
+        monkeypatch.setattr(mesh_module, "PATCH_BLOCK", SMALL_BLOCK)
+        assert (_traced_peak_mib(assemble, mesh, configs, problem)
+                < ASSEMBLE_SMALL_BLOCK_BOUND_MIB)
+
+    def test_error_norms_small_blocks(self, circle, monkeypatch):
+        problem, mesh, configs = circle
+        monkeypatch.setattr(mesh_module, "PATCH_BLOCK", SMALL_BLOCK)
+        u_h = np.zeros(mesh.n_vertices + mesh.n_edges)
+        assert (_traced_peak_mib(error_norms, mesh, configs, problem, u_h)
+                < ERRORS_SMALL_BLOCK_BOUND_MIB)
 
     def test_build_configs(self, circle):
         problem, mesh, _ = circle

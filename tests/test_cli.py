@@ -1,6 +1,7 @@
 """Tests for the experiment drivers and the command-line interface."""
 
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -11,7 +12,10 @@ import numpy as np
 import pytest
 
 import patchfem
+from patchfem.adaptation import CUT_KINDS, VERTEX_EDGE, adapt
 from patchfem.cli import main
+from patchfem.mesh import build_structured_mesh
+from patchfem.problems import tilted_problem
 from patchfem.runner import (
     RunConfig,
     run_single,
@@ -19,6 +23,14 @@ from patchfem.runner import (
     write_csv,
     SOLVE_HEADER,
 )
+
+
+def _package_env():
+    """The environment of a child process that imports this checkout's
+    package."""
+    src = str(Path(patchfem.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 class TestRunConfig:
@@ -230,12 +242,9 @@ class TestCliExitCodes:
     def test_angles_refines_unresolvable_cut(self):
         # the circle at n = 12 needs refinement, as in TestRefinementRetry;
         # run as a separate process so an uncaught exception would show
-        src = str(Path(patchfem.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         proc = subprocess.run(
             [sys.executable, "-m", "patchfem.cli", "angles", "--n", "12"],
-            capture_output=True, text=True, env=env, check=False,
+            capture_output=True, text=True, env=_package_env(), check=False,
         )
         assert proc.returncode == 0
         assert "Traceback" not in proc.stderr
@@ -251,3 +260,49 @@ class TestCliExitCodes:
         code = main(["angles", "--problem", "circle", "--n", "32",
                      "--strategy", "1"])
         assert code == 1
+
+
+class TestImportCost:
+    def test_solve_leaves_scipy_linalg_unimported(self, tmp_path):
+        # the dense oracle lives with the tests; a solve needs only
+        # scipy.sparse, and importing scipy.linalg costs every process
+        script = (
+            "import sys\n"
+            "from patchfem.cli import main\n"
+            f"assert main(['solve', '--n', '8', '--out', {str(tmp_path / 'row.csv')!r}]) == 0\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=_package_env(), check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
+
+class TestNoCyclicGarbage:
+    """A solve frees its arrays by reference counting alone: nothing it
+    leaves behind waits for the cyclic garbage collector."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            RunConfig(problem="circle", n=12),  # refines once, to n = 24
+            RunConfig(problem="circle", n=16),
+            RunConfig(problem="circle", n=16, mode="baseline"),
+            RunConfig(problem="tilted", n=16, alpha=0.3),  # vertex cuts
+        ],
+        ids=["refining", "adapted", "baseline", "tilted"],
+    )
+    def test_run_single(self, config):
+        gc.collect()
+        gc.disable()
+        try:
+            run_single(config)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_tilted_case_has_vertex_cuts(self):
+        problem = tilted_problem(0.3)
+        mesh = build_structured_mesh(16, problem.domain)
+        configs, _, _ = adapt(mesh, problem.levelset, 2)
+        assert np.any(configs.kind == CUT_KINDS.index(VERTEX_EDGE))
