@@ -92,9 +92,12 @@ class LinearSystem:
     def reduced(self):
         """(A_ff, b_f - A_fb g, free mask): the SPD system on free dofs."""
         free = self.free_mask()
-        free_rows = self.matrix[free]
-        a_ff = free_rows[:, free].tocsr()
-        b = self.rhs[free] - free_rows[:, ~free] @ self.dirichlet_values
+        a_ff = self.matrix[free][:, free]
+        # A_fb g as the free rows of A g_ext, g_ext zero on the free dofs: the
+        # zero terms leave the bits of every row sum as they are.
+        g_ext = np.zeros(self.n_dof)
+        g_ext[self.dirichlet_dofs] = self.dirichlet_values
+        b = self.rhs[free] - (self.matrix @ g_ext)[free]
         return a_ff, b, free
 
     def embed(self, x_free: np.ndarray) -> np.ndarray:
@@ -162,12 +165,22 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
         # whole rows.
         np.put(data.view(row_item).ravel(), slots[12 * blk.start:12 * blk.stop],
                cell.view(row_item).ravel())
-        # Load: f from the true level-set sign at each quadrature point.
-        load = np.einsum("pqn,pqn,na->pqa", qwts, problem.f(qpts, mask), lam)
+        # Load: f from the true level-set sign at each quadrature point,
+        # weighted and summed against each basis function in quadrature-point
+        # order, as einsum("pqn,pqn,na->pqa", qwts, f, lam) sums it. The
+        # weighted f is coordinate-major, like qwts, so each plane is
+        # contiguous.
+        wf = np.multiply(qwts, problem.f(qpts, mask), order="F")
+        load = np.empty(areas.shape + (3,))
+        for a in range(3):
+            acc = wf[..., 0] * lam[0, a]
+            for q in range(1, len(lam)):
+                acc += wf[..., q] * lam[q, a]
+            load[..., a] = acc
         np.add.at(rhs, sub_dofs[blk].ravel(), load.ravel())
     # Nothing but the CSR arrays stays alive through ``sum_duplicates``, the
     # peak of the whole solve; its final copy then frees them.
-    del qpts, qwts, mask, kap, cell, load, slots, sub_dofs
+    del qpts, qwts, mask, kap, cell, wf, acc, load, slots, sub_dofs
     matrix = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(n_dof, n_dof))
     del data, indices
     matrix.sum_duplicates()

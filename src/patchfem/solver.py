@@ -1,14 +1,36 @@
-"""Jacobi-preconditioned conjugate gradients."""
+"""Jacobi-preconditioned conjugate gradients.
+
+Each iteration runs in three phases over fixed row spans of the reduced
+matrix: the matrix-vector product with ``p.Ap``; the ``x``/``r`` updates,
+the preconditioned residual, ``r.r`` and ``r.z``; the new direction. Every
+dot product is a sum of per-span ``einsum`` partial sums added in span
+order, never a BLAS ``ddot``, so the iterates do not depend on the BLAS
+thread count. Large systems split into two spans, and the second one runs
+on a worker thread (SciPy's sparse products and NumPy's loops release the
+GIL). The spans depend only on the matrix, so the serial and the threaded
+loop give the same bits.
+"""
 
 from __future__ import annotations
 
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import LinearSystem
 
 __all__ = ["SolveReport", "NonConvergence", "cg_solve"]
+
+# Free dofs from which the rows split into two spans of about equal nnz.
+# On a 2-core host the threaded loop was 10% slower than the serial one at
+# 65,025 free dofs (n = 128) and 35% faster at 101,761 (n = 160): below
+# this size the hand-offs to the worker cost more than they save.
+ROW_SPLIT = 2**16
 
 
 @dataclass
@@ -28,14 +50,41 @@ class NonConvergence(RuntimeError):
         self.report = report
 
 
+def row_spans(a: sp.csr_matrix) -> list[slice]:
+    """The fixed row spans of ``a``: one below ``ROW_SPLIT`` rows, else two
+    split at half the stored entries."""
+    n = a.shape[0]
+    if n < ROW_SPLIT:
+        return [slice(0, n)]
+    mid = int(np.searchsorted(a.indptr, a.indptr[-1] // 2))
+    return [slice(0, mid), slice(mid, n)]
+
+
+def row_block(a: sp.csr_matrix, rows: slice) -> sp.csr_matrix:
+    """The rows ``rows`` of ``a`` as a CSR matrix sharing its data and
+    column indices."""
+    lo, hi = a.indptr[rows.start], a.indptr[rows.stop]
+    indptr = a.indptr[rows.start:rows.stop + 1] - lo
+    return sp.csr_matrix((a.data[lo:hi], a.indices[lo:hi], indptr),
+                         shape=(rows.stop - rows.start, a.shape[1]), copy=False)
+
+
+def span_dot(us, vs) -> float:
+    """Sum over the spans of ``einsum`` dot products, in span order."""
+    total = 0.0
+    for u, v in zip(us, vs):
+        total += np.einsum("i,i->", u, v)
+    return total
+
+
 def cg_solve(system: LinearSystem, tol: float = 1e-10,
              max_iter: int | None = None) -> SolveReport:
     """Solve the reduced SPD system by preconditioned conjugate gradients.
 
     Diagonal (Jacobi) preconditioner, zero start vector, termination on
     ||r|| / ||b|| <= tol. Deterministic: identical inputs give identical
-    iterate sequences. Raises NonConvergence past ``max_iter`` (default
-    10 * n).
+    iterate sequences, whatever the number of threads. Raises
+    NonConvergence past ``max_iter`` (default 10 * n).
     """
     a, b, _ = system.reduced()
     n = len(b)
@@ -43,29 +92,69 @@ def cg_solve(system: LinearSystem, tol: float = 1e-10,
         return SolveReport(system.embed(np.empty(0)), 0, 0.0, np.empty(0))
     if max_iter is None:
         max_iter = 10 * n
-    norm_b = np.linalg.norm(b)
+    spans = row_spans(a)
+    bs = [b[s] for s in spans]
+    norm_b = math.sqrt(span_dot(bs, bs))
     if norm_b == 0.0:
         return SolveReport(system.embed(np.zeros(n)), 0, 0.0, np.zeros(1))
 
+    blocks = [row_block(a, s) for s in spans]
     inv_diag = 1.0 / a.diagonal()
     x = np.zeros(n)
     r = b.copy()
     z = inv_diag * r
     p = z.copy()
-    rz = r @ z
-    history = [np.linalg.norm(r) / norm_b]
-    for it in range(1, max_iter + 1):
-        ap = a @ p
-        alpha = rz / (p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        rel = np.linalg.norm(r) / norm_b
-        history.append(rel)
-        if rel <= tol:
-            return SolveReport(system.embed(x), it, rel, np.array(history))
-        z = inv_diag * r
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+    tmp = np.empty(n)
+    ds, xs, rs, zs, ps, ts = ([v[s] for s in spans]
+                              for v in (inv_diag, x, r, z, p, tmp))
+    aps = [None] * len(spans)
+
+    def product(k):
+        aps[k] = blocks[k] @ p
+        return np.einsum("i,i->", ps[k], aps[k])
+
+    def update(k, alpha):
+        np.multiply(ps[k], alpha, out=ts[k])
+        xs[k] += ts[k]
+        aps[k] *= alpha
+        rs[k] -= aps[k]
+        np.multiply(ds[k], rs[k], out=zs[k])
+        return np.einsum("i,i->", rs[k], rs[k]), np.einsum("i,i->", rs[k], zs[k])
+
+    def direction(k, beta):
+        ps[k] *= beta
+        ps[k] += zs[k]
+
+    rz = span_dot(rs, zs)
+    history = [1.0]  # r = b
+    threaded = len(spans) > 1 and _cpus() > 1
+    with ThreadPoolExecutor(1) if threaded else nullcontext() as pool:
+
+        def run(phase, *args):
+            """The phase on every span; the last span on the worker."""
+            if pool is None:
+                return [phase(k, *args) for k in range(len(spans))]
+            future = pool.submit(phase, 1, *args)
+            try:
+                first = phase(0, *args)
+            finally:
+                last = future.result()
+            return [first, last]
+
+        for it in range(1, max_iter + 1):
+            alpha = rz / sum(run(product))
+            rr, rz_new = map(sum, zip(*run(update, alpha)))
+            rel = math.sqrt(rr) / norm_b
+            history.append(rel)
+            if rel <= tol:
+                return SolveReport(system.embed(x), it, rel, np.array(history))
+            run(direction, rz_new / rz)
+            rz = rz_new
     report = SolveReport(system.embed(x), max_iter, history[-1], np.array(history))
     raise NonConvergence(report, tol)
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

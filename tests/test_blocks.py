@@ -216,6 +216,9 @@ ERRORS_SMALL_BLOCK_BOUND_MIB = 3.4
 # patch-major) and 11.8 MiB (max_angle_audit, 8.8 before), plus 20%.
 CONFIGS_BOUND_MIB = 23.7
 AUDIT_BOUND_MIB = 14.1
+# LinearSystem.reduced: 12.2 MiB measured, plus 20%. The returned A_ff is
+# 5.4 MiB; the rest is the slice matrix[free] and SciPy's column selection.
+REDUCED_BOUND_MIB = 14.6
 
 
 class TestPeakMemory:
@@ -261,3 +264,8 @@ class TestPeakMemory:
     def test_max_angle_audit(self, circle):
         _, mesh, configs = circle
         assert _traced_peak_mib(max_angle_audit, mesh, configs) < AUDIT_BOUND_MIB
+
+    def test_reduced(self, circle):
+        problem, mesh, configs = circle
+        system = assemble(mesh, configs, problem)
+        assert _traced_peak_mib(system.reduced) < REDUCED_BOUND_MIB

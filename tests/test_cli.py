@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import patchfem
+from patchfem import solver as solver_module
 from patchfem.adaptation import CUT_KINDS, VERTEX_EDGE, adapt
 from patchfem.cli import main
 from patchfem.mesh import build_structured_mesh
@@ -278,6 +279,23 @@ class TestImportCost:
         assert proc.stdout.splitlines()[-1] == "False"
 
 
+class TestBlasThreads:
+    def test_csv_does_not_depend_on_blas_threads(self, tmp_path):
+        # OpenBLAS splits a dot product of more than 10,000 entries over its
+        # threads; n = 64 has 16,129 free dofs.
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.csv"
+            env = {**_package_env(), "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-m", "patchfem.cli", "solve", "--problem", "circle",
+                 "--n", "64", "--out", str(out)],
+                capture_output=True, text=True, env=env, check=False)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 class TestNoCyclicGarbage:
     """A solve frees its arrays by reference counting alone: nothing it
     leaves behind waits for the cyclic garbage collector."""
@@ -300,6 +318,12 @@ class TestNoCyclicGarbage:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_threaded_solve(self, monkeypatch):
+        # 961 free dofs at n = 16: two spans, the second on the worker.
+        monkeypatch.setattr(solver_module, "ROW_SPLIT", 500)
+        monkeypatch.setattr(solver_module, "_cpus", lambda: 2)
+        self.test_run_single(RunConfig(problem="circle", n=16))
 
     def test_tilted_case_has_vertex_cuts(self):
         problem = tilted_problem(0.3)

@@ -1,14 +1,20 @@
 """Tests for the preconditioned CG solver and the dense oracle."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from patchfem import solver as solver_module
 from patchfem.adaptation import adapt
 from patchfem.assembly import LinearSystem, assemble
 from patchfem.mesh import build_structured_mesh
-from patchfem.problems import circle_problem
-from patchfem.solver import NonConvergence, cg_solve
+from patchfem.problems import circle_problem, tilted_problem
+from patchfem.solver import NonConvergence, cg_solve, row_block, row_spans, span_dot
 
 from .oracles import SingularSystem, dense_solve_oracle
 
@@ -18,8 +24,8 @@ def plain_system(a, b):
                         np.array([], dtype=int), np.array([]))
 
 
-def assembled_circle_system(n=8):
-    p = circle_problem()
+def assembled_system(n=8, p=None):
+    p = p or circle_problem()
     mesh = build_structured_mesh(n, p.domain)
     configs, _, _ = adapt(mesh, p.levelset, 2)
     return assemble(mesh, configs, p)
@@ -42,19 +48,19 @@ class TestCgSolve:
         assert np.allclose(report.solution, 0.0)
 
     def test_reported_residual_below_tol(self):
-        system = assembled_circle_system()
+        system = assembled_system()
         report = cg_solve(system, tol=1e-10)
         assert report.relative_residual <= 1e-10
         assert report.residual_history[-1] == report.relative_residual
 
     def test_matches_dense_oracle_on_assembled_system(self):
-        system = assembled_circle_system()
+        system = assembled_system()
         x_cg = cg_solve(system, tol=1e-12).solution
         x_dense = dense_solve_oracle(system)
         assert np.abs(x_cg - x_dense).max() < 1e-8
 
     def test_deterministic(self):
-        system = assembled_circle_system(4)
+        system = assembled_system(4)
         r1 = cg_solve(system)
         r2 = cg_solve(system)
         assert r1.iterations == r2.iterations
@@ -91,15 +97,144 @@ class TestCgSolve:
         assert np.all(diffs <= 1e-10 * energies[0])
 
     def test_nonconvergence_raises_with_report(self):
-        system = assembled_circle_system(4)
+        system = assembled_system(4)
         with pytest.raises(NonConvergence) as info:
             cg_solve(system, tol=1e-14, max_iter=2)
         assert info.value.report.iterations == 2
 
     def test_dirichlet_values_in_solution(self):
-        system = assembled_circle_system(4)
+        system = assembled_system(4)
         sol = cg_solve(system).solution
         assert np.allclose(sol[system.dirichlet_dofs], system.dirichlet_values)
+
+
+class _CountingPool(solver_module.ThreadPoolExecutor):
+    submitted = 0
+
+    def submit(self, *args, **kwargs):
+        type(self).submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture
+def two_spans(monkeypatch):
+    """Systems of more than 500 free dofs split into two spans. The returned
+    function sets the CPU count the solver sees and gives the pool class,
+    which counts the phases handed to the worker."""
+    monkeypatch.setattr(solver_module, "ROW_SPLIT", 500)
+    monkeypatch.setattr(solver_module, "ThreadPoolExecutor", _CountingPool)
+    monkeypatch.setattr(_CountingPool, "submitted", 0)
+
+    def cpus(n):
+        monkeypatch.setattr(solver_module, "_cpus", lambda: n)
+        return _CountingPool
+
+    return cpus
+
+
+class TestRowSpans:
+    def test_one_span_below_split(self):
+        a = assembled_system(16).reduced()[0]
+        assert a.shape[0] < solver_module.ROW_SPLIT
+        assert row_spans(a) == [slice(0, a.shape[0])]
+
+    def test_two_spans_share_the_matrix(self, two_spans):
+        a = assembled_system(16).reduced()[0]
+        spans = row_spans(a)
+        assert len(spans) == 2
+        assert spans[0].start == 0 and spans[0].stop == spans[1].start
+        assert spans[1].stop == a.shape[0]
+        # split at half the stored entries
+        assert abs(2 * a.indptr[spans[0].stop] - a.nnz) <= np.diff(a.indptr).max()
+        p = np.random.default_rng(3).standard_normal(a.shape[0])
+        for rows in spans:
+            block = row_block(a, rows)
+            assert np.shares_memory(block.data, a.data)
+            assert np.shares_memory(block.indices, a.indices)
+            np.testing.assert_array_equal(block @ p, (a @ p)[rows])
+
+
+def _bits(report):
+    return (report.iterations, report.solution.tobytes(),
+            report.residual_history.tobytes())
+
+
+class TestThreadedSpans:
+    """The spans depend on the matrix alone, so the worker thread changes no
+    bit of the iterates."""
+
+    @pytest.mark.parametrize("problem", [circle_problem(), tilted_problem(0.3)],
+                             ids=["circle", "tilted"])
+    def test_threaded_serial_and_repeat_agree(self, two_spans, problem):
+        system = assembled_system(16, problem)
+        pool = two_spans(2)
+        threaded = cg_solve(system)
+        assert pool.submitted == 3 * threaded.iterations - 1
+        # The repeat hands the GIL between the threads as often as it can.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            repeat = cg_solve(system)
+        finally:
+            sys.setswitchinterval(interval)
+        two_spans(1)
+        pool.submitted = 0
+        serial = cg_solve(system)
+        assert pool.submitted == 0
+        assert _bits(threaded) == _bits(repeat) == _bits(serial)
+        assert threaded.relative_residual <= 1e-10
+
+    def test_nonconvergence_from_threaded_loop(self, two_spans):
+        system = assembled_system(16)
+        two_spans(2)
+        threads = threading.active_count()
+        with pytest.raises(NonConvergence) as info:
+            cg_solve(system, tol=1e-14, max_iter=2)
+        assert info.value.report.iterations == 2
+        assert threading.active_count() == threads
+
+    def test_worker_error_propagates(self, two_spans, monkeypatch):
+        class Broken:
+            def __matmul__(self, p):
+                raise FloatingPointError("second span")
+
+        blocks = []
+
+        def broken_second_block(a, rows):
+            blocks.append(rows)
+            return Broken() if len(blocks) == 2 else row_block(a, rows)
+
+        monkeypatch.setattr(solver_module, "row_block", broken_second_block)
+        system = assembled_system(16)
+        two_spans(2)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="second span"):
+            cg_solve(system)
+        assert threading.active_count() == threads
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(n=st.integers(1, 5000), split=st.floats(0.0, 1.0),
+       offsets=st.tuples(st.integers(0, 63), st.integers(0, 63)),
+       seed=st.integers(0, 2**32 - 1))
+def test_span_dot_ignores_alignment(n, split, offsets, seed):
+    """The same values at other byte offsets give the same bits."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    v = rng.standard_normal(n)
+    mid = int(split * n)
+    spans = [slice(0, mid), slice(mid, n)]
+
+    def at_offset(x, offset):
+        buf = np.zeros(x.nbytes + 64, dtype=np.uint8)
+        moved = buf[offset:offset + x.nbytes].view(np.float64)
+        moved[:] = x
+        return moved
+
+    expected = span_dot([u[s] for s in spans], [v[s] for s in spans])
+    ou, ov = at_offset(u, offsets[0]), at_offset(v, offsets[1])
+    got = span_dot([ou[s] for s in spans], [ov[s] for s in spans])
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 class TestDenseOracle:
