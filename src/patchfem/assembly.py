@@ -7,11 +7,11 @@ stiffness entries use the exact constant-gradient formulas and only the load
 (and the pointwise diffusion sampling of the unfitted baseline) needs
 quadrature. The per-patch work runs over fixed-size patch blocks
 (``mesh.patch_blocks``), so its temporaries do not grow with the mesh. The
-element matrices go straight into a CSR array with duplicates, laid out as
-SciPy's COO -> CSR conversion of all element matrices in patch order would
-lay them out, and SciPy sums the duplicates; the loads are added in patch
-order. The result is the same for any block size, and no COO over the whole
-mesh is held.
+matrix is built one block of dof rows at a time, its element-matrix rows in
+the order SciPy's COO -> CSR conversion of all element matrices in patch
+order would bucket them, and SciPy sums each block's duplicates; the loads
+are added in patch order. The result is the same for any block size, and no
+array with one slot per element-matrix entry is held.
 """
 
 from __future__ import annotations
@@ -90,14 +90,47 @@ class LinearSystem:
         return mask
 
     def reduced(self):
-        """(A_ff, b_f - A_fb g, free mask): the SPD system on free dofs."""
+        """(A_ff, b_f - A_fb g, free mask): the SPD system on free dofs.
+
+        One pass over the stored entries, one block of ``PATCH_BLOCK`` rows
+        at a time, keeps those in a free row and a free column, in stored
+        order, and renumbers their columns. The kept entries go straight
+        into arrays sized by the free rows' entries, so no row or column
+        slice of the matrix is formed.
+        """
         free = self.free_mask()
-        a_ff = self.matrix[free][:, free]
+        m = self.matrix
+        # The index of every free dof among the free dofs, -1 at the others.
+        new_index = np.cumsum(free, dtype=m.indices.dtype) - 1
+        new_index[~free] = -1
+        row_nnz = np.diff(m.indptr)
+        size = int(row_nnz[free].sum())
+        data, indices = np.empty(size), np.empty(size, dtype=m.indices.dtype)
+        cut, stop = [np.empty(0, dtype=np.intp)], 0
+        for blk in patch_blocks(self.n_dof):
+            lo, hi = m.indptr[blk.start], m.indptr[blk.stop]
+            cols = np.take(new_index, m.indices[lo:hi])
+            keep = cols >= 0
+            cut.append(np.flatnonzero(~keep) + lo)  # few: the Dirichlet columns
+            keep &= np.repeat(free[blk], row_nnz[blk])
+            start, stop = stop, stop + np.count_nonzero(keep)
+            data[start:stop] = m.data[lo:hi][keep]
+            indices[start:stop] = cols[keep]
+        # Shrink in place to the kept entries; no view of the arrays exists.
+        data.resize(stop, refcheck=False)
+        indices.resize(stop, refcheck=False)
+        # A free row keeps its entries but those in a Dirichlet column.
+        cut_rows = np.searchsorted(m.indptr, np.concatenate(cut), side="right") - 1
+        row_nnz -= np.bincount(cut_rows, minlength=self.n_dof).astype(row_nnz.dtype)
+        n_free = np.count_nonzero(free)
+        indptr = np.zeros(n_free + 1, dtype=m.indptr.dtype)
+        np.cumsum(row_nnz[free], out=indptr[1:])
+        a_ff = sp.csr_matrix((data, indices, indptr), shape=(n_free, n_free))
         # A_fb g as the free rows of A g_ext, g_ext zero on the free dofs: the
         # zero terms leave the bits of every row sum as they are.
         g_ext = np.zeros(self.n_dof)
         g_ext[self.dirichlet_dofs] = self.dirichlet_values
-        b = self.rhs[free] - (self.matrix @ g_ext)[free]
+        b = self.rhs[free] - (m @ g_ext)[free]
         return a_ff, b, free
 
     def embed(self, x_free: np.ndarray) -> np.ndarray:
@@ -119,12 +152,11 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
     level-set sign, i.e. the mesh ignores the interface. Dirichlet rows and
     columns are eliminated symmetrically against the problem's boundary data.
 
-    Element matrices and loads are formed one patch block at a time
-    (``patch_blocks``). Each element-matrix row goes straight into its slot
-    of a row-bucketed CSR array with duplicates, laid out as SciPy's COO ->
-    CSR conversion lays out the triplets in patch order; ``sum_duplicates``
-    then sorts and sums it, and the loads are added in patch order. So the
-    result is the one of a single COO over the whole mesh, for any block size.
+    The loads and kappa * area of every subtriangle are formed one patch
+    block at a time (``patch_blocks``), and the loads are added in patch
+    order. The matrix is then built one block of dof rows at a time
+    (``_stiffness``), so the result is the one of a single COO over the whole
+    mesh, for any block size.
     """
     if mode not in ("adapted", "baseline"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -138,12 +170,10 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
     # The index type SciPy picks for a COO with 36 entries per patch.
     index = np.int32 if max(36 * mesh.n_patches, n_dof) < 2**31 else np.int64
     sub_dofs = dof_map.subtriangle_dofs(slice(None), configs.topology).astype(index)
-    slots, indptr, indices = _row_buckets(sub_dofs, n_dof)
-    data = np.empty(indices.shape)
-    row_item = np.dtype((np.void, 3 * data.itemsize))
+    kap_area = np.empty(configs.areas.shape, order="F")
     rhs = np.zeros(n_dof)
     for blk in patch_blocks(mesh.n_patches):
-        areas, grads = configs.areas[blk], configs.grads[blk]
+        areas = configs.areas[blk]
         qpts, qwts = map_rule(configs.tris[blk], areas, rule)  # (nb,4,nq,2), (nb,4,nq)
         mask = problem.inside(qpts)  # true interface side at each load point
         if mode == "adapted":
@@ -152,19 +182,7 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
             # Pointwise diffusion from the true interface, averaged by quadrature.
             kap_q = np.where(mask, problem.kappa1, problem.kappa2)
             kap = (qwts * kap_q).sum(axis=-1) / qwts.sum(axis=-1)  # (nb, 4)
-
-        # kappa * area * grad(l_a).grad(l_b), symmetric in a and b.
-        gx, gy = grads[..., 0], grads[..., 1]
-        kap *= areas
-        cell = np.empty(areas.shape + (3, 3))
-        for a in range(3):
-            for b in range(a, 3):
-                cell[..., a, b] = (gx[..., a] * gx[..., b] + gy[..., a] * gy[..., b]) * kap
-                cell[..., b, a] = cell[..., a, b]
-        # One element-matrix row is one 24-byte item, so the scatter moves
-        # whole rows.
-        np.put(data.view(row_item).ravel(), slots[12 * blk.start:12 * blk.stop],
-               cell.view(row_item).ravel())
+        np.multiply(kap, areas, out=kap_area[blk])
         # Load: f from the true level-set sign at each quadrature point,
         # weighted and summed against each basis function in quadrature-point
         # order, as einsum("pqn,pqn,na->pqa", qwts, f, lam) sums it. The
@@ -178,12 +196,8 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
                 acc += wf[..., q] * lam[q, a]
             load[..., a] = acc
         np.add.at(rhs, sub_dofs[blk].ravel(), load.ravel())
-    # Nothing but the CSR arrays stays alive through ``sum_duplicates``, the
-    # peak of the whole solve; its final copy then frees them.
-    del qpts, qwts, mask, kap, cell, wf, acc, load, slots, sub_dofs
-    matrix = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(n_dof, n_dof))
-    del data, indices
-    matrix.sum_duplicates()
+    del qpts, qwts, mask, kap, wf, acc, load
+    matrix = _stiffness(sub_dofs, configs.grads, kap_area, n_dof)
 
     dirichlet = np.nonzero(dof_map.boundary)[0]
     positions = _dof_positions(mesh)
@@ -191,33 +205,84 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
     return LinearSystem(matrix, rhs, dirichlet, values)
 
 
-def _row_buckets(sub_dofs: np.ndarray, n_dof: int):
-    """Slots of the element-matrix rows in a row-bucketed CSR with duplicates.
+def _stiffness(sub_dofs: np.ndarray, grads: np.ndarray, kap_area: np.ndarray,
+               n_dof: int) -> sp.csr_matrix:
+    """The stiffness matrix, one block of ``PATCH_BLOCK`` dof rows at a time.
 
-    Row k of the element matrices (subtriangle k // 3, local vertex k % 3)
-    couples dof ``sub_dofs.flat[k]`` with the three dofs of its subtriangle.
-    In the COO triplets of all element matrices in patch order, its three
+    Element-matrix row (t, a) of subtriangle t = 4 * patch + j holds
+    kappa * area * grad(l_a).grad(l_b) at the dofs ``sub_dofs[t, b]``. In
+    the COO triplets of all element matrices in patch order its three
     entries are consecutive, and SciPy's COO -> CSR conversion buckets them
-    by row in that order. So row k starts at ``indptr[dof] + 3 * rank``,
-    where rank counts the earlier rows of the same dof; that is 3 times the
-    position of k in a stable sort of the row dofs. Returns the slot (in
-    units of 3 entries) of every row, the CSR ``indptr`` and the column
-    indices (n_rows, 3).
+    by row dof in that order, i.e. in a stable sort of the row dofs. For
+    each block of dof rows, the element-matrix rows of the block are
+    gathered from the geometry in that order and SciPy sorts and sums the
+    duplicates of the block, row by row as it would over the whole matrix.
+    So every bit is the one of a single COO over the whole mesh, and nothing
+    with one slot per element-matrix entry is held.
     """
+    order, row_ptr = _row_order(sub_dofs, n_dof)
+    n_sub = kap_area.size
+    # Coordinate-major planes over the subtriangles s = j * n_patches + patch.
+    gx, gy = grads.T.reshape(2, 3, -1)
+    ka = kap_area.T.ravel()
+    # The three dofs of a subtriangle as one 12- or 24-byte item.
+    cols = sub_dofs.reshape(-1, 3)
+    col_items = cols.view(np.dtype((np.void, 3 * cols.itemsize))).ravel()
+    indptr = np.zeros(n_dof + 1, dtype=sub_dofs.dtype)
+    data, indices = np.empty(0), np.empty(0, dtype=sub_dofs.dtype)
+    for blk in patch_blocks(n_dof):
+        lo, hi = row_ptr[blk.start], row_ptr[blk.stop]
+        # Element row 4 * t + a; s is subtriangle t in the planes, at is
+        # vertex a of it in the (3, n_sub) planes of gx and gy.
+        at = order[lo:hi].astype(np.intp)
+        tri = at >> 2
+        s = tri & 3
+        s *= n_sub // 4
+        s += tri >> 2
+        at &= 3
+        at *= n_sub
+        at += s
+        # (gx_a gx_b + gy_a gy_b) * kappa * area, one plane per b.
+        vals = np.empty((hi - lo, 3))
+        np.multiply(np.take(gx, s, axis=1), np.take(gx, at), out=vals.T)
+        gyy = np.take(gy, s, axis=1)
+        gyy *= np.take(gy, at)
+        vals.T[...] += gyy
+        vals.T[...] *= np.take(ka, s)
+        block = sp.csr_matrix(
+            (vals.ravel(), np.take(col_items, tri).view(cols.dtype),
+             3 * (row_ptr[blk.start:blk.stop + 1] - lo)),
+            shape=(blk.stop - blk.start, n_dof))
+        del at, tri, s, vals, gyy
+        block.sum_duplicates()
+        indptr[blk.start + 1:blk.stop + 1] = block.indptr[1:] + indptr[blk.start]
+        # Grow the matrix arrays in place (a realloc: no view of them
+        # exists) and append the block.
+        start = indptr[blk.start]
+        data.resize(indptr[blk.stop], refcheck=False)
+        indices.resize(indptr[blk.stop], refcheck=False)
+        data[start:], indices[start:] = block.data, block.indices
+        del block
+    return sp.csr_matrix((data, indices, indptr), shape=(n_dof, n_dof))
+
+
+def _row_order(sub_dofs: np.ndarray, n_dof: int):
+    """The element-matrix rows in a stable sort of their row dofs, each as
+    ``4 * t + a`` (subtriangle t, local vertex a), and the start of each
+    dof's run in that order (``n_dof + 1`` offsets)."""
     rows = sub_dofs.ravel()
-    # A stable argsort of the row dofs, as one sort of distinct keys
-    # (dof, k) packed into int64.
-    shift = rows.size.bit_length()
-    order = rows.astype(np.int64) << shift
-    order |= np.arange(rows.size)
+    # A stable sort of the row dofs, as one sort of distinct keys
+    # (dof, 4 * t + a) packed into int64.
+    n_sub = len(rows) // 3
+    shift = (4 * n_sub).bit_length()
+    order = rows.astype(np.int64)
+    order <<= shift
+    for a, plane in enumerate(order.reshape(-1, 3).T):
+        plane |= np.arange(a, 4 * n_sub, 4)
     order.sort()
+    row_ptr = np.searchsorted(order, np.arange(n_dof + 1) << shift).astype(rows.dtype)
     order &= (1 << shift) - 1
-    slots = np.empty_like(rows)
-    slots[order] = np.arange(rows.size, dtype=rows.dtype)
-    indptr = np.zeros(n_dof + 1, dtype=rows.dtype)
-    np.cumsum(3 * np.bincount(rows, minlength=n_dof), out=indptr[1:])
-    indices = np.take(sub_dofs.reshape(-1, 3), order // 3, axis=0)
-    return slots, indptr, indices
+    return order.astype(rows.dtype), row_ptr
 
 
 def _dof_positions(mesh: PatchMesh) -> np.ndarray:

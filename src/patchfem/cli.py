@@ -1,7 +1,7 @@
 """Command-line front end: solve, convergence, sweep, angles subcommands.
 
 Exit codes: 0 on success, 1 on runtime failure (non-convergence, unresolvable
-cut), 2 on usage errors.
+cut, a grid too large to allocate), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args, parser)
         return _cmd_angles(args)
-    except (NonConvergence, RuntimeError, InsufficientData, ValueError) as exc:
+    except (NonConvergence, RuntimeError, InsufficientData, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

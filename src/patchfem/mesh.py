@@ -73,12 +73,14 @@ def pairwise_sums(leaf, n_patches: int, per_patch: int):
     The arrays are C-ordered with ``per_patch`` elements per patch, i.e.
     ``n_patches * per_patch`` elements flat. ``leaf(start, stop)`` returns
     the ``np.sum`` of every array over the flat span [start, stop), which
-    covers at most ``PATCH_BLOCK`` patches' worth of elements. The spans are
-    NumPy's own pairwise split, and their sums are combined in its order, so
-    each result equals ``np.sum`` of the whole array bit for bit, for any
-    block size.
+    covers at most ``4 * PATCH_BLOCK`` elements (or NumPy's 128-element
+    run). The spans are NumPy's own pairwise split, and their sums are
+    combined in its order, so each result equals ``np.sum`` of the whole
+    array bit for bit, for any block size.
     """
-    leaf_size = max(PATCH_BLOCK * per_patch, _PAIRWISE_RUN)
+    # Four elements per patch of a block: about 2,300 patches of the
+    # 28-point error integrands, whatever ``per_patch`` is.
+    leaf_size = max(4 * PATCH_BLOCK, _PAIRWISE_RUN)
     return _pairwise(leaf, 0, n_patches * per_patch, leaf_size)
 
 

@@ -65,8 +65,11 @@ def row_block(a: sp.csr_matrix, rows: slice) -> sp.csr_matrix:
     column indices."""
     lo, hi = a.indptr[rows.start], a.indptr[rows.stop]
     indptr = a.indptr[rows.start:rows.stop + 1] - lo
-    return sp.csr_matrix((a.data[lo:hi], a.indices[lo:hi], indptr),
-                         shape=(rows.stop - rows.start, a.shape[1]), copy=False)
+    block = sp.csr_matrix((a.data[lo:hi], a.indices[lo:hi], indptr),
+                          shape=(rows.stop - rows.start, a.shape[1]), copy=False)
+    # SciPy copies a view of less than half its base on construction.
+    block.data, block.indices = a.data[lo:hi], a.indices[lo:hi]
+    return block
 
 
 def span_dot(us, vs) -> float:

@@ -7,6 +7,11 @@ geometry kernels are the patch-major versions, which compute on (..., 2)
 coordinate pairs; ``patch_major_geometry``, ``assemble_reference`` and
 ``error_norms_reference`` rebuild the per-patch integrals from them. The
 package's coordinate-major kernels must give exactly the same bytes.
+``assemble_buckets_reference`` is the whole-mesh path that the row-block
+assembly replaced: every element-matrix row written into its slot of one
+row-bucketed CSR array with duplicates (``row_buckets_reference``), then
+one ``sum_duplicates``. ``reduced_reference`` eliminates the Dirichlet dofs
+by slicing the matrix.
 
 ``build_structured_mesh_reference`` numbers the edges with a dictionary while
 walking the cells, and ``build_configs_reference`` builds one configuration
@@ -46,6 +51,7 @@ from patchfem.assembly import build_dof_map
 from patchfem.geometry import (
     DEGENERACY_TOL,
     DegenerateTriangle,
+    map_rule,
     reference_lambdas,
     reference_quad_rule,
     triangle_area,
@@ -314,6 +320,83 @@ def assemble_reference(mesh: PatchMesh, configs, problem, mode="adapted"):
     rhs = np.zeros(dof_map.n_dof)
     np.add.at(rhs, sub_dofs.ravel(), load.ravel())
     return matrix, rhs
+
+
+def row_buckets_reference(sub_dofs: np.ndarray, n_dof: int):
+    """Slots of the element-matrix rows in a row-bucketed CSR with duplicates.
+
+    Row k of the element matrices (subtriangle k // 3, local vertex k % 3)
+    couples dof ``sub_dofs.flat[k]`` with the three dofs of its subtriangle.
+    In the COO triplets of all element matrices in patch order, its three
+    entries are consecutive, and SciPy's COO -> CSR conversion buckets them
+    by row in that order. So row k starts at ``indptr[dof] + 3 * rank``,
+    where rank counts the earlier rows of the same dof: 3 times the position
+    of k in a stable sort of the row dofs. Returns the slot (in units of 3
+    entries) of every row, the CSR ``indptr`` and the column indices
+    (n_rows, 3).
+    """
+    rows = sub_dofs.ravel()
+    order = np.argsort(rows, kind="stable")
+    slots = np.empty_like(rows)
+    slots[order] = np.arange(rows.size, dtype=rows.dtype)
+    indptr = np.zeros(n_dof + 1, dtype=rows.dtype)
+    np.cumsum(3 * np.bincount(rows, minlength=n_dof), out=indptr[1:])
+    indices = np.take(sub_dofs.reshape(-1, 3), order // 3, axis=0)
+    return slots, indptr, indices
+
+
+def assemble_buckets_reference(mesh: PatchMesh, configs, problem, mode="adapted"):
+    """Stiffness matrix and load vector as the whole-mesh bucketed path
+    builds them: the element matrices of all patches at once from the
+    coordinate-major geometry, each row put into its slot of one CSR array
+    with duplicates, one ``sum_duplicates``; the loads added in patch
+    order."""
+    rule = reference_quad_rule(2)
+    lam = reference_lambdas(rule)
+    dof_map = build_dof_map(mesh)
+    n_dof = dof_map.n_dof
+    index = np.int32 if max(36 * mesh.n_patches, n_dof) < 2**31 else np.int64
+    sub_dofs = dof_map.subtriangle_dofs(slice(None), configs.topology).astype(index)
+    slots, indptr, indices = row_buckets_reference(sub_dofs, n_dof)
+    qpts, qwts = map_rule(configs.tris, configs.areas, rule)
+    mask = problem.inside(qpts)
+    if mode == "adapted":
+        kap = np.where(configs.sides == 1, problem.kappa1, problem.kappa2)
+    else:
+        kap_q = np.where(mask, problem.kappa1, problem.kappa2)
+        kap = (qwts * kap_q).sum(axis=-1) / qwts.sum(axis=-1)
+    gx, gy = configs.grads[..., 0], configs.grads[..., 1]
+    kap *= configs.areas
+    cell = np.empty(configs.areas.shape + (3, 3))
+    for a in range(3):
+        for b in range(a, 3):
+            cell[..., a, b] = (gx[..., a] * gx[..., b] + gy[..., a] * gy[..., b]) * kap
+            cell[..., b, a] = cell[..., a, b]
+    data = np.empty(indices.shape)
+    row_item = np.dtype((np.void, 3 * data.itemsize))
+    np.put(data.view(row_item).ravel(), slots, cell.view(row_item).ravel())
+    matrix = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(n_dof, n_dof))
+    matrix.sum_duplicates()
+    wf = np.multiply(qwts, problem.f(qpts, mask), order="F")
+    load = np.empty(configs.areas.shape + (3,))
+    for a in range(3):
+        acc = wf[..., 0] * lam[0, a]
+        for q in range(1, len(lam)):
+            acc += wf[..., q] * lam[q, a]
+        load[..., a] = acc
+    rhs = np.zeros(n_dof)
+    np.add.at(rhs, sub_dofs.ravel(), load.ravel())
+    return matrix, rhs
+
+
+def reduced_reference(system):
+    """(A_ff, b_f - A_fb g) by slicing: the free rows of the matrix, then
+    their free columns; b from the free rows of A g_ext."""
+    free = system.free_mask()
+    a_ff = system.matrix[free][:, free]
+    g_ext = np.zeros(system.n_dof)
+    g_ext[system.dirichlet_dofs] = system.dirichlet_values
+    return a_ff, system.rhs[free] - (system.matrix @ g_ext)[free]
 
 
 def error_norms_reference(mesh: PatchMesh, configs, problem, u_h, degree=5):

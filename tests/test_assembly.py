@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from patchfem.adaptation import CutClass, adapt, reference_local_nodes, subtriangle_topology
-from patchfem.assembly import assemble, build_dof_map, interpolate_nodal
+from patchfem.assembly import LinearSystem, assemble, build_dof_map, interpolate_nodal
 from patchfem.geometry import map_rule, reference_quad_rule, triangle_area
 from patchfem.levelset import Circle
 from patchfem.mesh import build_structured_mesh
@@ -17,7 +18,7 @@ from patchfem.problems import (
 )
 from patchfem.solver import cg_solve
 
-from .oracles import barycentric, local_load, local_nodes, local_stiffness
+from .oracles import barycentric, local_load, local_nodes, local_stiffness, reduced_reference
 
 UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 TOPO_A = subtriangle_topology(CutClass("uncut"))
@@ -270,6 +271,48 @@ class TestAssemblyOracle:
         dense = system.matrix.toarray()
         assert np.abs(dense - matrix).max() <= 1e-13 * np.abs(matrix).max()
         assert np.abs(system.rhs - rhs).max() <= 1e-13 * np.abs(rhs).max()
+
+
+class TestReduced:
+    """The one-pass Dirichlet elimination gives the arrays of slicing the
+    matrix (free rows, then free columns) and the same bits of b."""
+
+    @staticmethod
+    def _assembled(problem, n):
+        mesh = build_structured_mesh(n, problem.domain)
+        configs, _, _ = adapt(mesh, problem.levelset, 2)
+        return assemble(mesh, configs, problem)
+
+    @staticmethod
+    def _check(system):
+        a_ff, b, free = system.reduced()
+        ref_a, ref_b = reduced_reference(system)
+        np.testing.assert_array_equal(free, system.free_mask())
+        assert a_ff.shape == ref_a.shape
+        for attr in ("indptr", "indices", "data"):
+            actual, expected = getattr(a_ff, attr), getattr(ref_a, attr)
+            assert actual.dtype == expected.dtype
+            assert actual.tobytes() == expected.tobytes()
+        assert b.tobytes() == ref_b.tobytes()
+        return a_ff
+
+    @pytest.mark.parametrize("problem, n", [(circle_problem(), 8), (tilted_problem(0.3), 8)],
+                             ids=["circle", "tilted"])
+    def test_assembled(self, problem, n):
+        self._check(self._assembled(problem, n))
+
+    def test_no_dirichlet_dofs(self):
+        rng = np.random.default_rng(4)
+        m = rng.standard_normal((12, 12)) * (rng.random((12, 12)) < 0.4)
+        system = LinearSystem(sp.csr_matrix(m.T @ m + np.eye(12)), rng.standard_normal(12),
+                              np.array([], dtype=int), np.array([]))
+        assert self._check(system).shape == (12, 12)
+
+    def test_every_dof_dirichlet(self):
+        system = self._assembled(circle_problem(), 4)
+        system.dirichlet_dofs = np.arange(system.n_dof)
+        system.dirichlet_values = np.linspace(-1.0, 1.0, system.n_dof)
+        assert self._check(system).shape == (0, 0)
 
 
 class TestInterpolateNodal:

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from patchfem import mesh as mesh_module
 from patchfem.adaptation import (
+    CUT_KINDS,
+    VERTEX_EDGE,
     Classification,
     CutClass,
     adapt,
@@ -23,8 +25,9 @@ from patchfem.adaptation import (
 from patchfem.assembly import assemble
 from patchfem.mesh import build_structured_mesh, pairwise_sums, patch_blocks
 from patchfem.problems import circle_problem, error_norms, tilted_problem
+from patchfem.runner import RunConfig, run_single
 
-from .oracles import assemble_reference, error_norms_reference
+from .oracles import assemble_buckets_reference, assemble_reference, error_norms_reference
 
 MIB = 2**20
 
@@ -117,11 +120,70 @@ class TestBlockInvariance:
         assert norms == error_norms_reference(mesh, configs, problem, u_h)
 
 
+def _same_bits(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestRowBlocks:
+    """The matrix is built one block of ``PATCH_BLOCK`` dof rows at a time.
+    It equals the whole-mesh bucketed path (every element-matrix row in one
+    CSR array with duplicates, one ``sum_duplicates``) bit for bit, with
+    row blocks that do not divide the dof count and with a single block."""
+
+    @pytest.mark.parametrize("block", [5, "one"])
+    @pytest.mark.parametrize(
+        "problem, n, mode",
+        [
+            (circle_problem(), 6, "adapted"),
+            (tilted_problem(0.3), 8, "adapted"),  # vertex cuts
+            (circle_problem(), 6, "baseline"),
+        ],
+        ids=["circle", "tilted", "baseline"],
+    )
+    def test_bitwise_equal_to_bucketed_path(self, monkeypatch, problem, n, mode, block):
+        mesh = build_structured_mesh(n, problem.domain)
+        if mode == "baseline":
+            configs = _uncut_configs(mesh, problem.levelset)
+        else:
+            configs, _, _ = adapt(mesh, problem.levelset, 2)
+        n_dof = mesh.n_vertices + mesh.n_edges
+        if block == "one":
+            block = max(n_dof, mesh.n_patches)
+        else:
+            assert n_dof % block != 0
+        monkeypatch.setattr(mesh_module, "PATCH_BLOCK", block)
+        system = assemble(mesh, configs, problem, mode=mode)
+        matrix, rhs = assemble_buckets_reference(mesh, configs, problem, mode)
+
+        if problem.name == "tilted":
+            assert np.any(configs.kind == CUT_KINDS.index(VERTEX_EDGE))
+        for attr in ("indptr", "indices", "data"):
+            _same_bits(getattr(system.matrix, attr), getattr(matrix, attr))
+        _same_bits(system.rhs, rhs)
+
+    def test_two_patterns_match_the_bucketed_path(self, monkeypatch):
+        """Two tilted interfaces that cut different vertices give two
+        stored patterns, and both match the bucketed path."""
+        monkeypatch.setattr(mesh_module, "PATCH_BLOCK", 5)
+        patterns = set()
+        for alpha in (0.3, 1.0):
+            problem = tilted_problem(alpha)
+            mesh = build_structured_mesh(8, problem.domain)
+            configs, _, _ = adapt(mesh, problem.levelset, 2)
+            system = assemble(mesh, configs, problem)
+            matrix, _ = assemble_buckets_reference(mesh, configs, problem)
+            for attr in ("indptr", "indices", "data"):
+                _same_bits(getattr(system.matrix, attr), getattr(matrix, attr))
+            patterns.add((matrix.indptr.tobytes(), matrix.indices.tobytes()))
+        assert len(patterns) == 2
+
+
 @settings(derandomize=True, deadline=None, max_examples=30, database=None)
 @given(n_patches=st.integers(1, 40000), block=st.sampled_from([1, 5, 2**14]),
        seed=st.integers(0, 2**32 - 1))
 def test_pairwise_sums_equal_np_sum(n_patches, block, seed):
-    """The spans tile the flat arrays in order, each at most 28 * block
+    """The spans tile the flat arrays in order, each at most 4 * block
     elements (or NumPy's 128-element run), and their sums combine to
     ``np.sum`` of the whole C-ordered arrays bit for bit."""
     rng = np.random.default_rng(seed)
@@ -141,7 +203,7 @@ def test_pairwise_sums_equal_np_sum(n_patches, block, seed):
     starts, stops = np.array(spans).T
     assert starts[0] == 0 and stops[-1] == positive.size
     np.testing.assert_array_equal(starts[1:], stops[:-1])
-    assert np.all(stops - starts <= max(28 * block, 128))
+    assert np.all(stops - starts <= max(4 * block, 128))
 
 
 class _CountingLevelSet:
@@ -196,35 +258,43 @@ def _traced_peak_mib(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-# Measured traced peaks at n = 128 are 36.5 MiB (assemble, straight into
-# the CSR with duplicates) and 42.0 MiB (error_norms, integrands per span of
-# the pairwise sum); the bounds add 20%. With the whole-mesh COO and
-# integrand arrays the same calls peaked at 43.1 and 59.5 MiB, and without
-# the patch blocks at 84.6 and 89.0 MiB.
-ASSEMBLE_BOUND_MIB = 43.8
-ERRORS_BOUND_MIB = 50.4
-# With blocks of 512 patches the block temporaries are small, and the peaks
-# show what each call holds over the whole mesh: measured 19.4 MiB
-# (assemble: the CSR arrays with duplicates, the row slots, the returned
-# matrix) and 2.8 MiB (error_norms), plus 20%. The whole-mesh COO and the
-# whole-mesh integrand arrays peaked at 43.1 and 16.9 MiB.
+# Measured traced peaks at n = 128 are 19.8 MiB (assemble, the matrix built
+# one block of dof rows at a time) and 6.6 MiB (error_norms, integrand spans
+# of at most 4 * PATCH_BLOCK elements); the bounds add 20%. With the CSR
+# array with duplicates over the whole mesh and spans of PATCH_BLOCK patches
+# the same calls peaked at 36.5 and 42.0 MiB, with the whole-mesh COO and
+# integrand arrays at 43.1 and 59.5 MiB, and without the patch blocks at
+# 84.6 and 89.0 MiB.
+ASSEMBLE_BOUND_MIB = 23.7
+ERRORS_BOUND_MIB = 7.9
+# With blocks of 512 patches (and dof rows) the block temporaries are
+# small, and the peaks show what each call holds over the whole mesh:
+# measured 13.2 MiB (assemble: the row order, kappa * area, the loads and
+# the returned matrix) and 2.3 MiB (error_norms), plus 20%. The CSR array
+# with duplicates peaked at 19.4 MiB, the whole-mesh COO at 43.1, and the
+# whole-mesh integrand arrays at 16.9 (2.8 with the patch-block spans).
 SMALL_BLOCK = 512
-ASSEMBLE_SMALL_BLOCK_BOUND_MIB = 23.3
-ERRORS_SMALL_BLOCK_BOUND_MIB = 3.4
+ASSEMBLE_SMALL_BLOCK_BOUND_MIB = 15.8
+ERRORS_SMALL_BLOCK_BOUND_MIB = 2.8
 # The same for the coordinate-major geometry: 19.8 MiB (build_configs, which
 # returns 14.3 MiB of arrays; 30.6 MiB when it gathered the subtriangles
 # patch-major) and 11.8 MiB (max_angle_audit, 8.8 before), plus 20%.
 CONFIGS_BOUND_MIB = 23.7
 AUDIT_BOUND_MIB = 14.1
-# LinearSystem.reduced: 12.2 MiB measured, plus 20%. The returned A_ff is
-# 5.4 MiB; the rest is the slice matrix[free] and SciPy's column selection.
-REDUCED_BOUND_MIB = 14.6
+# LinearSystem.reduced: 8.1 MiB measured, plus 20%; the returned A_ff is
+# 5.4 MiB. Slicing matrix[free] and then its free columns peaked at 12.2.
+REDUCED_BOUND_MIB = 9.7
+# A whole run_single of the tilted problem at n = 128 with strategy 3,
+# every stage included: 38.1 MiB measured, plus 20%. Its largest stage was
+# error_norms at 67.0 MiB before the row blocks and the capped spans.
+RUN_SINGLE_BOUND_MIB = 45.8
 
 
 class TestPeakMemory:
-    """Traced peaks at n = 128 (32,768 patches, two blocks), above what each
-    call holds on entry. tracemalloc sees every NumPy allocation, so a new
-    quadrature temporary over the whole mesh fails these bounds."""
+    """Traced peaks at n = 128 (32,768 patches, two patch blocks, five blocks
+    of dof rows), above what each call holds on entry. tracemalloc sees
+    every NumPy allocation, so a new temporary over the whole mesh, in any
+    stage of a solve, fails these bounds."""
 
     @pytest.fixture(scope="class")
     def circle(self):
@@ -269,3 +339,7 @@ class TestPeakMemory:
         problem, mesh, configs = circle
         system = assemble(mesh, configs, problem)
         assert _traced_peak_mib(system.reduced) < REDUCED_BOUND_MIB
+
+    def test_run_single(self):
+        config = RunConfig(problem="tilted", n=128, strategy=3, alpha=0.3)
+        assert _traced_peak_mib(run_single, config) < RUN_SINGLE_BOUND_MIB

@@ -255,6 +255,23 @@ class TestCliExitCodes:
         ]
         assert f"over {2 * 24 * 24} patches" in proc.stdout
 
+    def test_unallocatable_grid_exits_1(self):
+        # NumPy refuses the 8 TiB of x coordinates of n = 2**40 before
+        # touching memory; the child's address space is capped at 4 GiB
+        # so that no host could grant the request.
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+            "from patchfem.cli import main\n"
+            f"sys.exit(main(['solve', '--n', '{2**40}']))\n"
+        )
+        env = {**_package_env(), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, check=False, timeout=60)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: Unable to allocate")
+
     def test_angles_strategy1_circle_reports_violation(self):
         # strategy 1 leaves vertex-cut patches unremedied; the audit must
         # fail truthfully on the circle, whose axis tangencies hit vertices

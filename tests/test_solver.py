@@ -147,7 +147,8 @@ class TestRowSpans:
         # split at half the stored entries
         assert abs(2 * a.indptr[spans[0].stop] - a.nnz) <= np.diff(a.indptr).max()
         p = np.random.default_rng(3).standard_normal(a.shape[0])
-        for rows in spans:
+        # A block of less than half the entries shares them too.
+        for rows in spans + [slice(0, 3)]:
             block = row_block(a, rows)
             assert np.shares_memory(block.data, a.data)
             assert np.shares_memory(block.indices, a.indices)
