@@ -72,7 +72,7 @@ class LinearSystem:
     """Sparse symmetric system with Dirichlet data kept alongside.
 
     ``matrix`` and ``rhs`` are assembled over all dofs; ``dirichlet_dofs``
-    carry ``dirichlet_values``. ``reduced()`` eliminates them symmetrically.
+    carry ``dirichlet_values``. ``reduced()`` lifts them into the load.
     """
 
     matrix: sp.csr_matrix
@@ -90,56 +90,20 @@ class LinearSystem:
         return mask
 
     def reduced(self):
-        """(A_ff, b_f - A_fb g, free mask): the SPD system on free dofs.
+        """(matrix, b, free mask): the system CG solves on the free dofs.
 
-        One pass over the stored entries, one block of ``PATCH_BLOCK`` rows
-        at a time, keeps those in a free row and a free column, in stored
-        order, and renumbers their columns. The kept entries go straight
-        into arrays sized by the free rows' entries, so no row or column
-        slice of the matrix is formed.
+        The matrix is ``matrix`` itself; its free rows and columns are the
+        SPD system. ``b`` is the lifted load ``rhs - A g`` over all dofs, g
+        the Dirichlet data and zero at the free dofs, and ``b`` is zero at
+        the Dirichlet dofs. Its free entries have the bits of
+        ``b_f - A_fb g``: the zeros of g add nothing to a row sum.
         """
-        free = self.free_mask()
-        m = self.matrix
-        # The index of every free dof among the free dofs, -1 at the others.
-        new_index = np.cumsum(free, dtype=m.indices.dtype) - 1
-        new_index[~free] = -1
-        row_nnz = np.diff(m.indptr)
-        size = int(row_nnz[free].sum())
-        data, indices = np.empty(size), np.empty(size, dtype=m.indices.dtype)
-        cut, stop = [np.empty(0, dtype=np.intp)], 0
-        for blk in patch_blocks(self.n_dof):
-            lo, hi = m.indptr[blk.start], m.indptr[blk.stop]
-            cols = np.take(new_index, m.indices[lo:hi])
-            keep = cols >= 0
-            cut.append(np.flatnonzero(~keep) + lo)  # few: the Dirichlet columns
-            keep &= np.repeat(free[blk], row_nnz[blk])
-            start, stop = stop, stop + np.count_nonzero(keep)
-            data[start:stop] = m.data[lo:hi][keep]
-            indices[start:stop] = cols[keep]
-        # Shrink in place to the kept entries; no view of the arrays exists.
-        data.resize(stop, refcheck=False)
-        indices.resize(stop, refcheck=False)
-        # A free row keeps its entries but those in a Dirichlet column.
-        cut_rows = np.searchsorted(m.indptr, np.concatenate(cut), side="right") - 1
-        row_nnz -= np.bincount(cut_rows, minlength=self.n_dof).astype(row_nnz.dtype)
-        n_free = np.count_nonzero(free)
-        indptr = np.zeros(n_free + 1, dtype=m.indptr.dtype)
-        np.cumsum(row_nnz[free], out=indptr[1:])
-        a_ff = sp.csr_matrix((data, indices, indptr), shape=(n_free, n_free))
-        # A_fb g as the free rows of A g_ext, g_ext zero on the free dofs: the
-        # zero terms leave the bits of every row sum as they are.
-        g_ext = np.zeros(self.n_dof)
-        g_ext[self.dirichlet_dofs] = self.dirichlet_values
-        b = self.rhs[free] - (m @ g_ext)[free]
-        return a_ff, b, free
-
-    def embed(self, x_free: np.ndarray) -> np.ndarray:
-        """Full dof vector from free-dof values plus the Dirichlet data."""
-        out = np.empty(self.n_dof)
-        free = self.free_mask()
-        out[free] = x_free
-        out[self.dirichlet_dofs] = self.dirichlet_values
-        return out
+        g = np.zeros(self.n_dof)
+        g[self.dirichlet_dofs] = self.dirichlet_values
+        b = self.matrix @ g
+        np.subtract(self.rhs, b, out=b)
+        b[self.dirichlet_dofs] = 0.0
+        return self.matrix, b, self.free_mask()
 
 
 def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
@@ -149,8 +113,8 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
     mode "adapted": the diffusion is constant on every subtriangle, taken
     from its side label. mode "baseline": the same uniform geometry but the
     diffusion is sampled pointwise at the quadrature points from the true
-    level-set sign, i.e. the mesh ignores the interface. Dirichlet rows and
-    columns are eliminated symmetrically against the problem's boundary data.
+    level-set sign, i.e. the mesh ignores the interface. The Dirichlet dofs
+    carry the problem's boundary data; ``LinearSystem.reduced`` lifts it.
 
     The loads and kappa * area of every subtriangle are formed one patch
     block at a time (``patch_blocks``), and the loads are added in patch
@@ -160,16 +124,18 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
     """
     if mode not in ("adapted", "baseline"):
         raise ValueError(f"unknown mode {mode!r}")
-    dof_map = build_dof_map(mesh)
     if np.any(configs.areas <= 0.0):
         raise DegenerateTriangle("inverted subtriangle during assembly")
 
     rule = reference_quad_rule(load_degree)
     lam = reference_lambdas(rule)  # (nq, 3)
+    dof_map = build_dof_map(mesh)
     n_dof = dof_map.n_dof
     # The index type SciPy picks for a COO with 36 entries per patch.
     index = np.int32 if max(36 * mesh.n_patches, n_dof) < 2**31 else np.int64
     sub_dofs = dof_map.subtriangle_dofs(slice(None), configs.topology).astype(index)
+    dirichlet = np.flatnonzero(dof_map.boundary)
+    del dof_map  # frees its int64 patch dofs before the matrix build
     kap_area = np.empty(configs.areas.shape, order="F")
     rhs = np.zeros(n_dof)
     for blk in patch_blocks(mesh.n_patches):
@@ -199,7 +165,6 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
     del qpts, qwts, mask, kap, wf, acc, load
     matrix = _stiffness(sub_dofs, configs.grads, kap_area, n_dof)
 
-    dirichlet = np.nonzero(dof_map.boundary)[0]
     positions = _dof_positions(mesh)
     values = problem.u(positions[dirichlet])
     return LinearSystem(matrix, rhs, dirichlet, values)

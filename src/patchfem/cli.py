@@ -31,11 +31,23 @@ from .solver import NonConvergence
 __all__ = ["main", "build_parser"]
 
 
+def _distinct(values: list) -> list:
+    """``values`` if no entry repeats: a repeated grid size or sweep value
+    would give duplicate rows, and a rate fitted through equal h values."""
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise argparse.ArgumentTypeError(f"repeated value {v!r}")
+        seen.add(v)
+    return values
+
+
 def _float_list(text: str):
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
+    return _distinct(values)
 
 
 def _size(text: str) -> int:
@@ -46,7 +58,7 @@ def _size(text: str) -> int:
 
 
 def _size_list(text: str):
-    return [_size(v) for v in text.split(",") if v.strip() != ""]
+    return _distinct([_size(v) for v in text.split(",") if v.strip() != ""])
 
 
 # Upper ends of the allowed [0, hi] ranges of the interface parameters.

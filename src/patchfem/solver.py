@@ -1,14 +1,18 @@
 """Jacobi-preconditioned conjugate gradients.
 
-Each iteration runs in three phases over fixed row spans of the reduced
-matrix: the matrix-vector product with ``p.Ap``; the ``x``/``r`` updates,
-the preconditioned residual, ``r.r`` and ``r.z``; the new direction. Every
-dot product is a sum of per-span ``einsum`` partial sums added in span
-order, never a BLAS ``ddot``, so the iterates do not depend on the BLAS
-thread count. Large systems split into two spans, and the second one runs
-on a worker thread (SciPy's sparse products and NumPy's loops release the
-GIL). The spans depend only on the matrix, so the serial and the threaded
-loop give the same bits.
+CG runs on the assembled matrix itself, with vectors over all dofs whose
+Dirichlet entries stay zero: the lifted load and the inverse diagonal are
+zero there, and so is every product after its Dirichlet rows are cleared.
+The free entries then follow Jacobi-CG on the free rows and columns, and no
+copy of them is made. Each iteration runs in three phases over fixed row
+spans of the matrix: the matrix-vector product with ``p.Ap``; the ``x``/``r``
+updates, the preconditioned residual, ``r.r`` and ``r.z``; the new
+direction. Every dot product is a sum of per-span ``einsum`` partial sums
+added in span order, never a BLAS ``ddot``, so the iterates do not depend on
+the BLAS thread count. Large systems split into two spans, and the second
+one runs on a worker thread (SciPy's sparse products and NumPy's loops
+release the GIL). The spans depend only on the system, so the serial and the
+threaded loop give the same bits.
 """
 
 from __future__ import annotations
@@ -50,11 +54,11 @@ class NonConvergence(RuntimeError):
         self.report = report
 
 
-def row_spans(a: sp.csr_matrix) -> list[slice]:
-    """The fixed row spans of ``a``: one below ``ROW_SPLIT`` rows, else two
-    split at half the stored entries."""
+def row_spans(a: sp.csr_matrix, n_free: int) -> list[slice]:
+    """The fixed row spans of ``a``: one below ``ROW_SPLIT`` free dofs, else
+    two split at half the stored entries."""
     n = a.shape[0]
-    if n < ROW_SPLIT:
+    if n_free < ROW_SPLIT:
         return [slice(0, n)]
     mid = int(np.searchsorted(a.indptr, a.indptr[-1] // 2))
     return [slice(0, mid), slice(mid, n)]
@@ -82,39 +86,46 @@ def span_dot(us, vs) -> float:
 
 def cg_solve(system: LinearSystem, tol: float = 1e-10,
              max_iter: int | None = None) -> SolveReport:
-    """Solve the reduced SPD system by preconditioned conjugate gradients.
+    """Solve the SPD system on the free dofs by preconditioned conjugate
+    gradients.
 
     Diagonal (Jacobi) preconditioner, zero start vector, termination on
-    ||r|| / ||b|| <= tol. Deterministic: identical inputs give identical
-    iterate sequences, whatever the number of threads. Raises
-    NonConvergence past ``max_iter`` (default 10 * n).
+    ||r|| / ||b|| <= tol. The solution carries the Dirichlet values as
+    given. Deterministic: identical inputs give identical iterate sequences,
+    whatever the number of threads. Raises NonConvergence past ``max_iter``
+    (default 10 times the free dofs).
     """
-    a, b, _ = system.reduced()
-    n = len(b)
-    if n == 0:
-        return SolveReport(system.embed(np.empty(0)), 0, 0.0, np.empty(0))
+    a, r, free = system.reduced()  # r = b, a new vector CG may update
+    n_free = np.count_nonzero(free)
     if max_iter is None:
-        max_iter = 10 * n
-    spans = row_spans(a)
-    bs = [b[s] for s in spans]
-    norm_b = math.sqrt(span_dot(bs, bs))
+        max_iter = 10 * n_free
+    x = np.zeros(system.n_dof)
+
+    def report(iterations, history):
+        x[system.dirichlet_dofs] = system.dirichlet_values
+        return SolveReport(x, iterations, history[-1], np.array(history))
+
+    spans = row_spans(a, n_free)
+    rs = [r[s] for s in spans]
+    norm_b = math.sqrt(span_dot(rs, rs))
     if norm_b == 0.0:
-        return SolveReport(system.embed(np.zeros(n)), 0, 0.0, np.zeros(1))
+        return report(0, [0.0])
 
     blocks = [row_block(a, s) for s in spans]
-    inv_diag = 1.0 / a.diagonal()
-    x = np.zeros(n)
-    r = b.copy()
+    fixed = [np.flatnonzero(~free[s]) for s in spans]
+    inv_diag = np.zeros(system.n_dof)
+    np.divide(1.0, a.diagonal(), out=inv_diag, where=free)
     z = inv_diag * r
     p = z.copy()
-    tmp = np.empty(n)
-    ds, xs, rs, zs, ps, ts = ([v[s] for s in spans]
-                              for v in (inv_diag, x, r, z, p, tmp))
+    tmp = np.empty(system.n_dof)
+    ds, xs, zs, ps, ts = ([v[s] for s in spans] for v in (inv_diag, x, z, p, tmp))
     aps = [None] * len(spans)
 
     def product(k):
-        aps[k] = blocks[k] @ p
-        return np.einsum("i,i->", ps[k], aps[k])
+        ap = blocks[k] @ p
+        ap[fixed[k]] = 0.0
+        aps[k] = ap
+        return np.einsum("i,i->", ps[k], ap)
 
     def update(k, alpha):
         np.multiply(ps[k], alpha, out=ts[k])
@@ -150,11 +161,10 @@ def cg_solve(system: LinearSystem, tol: float = 1e-10,
             rel = math.sqrt(rr) / norm_b
             history.append(rel)
             if rel <= tol:
-                return SolveReport(system.embed(x), it, rel, np.array(history))
+                return report(it, history)
             run(direction, rz_new / rz)
             rz = rz_new
-    report = SolveReport(system.embed(x), max_iter, history[-1], np.array(history))
-    raise NonConvergence(report, tol)
+    raise NonConvergence(report(max_iter, history), tol)
 
 
 def _cpus() -> int:

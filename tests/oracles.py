@@ -11,7 +11,8 @@ package's coordinate-major kernels must give exactly the same bytes.
 assembly replaced: every element-matrix row written into its slot of one
 row-bucketed CSR array with duplicates (``row_buckets_reference``), then
 one ``sum_duplicates``. ``reduced_reference`` eliminates the Dirichlet dofs
-by slicing the matrix.
+by slicing the matrix into a separate free-dof system, and ``embed`` puts
+the Dirichlet data back around its solution.
 
 ``build_structured_mesh_reference`` numbers the edges with a dictionary while
 walking the cells, and ``build_configs_reference`` builds one configuration
@@ -24,7 +25,9 @@ exactly equal.
 and ``local_stiffness``, ``local_load`` and ``barycentric`` are the textbook
 per-element formulas; the tests scatter them element by element to check
 the vectorised assembly. ``dense_solve_oracle`` solves a small system by a
-dense factorization, against which the tests check the CG solver.
+dense factorization, and ``jacobi_cg_reference`` runs textbook Jacobi-CG on
+the sliced free-dof system; the tests check the in-place CG solver against
+both.
 """
 
 from __future__ import annotations
@@ -399,6 +402,42 @@ def reduced_reference(system):
     return a_ff, system.rhs[free] - (system.matrix @ g_ext)[free]
 
 
+def embed(system, x_free: np.ndarray) -> np.ndarray:
+    """Full dof vector from free-dof values plus the Dirichlet data."""
+    out = np.empty(system.n_dof)
+    out[system.free_mask()] = x_free
+    out[system.dirichlet_dofs] = system.dirichlet_values
+    return out
+
+
+def jacobi_cg_reference(system, tol: float = 1e-10):
+    """Jacobi-CG on ``reduced_reference``'s A_ff with BLAS dot products:
+    zero start, stop at ||r|| / ||b|| <= tol. The full dof vector and the
+    iteration count."""
+    a, b = reduced_reference(system)
+    norm_b = np.linalg.norm(b)
+    if norm_b == 0.0:
+        return embed(system, np.zeros(len(b))), 0
+    inv_diag = 1.0 / a.diagonal()
+    x = np.zeros(len(b))
+    r = b.copy()
+    z = inv_diag * r
+    p = z.copy()
+    rz = r @ z
+    for it in range(1, 10 * len(b) + 1):
+        ap = a @ p
+        alpha = rz / (p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        if np.linalg.norm(r) <= tol * norm_b:
+            return embed(system, x), it
+        z = inv_diag * r
+        rz_new = r @ z
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise RuntimeError("reference Jacobi-CG did not converge")
+
+
 def error_norms_reference(mesh: PatchMesh, configs, problem, u_h, degree=5):
     """L2 and H1-seminorm errors over the whole mesh at once, from the
     patch-major geometry."""
@@ -548,11 +587,11 @@ class SingularSystem(np.linalg.LinAlgError):
 def dense_solve_oracle(system) -> np.ndarray:
     """Direct factorization of the densified free-dof system of a
     ``LinearSystem``; the full dof vector, Dirichlet values included."""
-    a, b, _ = system.reduced()
+    a, b = reduced_reference(system)
     if a.shape[0] > DENSE_GUARD:
         raise ValueError(f"dense oracle limited to {DENSE_GUARD} dofs")
     if a.shape[0] == 0:
-        return system.embed(np.empty(0))
+        return embed(system, np.empty(0))
     dense = a.toarray()
     try:
         x = scipy.linalg.solve(dense, b, assume_a="sym")
@@ -560,4 +599,4 @@ def dense_solve_oracle(system) -> np.ndarray:
         raise SingularSystem(str(exc)) from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystem("non-finite solution from dense factorization")
-    return system.embed(x)
+    return embed(system, x)

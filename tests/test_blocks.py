@@ -4,6 +4,7 @@ and their working memory must not grow with the mesh beyond the arrays they
 return."""
 
 import dataclasses
+import gc
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patchfem import assembly as assembly_module
 from patchfem import mesh as mesh_module
 from patchfem.adaptation import (
     CUT_KINDS,
@@ -22,10 +24,11 @@ from patchfem.adaptation import (
     classify_all,
     max_angle_audit,
 )
-from patchfem.assembly import assemble
+from patchfem.assembly import DofMap, assemble
 from patchfem.mesh import build_structured_mesh, pairwise_sums, patch_blocks
 from patchfem.problems import circle_problem, error_norms, tilted_problem
 from patchfem.runner import RunConfig, run_single
+from patchfem.solver import cg_solve
 
 from .oracles import assemble_buckets_reference, assemble_reference, error_norms_reference
 
@@ -258,14 +261,16 @@ def _traced_peak_mib(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-# Measured traced peaks at n = 128 are 19.8 MiB (assemble, the matrix built
-# one block of dof rows at a time) and 6.6 MiB (error_norms, integrand spans
-# of at most 4 * PATCH_BLOCK elements); the bounds add 20%. With the CSR
-# array with duplicates over the whole mesh and spans of PATCH_BLOCK patches
-# the same calls peaked at 36.5 and 42.0 MiB, with the whole-mesh COO and
+# Measured traced peaks at n = 128 are 18.2 MiB (assemble, the matrix built
+# one block of dof rows at a time, the int64 patch dofs dropped once the
+# subtriangle dofs exist) and 6.6 MiB (error_norms, integrand spans of at
+# most 4 * PATCH_BLOCK elements); the bounds add 20%. Holding the patch dofs
+# through the matrix build, assemble peaked at 19.8 MiB; with the CSR array
+# with duplicates over the whole mesh and spans of PATCH_BLOCK patches the
+# same calls peaked at 36.5 and 42.0 MiB, with the whole-mesh COO and
 # integrand arrays at 43.1 and 59.5 MiB, and without the patch blocks at
 # 84.6 and 89.0 MiB.
-ASSEMBLE_BOUND_MIB = 23.7
+ASSEMBLE_BOUND_MIB = 21.9
 ERRORS_BOUND_MIB = 7.9
 # With blocks of 512 patches (and dof rows) the block temporaries are
 # small, and the peaks show what each call holds over the whole mesh:
@@ -281,13 +286,21 @@ ERRORS_SMALL_BLOCK_BOUND_MIB = 2.8
 # patch-major) and 11.8 MiB (max_angle_audit, 8.8 before), plus 20%.
 CONFIGS_BOUND_MIB = 23.7
 AUDIT_BOUND_MIB = 14.1
-# LinearSystem.reduced: 8.1 MiB measured, plus 20%; the returned A_ff is
-# 5.4 MiB. Slicing matrix[free] and then its free columns peaked at 12.2.
-REDUCED_BOUND_MIB = 9.7
+# A vector over the 66,049 dofs at n = 128 is 0.50 MiB and the matrix 5.52.
+# LinearSystem.reduced: 1.07 MiB measured (the lifted load, the Dirichlet
+# data vector and the free mask), plus 20%. Copying the free rows and
+# columns into A_ff peaked at 8.1 MiB, slicing them at 12.2.
+REDUCED_BOUND_MIB = 1.3
+# cg_solve: 4.38 MiB measured (its vectors over all dofs), plus 20%: below
+# the matrix itself, so a copy of it fails. On a separate A_ff it peaked at
+# 10.3 MiB.
+CG_SOLVE_BOUND_MIB = 5.3
 # A whole run_single of the tilted problem at n = 128 with strategy 3,
-# every stage included: 38.1 MiB measured, plus 20%. Its largest stage was
-# error_norms at 67.0 MiB before the row blocks and the capped spans.
-RUN_SINGLE_BOUND_MIB = 45.8
+# every stage included: 36.7 MiB measured, plus 20%. It was 38.1 MiB with a
+# separate A_ff and the patch dofs held through the matrix build, and its
+# largest stage was error_norms at 67.0 MiB before the row blocks and the
+# capped spans.
+RUN_SINGLE_BOUND_MIB = 44.0
 
 
 class TestPeakMemory:
@@ -339,6 +352,32 @@ class TestPeakMemory:
         problem, mesh, configs = circle
         system = assemble(mesh, configs, problem)
         assert _traced_peak_mib(system.reduced) < REDUCED_BOUND_MIB
+
+    def test_cg_solve(self, circle):
+        problem, mesh, configs = circle
+        system = assemble(mesh, configs, problem)
+        matrix = system.matrix
+        matrix_mib = (matrix.data.nbytes + matrix.indices.nbytes
+                      + matrix.indptr.nbytes) / MIB
+        assert CG_SOLVE_BOUND_MIB < matrix_mib
+        assert _traced_peak_mib(cg_solve, system) < CG_SOLVE_BOUND_MIB
+
+    def test_dof_map_freed_before_the_matrix_build(self, monkeypatch):
+        """Its int64 patch dofs (1.5 MiB at n = 128) are not held while the
+        matrix is built, as the 20% margins of the bounds above would let
+        through."""
+        problem = circle_problem()
+        mesh = build_structured_mesh(16, problem.domain)
+        configs, _, _ = adapt(mesh, problem.levelset, 2)
+        stiffness, alive = assembly_module._stiffness, []
+
+        def counting(*args):
+            alive.append(sum(isinstance(o, DofMap) for o in gc.get_objects()))
+            return stiffness(*args)
+
+        monkeypatch.setattr(assembly_module, "_stiffness", counting)
+        assemble(mesh, configs, problem)
+        assert alive == [0]
 
     def test_run_single(self):
         config = RunConfig(problem="tilted", n=128, strategy=3, alpha=0.3)

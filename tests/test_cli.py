@@ -193,6 +193,11 @@ class TestCliExitCodes:
             ["sweep", "--problem", "horizontal", "--values", "0.5,1.5", "--n", "8"],
             ["sweep", "--problem", "tilted", "--values", "4", "--n", "8"],
             ["convergence", "--levels", "8,1"],
+            ["convergence", "--levels", "16,16"],
+            ["convergence", "--levels", "8,16,8"],
+            ["sweep", "--problem", "horizontal", "--n", "16,16"],
+            ["sweep", "--problem", "horizontal", "--values", "0.5,0.5", "--n", "8"],
+            ["sweep", "--problem", "tilted", "--values", "0,0.3,0.0", "--n", "8"],
         ],
     )
     def test_out_of_range_arguments_usage_error(self, argv, capsys):
@@ -200,6 +205,14 @@ class TestCliExitCodes:
             main(argv)
         assert info.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_repeated_entry_named_in_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["convergence", "--levels", "16,16"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--levels" in err and "repeated value 16" in err
+        assert "RankWarning" not in err
 
     def test_range_ends_accepted(self, capsys):
         assert main(["solve", "--problem", "horizontal", "--eps", "1", "--n", "2"]) == 0

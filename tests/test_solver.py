@@ -16,7 +16,7 @@ from patchfem.mesh import build_structured_mesh
 from patchfem.problems import circle_problem, tilted_problem
 from patchfem.solver import NonConvergence, cg_solve, row_block, row_spans, span_dot
 
-from .oracles import SingularSystem, dense_solve_oracle
+from .oracles import SingularSystem, dense_solve_oracle, jacobi_cg_reference
 
 
 def plain_system(a, b):
@@ -134,13 +134,23 @@ def two_spans(monkeypatch):
 
 class TestRowSpans:
     def test_one_span_below_split(self):
-        a = assembled_system(16).reduced()[0]
+        a, _, free = assembled_system(16).reduced()
         assert a.shape[0] < solver_module.ROW_SPLIT
-        assert row_spans(a) == [slice(0, a.shape[0])]
+        assert row_spans(a, np.count_nonzero(free)) == [slice(0, a.shape[0])]
+
+    def test_split_counts_free_dofs(self, monkeypatch):
+        a, _, free = assembled_system(16).reduced()
+        n_free = np.count_nonzero(free)
+        monkeypatch.setattr(solver_module, "ROW_SPLIT", n_free + 1)
+        assert a.shape[0] >= solver_module.ROW_SPLIT
+        assert row_spans(a, n_free) == [slice(0, a.shape[0])]
+        assert len(row_spans(a, n_free + 1)) == 2
 
     def test_two_spans_share_the_matrix(self, two_spans):
-        a = assembled_system(16).reduced()[0]
-        spans = row_spans(a)
+        system = assembled_system(16)
+        a, _, free = system.reduced()
+        assert a is system.matrix
+        spans = row_spans(a, np.count_nonzero(free))
         assert len(spans) == 2
         assert spans[0].start == 0 and spans[0].stop == spans[1].start
         assert spans[1].stop == a.shape[0]
@@ -153,6 +163,72 @@ class TestRowSpans:
             assert np.shares_memory(block.data, a.data)
             assert np.shares_memory(block.indices, a.indices)
             np.testing.assert_array_equal(block @ p, (a @ p)[rows])
+
+
+class TestInPlace:
+    """CG on the assembled matrix, with the Dirichlet entries of every vector
+    held at zero, is Jacobi-CG on the free rows and columns; only the
+    grouping of the dot products' sums differs."""
+
+    @pytest.mark.parametrize("problem, mode", [
+        (circle_problem(), "adapted"),
+        (tilted_problem(0.3), "adapted"),  # vertex cuts
+        (circle_problem(), "baseline"),
+    ], ids=["circle", "tilted", "baseline"])
+    def test_matches_cg_on_sliced_system(self, problem, mode):
+        mesh = build_structured_mesh(32, problem.domain)
+        configs, _, _ = adapt(mesh, problem.levelset, 2)
+        system = assemble(mesh, configs, problem, mode)
+        report = cg_solve(system)
+        x_ref, iterations = jacobi_cg_reference(system)
+        assert abs(report.iterations - iterations) <= 2
+        err = np.abs(report.solution - x_ref).max()
+        assert err <= 1e-9 * np.abs(x_ref).max()
+        assert (report.solution[system.dirichlet_dofs].tobytes()
+                == system.dirichlet_values.tobytes())
+
+    def test_no_dirichlet_dofs(self):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((40, 40)) * (rng.random((40, 40)) < 0.2)
+        system = plain_system(m.T @ m + np.eye(40), rng.standard_normal(40))
+        report = cg_solve(system)
+        x_ref, iterations = jacobi_cg_reference(system)
+        assert abs(report.iterations - iterations) <= 2
+        assert np.abs(report.solution - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
+
+    def test_dirichlet_dof_without_diagonal(self):
+        # A Dirichlet dof with no stored entries: its inverse diagonal is
+        # zero, not 1 / 0.
+        a = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 0.0]]))
+        system = LinearSystem(a, np.array([1.0, 1.0, 5.0]), np.array([2]), np.array([7.0]))
+        with np.errstate(all="raise"):
+            report = cg_solve(system)
+        np.testing.assert_allclose(report.solution, [1.0, 1.0, 7.0])
+
+    def test_every_dof_dirichlet(self):
+        system = assembled_system(4)
+        system.dirichlet_dofs = np.arange(system.n_dof)
+        system.dirichlet_values = np.linspace(-1.0, 1.0, system.n_dof)
+        report = cg_solve(system)
+        assert report.iterations == 0
+        assert report.solution.tobytes() == system.dirichlet_values.tobytes()
+
+    def test_zero_lifted_load(self):
+        system = assembled_system(4)
+        system.rhs = np.zeros(system.n_dof)
+        system.dirichlet_values = np.zeros_like(system.dirichlet_values)
+        report = cg_solve(system)
+        assert report.iterations == 0
+        assert report.relative_residual == 0.0
+        assert not report.solution.any()
+
+    def test_nonconvergence_report_carries_dirichlet_values(self):
+        system = assembled_system(4)
+        with pytest.raises(NonConvergence) as info:
+            cg_solve(system, tol=1e-14, max_iter=2)
+        solution = info.value.report.solution
+        assert (solution[system.dirichlet_dofs].tobytes()
+                == system.dirichlet_values.tobytes())
 
 
 def _bits(report):
