@@ -94,6 +94,11 @@ class RefinementRequired(Exception):
         self.patch_id = patch_id
         self.reason = reason
 
+    def __reduce__(self):
+        # Rebuilt from its own arguments, so that it survives the trip back
+        # from a worker process.
+        return type(self), (self.patch_id, self.reason)
+
 
 @dataclass(frozen=True)
 class CutClass:

@@ -4,12 +4,28 @@ and angle audits, with CSV emission.
 Rows are plain dataclasses so the drivers double as a library API for the
 demo scripts and the test suite; the CSV files are deterministic (full
 round-trip float formatting, no timestamps).
+
+The solves of a sweep or a convergence study are independent.
+``run_sweep`` and ``run_convergence`` hand them to ``_run_all``, which runs
+``run_single`` on a pool of forked worker processes, one per CPU (never
+more than there are solves). Each worker is pinned to a CPU of its own, so
+its CG sees one CPU and runs serially, which gives the same bits as the
+threaded loop. The largest grids go out first; rows and stderr lines come
+back in job order, so the output does not depend on the number of CPUs.
+With one CPU or one solve the builtin ``map`` runs the solves in this
+process, as ``solve`` and ``angles`` always do.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
+import itertools
+import multiprocessing
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +49,7 @@ from .problems import (
     horizontal_problem,
     tilted_problem,
 )
+from . import solver
 from .solver import cg_solve
 
 __all__ = [
@@ -178,14 +195,82 @@ def run_single(config: RunConfig) -> ResultRow:
     return _refining(lambda n: _solve_once(config, n), config.n)
 
 
+def _job(config: RunConfig):
+    """``run_single(config)``, returned as (row, exception, stderr text):
+    the row or the exception it raised, and what it wrote to stderr."""
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            row, exc = run_single(config), None
+        except Exception as error:  # re-raised by _run_all, in job order
+            row, exc = None, error
+    return row, exc, err.getvalue()
+
+
+def _pin(cpus) -> None:
+    """Pool initializer: keep this worker on the CPU it takes from ``cpus``."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {cpus.get()})
+
+
+@contextlib.contextmanager
+def _pool(workers: int):
+    """A pool of ``workers`` processes, each pinned to one CPU of this
+    process's set (round-robin if the set is smaller), or None for one
+    worker.
+
+    Forked, not spawned: a worker inherits the imported package instead of
+    importing it again (about half a second). Forking is safe here because
+    the executor forks every worker before it starts its own thread, and
+    this process runs no other thread between solves (CG's worker thread
+    lives inside one solve)."""
+    if workers <= 1:
+        yield None
+        return
+    context = multiprocessing.get_context("fork")
+    cpus = context.SimpleQueue()
+    if hasattr(os, "sched_getaffinity"):
+        for cpu in itertools.islice(itertools.cycle(sorted(os.sched_getaffinity(0))),
+                                    workers):
+            cpus.put(cpu)
+    pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_pin,
+                               initargs=(cpus,))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _run_all(configs: list[RunConfig]) -> list[ResultRow]:
+    """``run_single`` over ``configs``: one row per config, in order.
+
+    The solves run on one worker process per CPU, largest ``n`` first. Each
+    solve's stderr lines are printed, and its exception raised, in job
+    order, as if the solves had run one after another here.
+    """
+    with _pool(min(len(configs), solver._cpus())) as pool:
+        if pool is None:
+            results = map(_job, configs)
+        else:
+            order = sorted(range(len(configs)), key=lambda i: -configs[i].n)
+            futures = {i: pool.submit(_job, configs[i]) for i in order}
+            results = (futures[i].result() for i in range(len(configs)))
+        rows = []
+        for row, exc, err in results:
+            sys.stderr.write(err)
+            if exc is not None:
+                raise exc
+            rows.append(row)
+    return rows
+
+
 def run_convergence(problem: str, levels, strategy: int, mode: str,
                     eps: float = 0.5, alpha: float = np.pi / 4.0):
     """One ResultRow per level plus fitted (L2, H1) rates (None if < 2 rows)."""
-    rows = [
-        run_single(RunConfig(problem=problem, n=n, strategy=strategy, mode=mode,
-                             eps=eps, alpha=alpha))
+    rows = _run_all([
+        RunConfig(problem=problem, n=n, strategy=strategy, mode=mode,
+                  eps=eps, alpha=alpha)
         for n in levels
-    ]
+    ])
     try:
         l2_rate = convergence_rate([(r.h, r.l2) for r in rows])
         h1_rate = convergence_rate([(r.h, r.h1) for r in rows])
@@ -201,14 +286,15 @@ def run_sweep(problem: str, param: str, values, ns, strategy: int):
     """
     if param not in ("eps", "alpha"):
         raise ValueError("sweep parameter must be 'eps' or 'alpha'")
-    rows = []
-    for value in values:
-        for n in ns:
-            cfg = RunConfig(problem=problem, n=n, strategy=strategy,
-                            eps=value if param == "eps" else 0.5,
-                            alpha=value if param == "alpha" else np.pi / 4.0)
-            res = run_single(cfg)
-            rows.append([float(value), n, res.l2, res.h1])
+    jobs = [(value, n) for value in values for n in ns]
+    results = _run_all([
+        RunConfig(problem=problem, n=n, strategy=strategy,
+                  eps=value if param == "eps" else 0.5,
+                  alpha=value if param == "alpha" else np.pi / 4.0)
+        for value, n in jobs
+    ])
+    rows = [[float(value), n, res.l2, res.h1]
+            for (value, n), res in zip(jobs, results)]
     rows.sort(key=lambda row: (row[0], row[1]))
     return rows
 

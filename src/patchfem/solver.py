@@ -52,6 +52,12 @@ class NonConvergence(RuntimeError):
             f"after {report.iterations} iterations (tol {tol:.1e})"
         )
         self.report = report
+        self.tol = tol
+
+    def __reduce__(self):
+        # Rebuilt from its own arguments, so that it survives the trip back
+        # from a worker process.
+        return type(self), (self.report, self.tol)
 
 
 def row_spans(a: sp.csr_matrix, n_free: int) -> list[slice]:

@@ -1,6 +1,8 @@
 """Tests for cut classification, parameter strategies, topologies, side
 labels, and the angle machinery."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,13 @@ class TestClassifyPatch:
         mesh = single_patch([0.0, 0.0], [1.0, 0.0], [0.0, 1.0])
         with pytest.raises(RefinementRequired):
             classify_patch(mesh, 0, Circle((0.5, 0.02), 0.03))
+
+    def test_refinement_required_survives_pickling(self):
+        # A worker process of a sweep sends it back to the parent.
+        exc = pickle.loads(pickle.dumps(RefinementRequired(7, "synthetic")))
+        assert type(exc) is RefinementRequired
+        assert str(exc) == "patch 7: synthetic"
+        assert (exc.patch_id, exc.reason) == (7, "synthetic")
 
     def test_vertex_hit_with_adjacent_edge_crossing(self):
         # line through vertex 0 leaving through the adjacent bottom edge

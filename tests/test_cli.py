@@ -1,6 +1,7 @@
 """Tests for the experiment drivers and the command-line interface."""
 
 import csv
+import functools
 import gc
 import json
 import os
@@ -12,13 +13,16 @@ import numpy as np
 import pytest
 
 import patchfem
+from patchfem import runner as runner_module
 from patchfem import solver as solver_module
-from patchfem.adaptation import CUT_KINDS, VERTEX_EDGE, adapt
+from patchfem.adaptation import CUT_KINDS, VERTEX_EDGE, RefinementRequired, adapt
 from patchfem.cli import main
 from patchfem.mesh import build_structured_mesh
 from patchfem.problems import tilted_problem
 from patchfem.runner import (
+    ResultRow,
     RunConfig,
+    run_angles,
     run_single,
     run_sweep,
     write_csv,
@@ -360,3 +364,126 @@ class TestNoCyclicGarbage:
         mesh = build_structured_mesh(16, problem.domain)
         configs, _, _ = adapt(mesh, problem.levelset, 2)
         assert np.any(configs.kind == CUT_KINDS.index(VERTEX_EDGE))
+
+
+class _CountingProcessPool(runner_module.ProcessPoolExecutor):
+    started = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).started += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """The returned function sets the CPU count this process sees; a worker
+    process still reads its own affinity. It gives the pool class, which
+    counts the pools started."""
+    parent, real = os.getpid(), solver_module._cpus
+    monkeypatch.setattr(runner_module, "ProcessPoolExecutor", _CountingProcessPool)
+    monkeypatch.setattr(_CountingProcessPool, "started", 0)
+
+    def set_cpus(n):
+        monkeypatch.setattr(solver_module, "_cpus",
+                            lambda: n if os.getpid() == parent else real())
+        return _CountingProcessPool
+
+    return set_cpus
+
+
+class TestWorkerPool:
+    """Sweeps and convergence studies run their solves on one worker process
+    per CPU, with the same output as one after another in this process."""
+
+    def _run(self, argv, tmp_path, capsys, tag):
+        out = tmp_path / f"{tag}.csv"
+        code = main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        return code, out.read_bytes() if out.exists() else None, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--problem", "horizontal", "--values", "0.1,0.35,0.5,0.8",
+             "--n", "8,16"],
+            ["sweep", "--problem", "tilted", "--values", "0.3,0.9,1.7", "--n", "8,16",
+             "--strategy", "3"],
+            ["convergence", "--problem", "tilted", "--alpha", "0.3",
+             "--levels", "8,16,32", "--strategy", "3"],
+            ["convergence", "--problem", "circle", "--levels", "8,16", "--mode",
+             "baseline"],
+        ],
+        ids=["sweep-horizontal", "sweep-tilted", "convergence-tilted",
+             "convergence-baseline"],
+    )
+    def test_output_does_not_depend_on_cpus(self, argv, tmp_path, capsys, cpus):
+        cpus(1)
+        serial = self._run(argv, tmp_path, capsys, "one")
+        pool = cpus(2)
+        assert pool.started == 0
+        pooled = self._run(argv, tmp_path, capsys, "two")
+        assert pool.started == 1
+        assert serial[0] == 0 and serial[1] is not None
+        assert pooled == serial
+
+    def test_worker_sees_one_cpu(self, monkeypatch, cpus):
+        # Each row carries what solver._cpus() read and the process id.
+        def probe(config, n):
+            return ResultRow(config.problem, config.mode, config.strategy, n, 1.0,
+                             0, float(solver_module._cpus()), float(os.getpid()),
+                             0, 90.0)
+
+        monkeypatch.setattr(runner_module, "_solve_once", probe)
+        cpus(2)
+        rows = run_sweep("horizontal", "eps", [0.25, 0.75], [8, 16], 2)
+        assert [row[2] for row in rows] == [1.0] * 4
+        assert os.getpid() not in {row[3] for row in rows}
+
+    def test_worker_nonconvergence_exits_1(self, monkeypatch, tmp_path, capsys, cpus):
+        monkeypatch.setattr(runner_module, "cg_solve",
+                            functools.partial(solver_module.cg_solve, max_iter=1))
+        argv = ["sweep", "--problem", "horizontal", "--values", "0.25,0.75",
+                "--n", "8,16"]
+        cpus(1)
+        serial = self._run(argv, tmp_path, capsys, "one")
+        pool = cpus(2)
+        pooled = self._run(argv, tmp_path, capsys, "two")
+        assert pool.started == 1
+        assert pooled == serial
+        code, csv_bytes, _, err = pooled
+        assert code == 1 and csv_bytes is None
+        assert err.startswith("error: CG stalled")
+        assert "Traceback" not in err
+
+    def test_refinement_lines_in_job_order(self, monkeypatch, tmp_path, capsys, cpus):
+        # Grids below n = 16 need refining: one line per doubling, printed
+        # in job order whichever worker finishes first.
+        def coarse_fails(mesh, levelset, strategy):
+            if mesh.n_patches < 2 * 16 * 16:
+                raise RefinementRequired(mesh.n_patches, "synthetic")
+            return adapt(mesh, levelset, strategy)
+
+        monkeypatch.setattr(runner_module, "adapt", coarse_fails)
+        argv = ["sweep", "--problem", "horizontal", "--values", "0.25,0.75",
+                "--n", "4,8,16"]
+        cpus(1)
+        serial = self._run(argv, tmp_path, capsys, "one")
+        pool = cpus(2)
+        pooled = self._run(argv, tmp_path, capsys, "two")
+        assert pool.started == 1
+        assert pooled == serial
+        per_value = [
+            "refining: n=4 -> n=8 (patch 32: synthetic)",
+            "refining: n=8 -> n=16 (patch 128: synthetic)",
+            "refining: n=8 -> n=16 (patch 128: synthetic)",
+        ]
+        assert serial[3].splitlines() == per_value * 2
+
+    def test_single_solves_start_no_pool(self, tmp_path, capsys, cpus):
+        pool = cpus(2)
+        assert main(["solve", "--n", "8"]) == 0
+        run_angles("circle", 8, 2)
+        assert main(["convergence", "--levels", "8"]) == 1  # one level: no rates
+        assert main(["sweep", "--problem", "horizontal", "--values", "0.3",
+                     "--n", "8"]) == 0
+        assert pool.started == 0

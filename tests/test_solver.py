@@ -1,5 +1,6 @@
 """Tests for the preconditioned CG solver and the dense oracle."""
 
+import pickle
 import sys
 import threading
 
@@ -101,6 +102,19 @@ class TestCgSolve:
         with pytest.raises(NonConvergence) as info:
             cg_solve(system, tol=1e-14, max_iter=2)
         assert info.value.report.iterations == 2
+
+    def test_nonconvergence_survives_pickling(self):
+        # A worker process of a sweep sends it back to the parent.
+        system = assembled_system(4)
+        with pytest.raises(NonConvergence) as info:
+            cg_solve(system, tol=1e-14, max_iter=2)
+        exc = pickle.loads(pickle.dumps(info.value))
+        assert type(exc) is NonConvergence
+        assert str(exc) == str(info.value)
+        assert exc.tol == 1e-14
+        assert exc.report.iterations == 2
+        assert (exc.report.residual_history.tobytes()
+                == info.value.report.residual_history.tobytes())
 
     def test_dirichlet_values_in_solution(self):
         system = assembled_system(4)
