@@ -8,12 +8,13 @@ round-trip float formatting, no timestamps).
 The solves of a sweep or a convergence study are independent.
 ``run_sweep`` and ``run_convergence`` hand them to ``_run_all``, which runs
 ``run_single`` on a pool of forked worker processes, one per CPU (never
-more than there are solves). Each worker is pinned to a CPU of its own, so
-its CG sees one CPU and runs serially, which gives the same bits as the
-threaded loop. The largest grids go out first; rows and stderr lines come
-back in job order, so the output does not depend on the number of CPUs.
-With one CPU or one solve the builtin ``map`` runs the solves in this
-process, as ``solve`` and ``angles`` always do.
+more than there are solves, nor than the free memory holds; see
+``_workers``). Each worker is pinned to a CPU of its own, so its CG sees
+one CPU and runs serially, which gives the same bits as the threaded loop.
+The largest grids go out first; rows and stderr lines come back in job
+order, so the output does not depend on the number of CPUs. With one
+worker the builtin ``map`` runs the solves in this process, as ``solve``
+and ``angles`` always do.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import itertools
 import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,9 @@ __all__ = [
 
 MAX_REFINE_RETRIES = 3
 MAX_ANGLE_BOUND = 162.0 + 1e-9
+# Peak memory of one solve above the imported package, per grid cell (n * n
+# cells): measured 2.1-2.6 KiB from n = 128 to 512, on every problem.
+SOLVE_BYTES_PER_CELL = 2600
 
 SOLVE_HEADER = ["problem", "mode", "strategy", "n", "h", "ndofs", "L2", "H1",
                 "cg_iters", "max_angle_deg"]
@@ -208,8 +212,32 @@ def _job(config: RunConfig):
 
 def _pin(cpus) -> None:
     """Pool initializer: keep this worker on the CPU it takes from ``cpus``."""
-    if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {cpus.get()})
+    os.sched_setaffinity(0, {cpus.get()})
+
+
+def _available_memory() -> int:
+    """Bytes of physical memory free now (free pages, page cache not counted)."""
+    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _workers(configs: list[RunConfig]) -> int:
+    """How many worker processes the solves of ``configs`` get: one per CPU,
+    never more than there are solves, nor more solves of the largest grid
+    than fit in the memory free now (``SOLVE_BYTES_PER_CELL``; a forked
+    worker shares the rest with this process).
+
+    One, that is no pool, where ``os.sched_setaffinity`` is missing: the
+    workers need it to keep to one CPU each, and forking is only safe on
+    Linux. One also where ``run_single`` has been wrapped in this process
+    (``functools.wraps`` marks a wrapper with ``__wrapped__``): a tracer or
+    profiler that wraps it keeps its records here, and would see nothing of
+    the solves run in workers."""
+    if (len(configs) <= 1 or not hasattr(os, "sched_setaffinity")
+            or hasattr(run_single, "__wrapped__")):
+        return 1
+    largest = max(config.n for config in configs)
+    fit = _available_memory() // (SOLVE_BYTES_PER_CELL * largest * largest)
+    return max(1, min(len(configs), solver._cpus(), fit))
 
 
 @contextlib.contextmanager
@@ -219,19 +247,21 @@ def _pool(workers: int):
     worker.
 
     Forked, not spawned: a worker inherits the imported package instead of
-    importing it again (about half a second). Forking is safe here because
-    the executor forks every worker before it starts its own thread, and
-    this process runs no other thread between solves (CG's worker thread
-    lives inside one solve)."""
+    importing it again (about half a second). The executor forks every
+    worker before it starts its own thread, and no solve is running here
+    then (CG's worker thread lives inside one solve). The only other
+    threads are OpenBLAS's, idle between BLAS calls; OpenBLAS's own
+    ``pthread_atfork`` handler stops them before a fork, and they start
+    again at the next threaded BLAS call. ``_workers`` keeps the pool to
+    Linux, where this holds."""
     if workers <= 1:
         yield None
         return
     context = multiprocessing.get_context("fork")
     cpus = context.SimpleQueue()
-    if hasattr(os, "sched_getaffinity"):
-        for cpu in itertools.islice(itertools.cycle(sorted(os.sched_getaffinity(0))),
-                                    workers):
-            cpus.put(cpu)
+    for cpu in itertools.islice(itertools.cycle(sorted(os.sched_getaffinity(0))),
+                                workers):
+        cpus.put(cpu)
     pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_pin,
                                initargs=(cpus,))
     try:
@@ -240,20 +270,38 @@ def _pool(workers: int):
         pool.shutdown(cancel_futures=True)
 
 
+def _in_job_order(futures: list):
+    """The results of ``futures`` (one per job, in job order), each as soon
+    as it and the jobs before it are done. Once a job has failed, the jobs
+    after it that have not started are cancelled: their results would never
+    be read."""
+    position = {future: i for i, future in enumerate(futures)}
+    pending = set(futures)
+    for future in futures:
+        while not future.done():
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for finished in done:
+                if not finished.cancelled() and finished.result()[1] is not None:
+                    for later in futures[position[finished] + 1:]:
+                        later.cancel()
+        yield future.result()
+
+
 def _run_all(configs: list[RunConfig]) -> list[ResultRow]:
     """``run_single`` over ``configs``: one row per config, in order.
 
-    The solves run on one worker process per CPU, largest ``n`` first. Each
-    solve's stderr lines are printed, and its exception raised, in job
-    order, as if the solves had run one after another here.
+    The solves run on ``_workers(configs)`` worker processes, largest ``n``
+    first. Each solve's stderr lines are printed, and its exception raised,
+    in job order, as if the solves had run one after another here.
     """
-    with _pool(min(len(configs), solver._cpus())) as pool:
+    with _pool(_workers(configs)) as pool:
         if pool is None:
             results = map(_job, configs)
         else:
-            order = sorted(range(len(configs)), key=lambda i: -configs[i].n)
-            futures = {i: pool.submit(_job, configs[i]) for i in order}
-            results = (futures[i].result() for i in range(len(configs)))
+            futures = [None] * len(configs)
+            for i in sorted(range(len(configs)), key=lambda i: -configs[i].n):
+                futures[i] = pool.submit(_job, configs[i])
+            results = _in_job_order(futures)
         rows = []
         for row, exc, err in results:
             sys.stderr.write(err)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -478,6 +479,54 @@ class TestWorkerPool:
             "refining: n=8 -> n=16 (patch 128: synthetic)",
         ]
         assert serial[3].splitlines() == per_value * 2
+
+    def test_first_failure_cancels_the_jobs_after_it(self, monkeypatch, tmp_path,
+                                                     cpus):
+        # Job order is (0.05, 16), (0.05, 8), (0.1, 16), ...; the n = 16 jobs
+        # go out first. The third job fails at once while the first still
+        # runs: of the jobs after it, only those already handed to a worker
+        # run, and the second still runs before the error is raised.
+        def probe(config, n):
+            if (config.eps, n) == (0.1, 16):
+                raise RuntimeError("synthetic failure")
+            time.sleep(0.2)
+            (tmp_path / f"{tag} {config.eps} {n}").touch()
+            return ResultRow(config.problem, config.mode, config.strategy, n, 1.0,
+                             0, 1.0, 1.0, 0, 90.0)
+
+        monkeypatch.setattr(runner_module, "_solve_once", probe)
+        values = [round(0.05 * k, 2) for k in range(1, 13)]
+        ran = {}
+        for tag, n_cpus in (("one", 1), ("two", 2)):
+            pool = cpus(n_cpus)
+            with pytest.raises(RuntimeError, match="synthetic failure"):
+                run_sweep("horizontal", "eps", values, [16, 8], 2)
+            ran[tag] = {p.name[4:] for p in tmp_path.iterdir() if p.name.startswith(tag)}
+        assert pool.started == 1
+        assert ran["one"] == {"0.05 16", "0.05 8"}
+        assert ran["one"] < ran["two"] and len(ran["two"]) < len(values)
+
+    def test_pool_fits_the_free_memory(self, monkeypatch, cpus):
+        pool = cpus(2)
+        per_solve = runner_module.SOLVE_BYTES_PER_CELL * 16 * 16
+        for free, started in ((2 * per_solve - 1, 0), (2 * per_solve, 1)):
+            monkeypatch.setattr(runner_module, "_available_memory", lambda: free)
+            run_sweep("horizontal", "eps", [0.25, 0.75], [8, 16], 2)
+            assert pool.started == started
+
+    def test_wrapped_run_single_keeps_the_solves_here(self, monkeypatch, cpus):
+        # A tracer that wraps run_single records every solve in this process.
+        calls = []
+
+        @functools.wraps(run_single)
+        def traced(config):
+            calls.append(os.getpid())
+            return run_single(config)
+
+        monkeypatch.setattr(runner_module, "run_single", traced)
+        pool = cpus(2)
+        run_sweep("horizontal", "eps", [0.25, 0.75], [8, 16], 2)
+        assert pool.started == 0 and calls == [os.getpid()] * 4
 
     def test_single_solves_start_no_pool(self, tmp_path, capsys, cpus):
         pool = cpus(2)
