@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import barycentric_gradients, interior_angles, triangle_area
+from .geometry import barycentric_gradients, gather_triangles, interior_angles, triangle_area
 from .levelset import SNAP_TOL
 from .mesh import FREE, INTERFACE_LOCKED, STRATEGY_SET, PatchMesh, patch_blocks
 
@@ -27,6 +27,7 @@ __all__ = [
     "CutClass",
     "PatchConfig",
     "PatchConfigs",
+    "ShapeTable",
     "Classification",
     "classify_all",
     "determined_params",
@@ -145,18 +146,36 @@ class PatchConfig:
 
 
 @dataclass(frozen=True)
+class ShapeTable:
+    """Each distinct subtriangle geometry of an adapted mesh, stored once.
+
+    Entry i holds the four physical subtriangles of one patch of shape i
+    (the lowest patch id), their signed areas and barycentric gradients,
+    coordinate-major (Fortran order) like the kernels return them. Patches
+    of one shape have bitwise-equal vertex differences, so every area,
+    gradient and angle computed here is the one of each of them.
+    """
+
+    tris: np.ndarray  # (n_shapes, 4, 3, 2) subtriangle vertices, F order
+    areas: np.ndarray  # (n_shapes, 4) signed subtriangle areas, F order
+    grads: np.ndarray  # (n_shapes, 4, 3, 2) barycentric gradients, F order
+
+    def __len__(self) -> int:
+        return len(self.areas)
+
+
+@dataclass(frozen=True)
 class PatchConfigs:
     """Adaptation result of every patch, as arrays indexed by patch id.
 
     ``kind`` codes index ``CUT_KINDS``; ``cuts`` is the classification's list
-    of cut classes. ``tris``, ``areas`` and ``grads`` are the physical
-    subtriangle geometry that assembly, error norms and the angle audit
-    share. They are stored coordinate-major (Fortran order): ``tris`` is the
-    transposed view of a C-ordered (2, 3, 4, n_patches) array, so every
-    component of every subtriangle vertex is one contiguous plane over the
-    patches, and a patch block ``tris[blk]`` keeps that property. Indexing
-    gives one patch's ``PatchConfig`` for inspection; the pipeline reads the
-    arrays.
+    of cut classes. ``shape`` indexes ``table``, the subtriangle geometry
+    that assembly, error norms and the angle audit share: patches the
+    interface leaves alone share a few shapes, so nothing is stored per
+    subtriangle of the mesh; quadrature gathers the physical subtriangles of
+    a patch block from ``PatchMesh.node_planes`` where it needs their
+    position. Indexing gives one patch's ``PatchConfig`` for inspection; the
+    pipeline reads the arrays.
     """
 
     cuts: list[CutClass]
@@ -164,9 +183,8 @@ class PatchConfigs:
     params: np.ndarray  # (n_patches, 3) float: q, r, s
     topology: np.ndarray  # (n_patches, 4, 3) int8
     sides: np.ndarray  # (n_patches, 4) int8
-    tris: np.ndarray  # (n_patches, 4, 3, 2) subtriangle vertices, F order
-    areas: np.ndarray  # (n_patches, 4) signed subtriangle areas, F order
-    grads: np.ndarray  # (n_patches, 4, 3, 2) barycentric gradients, F order
+    shape: np.ndarray  # (n_patches,) int32 index into table
+    table: ShapeTable
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -474,38 +492,75 @@ def _anchor_labels(labels, nodes, situation, levelset) -> np.ndarray:
     return labels.astype(np.int8)
 
 
+def _shape_keys(tris) -> np.ndarray:
+    """One item per patch: the raw bytes of the vertex differences
+    x1 - x0, x2 - x0, x2 - x1 (and in y) of its four subtriangles ``tris``
+    (n, 4, 3, 2). The area, gradient and angle kernels read the vertices
+    only through these differences (or their negations, which rounding
+    keeps exact), so equal keys give bitwise-equal results."""
+    diffs = np.empty((len(tris), 4, 2, 3))
+    for c in range(2):
+        x = tris[..., c]
+        np.subtract(x[..., 1], x[..., 0], out=diffs[:, :, c, 0])
+        np.subtract(x[..., 2], x[..., 0], out=diffs[:, :, c, 1])
+        np.subtract(x[..., 2], x[..., 1], out=diffs[:, :, c, 2])
+    return diffs.reshape(len(tris), -1).view(np.dtype((np.void, 24 * 8))).ravel()
+
+
 def build_configs(mesh: PatchMesh, classification: Classification,
                   levelset) -> PatchConfigs:
     """Configurations of all patches after the edge parameters are resolved.
 
-    Topologies come from the fixed tables. The physical subtriangles, their
-    areas and barycentric gradients are gathered here once per adapted mesh,
-    coordinate-major, and side labels come from one level-set evaluation at
-    every subtriangle centroid; only the cut patches are visited one by one,
-    to look up their cut situation.
+    Topologies come from the fixed tables. The physical subtriangles are
+    gathered one patch block at a time: side labels come from a level-set
+    evaluation at their centroids, and their vertex differences key the
+    patch's shape. The distinct keys of each block, merged over the blocks,
+    give the same shape ids as one ``np.unique`` over the whole mesh; areas
+    and gradients are computed once per shape, on the subtriangles of its
+    lowest patch. Only the cut patches are visited one by one, to look up
+    their cut situation.
     """
     cut_ids = classification.cut_ids
     cut = [classification.cuts[pid] for pid in cut_ids]
     kind = np.zeros(mesh.n_patches, dtype=np.int8)
     kind[cut_ids] = [CUT_KINDS.index(c.kind) for c in cut]
-    table = np.zeros(mesh.n_patches, dtype=np.intp)
-    table[cut_ids] = [1 + c.vertex if c.kind == VERTEX_EDGE else 0 for c in cut]
-    topology = _TOPOLOGIES[table]
+    topology_id = np.zeros(mesh.n_patches, dtype=np.intp)
+    topology_id[cut_ids] = [1 + c.vertex if c.kind == VERTEX_EDGE else 0 for c in cut]
+    topology = _TOPOLOGIES[topology_id]
 
-    nodes = mesh.local_nodes_all()
-    rows = np.arange(mesh.n_patches)[:, None]
-    tris = np.empty(topology.shape + (2,), order="F")
-    for v in range(3):
-        tris[:, :, v] = nodes[rows, topology[:, :, v]]
-    areas = triangle_area(tris)
-    sides = side_labels(tris, levelset, mesh.patch_diameters())
+    planes = mesh.node_planes()
+    diameters = mesh.patch_diameters()
+    sides = np.empty((mesh.n_patches, 4), dtype=np.int8)
+    shape = np.empty(mesh.n_patches, dtype=np.int32)
+    keys, firsts, n_keys = [], [], 0
+    for blk in patch_blocks(mesh.n_patches):
+        tris = gather_triangles(planes, mesh.subtriangle_nodes(blk, topology[blk]))
+        sides[blk] = side_labels(tris, levelset, diameters[blk])
+        block_keys, first, inverse = np.unique(_shape_keys(tris), return_index=True,
+                                               return_inverse=True)
+        shape[blk] = inverse + n_keys  # into the concatenated block keys
+        n_keys += len(block_keys)
+        keys.append(block_keys)
+        firsts.append(first + blk.start)
+    del tris
     if len(cut_ids):
         situation = np.array([_SITUATION[_group_key(c)] for c in cut])
-        sides[cut_ids] = _anchor_labels(sides[cut_ids], nodes[cut_ids], situation,
-                                        levelset)
+        nodes = planes[:, mesh.patch_nodes(cut_ids)].transpose(1, 2, 0)
+        sides[cut_ids] = _anchor_labels(sides[cut_ids], nodes, situation, levelset)
+    # Block order is patch order, so the first occurrence of a merged key is
+    # its lowest patch.
+    _, first, merged = np.unique(np.concatenate(keys), return_index=True,
+                                 return_inverse=True)
+    shape = merged.astype(np.int32)[shape]
+    representatives = np.concatenate(firsts)[first]
+    tris = gather_triangles(planes, mesh.subtriangle_nodes(representatives,
+                                                           topology[representatives]))
+    areas = triangle_area(tris)
+    # A zero-area shape gets infinite gradients; assemble rejects it first.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grads = barycentric_gradients(tris, areas)
     return PatchConfigs(classification.cuts, kind, mesh.local_params_all(),
-                        topology, sides, tris, areas,
-                        barycentric_gradients(tris, areas))
+                        topology, sides, shape, ShapeTable(tris, areas, grads))
 
 
 def adapt(mesh: PatchMesh, levelset, strategy: int):
@@ -624,15 +679,18 @@ class AngleAudit:
 def max_angle_audit(mesh: PatchMesh, configs: PatchConfigs) -> AngleAudit:
     """All interior angles of all physical subtriangles, reduced per patch.
 
-    Angles are computed one patch block at a time; the per-patch maxima and
-    the histogram counts do not depend on the block size.
+    Angles are computed once per shape of ``configs.table``. A patch's
+    maximum is its shape's; the histogram counts each shape's angles once
+    per patch of that shape, in integers.
     """
     edges = np.linspace(0.0, 180.0, 19)
-    per_patch = np.empty(mesh.n_patches)
-    hist = np.zeros(len(edges) - 1, dtype=np.intp)
-    for blk in patch_blocks(mesh.n_patches):
-        angles = interior_angles(configs.tris[blk])  # (nb, 4, 3)
-        per_patch[blk] = angles.max(axis=(1, 2))
-        hist += np.histogram(angles, bins=edges)[0]
+    angles = interior_angles(configs.table.tris)  # (n_shapes, 4, 3)
+    per_patch = angles.max(axis=(1, 2))[configs.shape]
+    # np.histogram's bins: [e_i, e_i+1), the last one closed at 180.
+    bins = np.minimum(np.searchsorted(edges, angles, side="right") - 1, len(edges) - 2)
+    n_shapes, n_bins = len(angles), len(edges) - 1
+    bins += n_bins * np.arange(n_shapes)[:, None, None]
+    per_shape = np.bincount(bins.ravel(), minlength=n_shapes * n_bins)
+    patches = np.bincount(configs.shape, minlength=n_shapes)
+    hist = patches @ per_shape.reshape(n_shapes, n_bins)
     return AngleAudit(configs, per_patch, float(per_patch.max()), hist, edges)
-

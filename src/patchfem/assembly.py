@@ -1,17 +1,19 @@
 """Degree-of-freedom management and assembly of the stiffness matrix and
 load vector for piecewise-linear elements on the four-triangle patch splits.
 
-The subtriangles, their areas and barycentric gradients come from
-``PatchConfigs``. The basis restricted to a subtriangle is linear, so
-stiffness entries use the exact constant-gradient formulas and only the load
-(and the pointwise diffusion sampling of the unfitted baseline) needs
-quadrature. The per-patch work runs over fixed-size patch blocks
-(``mesh.patch_blocks``), so its temporaries do not grow with the mesh. The
-matrix is built one block of dof rows at a time, its element-matrix rows in
-the order SciPy's COO -> CSR conversion of all element matrices in patch
-order would bucket them, and SciPy sums each block's duplicates; the loads
-are added in patch order. The result is the same for any block size, and no
-array with one slot per element-matrix entry is held.
+The subtriangle areas and barycentric gradients come from the shape table
+of ``PatchConfigs``; the subtriangles themselves are gathered per patch
+block for the load quadrature. The basis restricted to a subtriangle is
+linear, so stiffness entries use the exact constant-gradient formulas and
+only the load (and the pointwise diffusion sampling of the unfitted
+baseline) needs quadrature. The per-patch work runs over fixed-size patch
+blocks (``mesh.patch_blocks``), so its temporaries do not grow with the
+mesh. The matrix is built one block of dof rows at a time, its
+element-matrix rows in the order SciPy's COO -> CSR conversion of all
+element matrices in patch order would bucket them, and SciPy sums each
+block's duplicates; the loads are added in patch order. The result is the
+same for any block size, and no array with one slot per element-matrix
+entry is held.
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import DegenerateTriangle, map_rule, reference_lambdas, reference_quad_rule
+from .geometry import (
+    DegenerateTriangle,
+    gather_triangles,
+    map_rule,
+    reference_lambdas,
+    reference_quad_rule,
+)
 from .mesh import PatchMesh, patch_blocks
 
 __all__ = [
@@ -38,7 +46,8 @@ class DofMap:
     """Global numbering: one dof per mesh vertex, then one per edge node.
 
     ``patch_dofs[p]`` lists the six global dofs of patch p in local node
-    order; shared edge nodes resolve to one global index from both sides.
+    order, the node ids of ``PatchMesh.patch_nodes``; shared edge nodes
+    resolve to one global index from both sides.
     """
 
     n_vertices: int
@@ -50,21 +59,9 @@ class DofMap:
     def n_dof(self) -> int:
         return self.n_vertices + self.n_edges
 
-    def subtriangle_dofs(self, patches, topology) -> np.ndarray:
-        """Global dofs (n, 4, 3) of the subtriangles of the patches selected
-        by ``patches``, given by their local node triples ``topology``
-        (n, 4, 3)."""
-        return np.take_along_axis(self.patch_dofs[patches, None, :], topology, axis=2)
-
 
 def build_dof_map(mesh: PatchMesh) -> DofMap:
-    boundary = np.zeros(mesh.n_vertices + mesh.n_edges, dtype=bool)
-    boundary[mesh.edges[mesh.edge_boundary].ravel()] = True
-    boundary[mesh.n_vertices + np.nonzero(mesh.edge_boundary)[0]] = True
-    patch_dofs = np.concatenate(
-        [mesh.patches, mesh.n_vertices + mesh.patch_edges], axis=1
-    )
-    return DofMap(mesh.n_vertices, mesh.n_edges, boundary, patch_dofs)
+    return DofMap(mesh.n_vertices, mesh.n_edges, mesh.boundary_nodes(), mesh.patch_nodes())
 
 
 @dataclass
@@ -124,23 +121,25 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
     """
     if mode not in ("adapted", "baseline"):
         raise ValueError(f"unknown mode {mode!r}")
-    if np.any(configs.areas <= 0.0):
+    table = configs.table
+    if np.any(table.areas <= 0.0):
         raise DegenerateTriangle("inverted subtriangle during assembly")
 
     rule = reference_quad_rule(load_degree)
     lam = reference_lambdas(rule)  # (nq, 3)
-    dof_map = build_dof_map(mesh)
-    n_dof = dof_map.n_dof
+    # The dofs are the nodes of the mesh: vertices, then edge nodes.
+    n_dof = mesh.n_vertices + mesh.n_edges
     # The index type SciPy picks for a COO with 36 entries per patch.
     index = np.int32 if max(36 * mesh.n_patches, n_dof) < 2**31 else np.int64
-    sub_dofs = dof_map.subtriangle_dofs(slice(None), configs.topology).astype(index)
-    dirichlet = np.flatnonzero(dof_map.boundary)
-    del dof_map  # frees its int64 patch dofs before the matrix build
-    kap_area = np.empty(configs.areas.shape, order="F")
+    sub_dofs = mesh.subtriangle_nodes(slice(None), configs.topology).astype(index)
+    dirichlet = np.flatnonzero(mesh.boundary_nodes())
+    planes = mesh.node_planes()
+    kap_area = np.empty((mesh.n_patches, 4), order="F")
     rhs = np.zeros(n_dof)
     for blk in patch_blocks(mesh.n_patches):
-        areas = configs.areas[blk]
-        qpts, qwts = map_rule(configs.tris[blk], areas, rule)  # (nb,4,nq,2), (nb,4,nq)
+        areas = table.areas[configs.shape[blk]]
+        qpts, qwts = map_rule(gather_triangles(planes, sub_dofs[blk]), areas,
+                              rule)  # (nb,4,nq,2), (nb,4,nq)
         mask = problem.inside(qpts)  # true interface side at each load point
         if mode == "adapted":
             kap = np.where(configs.sides[blk] == 1, problem.kappa1, problem.kappa2)
@@ -162,20 +161,21 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
                 acc += wf[..., q] * lam[q, a]
             load[..., a] = acc
         np.add.at(rhs, sub_dofs[blk].ravel(), load.ravel())
-    del qpts, qwts, mask, kap, wf, acc, load
-    matrix = _stiffness(sub_dofs, configs.grads, kap_area, n_dof)
-
-    positions = _dof_positions(mesh)
-    values = problem.u(positions[dirichlet])
+        # Freed before the next block's arrays are made.
+        del qpts, qwts, mask, kap, wf, acc, load
+    values = problem.u(planes.T[dirichlet])
+    del planes
+    matrix = _stiffness(sub_dofs, configs.shape, table.grads, kap_area, n_dof)
     return LinearSystem(matrix, rhs, dirichlet, values)
 
 
-def _stiffness(sub_dofs: np.ndarray, grads: np.ndarray, kap_area: np.ndarray,
-               n_dof: int) -> sp.csr_matrix:
+def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
+               kap_area: np.ndarray, n_dof: int) -> sp.csr_matrix:
     """The stiffness matrix, one block of ``PATCH_BLOCK`` dof rows at a time.
 
     Element-matrix row (t, a) of subtriangle t = 4 * patch + j holds
-    kappa * area * grad(l_a).grad(l_b) at the dofs ``sub_dofs[t, b]``. In
+    kappa * area * grad(l_a).grad(l_b) at the dofs ``sub_dofs[t, b]``; the
+    gradients are row j of ``grads[shape[patch]]``, the shape table's. In
     the COO triplets of all element matrices in patch order its three
     entries are consecutive, and SciPy's COO -> CSR conversion buckets them
     by row dof in that order, i.e. in a stable sort of the row dofs. For
@@ -186,8 +186,10 @@ def _stiffness(sub_dofs: np.ndarray, grads: np.ndarray, kap_area: np.ndarray,
     with one slot per element-matrix entry is held.
     """
     order, row_ptr = _row_order(sub_dofs, n_dof)
-    n_sub = kap_area.size
-    # Coordinate-major planes over the subtriangles s = j * n_patches + patch.
+    n_patches, n_shapes = len(shape), len(grads)
+    # Coordinate-major planes over the table's subtriangles
+    # j * n_shapes + shape, and kappa * area over the mesh's
+    # j * n_patches + patch.
     gx, gy = grads.T.reshape(2, 3, -1)
     ka = kap_area.T.ravel()
     # The three dofs of a subtriangle as one 12- or 24-byte item.
@@ -197,15 +199,20 @@ def _stiffness(sub_dofs: np.ndarray, grads: np.ndarray, kap_area: np.ndarray,
     data, indices = np.empty(0), np.empty(0, dtype=sub_dofs.dtype)
     for blk in patch_blocks(n_dof):
         lo, hi = row_ptr[blk.start], row_ptr[blk.stop]
-        # Element row 4 * t + a; s is subtriangle t in the planes, at is
-        # vertex a of it in the (3, n_sub) planes of gx and gy.
+        # Element row 4 * t + a of subtriangle t = 4 * patch + j; k is t in
+        # kappa * area, s is its shape's subtriangle in the planes of gx and
+        # gy, and at is vertex a of s in their (3, 4 * n_shapes) planes.
         at = order[lo:hi].astype(np.intp)
         tri = at >> 2
-        s = tri & 3
-        s *= n_sub // 4
-        s += tri >> 2
+        patch = tri >> 2
+        k = tri & 3
+        s = k * n_shapes
+        s += np.take(shape, patch)
+        k *= n_patches
+        k += patch
+        del patch
         at &= 3
-        at *= n_sub
+        at *= 4 * n_shapes
         at += s
         # (gx_a gx_b + gy_a gy_b) * kappa * area, one plane per b.
         vals = np.empty((hi - lo, 3))
@@ -213,12 +220,12 @@ def _stiffness(sub_dofs: np.ndarray, grads: np.ndarray, kap_area: np.ndarray,
         gyy = np.take(gy, s, axis=1)
         gyy *= np.take(gy, at)
         vals.T[...] += gyy
-        vals.T[...] *= np.take(ka, s)
+        vals.T[...] *= np.take(ka, k)
         block = sp.csr_matrix(
             (vals.ravel(), np.take(col_items, tri).view(cols.dtype),
              3 * (row_ptr[blk.start:blk.stop + 1] - lo)),
             shape=(blk.stop - blk.start, n_dof))
-        del at, tri, s, vals, gyy
+        del at, tri, k, s, vals, gyy
         block.sum_duplicates()
         indptr[blk.start + 1:blk.stop + 1] = block.indptr[1:] + indptr[blk.start]
         # Grow the matrix arrays in place (a realloc: no view of them
@@ -250,10 +257,6 @@ def _row_order(sub_dofs: np.ndarray, n_dof: int):
     return order.astype(rows.dtype), row_ptr
 
 
-def _dof_positions(mesh: PatchMesh) -> np.ndarray:
-    return np.concatenate([mesh.vertices, mesh.edge_points()], axis=0)
-
-
 def interpolate_nodal(problem, mesh: PatchMesh) -> np.ndarray:
     """Nodal interpolant of the analytic solution on the current mesh.
 
@@ -261,4 +264,4 @@ def interpolate_nodal(problem, mesh: PatchMesh) -> np.ndarray:
     sign there; nodes on the discrete interface get identical values from
     either branch since the solution is continuous.
     """
-    return problem.u(_dof_positions(mesh))
+    return problem.u(mesh.node_planes().T)

@@ -6,7 +6,7 @@ Triangles are ``(..., 3, 2)`` arrays of vertex coordinates in counterclockwise
 order; all routines broadcast over leading axes. They work on x and y planes
 (``tri[..., i, 0]``, ``tri[..., i, 1]``), so a coordinate-major input (one
 contiguous plane over the leading axes per vertex and component, as
-``PatchConfigs`` stores its subtriangles) runs every NumPy call over long
+``PatchConfigs`` gathers its subtriangles) runs every NumPy call over long
 contiguous runs; the arrays they return are coordinate-major too. Every
 value is the same for any input layout. Everything here is pure and
 allocation-only, safe for unrestricted concurrent use.
@@ -22,6 +22,7 @@ __all__ = [
     "DegenerateTriangle",
     "UnsupportedDegree",
     "QuadRule",
+    "gather_triangles",
     "triangle_area",
     "interior_angles",
     "barycentric_gradients",
@@ -41,6 +42,14 @@ class DegenerateTriangle(ValueError):
 
 class UnsupportedDegree(ValueError):
     """No quadrature rule tabulated for the requested degree."""
+
+
+def gather_triangles(planes, ids) -> np.ndarray:
+    """Triangles (..., 3, 2) with vertex ids ``ids`` (..., 3) into the point
+    coordinates ``planes`` (2, n_points), coordinate-major."""
+    # One gather into a C-ordered (2, 3, ...) array, whose transpose is
+    # coordinate-major.
+    return np.take(planes, ids.T, axis=1).T
 
 
 def triangle_area(tri) -> np.ndarray | float:

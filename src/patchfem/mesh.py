@@ -158,23 +158,51 @@ class PatchMesh:
 
     def edge_points(self) -> np.ndarray:
         """Physical position of every edge node, (n_edges, 2)."""
-        va = self.vertices[self.edges[:, 0]]
-        vb = self.vertices[self.edges[:, 1]]
-        t = self.edge_param[:, None]
-        return (1.0 - t) * va + t * vb
+        return self.node_planes()[:, self.n_vertices:].T
+
+    def node_planes(self) -> np.ndarray:
+        """Coordinates of every node, (2, n_vertices + n_edges): the x plane
+        and the y plane over the vertices, then the edge nodes, in the
+        numbering of ``patch_nodes``. An edge node lies at
+        (1 - t) * a + t * b between the edge's vertices a and b."""
+        planes = np.empty((2, self.n_vertices + self.n_edges))
+        planes[:, :self.n_vertices] = self.vertices.T
+        t = self.edge_param
+        a, b = self.edges.T
+        for x, out in zip(self.vertices.T, planes[:, self.n_vertices:]):
+            np.multiply(1.0 - t, x[a], out=out)
+            out += t * x[b]
+        return planes
+
+    def boundary_nodes(self) -> np.ndarray:
+        """Mask over the nodes of ``node_planes``: the vertices and edge
+        nodes on the domain boundary."""
+        boundary = np.zeros(self.n_vertices + self.n_edges, dtype=bool)
+        boundary[self.edges[self.edge_boundary].ravel()] = True
+        boundary[self.n_vertices + np.nonzero(self.edge_boundary)[0]] = True
+        return boundary
+
+    def patch_nodes(self, patches=slice(None)) -> np.ndarray:
+        """Node ids (n, 6) of the patches selected by ``patches`` (every
+        patch by default): the three vertices, then the nodes on local edges
+        0, 1, 2. A node shared by patches has one id."""
+        return np.concatenate([self.patches[patches],
+                               self.n_vertices + self.patch_edges[patches]], axis=1)
+
+    def subtriangle_nodes(self, patches, topology) -> np.ndarray:
+        """Node ids (n, 4, 3) of the subtriangles of the patches selected by
+        ``patches``, given by their local node triples ``topology``
+        (n, 4, 3)."""
+        return np.take_along_axis(self.patch_nodes(patches)[:, None, :], topology, axis=2)
 
     def local_nodes_all(self) -> np.ndarray:
-        """Six node positions of every patch, (n_patches, 6, 2).
+        """Six node positions of every patch, (n_patches, 6, 2), in the order
+        of ``patch_nodes``.
 
-        Order: the three vertices, then the nodes on local edges 0, 1, 2.
         Edge nodes are computed once from edge storage, so patches sharing an
         edge report bitwise-identical points.
         """
-        ep = self.edge_points()
-        out = np.empty((self.n_patches, 6, 2))
-        out[:, :3] = self.vertices[self.patches]
-        out[:, 3:] = ep[self.patch_edges]
-        return out
+        return self.node_planes()[:, self.patch_nodes()].transpose(1, 2, 0)
 
     def local_t(self, pid: int, k: int) -> float:
         """Edge-node parameter of local edge k, measured in local direction."""

@@ -16,8 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import build_dof_map
-from .geometry import map_rule, reference_lambdas, reference_quad_rule
+from .geometry import gather_triangles, map_rule, reference_lambdas, reference_quad_rule
 from .levelset import Circle, HorizontalLine, TiltedLine
 from .mesh import pairwise_sums
 
@@ -300,18 +299,21 @@ def error_norms(mesh, configs, problem: ProblemSpec, u_h: np.ndarray,
     """
     rule = reference_quad_rule(degree)
     lam = reference_lambdas(rule)  # (nq, 3)
-    dof_map = build_dof_map(mesh)
+    planes = mesh.node_planes()
     per_patch = 4 * len(rule.weights)
 
     def leaf(start, stop):
         blk = slice(start // per_patch, -(-stop // per_patch))
-        qpts, qwts = map_rule(configs.tris[blk], configs.areas[blk], rule)
-        coeffs = u_h[dof_map.subtriangle_dofs(blk, configs.topology[blk])]
+        shape = configs.shape[blk]
+        dofs = mesh.subtriangle_nodes(blk, configs.topology[blk])
+        qpts, qwts = map_rule(gather_triangles(planes, dofs), configs.table.areas[shape],
+                              rule)
+        coeffs = u_h[dofs]
         uh_q = np.einsum("pqa,na->pqn", coeffs, lam)
         mask = problem.inside(qpts)
         l2 = qwts * (problem.u(qpts, mask) - uh_q) ** 2
         # Constant gradient per subtriangle from the barycentric gradients.
-        grads = configs.grads[blk]
+        grads = configs.table.grads[shape]
         diff = problem.grad_u(qpts, mask)
         for d in range(2):
             diff[..., d] -= (coeffs[..., 0] * grads[..., 0, d] + coeffs[..., 1] * grads[..., 1, d]

@@ -72,8 +72,10 @@ __all__ = [
 MAX_REFINE_RETRIES = 3
 MAX_ANGLE_BOUND = 162.0 + 1e-9
 # Peak memory of one solve above the imported package, per grid cell (n * n
-# cells): measured 2.1-2.6 KiB from n = 128 to 512, on every problem.
-SOLVE_BYTES_PER_CELL = 2600
+# cells): the ru_maxrss of run_single measured 1,775-1,795 bytes at
+# n = 128, 1,318-1,472 at n = 256 and 1,200-1,275 at n = 512 on the circle,
+# horizontal and tilted problems; this is the largest, rounded up.
+SOLVE_BYTES_PER_CELL = 1800
 
 SOLVE_HEADER = ["problem", "mode", "strategy", "n", "h", "ndofs", "L2", "H1",
                 "cg_iters", "max_angle_deg"]

@@ -6,7 +6,9 @@
 geometry kernels are the patch-major versions, which compute on (..., 2)
 coordinate pairs; ``patch_major_geometry``, ``assemble_reference`` and
 ``error_norms_reference`` rebuild the per-patch integrals from them. The
-package's coordinate-major kernels must give exactly the same bytes.
+package's coordinate-major kernels must give exactly the same bytes, and
+its shape table, looked up per patch, must equal ``patch_major_geometry``,
+the whole-mesh geometry with one entry per subtriangle that it replaced.
 ``assemble_buckets_reference`` is the whole-mesh path that the row-block
 assembly replaced: every element-matrix row written into its slot of one
 row-bucketed CSR array with duplicates (``row_buckets_reference``), then
@@ -315,7 +317,7 @@ def assemble_reference(mesh: PatchMesh, configs, problem, mode="adapted"):
     f = problem.f(qpts, inside)
     load = np.einsum("pqn,pqn,na->pqa", qwts, f, reference_lambdas(rule))
     dof_map = build_dof_map(mesh)
-    sub_dofs = dof_map.subtriangle_dofs(slice(None), configs.topology)
+    sub_dofs = mesh.subtriangle_nodes(slice(None), configs.topology)
     rows = np.repeat(sub_dofs[..., :, None], 3, axis=-1).ravel()
     cols = np.repeat(sub_dofs[..., None, :], 3, axis=-2).ravel()
     matrix = sp.coo_matrix((cell.ravel(), (rows, cols)),
@@ -351,7 +353,8 @@ def row_buckets_reference(sub_dofs: np.ndarray, n_dof: int):
 def assemble_buckets_reference(mesh: PatchMesh, configs, problem, mode="adapted"):
     """Stiffness matrix and load vector as the whole-mesh bucketed path
     builds them: the element matrices of all patches at once from the
-    coordinate-major geometry, each row put into its slot of one CSR array
+    whole-mesh geometry of ``patch_major_geometry`` and the coordinate-major
+    kernels, each row put into its slot of one CSR array
     with duplicates, one ``sum_duplicates``; the loads added in patch
     order."""
     rule = reference_quad_rule(2)
@@ -359,18 +362,19 @@ def assemble_buckets_reference(mesh: PatchMesh, configs, problem, mode="adapted"
     dof_map = build_dof_map(mesh)
     n_dof = dof_map.n_dof
     index = np.int32 if max(36 * mesh.n_patches, n_dof) < 2**31 else np.int64
-    sub_dofs = dof_map.subtriangle_dofs(slice(None), configs.topology).astype(index)
+    sub_dofs = mesh.subtriangle_nodes(slice(None), configs.topology).astype(index)
     slots, indptr, indices = row_buckets_reference(sub_dofs, n_dof)
-    qpts, qwts = map_rule(configs.tris, configs.areas, rule)
+    tris, areas, grads = patch_major_geometry(mesh, configs.topology)
+    qpts, qwts = map_rule(tris, areas, rule)
     mask = problem.inside(qpts)
     if mode == "adapted":
         kap = np.where(configs.sides == 1, problem.kappa1, problem.kappa2)
     else:
         kap_q = np.where(mask, problem.kappa1, problem.kappa2)
         kap = (qwts * kap_q).sum(axis=-1) / qwts.sum(axis=-1)
-    gx, gy = configs.grads[..., 0], configs.grads[..., 1]
-    kap *= configs.areas
-    cell = np.empty(configs.areas.shape + (3, 3))
+    gx, gy = grads[..., 0], grads[..., 1]
+    kap *= areas
+    cell = np.empty(areas.shape + (3, 3))
     for a in range(3):
         for b in range(a, 3):
             cell[..., a, b] = (gx[..., a] * gx[..., b] + gy[..., a] * gy[..., b]) * kap
@@ -381,7 +385,7 @@ def assemble_buckets_reference(mesh: PatchMesh, configs, problem, mode="adapted"
     matrix = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(n_dof, n_dof))
     matrix.sum_duplicates()
     wf = np.multiply(qwts, problem.f(qpts, mask), order="F")
-    load = np.empty(configs.areas.shape + (3,))
+    load = np.empty(areas.shape + (3,))
     for a in range(3):
         acc = wf[..., 0] * lam[0, a]
         for q in range(1, len(lam)):
@@ -444,7 +448,7 @@ def error_norms_reference(mesh: PatchMesh, configs, problem, u_h, degree=5):
     tris, areas, grads = patch_major_geometry(mesh, configs.topology)
     rule = reference_quad_rule(degree)
     qpts, qwts = map_rule_reference(tris, areas, rule)
-    coeffs = u_h[build_dof_map(mesh).subtriangle_dofs(slice(None), configs.topology)]
+    coeffs = u_h[mesh.subtriangle_nodes(slice(None), configs.topology)]
     uh_q = np.einsum("pqa,na->pqn", coeffs, reference_lambdas(rule))
     guh = np.einsum("pqa,pqad->pqd", coeffs, grads)
     mask = problem.inside(qpts)

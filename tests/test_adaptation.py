@@ -24,9 +24,13 @@ from patchfem.adaptation import (
     side_labels,
     subtriangle_topology,
 )
-from patchfem.geometry import interior_angles, triangle_area
+from patchfem.assembly import assemble
+from patchfem.geometry import DegenerateTriangle, interior_angles, triangle_area
 from patchfem.levelset import Circle, HorizontalLine
 from patchfem.mesh import FREE, INTERFACE_LOCKED, STRATEGY_SET, PatchMesh, build_structured_mesh
+from patchfem.problems import circle_problem, horizontal_problem
+from patchfem.runner import make_problem
+from patchfem.solver import cg_solve
 
 from .oracles import local_params
 
@@ -472,3 +476,55 @@ class TestAdaptEndToEnd:
         configs, _, _ = adapt(mesh, Circle((0, 0), 0.5), 3)
         for pid, cfg in enumerate(configs):
             assert cfg.params == pytest.approx(local_params(mesh, pid))
+
+
+class TestShapeTable:
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("problem", ["circle", "horizontal", "tilted"])
+    def test_unmodified_patches_share_two_shapes(self, problem, n):
+        """At power-of-two n the grid coordinates are exact, so every patch
+        the interface leaves alone (uncut, no edge node moved) is a
+        translate of the lower or the upper reference patch."""
+        spec = make_problem(problem, n, eps=0.3, alpha=0.3)
+        mesh = build_structured_mesh(n, spec.domain)
+        configs, _, _ = adapt(mesh, spec.levelset, 3 if problem == "tilted" else 2)
+        modified = (configs.kind != 0) | np.any(mesh.edge_lock[mesh.patch_edges] != FREE,
+                                                axis=1)
+        assert modified.any()
+        assert len(np.unique(configs.shape[~modified])) == 2
+        assert len(configs.table) <= modified.sum() + 2
+
+    def test_holds_no_float_array_per_subtriangle(self):
+        problem = circle_problem()
+        mesh = build_structured_mesh(128, problem.domain)
+        configs, _, _ = adapt(mesh, problem.levelset, 2)
+        arrays = [value for obj in (configs, configs.table) for value in vars(obj).values()
+                  if isinstance(value, np.ndarray) and value.dtype.kind == "f"]
+        assert len(arrays) == 4  # the parameters and the table's three arrays
+        assert all(a.size < 4 * mesh.n_patches for a in arrays)
+        assert len(configs.table) < mesh.n_patches / 32
+
+
+class TestStrategy3Reproducers:
+    """Strategy 3 writes its free parameters onto edges that an uncut
+    neighbour shares, and nothing checks that neighbour."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="two cut neighbours push two edge nodes of uncut patch "
+                       "71 toward one vertex: 179.04 degrees (158.5 under strategy 2)")
+    def test_uncut_neighbours_keep_the_angle_bound(self):
+        mesh = build_structured_mesh(8)
+        configs, _, _ = adapt(mesh, Circle((-0.0974, 0.0909), 0.221), 3)
+        assert max_angle_audit(mesh, configs).global_max <= 162.0
+
+    @pytest.mark.xfail(strict=True, raises=DegenerateTriangle,
+                       reason="an interface 1e-8 cells above a grid line gives a "
+                       "zero-area subtriangle under strategy 3")
+    def test_near_a_grid_line_solves_or_refines(self):
+        problem = horizontal_problem(1e-8, 2.0 / 16)
+        mesh = build_structured_mesh(16, problem.domain)
+        try:
+            configs, _, _ = adapt(mesh, problem.levelset, 3)
+        except RefinementRequired:
+            return
+        cg_solve(assemble(mesh, configs, problem))

@@ -1,12 +1,22 @@
 """Tests for dof management, subtriangle quadrature, and global assembly."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from patchfem.adaptation import CutClass, adapt, reference_local_nodes, subtriangle_topology
+from patchfem.adaptation import (
+    CutClass,
+    adapt,
+    build_configs,
+    classify_all,
+    reference_local_nodes,
+    resolve_edge_params,
+    subtriangle_topology,
+)
 from patchfem.assembly import LinearSystem, assemble, build_dof_map, interpolate_nodal
-from patchfem.geometry import map_rule, reference_quad_rule, triangle_area
+from patchfem.geometry import DegenerateTriangle, map_rule, reference_quad_rule, triangle_area
 from patchfem.levelset import Circle
 from patchfem.mesh import build_structured_mesh
 from patchfem.problems import (
@@ -230,6 +240,27 @@ class TestAssemble:
         report = cg_solve(system)
         assert report.iterations == 0
         assert np.allclose(report.solution, system.dirichlet_values)
+
+    def test_zero_area_subtriangle_rejected(self):
+        """The cut edge node of a vertex-cut patch moved onto a patch vertex
+        (written straight into the edge registry, as no strategy would)
+        gives subtriangles of zero area. Assembly rejects them, and no
+        NumPy warning is raised on the way."""
+        problem = tilted_problem(0.3)
+        mesh = build_structured_mesh(8, problem.domain)
+        classification = classify_all(mesh, problem.levelset)
+        resolve_edge_params(mesh, classification, 2)
+        pid = next(p for p in classification.cut_ids
+                   if classification.cuts[p].kind == "vertex_edge")
+        (k,) = classification.cuts[pid].edges
+        mesh.edge_param[mesh.patch_edges[pid, k]] = 0.0 if mesh.patch_edge_forward[pid, k] else 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            configs = build_configs(mesh, classification, problem.levelset)
+            assert np.any(configs.table.areas[configs.shape[pid]] == 0.0)
+            with pytest.raises(DegenerateTriangle) as exc:
+                assemble(mesh, configs, problem)
+        assert str(exc.value) == "inverted subtriangle during assembly"
 
     def test_unknown_mode_rejected(self):
         mesh, configs = self._adapted(2, LINEAR_X)

@@ -84,13 +84,18 @@ class TestBlockInvariance:
         ids=["circle", "tilted", "baseline"],
     )
     def test_bitwise_equal_to_one_block(self, monkeypatch, problem, n, mode):
-        _, _, whole, norms, audit = _pipeline(problem, n, mode)
+        _, whole_configs, whole, norms, audit = _pipeline(problem, n, mode)
         monkeypatch.setattr(mesh_module, "PATCH_BLOCK", 5)
         mesh, configs, blocked, blocked_norms, blocked_audit = _pipeline(problem, n, mode)
 
         assert mesh.n_patches % 5 != 0
         if problem.name == "tilted":
             assert np.any(configs.kind == 2)
+        # Shapes deduped per block and merged are the whole-mesh ones.
+        np.testing.assert_array_equal(configs.shape, whole_configs.shape)
+        for attr in ("tris", "areas", "grads"):
+            np.testing.assert_array_equal(getattr(configs.table, attr),
+                                          getattr(whole_configs.table, attr))
         for attr in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(blocked.matrix, attr),
                                           getattr(whole.matrix, attr))
@@ -263,7 +268,8 @@ def _traced_peak_mib(fn, *args, **kwargs):
 
 # Measured traced peaks at n = 128 are 18.2 MiB (assemble, the matrix built
 # one block of dof rows at a time, the int64 patch dofs dropped once the
-# subtriangle dofs exist) and 6.6 MiB (error_norms, integrand spans of at
+# subtriangle dofs exist, each patch block's load arrays freed before the
+# next block's are made) and 6.6 MiB (error_norms, integrand spans of at
 # most 4 * PATCH_BLOCK elements); the bounds add 20%. Holding the patch dofs
 # through the matrix build, assemble peaked at 19.8 MiB; with the CSR array
 # with duplicates over the whole mesh and spans of PATCH_BLOCK patches the
@@ -274,18 +280,22 @@ ASSEMBLE_BOUND_MIB = 21.9
 ERRORS_BOUND_MIB = 7.9
 # With blocks of 512 patches (and dof rows) the block temporaries are
 # small, and the peaks show what each call holds over the whole mesh:
-# measured 13.2 MiB (assemble: the row order, kappa * area, the loads and
-# the returned matrix) and 2.3 MiB (error_norms), plus 20%. The CSR array
-# with duplicates peaked at 19.4 MiB, the whole-mesh COO at 43.1, and the
-# whole-mesh integrand arrays at 16.9 (2.8 with the patch-block spans).
+# measured 10.6 MiB (assemble: the row order, kappa * area, the loads, the
+# node coordinates and the returned matrix) and 1.76 MiB (error_norms, which
+# holds the node coordinates instead of the int64 patch dofs), plus 20%.
+# With the whole-mesh subtriangle geometry they peaked at 11.6 and 2.3 MiB;
+# the CSR array with duplicates at 19.4 MiB, the whole-mesh COO at 43.1, and
+# the whole-mesh integrand arrays at 16.9 (2.8 with the patch-block spans).
 SMALL_BLOCK = 512
-ASSEMBLE_SMALL_BLOCK_BOUND_MIB = 15.8
-ERRORS_SMALL_BLOCK_BOUND_MIB = 2.8
-# The same for the coordinate-major geometry: 19.8 MiB (build_configs, which
-# returns 14.3 MiB of arrays; 30.6 MiB when it gathered the subtriangles
-# patch-major) and 11.8 MiB (max_angle_audit, 8.8 before), plus 20%.
-CONFIGS_BOUND_MIB = 23.7
-AUDIT_BOUND_MIB = 14.1
+ASSEMBLE_SMALL_BLOCK_BOUND_MIB = 12.8
+ERRORS_SMALL_BLOCK_BOUND_MIB = 2.2
+# The same for the shape table: 14.8 MiB (build_configs, whose patch-block
+# keys and subtriangles are the largest part) and 0.67 MiB (max_angle_audit,
+# angles of the shapes only), plus 20%. Storing the whole-mesh subtriangle
+# geometry they peaked at 19.8 MiB (returning 14.3 MiB of arrays) and
+# 11.8 MiB.
+CONFIGS_BOUND_MIB = 17.8
+AUDIT_BOUND_MIB = 0.81
 # A vector over the 66,049 dofs at n = 128 is 0.50 MiB and the matrix 5.52.
 # LinearSystem.reduced: 1.07 MiB measured (the lifted load, the Dirichlet
 # data vector and the free mask), plus 20%. Copying the free rows and
@@ -296,11 +306,11 @@ REDUCED_BOUND_MIB = 1.3
 # 10.3 MiB.
 CG_SOLVE_BOUND_MIB = 5.3
 # A whole run_single of the tilted problem at n = 128 with strategy 3,
-# every stage included: 36.7 MiB measured, plus 20%. It was 38.1 MiB with a
-# separate A_ff and the patch dofs held through the matrix build, and its
-# largest stage was error_norms at 67.0 MiB before the row blocks and the
-# capped spans.
-RUN_SINGLE_BOUND_MIB = 44.0
+# every stage included: 23.8 MiB measured, plus 20%. It was 36.7 MiB with
+# the whole-mesh subtriangle geometry, 38.1 MiB with a separate A_ff and
+# the patch dofs held through the matrix build, and its largest stage was
+# error_norms at 67.0 MiB before the row blocks and the capped spans.
+RUN_SINGLE_BOUND_MIB = 28.6
 
 
 class TestPeakMemory:

@@ -22,6 +22,7 @@ from patchfem.assembly import assemble
 from patchfem.geometry import (
     DegenerateTriangle,
     barycentric_gradients,
+    gather_triangles,
     interior_angles,
     map_rule,
     reference_quad_rule,
@@ -176,12 +177,25 @@ def check_adapted_mesh(problem, n, strategy):
     resolve_edge_params(mesh, classification, strategy)
     configs = build_configs(mesh, classification, problem.levelset)
     tris, areas, grads = patch_major_geometry(mesh, configs.topology)
-    for got, ref in ((configs.tris, tris), (configs.areas, areas), (configs.grads, grads)):
-        assert got.T.flags.c_contiguous  # components outermost, patches innermost
-        assert np.array_equal(got, ref)
+    table = configs.table
+    assert configs.shape.dtype == np.int32
+    for got in (table.tris, table.areas, table.grads):
+        assert got.T.flags.c_contiguous  # components outermost, shapes innermost
+    # Each shape is stored from its lowest patch.
+    ids, lowest = np.unique(configs.shape, return_index=True)
+    assert np.array_equal(ids, np.arange(len(table)))
+    assert np.array_equal(table.tris, tris[lowest])
+    assert np.array_equal(table.areas[configs.shape], areas)
+    assert np.array_equal(table.grads[configs.shape], grads)
+    gathered = gather_triangles(mesh.node_planes(),
+                                mesh.subtriangle_nodes(slice(None), configs.topology))
+    assert gathered.T.flags.c_contiguous
+    assert np.array_equal(gathered, tris)
     angles = interior_angles_reference(tris)
     audit = max_angle_audit(mesh, configs)
     assert np.array_equal(audit.per_patch, angles.reshape(mesh.n_patches, -1).max(axis=1))
+    assert np.array_equal(audit.histogram, np.histogram(angles, bins=audit.bin_edges)[0])
+    assert audit.global_max == angles.max()
 
     system = assemble(mesh, configs, problem)
     matrix, rhs = assemble_reference(mesh, configs, problem)
