@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import barycentric_gradients, gather_triangles, interior_angles, triangle_area
+from .geometry import (
+    barycentric_gradients,
+    degenerate,
+    gather_triangles,
+    interior_angles,
+    triangle_area,
+)
 from .levelset import SNAP_TOL
 from .mesh import FREE, INTERFACE_LOCKED, STRATEGY_SET, PatchMesh, patch_blocks
 
@@ -81,6 +87,9 @@ _GROUP_A = np.array([np.isin(np.arange(4), a) for (a, _), _ in _SIDE_GROUPS.valu
 _GROUP_B = ~_GROUP_A  # the two groups tile the patch
 _ANCHOR_A = np.array([anchor for (_, anchor), _ in _SIDE_GROUPS.values()])
 _ANCHOR_B = np.array([anchor for _, (_, anchor) in _SIDE_GROUPS.values()])
+
+# The paper's bound on every subtriangle angle under strategies 2 and 3.
+MAX_ANGLE_DEG = 162.0
 
 # Cut kinds in the order of their codes in PatchConfigs.kind.
 CUT_KINDS = (UNCUT, EDGE_EDGE, VERTEX_EDGE)
@@ -149,19 +158,27 @@ class PatchConfig:
 class ShapeTable:
     """Each distinct subtriangle geometry of an adapted mesh, stored once.
 
-    Entry i holds the four physical subtriangles of one patch of shape i
-    (the lowest patch id), their signed areas and barycentric gradients,
-    coordinate-major (Fortran order) like the kernels return them. Patches
-    of one shape have bitwise-equal vertex differences, so every area,
-    gradient and angle computed here is the one of each of them.
+    Entry i holds the four physical subtriangles of one patch of shape i,
+    ``patch[i]`` (the lowest patch id), their signed areas and barycentric
+    gradients, coordinate-major (Fortran order) like the kernels return
+    them. Patches of one shape have bitwise-equal vertex differences, so
+    every area, gradient and angle computed here is the one of each of
+    them. Shape ids follow the sorted keys of those differences
+    (``keys``).
     """
 
     tris: np.ndarray  # (n_shapes, 4, 3, 2) subtriangle vertices, F order
     areas: np.ndarray  # (n_shapes, 4) signed subtriangle areas, F order
     grads: np.ndarray  # (n_shapes, 4, 3, 2) barycentric gradients, F order
+    patch: np.ndarray  # (n_shapes,) lowest patch id of each shape
 
     def __len__(self) -> int:
         return len(self.areas)
+
+    def keys(self) -> np.ndarray:
+        """The shape key (``_shape_keys``) of every shape, in ascending
+        order."""
+        return _shape_keys(self.tris)
 
 
 @dataclass(frozen=True)
@@ -402,34 +419,97 @@ def resolve_edge_params(mesh: PatchMesh, classification: Classification,
     Pass 1 locks every crossed edge at its crossing. Pass 2 walks cut patches
     in ascending id order and writes each patch's free parameters to still
     free edges; an edge that is already locked or set is never overwritten
-    (first writer wins) and a conflict is recorded when the values disagree.
-    Untouched edges stay at 1/2. Running the pass again changes nothing.
+    (first writer wins). A conflict is recorded for each later patch whose
+    value differs from the one the edge keeps. Untouched edges stay at 1/2.
+    Running the pass again changes nothing.
+
+    Strategy 3 bounds the angles of the cut patch that sets an edge, not
+    those of the patch on the other side, which may be uncut or cut
+    elsewhere. So where its value would leave a patch on either side of
+    such an edge with an angle above 162 degrees or a collinear or inverted
+    subtriangle, or cannot be stored at all, the edge keeps strategy 2's
+    value instead (``_keep_angle_bound``).
     """
     for eid, t in classification.edge_crossings.items():
         mesh.edge_param[eid] = t
         mesh.edge_lock[eid] = INTERFACE_LOCKED
 
-    conflicts: list[Conflict] = []
+    losers = []  # (patch, local edge, wanted local t) of edges kept by others
+    fallback = {}  # edge -> (patch, local edge, strategy 2's local t)
     for pid in classification.cut_ids.tolist():
         cut = classification.cuts[pid]
         local_ts = {k: mesh.local_t(pid, k) for k in cut.edges}
         fixed = determined_params(cut, local_ts)
         if cut.kind == EDGE_EDGE:
-            q, r, s = free_params_two_edges(strategy, fixed)
+            wanted = plain = _local_ts(free_params_two_edges(strategy, fixed))
+            if strategy == 3:
+                plain = _local_ts(free_params_two_edges(2, fixed))
         else:
-            q, r, s = free_params_vertex_edge(strategy, fixed)
-        wanted = {0: s, 1: r, 2: 1.0 - q}  # local edge -> local t
+            wanted = plain = _local_ts(free_params_vertex_edge(strategy, fixed))
         for k in range(3):
             if k in cut.edges:
                 continue
             eid = mesh.patch_edges[pid, k]
-            if mesh.edge_lock[eid] == FREE:
-                mesh.set_local_t(pid, k, wanted[k], STRATEGY_SET)
-            else:
-                kept = mesh.local_t(pid, k)
-                if abs(kept - wanted[k]) > 1e-12:
-                    conflicts.append(Conflict(pid, k, wanted[k], kept))
+            if mesh.edge_lock[eid] != FREE:
+                losers.append((pid, k, wanted[k]))
+                continue
+            # A strategy-3 value rounded onto a vertex of the edge cannot be stored.
+            t = wanted[k] if 0.0 < wanted[k] < 1.0 else plain[k]
+            mesh.set_local_t(pid, k, t, STRATEGY_SET)
+            if t != plain[k]:
+                fallback[eid] = (pid, k, plain[k])
+    if fallback:
+        _keep_angle_bound(mesh, classification, fallback)
+    conflicts = []
+    for pid, k, wanted in losers:
+        kept = mesh.local_t(pid, k)
+        if abs(kept - wanted) > 1e-12:
+            conflicts.append(Conflict(pid, k, wanted, kept))
     return conflicts
+
+
+def _local_ts(params) -> dict[int, float]:
+    """Local edge -> local node parameter t of (q, r, s)."""
+    q, r, s = params
+    return {0: s, 1: r, 2: 1.0 - q}
+
+
+def _keep_angle_bound(mesh: PatchMesh, classification: Classification,
+                      fallback: dict) -> None:
+    """Give strategy 2's value back to every strategy-3 edge of a patch that
+    breaks the 162-degree bound or has a degenerate subtriangle.
+
+    ``fallback`` maps each edge that holds a strategy-3 value other than
+    strategy 2's to (writer patch, its local edge, strategy 2's local t).
+    The patches on both sides of those edges are checked, and the edges of
+    the offending ones reverted, until none offends. If the offenders have
+    no strategy-3 edge left, the lowest one raises RefinementRequired.
+    """
+    watched = np.flatnonzero(np.isin(mesh.patch_edges, list(fallback)).any(axis=1))
+    topology = _TOPOLOGIES[_topology_ids(classification.cuts, watched)]
+    while True:
+        tris = gather_triangles(mesh.node_planes(),
+                                mesh.subtriangle_nodes(watched, topology))
+        bad = degenerate(tris).any(axis=1)
+        fine = ~bad
+        bad[fine] = interior_angles(tris[fine]).max(axis=(1, 2)) > MAX_ANGLE_DEG
+        if not bad.any():
+            return
+        offenders = watched[bad]
+        edges = set(mesh.patch_edges[offenders].ravel().tolist()) & fallback.keys()
+        if not edges:
+            raise RefinementRequired(
+                int(offenders[0]),
+                f"a subtriangle angle exceeds {MAX_ANGLE_DEG:g} degrees under strategy 2")
+        for eid in sorted(edges):
+            mesh.set_local_t(*fallback.pop(eid), STRATEGY_SET)
+
+
+def _topology_ids(cuts, pids) -> np.ndarray:
+    """Index into ``_TOPOLOGIES`` of each patch in ``pids``: 0 for uncut
+    and edge-edge patches, 1 + the cut vertex for a vertex cut."""
+    return np.array([0 if cuts[pid].kind != VERTEX_EDGE else 1 + cuts[pid].vertex
+                     for pid in pids.tolist()], dtype=np.intp)
 
 
 def subtriangle_topology(cut: CutClass) -> np.ndarray:
@@ -492,6 +572,10 @@ def _anchor_labels(labels, nodes, situation, levelset) -> np.ndarray:
     return labels.astype(np.int8)
 
 
+# The dtype of a shape key: 24 float64 vertex differences as one item.
+_KEY = np.dtype((np.void, 24 * 8))
+
+
 def _shape_keys(tris) -> np.ndarray:
     """One item per patch: the raw bytes of the vertex differences
     x1 - x0, x2 - x0, x2 - x1 (and in y) of its four subtriangles ``tris``
@@ -504,11 +588,11 @@ def _shape_keys(tris) -> np.ndarray:
         np.subtract(x[..., 1], x[..., 0], out=diffs[:, :, c, 0])
         np.subtract(x[..., 2], x[..., 0], out=diffs[:, :, c, 1])
         np.subtract(x[..., 2], x[..., 1], out=diffs[:, :, c, 2])
-    return diffs.reshape(len(tris), -1).view(np.dtype((np.void, 24 * 8))).ravel()
+    return diffs.reshape(len(tris), 24).view(_KEY).ravel()
 
 
 def build_configs(mesh: PatchMesh, classification: Classification,
-                  levelset) -> PatchConfigs:
+                  levelset, previous=None) -> PatchConfigs:
     """Configurations of all patches after the edge parameters are resolved.
 
     Topologies come from the fixed tables. The physical subtriangles are
@@ -519,59 +603,99 @@ def build_configs(mesh: PatchMesh, classification: Classification,
     and gradients are computed once per shape, on the subtriangles of its
     lowest patch. Only the cut patches are visited one by one, to look up
     their cut situation.
+
+    ``previous``, the (mesh, configs) of an earlier build on the same grid,
+    spares the keys of every patch whose topology and edge parameters are
+    bitwise those of that build: it keeps its shape's key, and only the
+    patches that changed are keyed and merged with the keys that remain.
+    The result is bitwise the one without ``previous``.
     """
     cut_ids = classification.cut_ids
     cut = [classification.cuts[pid] for pid in cut_ids]
     kind = np.zeros(mesh.n_patches, dtype=np.int8)
     kind[cut_ids] = [CUT_KINDS.index(c.kind) for c in cut]
     topology_id = np.zeros(mesh.n_patches, dtype=np.intp)
-    topology_id[cut_ids] = [1 + c.vertex if c.kind == VERTEX_EDGE else 0 for c in cut]
+    topology_id[cut_ids] = _topology_ids(classification.cuts, cut_ids)
     topology = _TOPOLOGIES[topology_id]
+
+    if previous is None:
+        changed = np.ones(mesh.n_patches, dtype=bool)
+        kept_keys = np.empty(0, _KEY)
+        kept_lowest = kept_shape = np.empty(0, dtype=np.intp)
+    else:
+        old_mesh, old = previous
+        moved = old_mesh.edge_param.view(np.int64) != mesh.edge_param.view(np.int64)
+        changed = moved[mesh.patch_edges].any(axis=1)
+        changed |= (topology != old.topology).any(axis=(1, 2))
+        kept_keys, kept_lowest, kept_shape = _kept_shapes(old, changed)
 
     planes = mesh.node_planes()
     diameters = mesh.patch_diameters()
     sides = np.empty((mesh.n_patches, 4), dtype=np.int8)
+    # Each patch's index into the kept keys followed by the blocks' keys.
     shape = np.empty(mesh.n_patches, dtype=np.int32)
-    keys, firsts, n_keys = [], [], 0
+    shape[~changed] = kept_shape
+    keys, firsts, n_keys = [kept_keys], [kept_lowest], len(kept_keys)
     for blk in patch_blocks(mesh.n_patches):
         tris = gather_triangles(planes, mesh.subtriangle_nodes(blk, topology[blk]))
         sides[blk] = side_labels(tris, levelset, diameters[blk])
-        block_keys, first, inverse = np.unique(_shape_keys(tris), return_index=True,
-                                               return_inverse=True)
-        shape[blk] = inverse + n_keys  # into the concatenated block keys
+        ids = np.flatnonzero(changed[blk])
+        block_keys, first, inverse = np.unique(
+            _shape_keys(tris if len(ids) == len(tris) else tris[ids]),
+            return_index=True, return_inverse=True)
+        ids += blk.start
+        shape[ids] = inverse + n_keys
         n_keys += len(block_keys)
         keys.append(block_keys)
-        firsts.append(first + blk.start)
+        firsts.append(ids[first])
     del tris
     if len(cut_ids):
         situation = np.array([_SITUATION[_group_key(c)] for c in cut])
         nodes = planes[:, mesh.patch_nodes(cut_ids)].transpose(1, 2, 0)
         sides[cut_ids] = _anchor_labels(sides[cut_ids], nodes, situation, levelset)
-    # Block order is patch order, so the first occurrence of a merged key is
-    # its lowest patch.
-    _, first, merged = np.unique(np.concatenate(keys), return_index=True,
-                                 return_inverse=True)
+    # The lowest patch of a merged key is the lowest of those of its
+    # entries among the kept keys and the blocks' keys.
+    keys, merged = np.unique(np.concatenate(keys), return_inverse=True)
+    representatives = np.full(len(keys), mesh.n_patches)
+    np.minimum.at(representatives, merged, np.concatenate(firsts))
     shape = merged.astype(np.int32)[shape]
-    representatives = np.concatenate(firsts)[first]
     tris = gather_triangles(planes, mesh.subtriangle_nodes(representatives,
                                                            topology[representatives]))
     areas = triangle_area(tris)
     # A zero-area shape gets infinite gradients; assemble rejects it first.
     with np.errstate(divide="ignore", invalid="ignore"):
         grads = barycentric_gradients(tris, areas)
-    return PatchConfigs(classification.cuts, kind, mesh.local_params_all(),
-                        topology, sides, shape, ShapeTable(tris, areas, grads))
+    return PatchConfigs(classification.cuts, kind, mesh.local_params_all(), topology,
+                        sides, shape, ShapeTable(tris, areas, grads, representatives))
 
 
-def adapt(mesh: PatchMesh, levelset, strategy: int):
-    """Classify, resolve edge parameters, and build patch configurations.
+def _kept_shapes(old: PatchConfigs, changed: np.ndarray):
+    """The keys of the shapes of ``old`` that an unchanged patch still has,
+    the lowest unchanged patch of each, and the index into them of every
+    unchanged patch's shape."""
+    shape = old.shape[~changed]
+    kept = np.bincount(shape, minlength=len(old.table)) > 0
+    lowest = old.table.patch.copy()
+    lost = kept & changed[lowest]
+    if lost.any():
+        # The lowest patch of a kept shape changed: find its lowest unchanged one.
+        hit = np.flatnonzero(lost[shape])
+        ids, first = np.unique(shape[hit], return_index=True)
+        lowest[ids] = np.flatnonzero(~changed)[hit[first]]
+    index = np.cumsum(kept) - 1  # old shape id -> kept shape id
+    return _shape_keys(old.table.tris[kept]), lowest[kept], index[shape]
+
+
+def adapt(mesh: PatchMesh, levelset, strategy: int, previous=None):
+    """Classify, resolve edge parameters, and build patch configurations
+    (``previous`` as for ``build_configs``).
 
     Returns (configs, classification, conflicts). Raises RefinementRequired
     when some patch cannot be represented.
     """
     classification = classify_all(mesh, levelset)
     conflicts = resolve_edge_params(mesh, classification, strategy)
-    configs = build_configs(mesh, classification, levelset)
+    configs = build_configs(mesh, classification, levelset, previous)
     return configs, classification, conflicts
 
 

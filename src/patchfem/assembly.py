@@ -104,7 +104,7 @@ class LinearSystem:
 
 
 def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
-             load_degree: int = 2) -> LinearSystem:
+             load_degree: int = 2, previous=None) -> LinearSystem:
     """Assemble the global stiffness matrix and load vector.
 
     mode "adapted": the diffusion is constant on every subtriangle, taken
@@ -118,6 +118,14 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
     order. The matrix is then built one block of dof rows at a time
     (``_stiffness``), so the result is the one of a single COO over the whole
     mesh, for any block size.
+
+    ``previous``, the (configs, matrix) of an earlier adapted assembly on
+    the same grid with the same kappas, spares the stiffness rows that no
+    changed patch touches. A patch changed if its shape's key or its side
+    labels differ from that assembly's; only the rows of its dofs are
+    computed again, the others are copied. Without such an assembly (or in
+    mode "baseline", or where a topology differs, which moves the sparsity
+    pattern) every row is computed. The result is bitwise the same.
     """
     if mode not in ("adapted", "baseline"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -165,12 +173,33 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
         del qpts, qwts, mask, kap, wf, acc, load
     values = problem.u(planes.T[dirichlet])
     del planes
-    matrix = _stiffness(sub_dofs, configs.shape, table.grads, kap_area, n_dof)
+    rows = old_matrix = None
+    if (previous is not None and mode == "adapted"
+            and np.array_equal(previous[0].topology, configs.topology)):
+        old, old_matrix = previous
+        changed = _shape_ids(configs.table, old.table)[old.shape] != configs.shape
+        changed |= (old.sides != configs.sides).any(axis=1)
+        touched = np.zeros(n_dof, dtype=bool)
+        touched[mesh.patch_nodes(np.flatnonzero(changed))] = True
+        rows = np.flatnonzero(touched).astype(index)
+    matrix = _stiffness(sub_dofs, configs.shape, table.grads, kap_area, n_dof,
+                        rows, old_matrix)
     return LinearSystem(matrix, rhs, dirichlet, values)
 
 
+def _shape_ids(table, old_table) -> np.ndarray:
+    """The id in ``table`` of every shape of ``old_table``, -1 where it has
+    none: shape ids follow the sorted keys."""
+    keys, old_keys = table.keys(), old_table.keys()
+    ids = np.searchsorted(keys, old_keys)
+    found = ids < len(keys)
+    found[found] = keys[ids[found]] == old_keys[found]
+    return np.where(found, ids, -1)
+
+
 def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
-               kap_area: np.ndarray, n_dof: int) -> sp.csr_matrix:
+               kap_area: np.ndarray, n_dof: int, rows=None,
+               previous=None) -> sp.csr_matrix:
     """The stiffness matrix, one block of ``PATCH_BLOCK`` dof rows at a time.
 
     Element-matrix row (t, a) of subtriangle t = 4 * patch + j holds
@@ -184,8 +213,12 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
     duplicates of the block, row by row as it would over the whole matrix.
     So every bit is the one of a single COO over the whole mesh, and nothing
     with one slot per element-matrix entry is held.
+
+    Given the sorted dofs ``rows`` and a matrix ``previous`` of the same
+    sparsity pattern, only those rows are computed, in the same way; the
+    result shares ``previous``'s index arrays and copies its other rows.
     """
-    order, row_ptr = _row_order(sub_dofs, n_dof)
+    order, row_ptr = _row_order(sub_dofs, n_dof, rows)
     n_patches, n_shapes = len(shape), len(grads)
     # Coordinate-major planes over the table's subtriangles
     # j * n_shapes + shape, and kappa * area over the mesh's
@@ -195,9 +228,12 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
     # The three dofs of a subtriangle as one 12- or 24-byte item.
     cols = sub_dofs.reshape(-1, 3)
     col_items = cols.view(np.dtype((np.void, 3 * cols.itemsize))).ravel()
-    indptr = np.zeros(n_dof + 1, dtype=sub_dofs.dtype)
-    data, indices = np.empty(0), np.empty(0, dtype=sub_dofs.dtype)
-    for blk in patch_blocks(n_dof):
+    if rows is None:
+        indptr = np.zeros(n_dof + 1, dtype=sub_dofs.dtype)
+        data, indices = np.empty(0), np.empty(0, dtype=sub_dofs.dtype)
+    else:
+        indptr, indices, data = previous.indptr, previous.indices, previous.data.copy()
+    for blk in patch_blocks(n_dof if rows is None else len(rows)):
         lo, hi = row_ptr[blk.start], row_ptr[blk.stop]
         # Element row 4 * t + a of subtriangle t = 4 * patch + j; k is t in
         # kappa * area, s is its shape's subtriangle in the planes of gx and
@@ -227,34 +263,52 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
             shape=(blk.stop - blk.start, n_dof))
         del at, tri, k, s, vals, gyy
         block.sum_duplicates()
-        indptr[blk.start + 1:blk.stop + 1] = block.indptr[1:] + indptr[blk.start]
-        # Grow the matrix arrays in place (a realloc: no view of them
-        # exists) and append the block.
-        start = indptr[blk.start]
-        data.resize(indptr[blk.stop], refcheck=False)
-        indices.resize(indptr[blk.stop], refcheck=False)
-        data[start:], indices[start:] = block.data, block.indices
+        if rows is None:
+            indptr[blk.start + 1:blk.stop + 1] = block.indptr[1:] + indptr[blk.start]
+            # Grow the matrix arrays in place (a realloc: no view of them
+            # exists) and append the block.
+            start = indptr[blk.start]
+            data.resize(indptr[blk.stop], refcheck=False)
+            indices.resize(indptr[blk.stop], refcheck=False)
+            data[start:], indices[start:] = block.data, block.indices
+        else:
+            # Each row's entries go where the row starts in ``previous``.
+            lengths = np.diff(block.indptr)
+            shift = indptr[rows[blk]] - block.indptr[:-1]
+            data[np.repeat(shift, lengths) + np.arange(len(block.data))] = block.data
         del block
     return sp.csr_matrix((data, indices, indptr), shape=(n_dof, n_dof))
 
 
-def _row_order(sub_dofs: np.ndarray, n_dof: int):
-    """The element-matrix rows in a stable sort of their row dofs, each as
+def _row_order(sub_dofs: np.ndarray, n_dof: int, rows=None):
+    """The element-matrix rows whose row dof is in ``rows`` (sorted; every
+    dof by default) in a stable sort of their row dofs, each as
     ``4 * t + a`` (subtriangle t, local vertex a), and the start of each
-    dof's run in that order (``n_dof + 1`` offsets)."""
-    rows = sub_dofs.ravel()
+    row's run in that order (``len(rows) + 1`` offsets)."""
+    flat = sub_dofs.ravel()
     # A stable sort of the row dofs, as one sort of distinct keys
     # (dof, 4 * t + a) packed into int64.
-    n_sub = len(rows) // 3
+    n_sub = len(flat) // 3
     shift = (4 * n_sub).bit_length()
-    order = rows.astype(np.int64)
-    order <<= shift
-    for a, plane in enumerate(order.reshape(-1, 3).T):
-        plane |= np.arange(a, 4 * n_sub, 4)
+    if rows is None:
+        order = flat.astype(np.int64)
+        order <<= shift
+        for a, plane in enumerate(order.reshape(-1, 3).T):
+            plane |= np.arange(a, 4 * n_sub, 4)
+        bounds = np.arange(n_dof + 1)
+    else:
+        # Element row 4 * t + a sits at 3 * t + a of the flat dofs.
+        wanted = np.zeros(n_dof, dtype=bool)
+        wanted[rows] = True
+        at = np.flatnonzero(wanted[flat])
+        order = flat[at].astype(np.int64)
+        order <<= shift
+        order |= at + at // 3
+        bounds = np.append(rows, rows[-1] + 1) if len(rows) else np.zeros(1, np.int64)
     order.sort()
-    row_ptr = np.searchsorted(order, np.arange(n_dof + 1) << shift).astype(rows.dtype)
+    row_ptr = np.searchsorted(order, bounds.astype(np.int64) << shift).astype(flat.dtype)
     order &= (1 << shift) - 1
-    return order.astype(rows.dtype), row_ptr
+    return order.astype(flat.dtype), row_ptr
 
 
 def interpolate_nodal(problem, mesh: PatchMesh) -> np.ndarray:

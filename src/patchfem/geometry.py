@@ -25,6 +25,7 @@ __all__ = [
     "gather_triangles",
     "triangle_area",
     "interior_angles",
+    "degenerate",
     "barycentric_gradients",
     "reference_quad_rule",
     "reference_lambdas",
@@ -90,13 +91,8 @@ def interior_angles(tri) -> np.ndarray:
         If any triangle is numerically collinear.
     """
     tri = np.asarray(tri, dtype=float)
-    x, y = tri[..., 0], tri[..., 1]
-    # Edge i runs from vertex i to vertex i + 1.
-    dx = [x[..., (i + 1) % 3] - x[..., i] for i in range(3)]
-    dy = [y[..., (i + 1) % 3] - y[..., i] for i in range(3)]
-    lengths_sq = [dx[i] * dx[i] + dy[i] * dy[i] for i in range(3)]
-    longest_sq = np.maximum(np.maximum(lengths_sq[0], lengths_sq[1]), lengths_sq[2])
-    if np.any(np.abs(2.0 * triangle_area(tri)) < DEGENERACY_TOL * longest_sq):
+    dx, dy, lengths_sq = _edges(tri)
+    if np.any(_collinear(tri, lengths_sq)):
         raise DegenerateTriangle("triangle vertices are (numerically) collinear")
     lengths = [np.sqrt(sq) for sq in lengths_sq]
     angles = np.empty(tri.shape[:-1], order="F")
@@ -108,6 +104,28 @@ def interior_angles(tri) -> np.ndarray:
         cosang = dot / (lengths[i] * lengths[j])
         angles[..., i] = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
     return angles
+
+
+def degenerate(tri) -> np.ndarray:
+    """Mask (...) of the triangles that are (numerically) collinear or
+    clockwise: those ``interior_angles`` rejects, and inverted ones."""
+    tri = np.asarray(tri, dtype=float)
+    _, _, lengths_sq = _edges(tri)
+    return _collinear(tri, lengths_sq) | (triangle_area(tri) <= 0.0)
+
+
+def _edges(tri):
+    """x and y components and squared lengths of the edges of ``tri``; edge
+    i runs from vertex i to vertex i + 1."""
+    x, y = tri[..., 0], tri[..., 1]
+    dx = [x[..., (i + 1) % 3] - x[..., i] for i in range(3)]
+    dy = [y[..., (i + 1) % 3] - y[..., i] for i in range(3)]
+    return dx, dy, [dx[i] * dx[i] + dy[i] * dy[i] for i in range(3)]
+
+
+def _collinear(tri, lengths_sq) -> np.ndarray:
+    longest_sq = np.maximum(np.maximum(lengths_sq[0], lengths_sq[1]), lengths_sq[2])
+    return np.abs(2.0 * triangle_area(tri)) < DEGENERACY_TOL * longest_sq
 
 
 def barycentric_gradients(tris, areas) -> np.ndarray:

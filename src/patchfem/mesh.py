@@ -22,6 +22,7 @@ afterwards it is treated as frozen and may be read concurrently.
 
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -136,6 +137,14 @@ class PatchMesh:
         edge_vec = pv[:, [1, 2, 0], :] - pv
         self._edge_lengths = np.linalg.norm(edge_vec, axis=-1)  # (Np, 3)
         self.h_max = float(self._edge_lengths.max())
+
+    def fresh(self) -> PatchMesh:
+        """A mesh sharing this one's vertices, edges and patches (which no
+        pass writes), with every edge parameter back at 1/2 and free."""
+        mesh = copy.copy(self)
+        mesh.edge_param = np.full(self.n_edges, 0.5)
+        mesh.edge_lock = np.zeros(self.n_edges, dtype=np.int8)
+        return mesh
 
     @property
     def n_vertices(self) -> int:

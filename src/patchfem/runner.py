@@ -13,8 +13,10 @@ more than there are solves, nor than the free memory holds; see
 one CPU and runs serially, which gives the same bits as the threaded loop.
 The largest grids go out first; rows and stderr lines come back in job
 order, so the output does not depend on the number of CPUs. With one
-worker the builtin ``map`` runs the solves in this process, as ``solve``
-and ``angles`` always do.
+worker the solves run in this process in the same order, as ``solve`` and
+``angles`` always do. Each process keeps a workspace of the grid it solved
+last (``_Workspace``), and a solve on that grid reuses what the last one
+left, with the same bits as a solve from scratch.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .adaptation import (
     max_angle_audit,
 )
 from .assembly import assemble
-from .mesh import build_structured_mesh, mesh_to_json
+from .mesh import PatchMesh, build_structured_mesh, mesh_to_json
 from .problems import (
     InsufficientData,
     ProblemSpec,
@@ -74,8 +76,11 @@ MAX_ANGLE_BOUND = 162.0 + 1e-9
 # Peak memory of one solve above the imported package, per grid cell (n * n
 # cells): the ru_maxrss of run_single measured 1,775-1,795 bytes at
 # n = 128, 1,318-1,472 at n = 256 and 1,200-1,275 at n = 512 on the circle,
-# horizontal and tilted problems; this is the largest, rounded up.
-SOLVE_BYTES_PER_CELL = 1800
+# horizontal and tilted problems. A solve that follows one on the same grid
+# also holds the workspace's matrix and configurations: three solves in a
+# row peaked at 2,090-2,200 bytes at n = 128 and 1,670-1,710 at n = 256.
+# This is the largest, rounded up.
+SOLVE_BYTES_PER_CELL = 2200
 
 SOLVE_HEADER = ["problem", "mode", "strategy", "n", "h", "ndofs", "L2", "H1",
                 "cg_iters", "max_angle_deg"]
@@ -141,19 +146,66 @@ def make_problem(name: str, n: int, eps: float = 0.5,
     raise ValueError(f"unknown problem {name!r}")
 
 
+@dataclass
+class _Workspace:
+    """The grid of the last solve in this process, and what that solve left
+    for the next one on the same grid.
+
+    ``mesh`` is built once per grid, and each later solve adapts a copy of
+    the last one with edge parameters of its own (``PatchMesh.fresh``).
+    ``adapted`` is the last solve's (adapted mesh, configs), from which
+    ``build_configs`` keys only the patches that changed. ``assembled`` is
+    the (kappa1, kappa2), configs and matrix of the last adapted-mode
+    assembly, from which ``assemble`` computes only the stiffness rows that
+    changed. Both are set once the solve has assembled, so a failed solve
+    leaves the last good ones.
+    """
+
+    n: int
+    domain: tuple
+    mesh: PatchMesh
+    adapted: tuple | None = None
+    assembled: tuple | None = None
+
+
+_workspace: _Workspace | None = None
+
+
+def _grid(n: int, domain) -> _Workspace:
+    """The workspace of grid (n, domain), its ``mesh`` ready for a solve:
+    this process's last one, with a fresh copy of its mesh, if it is of that
+    grid, else a new one (and the old one dropped first)."""
+    global _workspace
+    if _workspace is None or (_workspace.n, _workspace.domain) != (n, domain):
+        _workspace = None
+        _workspace = _Workspace(n, domain, build_structured_mesh(n, domain))
+    else:
+        _workspace.mesh = _workspace.mesh.fresh()
+    return _workspace
+
+
 def _solve_once(config: RunConfig, n: int):
     problem = make_problem(config.problem, n, config.eps, config.alpha)
-    mesh = build_structured_mesh(n, problem.domain)
+    workspace = _grid(n, problem.domain)
+    mesh = workspace.mesh
     if config.mode == "baseline":
         # The baseline ignores the interface: uniform splits, pointwise kappa.
         classification = Classification(
             [CutClass("uncut")] * mesh.n_patches, {},
             np.zeros(mesh.n_vertices, dtype=bool), np.empty(0, dtype=np.intp),
         )
-        configs = build_configs(mesh, classification, problem.levelset)
+        configs = build_configs(mesh, classification, problem.levelset,
+                                workspace.adapted)
     else:
-        configs, _, _ = adapt(mesh, problem.levelset, config.strategy)
-    system = assemble(mesh, configs, problem, mode=config.mode)
+        configs, _, _ = adapt(mesh, problem.levelset, config.strategy,
+                              workspace.adapted)
+    kappas = (problem.kappa1, problem.kappa2)
+    same_kappas = workspace.assembled is not None and workspace.assembled[0] == kappas
+    system = assemble(mesh, configs, problem, mode=config.mode,
+                      previous=workspace.assembled[1:] if same_kappas else None)
+    workspace.adapted = (mesh, configs)
+    workspace.assembled = ((kappas, configs, system.matrix) if config.mode == "adapted"
+                           else None)
     report = cg_solve(system)
     l2, h1 = error_norms(mesh, configs, problem, report.solution)
     audit = max_angle_audit(mesh, configs)
@@ -289,19 +341,36 @@ def _in_job_order(futures: list):
         yield future.result()
 
 
+def _here(configs: list[RunConfig], order: list[int]) -> list:
+    """``_job`` over ``configs`` run in this process in ``order``, the
+    results in job order up to the first that failed: once a job has
+    failed, the jobs after it are not run."""
+    results = [None] * len(configs)
+    failed = len(configs)
+    for i in order:
+        if i < failed:
+            results[i] = _job(configs[i])
+            if results[i][1] is not None:
+                failed = i
+    return results[:failed + 1]
+
+
 def _run_all(configs: list[RunConfig]) -> list[ResultRow]:
     """``run_single`` over ``configs``: one row per config, in order.
 
-    The solves run on ``_workers(configs)`` worker processes, largest ``n``
-    first. Each solve's stderr lines are printed, and its exception raised,
-    in job order, as if the solves had run one after another here.
+    The solves run on ``_workers(configs)`` worker processes, or here with
+    one, largest ``n`` first, so that consecutive solves in a process
+    mostly share a grid and its workspace. Each solve's stderr lines are
+    printed, and its exception raised, in job order, as if the solves had
+    run one after another here.
     """
+    order = sorted(range(len(configs)), key=lambda i: -configs[i].n)
     with _pool(_workers(configs)) as pool:
         if pool is None:
-            results = map(_job, configs)
+            results = _here(configs, order)
         else:
             futures = [None] * len(configs)
-            for i in sorted(range(len(configs)), key=lambda i: -configs[i].n):
+            for i in order:
                 futures[i] = pool.submit(_job, configs[i])
             results = _in_job_order(futures)
         rows = []

@@ -5,6 +5,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchfem.adaptation import (
     Classification,
@@ -25,7 +27,7 @@ from patchfem.adaptation import (
     subtriangle_topology,
 )
 from patchfem.assembly import assemble
-from patchfem.geometry import DegenerateTriangle, interior_angles, triangle_area
+from patchfem.geometry import interior_angles, triangle_area
 from patchfem.levelset import Circle, HorizontalLine
 from patchfem.mesh import FREE, INTERFACE_LOCKED, STRATEGY_SET, PatchMesh, build_structured_mesh
 from patchfem.problems import circle_problem, horizontal_problem
@@ -507,20 +509,19 @@ class TestShapeTable:
 
 class TestStrategy3Reproducers:
     """Strategy 3 writes its free parameters onto edges that an uncut
-    neighbour shares, and nothing checks that neighbour."""
+    neighbour shares. Where that neighbour would break the angle bound or
+    get a degenerate subtriangle, the edge keeps strategy 2's value."""
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="two cut neighbours push two edge nodes of uncut patch "
-                       "71 toward one vertex: 179.04 degrees (158.5 under strategy 2)")
     def test_uncut_neighbours_keep_the_angle_bound(self):
+        # Two cut neighbours pushed two edge nodes of uncut patch 71 toward
+        # one vertex: 179.04 degrees (158.5 under strategy 2).
         mesh = build_structured_mesh(8)
         configs, _, _ = adapt(mesh, Circle((-0.0974, 0.0909), 0.221), 3)
         assert max_angle_audit(mesh, configs).global_max <= 162.0
 
-    @pytest.mark.xfail(strict=True, raises=DegenerateTriangle,
-                       reason="an interface 1e-8 cells above a grid line gives a "
-                       "zero-area subtriangle under strategy 3")
     def test_near_a_grid_line_solves_or_refines(self):
+        # An interface 1e-8 cells above a grid line gave a zero-area
+        # subtriangle.
         problem = horizontal_problem(1e-8, 2.0 / 16)
         mesh = build_structured_mesh(16, problem.domain)
         try:
@@ -528,3 +529,80 @@ class TestStrategy3Reproducers:
         except RefinementRequired:
             return
         cg_solve(assemble(mesh, configs, problem))
+
+    def test_only_offending_edges_fall_back(self):
+        circle = Circle((-0.0974, 0.0909), 0.221)
+        guarded, plain = build_structured_mesh(8), build_structured_mesh(8)
+        classification = classify_all(guarded, circle)
+        resolve_edge_params(guarded, classification, 3)
+        resolve_edge_params(plain, classification, 2)
+        # Strategy 3's own values without the guard: the lowest cut patch
+        # next to a free edge writes it, and strategy 3 differs from
+        # strategy 2 only on the free edge of an edge-edge cut.
+        unguarded = plain.edge_param.copy()
+        written = set()
+        for pid in classification.cut_ids.tolist():
+            cut = classification.cuts[pid]
+            for k in set(range(3)) - set(cut.edges):
+                eid = int(plain.patch_edges[pid, k])
+                if plain.edge_lock[eid] != STRATEGY_SET or eid in written:
+                    continue
+                written.add(eid)
+                if cut.kind == "edge_edge":
+                    fixed = determined_params(cut, {j: plain.local_t(pid, j)
+                                                    for j in cut.edges})
+                    q, r, s = free_params_two_edges(3, fixed)
+                    t = {0: s, 1: r, 2: 1.0 - q}[k]
+                    unguarded[eid] = t if plain.patch_edge_forward[pid, k] else 1.0 - t
+        fell_back = guarded.edge_param != unguarded
+        assert fell_back.any()
+        np.testing.assert_array_equal(guarded.edge_param[fell_back],
+                                      plain.edge_param[fell_back])
+        assert np.any(guarded.edge_param != plain.edge_param)
+
+
+def _bounded_or_refines(mesh, levelset, strategy, problem=None):
+    """Adapting either asks for refinement or keeps every angle of every
+    patch, cut or not, at or below 162 degrees, with no degenerate
+    subtriangle (the audit and assembly raise DegenerateTriangle on one)."""
+    try:
+        configs, _, _ = adapt(mesh, levelset, strategy)
+    except RefinementRequired:
+        return False
+    assert max_angle_audit(mesh, configs).global_max <= 162.0
+    if problem is not None:
+        assemble(mesh, configs, problem)
+    return True
+
+
+class TestAngleBoundFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(n=st.integers(4, 32), radius=st.floats(0.3, 3.0),
+           centre=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+           strategy=st.sampled_from([2, 3]))
+    def test_circles(self, n, radius, centre, strategy):
+        mesh = build_structured_mesh(n)
+        _bounded_or_refines(mesh, Circle(centre, radius * 2.0 / n), strategy)
+
+    @pytest.mark.parametrize("strategy", [2, 3])
+    def test_seeded_circles(self, strategy):
+        # Without the fallback, strategy 3 broke the bound in 16 of the 175
+        # that adapt.
+        rng = np.random.default_rng(0)
+        h = 2.0 / 16
+        adapted = 0
+        for _ in range(300):
+            radius = rng.uniform(0.5, 1.2) * h
+            centre = tuple(rng.uniform(-0.5, 0.5, 2).tolist())
+            adapted += _bounded_or_refines(build_structured_mesh(16),
+                                           Circle(centre, radius), strategy)
+        assert adapted == 175
+
+    @pytest.mark.parametrize("strategy", [2, 3])
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    def test_horizontal_offsets_near_grid_lines(self, n, strategy):
+        offsets = np.logspace(-2, -14, 25)
+        for eps in np.concatenate([offsets, 1.0 - offsets]).tolist():
+            problem = horizontal_problem(eps, 2.0 / n)
+            mesh = build_structured_mesh(n, problem.domain)
+            assert _bounded_or_refines(mesh, problem.levelset, strategy, problem)

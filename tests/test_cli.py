@@ -459,10 +459,10 @@ class TestWorkerPool:
     def test_refinement_lines_in_job_order(self, monkeypatch, tmp_path, capsys, cpus):
         # Grids below n = 16 need refining: one line per doubling, printed
         # in job order whichever worker finishes first.
-        def coarse_fails(mesh, levelset, strategy):
+        def coarse_fails(mesh, levelset, strategy, previous=None):
             if mesh.n_patches < 2 * 16 * 16:
                 raise RefinementRequired(mesh.n_patches, "synthetic")
-            return adapt(mesh, levelset, strategy)
+            return adapt(mesh, levelset, strategy, previous)
 
         monkeypatch.setattr(runner_module, "adapt", coarse_fails)
         argv = ["sweep", "--problem", "horizontal", "--values", "0.25,0.75",
@@ -505,6 +505,22 @@ class TestWorkerPool:
         assert pool.started == 1
         assert ran["one"] == {"0.05 16", "0.05 8"}
         assert ran["one"] < ran["two"] and len(ran["two"]) < len(values)
+
+    def test_solves_here_run_largest_grid_first(self, monkeypatch, cpus):
+        # Consecutive solves then share a grid; the rows keep job order.
+        ran = []
+
+        def probe(config, n):
+            ran.append(n)
+            return ResultRow(config.problem, config.mode, config.strategy, n, 1.0,
+                             0, config.eps, 1.0, 0, 90.0)
+
+        monkeypatch.setattr(runner_module, "_solve_once", probe)
+        cpus(1)
+        rows = run_sweep("horizontal", "eps", [0.25, 0.75], [8, 16], 2)
+        assert ran == [16, 16, 8, 8]
+        assert [row[:3] for row in rows] == [[0.25, 8, 0.25], [0.25, 16, 0.25],
+                                             [0.75, 8, 0.75], [0.75, 16, 0.75]]
 
     def test_pool_fits_the_free_memory(self, monkeypatch, cpus):
         pool = cpus(2)

@@ -8,6 +8,7 @@ import pytest
 from patchfem.geometry import (
     DegenerateTriangle,
     UnsupportedDegree,
+    degenerate,
     interior_angles,
     reference_quad_rule,
     triangle_area,
@@ -66,6 +67,15 @@ class TestInteriorAngles:
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateTriangle):
             interior_angles([[0, 0], [1, 0], [2, 0]])
+
+    def test_degenerate_mask(self):
+        tris = np.stack([UNIT, [[0, 0], [1, 0], [2, 0]], [[0, 0], [0, 1], [1, 0]],
+                         [[0, 0], [1, 0], [0.5, 1e-15]]])
+        assert degenerate(tris).tolist() == [False, True, True, True]
+        # The ones interior_angles rejects are among them.
+        for tri in tris[1::2]:
+            with pytest.raises(DegenerateTriangle):
+                interior_angles(tri)
 
 
 class TestQuadRules:
