@@ -158,19 +158,17 @@ class PatchConfig:
 class ShapeTable:
     """Each distinct subtriangle geometry of an adapted mesh, stored once.
 
-    Entry i holds the four physical subtriangles of one patch of shape i,
-    ``patch[i]`` (the lowest patch id), their signed areas and barycentric
-    gradients, coordinate-major (Fortran order) like the kernels return
-    them. Patches of one shape have bitwise-equal vertex differences, so
-    every area, gradient and angle computed here is the one of each of
-    them. Shape ids follow the sorted keys of those differences
-    (``keys``).
+    Entry i holds the four physical subtriangles of one patch of shape i
+    (the lowest patch id), their signed areas and barycentric gradients,
+    coordinate-major (Fortran order) like the kernels return them. Patches
+    of one shape have bitwise-equal vertex differences, so every area,
+    gradient and angle computed here is the one of each of them. Shape ids
+    follow the sorted keys of those differences (``keys``).
     """
 
     tris: np.ndarray  # (n_shapes, 4, 3, 2) subtriangle vertices, F order
     areas: np.ndarray  # (n_shapes, 4) signed subtriangle areas, F order
     grads: np.ndarray  # (n_shapes, 4, 3, 2) barycentric gradients, F order
-    patch: np.ndarray  # (n_shapes,) lowest patch id of each shape
 
     def __len__(self) -> int:
         return len(self.areas)
@@ -572,10 +570,6 @@ def _anchor_labels(labels, nodes, situation, levelset) -> np.ndarray:
     return labels.astype(np.int8)
 
 
-# The dtype of a shape key: 24 float64 vertex differences as one item.
-_KEY = np.dtype((np.void, 24 * 8))
-
-
 def _shape_keys(tris) -> np.ndarray:
     """One item per patch: the raw bytes of the vertex differences
     x1 - x0, x2 - x0, x2 - x1 (and in y) of its four subtriangles ``tris``
@@ -588,11 +582,11 @@ def _shape_keys(tris) -> np.ndarray:
         np.subtract(x[..., 1], x[..., 0], out=diffs[:, :, c, 0])
         np.subtract(x[..., 2], x[..., 0], out=diffs[:, :, c, 1])
         np.subtract(x[..., 2], x[..., 1], out=diffs[:, :, c, 2])
-    return diffs.reshape(len(tris), 24).view(_KEY).ravel()
+    return diffs.reshape(len(tris), -1).view(np.dtype((np.void, 24 * 8))).ravel()
 
 
 def build_configs(mesh: PatchMesh, classification: Classification,
-                  levelset, previous=None) -> PatchConfigs:
+                  levelset) -> PatchConfigs:
     """Configurations of all patches after the edge parameters are resolved.
 
     Topologies come from the fixed tables. The physical subtriangles are
@@ -603,12 +597,6 @@ def build_configs(mesh: PatchMesh, classification: Classification,
     and gradients are computed once per shape, on the subtriangles of its
     lowest patch. Only the cut patches are visited one by one, to look up
     their cut situation.
-
-    ``previous``, the (mesh, configs) of an earlier build on the same grid,
-    spares the keys of every patch whose topology and edge parameters are
-    bitwise those of that build: it keeps its shape's key, and only the
-    patches that changed are keyed and merged with the keys that remain.
-    The result is bitwise the one without ``previous``.
     """
     cut_ids = classification.cut_ids
     cut = [classification.cuts[pid] for pid in cut_ids]
@@ -618,84 +606,50 @@ def build_configs(mesh: PatchMesh, classification: Classification,
     topology_id[cut_ids] = _topology_ids(classification.cuts, cut_ids)
     topology = _TOPOLOGIES[topology_id]
 
-    if previous is None:
-        changed = np.ones(mesh.n_patches, dtype=bool)
-        kept_keys = np.empty(0, _KEY)
-        kept_lowest = kept_shape = np.empty(0, dtype=np.intp)
-    else:
-        old_mesh, old = previous
-        moved = old_mesh.edge_param.view(np.int64) != mesh.edge_param.view(np.int64)
-        changed = moved[mesh.patch_edges].any(axis=1)
-        changed |= (topology != old.topology).any(axis=(1, 2))
-        kept_keys, kept_lowest, kept_shape = _kept_shapes(old, changed)
-
     planes = mesh.node_planes()
     diameters = mesh.patch_diameters()
     sides = np.empty((mesh.n_patches, 4), dtype=np.int8)
-    # Each patch's index into the kept keys followed by the blocks' keys.
     shape = np.empty(mesh.n_patches, dtype=np.int32)
-    shape[~changed] = kept_shape
-    keys, firsts, n_keys = [kept_keys], [kept_lowest], len(kept_keys)
+    keys, firsts, n_keys = [], [], 0
     for blk in patch_blocks(mesh.n_patches):
         tris = gather_triangles(planes, mesh.subtriangle_nodes(blk, topology[blk]))
         sides[blk] = side_labels(tris, levelset, diameters[blk])
-        ids = np.flatnonzero(changed[blk])
-        block_keys, first, inverse = np.unique(
-            _shape_keys(tris if len(ids) == len(tris) else tris[ids]),
-            return_index=True, return_inverse=True)
-        ids += blk.start
-        shape[ids] = inverse + n_keys
+        block_keys, first, inverse = np.unique(_shape_keys(tris), return_index=True,
+                                               return_inverse=True)
+        shape[blk] = inverse + n_keys  # into the concatenated block keys
         n_keys += len(block_keys)
         keys.append(block_keys)
-        firsts.append(ids[first])
+        firsts.append(first + blk.start)
     del tris
     if len(cut_ids):
         situation = np.array([_SITUATION[_group_key(c)] for c in cut])
         nodes = planes[:, mesh.patch_nodes(cut_ids)].transpose(1, 2, 0)
         sides[cut_ids] = _anchor_labels(sides[cut_ids], nodes, situation, levelset)
-    # The lowest patch of a merged key is the lowest of those of its
-    # entries among the kept keys and the blocks' keys.
-    keys, merged = np.unique(np.concatenate(keys), return_inverse=True)
-    representatives = np.full(len(keys), mesh.n_patches)
-    np.minimum.at(representatives, merged, np.concatenate(firsts))
+    # Block order is patch order, so the first occurrence of a merged key is
+    # its lowest patch.
+    _, first, merged = np.unique(np.concatenate(keys), return_index=True,
+                                 return_inverse=True)
     shape = merged.astype(np.int32)[shape]
+    representatives = np.concatenate(firsts)[first]
     tris = gather_triangles(planes, mesh.subtriangle_nodes(representatives,
                                                            topology[representatives]))
     areas = triangle_area(tris)
     # A zero-area shape gets infinite gradients; assemble rejects it first.
     with np.errstate(divide="ignore", invalid="ignore"):
         grads = barycentric_gradients(tris, areas)
-    return PatchConfigs(classification.cuts, kind, mesh.local_params_all(), topology,
-                        sides, shape, ShapeTable(tris, areas, grads, representatives))
+    return PatchConfigs(classification.cuts, kind, mesh.local_params_all(),
+                        topology, sides, shape, ShapeTable(tris, areas, grads))
 
 
-def _kept_shapes(old: PatchConfigs, changed: np.ndarray):
-    """The keys of the shapes of ``old`` that an unchanged patch still has,
-    the lowest unchanged patch of each, and the index into them of every
-    unchanged patch's shape."""
-    shape = old.shape[~changed]
-    kept = np.bincount(shape, minlength=len(old.table)) > 0
-    lowest = old.table.patch.copy()
-    lost = kept & changed[lowest]
-    if lost.any():
-        # The lowest patch of a kept shape changed: find its lowest unchanged one.
-        hit = np.flatnonzero(lost[shape])
-        ids, first = np.unique(shape[hit], return_index=True)
-        lowest[ids] = np.flatnonzero(~changed)[hit[first]]
-    index = np.cumsum(kept) - 1  # old shape id -> kept shape id
-    return _shape_keys(old.table.tris[kept]), lowest[kept], index[shape]
-
-
-def adapt(mesh: PatchMesh, levelset, strategy: int, previous=None):
-    """Classify, resolve edge parameters, and build patch configurations
-    (``previous`` as for ``build_configs``).
+def adapt(mesh: PatchMesh, levelset, strategy: int):
+    """Classify, resolve edge parameters, and build patch configurations.
 
     Returns (configs, classification, conflicts). Raises RefinementRequired
     when some patch cannot be represented.
     """
     classification = classify_all(mesh, levelset)
     conflicts = resolve_edge_params(mesh, classification, strategy)
-    configs = build_configs(mesh, classification, levelset, previous)
+    configs = build_configs(mesh, classification, levelset)
     return configs, classification, conflicts
 
 

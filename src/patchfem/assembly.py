@@ -123,22 +123,35 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
     the same grid with the same kappas, spares the stiffness rows that no
     changed patch touches. A patch changed if its shape's key or its side
     labels differ from that assembly's; only the rows of its dofs are
-    computed again, the others are copied. Without such an assembly (or in
-    mode "baseline", or where a topology differs, which moves the sparsity
-    pattern) every row is computed. The result is bitwise the same.
+    computed again, written over that matrix's, whose arrays the new matrix
+    takes. Without such an assembly (or in mode "baseline", or where a
+    topology differs, which moves the sparsity pattern) every row is
+    computed, and ``previous`` is let go of first. The result is bitwise
+    the same.
     """
     if mode not in ("adapted", "baseline"):
         raise ValueError(f"unknown mode {mode!r}")
     table = configs.table
     if np.any(table.areas <= 0.0):
         raise DegenerateTriangle("inverted subtriangle during assembly")
-
-    rule = reference_quad_rule(load_degree)
-    lam = reference_lambdas(rule)  # (nq, 3)
     # The dofs are the nodes of the mesh: vertices, then edge nodes.
     n_dof = mesh.n_vertices + mesh.n_edges
     # The index type SciPy picks for a COO with 36 entries per patch.
     index = np.int32 if max(36 * mesh.n_patches, n_dof) < 2**31 else np.int64
+    rows = matrix = None
+    if (previous is not None and mode == "adapted"
+            and np.array_equal(previous[0].topology, configs.topology)):
+        old, matrix = previous
+        changed = _shape_ids(table, old.table)[old.shape] != configs.shape
+        changed |= (old.sides != configs.sides).any(axis=1)
+        touched = np.zeros(n_dof, dtype=bool)
+        touched[mesh.patch_nodes(np.flatnonzero(changed))] = True
+        rows = np.flatnonzero(touched).astype(index)
+        del old, changed, touched
+    del previous
+
+    rule = reference_quad_rule(load_degree)
+    lam = reference_lambdas(rule)  # (nq, 3)
     sub_dofs = mesh.subtriangle_nodes(slice(None), configs.topology).astype(index)
     dirichlet = np.flatnonzero(mesh.boundary_nodes())
     planes = mesh.node_planes()
@@ -173,17 +186,8 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
         del qpts, qwts, mask, kap, wf, acc, load
     values = problem.u(planes.T[dirichlet])
     del planes
-    rows = old_matrix = None
-    if (previous is not None and mode == "adapted"
-            and np.array_equal(previous[0].topology, configs.topology)):
-        old, old_matrix = previous
-        changed = _shape_ids(configs.table, old.table)[old.shape] != configs.shape
-        changed |= (old.sides != configs.sides).any(axis=1)
-        touched = np.zeros(n_dof, dtype=bool)
-        touched[mesh.patch_nodes(np.flatnonzero(changed))] = True
-        rows = np.flatnonzero(touched).astype(index)
     matrix = _stiffness(sub_dofs, configs.shape, table.grads, kap_area, n_dof,
-                        rows, old_matrix)
+                        rows, matrix)
     return LinearSystem(matrix, rhs, dirichlet, values)
 
 
@@ -215,10 +219,11 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
     with one slot per element-matrix entry is held.
 
     Given the sorted dofs ``rows`` and a matrix ``previous`` of the same
-    sparsity pattern, only those rows are computed, in the same way; the
-    result shares ``previous``'s index arrays and copies its other rows.
+    sparsity pattern, only those rows are computed, in the same way, and
+    written over ``previous``'s: the result takes its arrays.
     """
-    order, row_ptr = _row_order(sub_dofs, n_dof, rows)
+    order, row_ptr = _row_order(
+        sub_dofs, n_dof, np.arange(n_dof, dtype=sub_dofs.dtype) if rows is None else rows)
     n_patches, n_shapes = len(shape), len(grads)
     # Coordinate-major planes over the table's subtriangles
     # j * n_shapes + shape, and kappa * area over the mesh's
@@ -228,12 +233,12 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
     # The three dofs of a subtriangle as one 12- or 24-byte item.
     cols = sub_dofs.reshape(-1, 3)
     col_items = cols.view(np.dtype((np.void, 3 * cols.itemsize))).ravel()
-    if rows is None:
+    if previous is None:
         indptr = np.zeros(n_dof + 1, dtype=sub_dofs.dtype)
         data, indices = np.empty(0), np.empty(0, dtype=sub_dofs.dtype)
     else:
-        indptr, indices, data = previous.indptr, previous.indices, previous.data.copy()
-    for blk in patch_blocks(n_dof if rows is None else len(rows)):
+        indptr, indices, data = previous.indptr, previous.indices, previous.data
+    for blk in patch_blocks(len(row_ptr) - 1):
         lo, hi = row_ptr[blk.start], row_ptr[blk.stop]
         # Element row 4 * t + a of subtriangle t = 4 * patch + j; k is t in
         # kappa * area, s is its shape's subtriangle in the planes of gx and
@@ -263,7 +268,7 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
             shape=(blk.stop - blk.start, n_dof))
         del at, tri, k, s, vals, gyy
         block.sum_duplicates()
-        if rows is None:
+        if previous is None:
             indptr[blk.start + 1:blk.stop + 1] = block.indptr[1:] + indptr[blk.start]
             # Grow the matrix arrays in place (a realloc: no view of them
             # exists) and append the block.
@@ -280,33 +285,30 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
     return sp.csr_matrix((data, indices, indptr), shape=(n_dof, n_dof))
 
 
-def _row_order(sub_dofs: np.ndarray, n_dof: int, rows=None):
-    """The element-matrix rows whose row dof is in ``rows`` (sorted; every
-    dof by default) in a stable sort of their row dofs, each as
-    ``4 * t + a`` (subtriangle t, local vertex a), and the start of each
-    row's run in that order (``len(rows) + 1`` offsets)."""
+def _row_order(sub_dofs: np.ndarray, n_dof: int, rows: np.ndarray):
+    """The element-matrix rows whose row dof is in the sorted ``rows``, in a
+    stable sort of their row dofs, each as ``4 * t + a`` (subtriangle t,
+    local vertex a), and the start of each row's run in that order
+    (``len(rows) + 1`` offsets)."""
     flat = sub_dofs.ravel()
     # A stable sort of the row dofs, as one sort of distinct keys
     # (dof, 4 * t + a) packed into int64.
     n_sub = len(flat) // 3
     shift = (4 * n_sub).bit_length()
-    if rows is None:
-        order = flat.astype(np.int64)
-        order <<= shift
-        for a, plane in enumerate(order.reshape(-1, 3).T):
-            plane |= np.arange(a, 4 * n_sub, 4)
-        bounds = np.arange(n_dof + 1)
-    else:
-        # Element row 4 * t + a sits at 3 * t + a of the flat dofs.
+    order = flat.astype(np.int64)
+    order <<= shift
+    for a, plane in enumerate(order.reshape(-1, 3).T):
+        plane |= np.arange(a, 4 * n_sub, 4)
+    if len(rows) < n_dof:
         wanted = np.zeros(n_dof, dtype=bool)
         wanted[rows] = True
-        at = np.flatnonzero(wanted[flat])
-        order = flat[at].astype(np.int64)
-        order <<= shift
-        order |= at + at // 3
-        bounds = np.append(rows, rows[-1] + 1) if len(rows) else np.zeros(1, np.int64)
+        order = order[wanted[flat]]
     order.sort()
-    row_ptr = np.searchsorted(order, bounds.astype(np.int64) << shift).astype(flat.dtype)
+    # Each row's first key, and one past the last row's keys.
+    bounds = np.empty(len(rows) + 1, dtype=np.int64)
+    bounds[:-1], bounds[-1] = rows, n_dof
+    bounds <<= shift
+    row_ptr = np.searchsorted(order, bounds).astype(flat.dtype)
     order &= (1 << shift) - 1
     return order.astype(flat.dtype), row_ptr
 

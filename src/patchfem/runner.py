@@ -77,10 +77,10 @@ MAX_ANGLE_BOUND = 162.0 + 1e-9
 # cells): the ru_maxrss of run_single measured 1,775-1,795 bytes at
 # n = 128, 1,318-1,472 at n = 256 and 1,200-1,275 at n = 512 on the circle,
 # horizontal and tilted problems. A solve that follows one on the same grid
-# also holds the workspace's matrix and configurations: three solves in a
-# row peaked at 2,090-2,200 bytes at n = 128 and 1,670-1,710 at n = 256.
-# This is the largest, rounded up.
-SOLVE_BYTES_PER_CELL = 2200
+# also holds the workspace's matrix and configurations until it assembles:
+# three solves in a row peaked at 2,020-2,310 bytes at n = 128 and
+# 1,520-1,620 at n = 256. This is the largest, rounded up.
+SOLVE_BYTES_PER_CELL = 2400
 
 SOLVE_HEADER = ["problem", "mode", "strategy", "n", "h", "ndofs", "L2", "H1",
                 "cg_iters", "max_angle_deg"]
@@ -153,19 +153,23 @@ class _Workspace:
 
     ``mesh`` is built once per grid, and each later solve adapts a copy of
     the last one with edge parameters of its own (``PatchMesh.fresh``).
-    ``adapted`` is the last solve's (adapted mesh, configs), from which
-    ``build_configs`` keys only the patches that changed. ``assembled`` is
-    the (kappa1, kappa2), configs and matrix of the last adapted-mode
-    assembly, from which ``assemble`` computes only the stiffness rows that
-    changed. Both are set once the solve has assembled, so a failed solve
-    leaves the last good ones.
+    ``assembled`` is the (kappa1, kappa2), configs and matrix of the last
+    adapted-mode assembly, from which ``assemble`` computes only the
+    stiffness rows that changed, over that matrix. A solve takes it
+    (``take``) just before it assembles, so one that fails before then
+    leaves it, and one that fails in assembly leaves none.
     """
 
     n: int
     domain: tuple
     mesh: PatchMesh
-    adapted: tuple | None = None
     assembled: tuple | None = None
+
+    def take(self, kappas: tuple):
+        """The (configs, matrix) of ``assembled`` if it has ``kappas``, else
+        None; either way, the workspace holds it no more."""
+        assembled, self.assembled = self.assembled, None
+        return assembled[1:] if assembled is not None and assembled[0] == kappas else None
 
 
 _workspace: _Workspace | None = None
@@ -194,18 +198,15 @@ def _solve_once(config: RunConfig, n: int):
             [CutClass("uncut")] * mesh.n_patches, {},
             np.zeros(mesh.n_vertices, dtype=bool), np.empty(0, dtype=np.intp),
         )
-        configs = build_configs(mesh, classification, problem.levelset,
-                                workspace.adapted)
+        configs = build_configs(mesh, classification, problem.levelset)
     else:
-        configs, _, _ = adapt(mesh, problem.levelset, config.strategy,
-                              workspace.adapted)
+        configs, _, _ = adapt(mesh, problem.levelset, config.strategy)
     kappas = (problem.kappa1, problem.kappa2)
-    same_kappas = workspace.assembled is not None and workspace.assembled[0] == kappas
+    # Passed on alone, so that assemble can let go of what it cannot reuse.
     system = assemble(mesh, configs, problem, mode=config.mode,
-                      previous=workspace.assembled[1:] if same_kappas else None)
-    workspace.adapted = (mesh, configs)
-    workspace.assembled = ((kappas, configs, system.matrix) if config.mode == "adapted"
-                           else None)
+                      previous=workspace.take(kappas))
+    if config.mode == "adapted":
+        workspace.assembled = (kappas, configs, system.matrix)
     report = cg_solve(system)
     l2, h1 = error_norms(mesh, configs, problem, report.solution)
     audit = max_angle_audit(mesh, configs)
@@ -341,18 +342,22 @@ def _in_job_order(futures: list):
         yield future.result()
 
 
-def _here(configs: list[RunConfig], order: list[int]) -> list:
-    """``_job`` over ``configs`` run in this process in ``order``, the
-    results in job order up to the first that failed: once a job has
-    failed, the jobs after it are not run."""
-    results = [None] * len(configs)
+def _here(configs: list[RunConfig], order: list[int]):
+    """``_job`` over ``configs`` run in this process in ``order``, each
+    result yielded in job order as soon as it and every one before it are
+    done. Once a job has failed, the jobs after it are not run."""
+    done = {}
     failed = len(configs)
+    upto = 0  # the next job to yield
     for i in order:
-        if i < failed:
-            results[i] = _job(configs[i])
-            if results[i][1] is not None:
-                failed = i
-    return results[:failed + 1]
+        if i > failed:
+            continue
+        done[i] = _job(configs[i])
+        if done[i][1] is not None:
+            failed = i
+        while upto in done:
+            yield done.pop(upto)
+            upto += 1
 
 
 def _run_all(configs: list[RunConfig]) -> list[ResultRow]:

@@ -459,10 +459,10 @@ class TestWorkerPool:
     def test_refinement_lines_in_job_order(self, monkeypatch, tmp_path, capsys, cpus):
         # Grids below n = 16 need refining: one line per doubling, printed
         # in job order whichever worker finishes first.
-        def coarse_fails(mesh, levelset, strategy, previous=None):
+        def coarse_fails(mesh, levelset, strategy):
             if mesh.n_patches < 2 * 16 * 16:
                 raise RefinementRequired(mesh.n_patches, "synthetic")
-            return adapt(mesh, levelset, strategy, previous)
+            return adapt(mesh, levelset, strategy)
 
         monkeypatch.setattr(runner_module, "adapt", coarse_fails)
         argv = ["sweep", "--problem", "horizontal", "--values", "0.25,0.75",
@@ -506,12 +506,16 @@ class TestWorkerPool:
         assert ran["one"] == {"0.05 16", "0.05 8"}
         assert ran["one"] < ran["two"] and len(ran["two"]) < len(values)
 
-    def test_solves_here_run_largest_grid_first(self, monkeypatch, cpus):
-        # Consecutive solves then share a grid; the rows keep job order.
-        ran = []
+    def test_solves_here_run_largest_grid_first(self, monkeypatch, capsys, cpus):
+        # Consecutive solves then share a grid; the rows keep job order, and
+        # a solve's stderr is printed once it and every job before it are
+        # done: jobs 0 and 1 before job 2 runs.
+        ran, printed = [], []
 
         def probe(config, n):
             ran.append(n)
+            printed.append(capsys.readouterr().err)
+            sys.stderr.write(f"{config.eps} {n}\n")
             return ResultRow(config.problem, config.mode, config.strategy, n, 1.0,
                              0, config.eps, 1.0, 0, 90.0)
 
@@ -519,6 +523,8 @@ class TestWorkerPool:
         cpus(1)
         rows = run_sweep("horizontal", "eps", [0.25, 0.75], [8, 16], 2)
         assert ran == [16, 16, 8, 8]
+        assert printed == ["", "", "", "0.25 8\n0.25 16\n"]
+        assert capsys.readouterr().err == "0.75 8\n0.75 16\n"
         assert [row[:3] for row in rows] == [[0.25, 8, 0.25], [0.25, 16, 0.25],
                                              [0.75, 8, 0.75], [0.75, 16, 0.75]]
 

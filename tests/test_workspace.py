@@ -1,12 +1,10 @@
 """A solve that reuses the workspace of the previous solve on its grid gives
 the bytes of a solve from scratch: rows, shape tables and matrices."""
 
-import sys
-
 import numpy as np
 import pytest
 
-from patchfem import adaptation, runner
+from patchfem import assembly, runner
 from patchfem.adaptation import (
     Classification,
     CutClass,
@@ -92,43 +90,45 @@ def test_other_kappas_reassemble_every_row(monkeypatch):
 
 def test_failed_solve_keeps_the_last_good_workspace(tmp_path):
     run_single(RunConfig(problem="horizontal", n=12, eps=0.3))
-    kept = runner._workspace.adapted, runner._workspace.assembled
+    kept = runner._workspace.assembled
     with pytest.raises(RefinementRequired):
         runner._solve_once(RunConfig(problem="circle", n=12), 12)
-    assert (runner._workspace.adapted, runner._workspace.assembled) == kept
+    assert runner._workspace.assembled is kept
     _same_rows([RunConfig(problem="horizontal", n=12, eps=0.6)], tmp_path)
 
 
-def test_topology_alone_changes_a_shape():
-    """Same edge parameters, other topologies: the vertex-cut patches of the
-    earlier build are keyed again."""
+def test_other_topologies_reassemble_every_row():
+    """Same edge parameters, other topologies: the sparsity pattern moves,
+    so the last matrix is not reused, and is let go of."""
     problem = make_problem("tilted", 16, alpha=0.3)
     mesh = build_structured_mesh(16, problem.domain)
     configs, classification, _ = adapt(mesh, problem.levelset, 2)
     assert np.any(configs.kind == 2)
+    matrix = assemble(mesh, configs, problem).matrix
+    data = matrix.data.copy()
     uncut = Classification([CutClass("uncut")] * mesh.n_patches, {},
                            classification.vertex_hits, np.empty(0, dtype=np.intp))
-    fresh = build_configs(mesh, uncut, problem.levelset)
-    reused = build_configs(mesh, uncut, problem.levelset, previous=(mesh, configs))
-    assert np.array_equal(reused.shape, fresh.shape)
-    for name in ("tris", "areas", "grads", "patch"):
-        assert getattr(reused.table, name).tobytes() == getattr(fresh.table, name).tobytes()
-    assert reused.table.keys().tobytes() == fresh.table.keys().tobytes()
+    other = build_configs(mesh, uncut, problem.levelset)
+    fresh = assemble(mesh, other, problem).matrix
+    reused = assemble(mesh, other, problem, previous=(configs, matrix)).matrix
+    for attr in ("indptr", "indices", "data"):
+        assert getattr(reused, attr).tobytes() == getattr(fresh, attr).tobytes()
+    assert not np.shares_memory(reused.data, matrix.data)
+    assert matrix.data.tobytes() == data.tobytes()
 
 
 def test_two_edge_sweep_reuses_one_pattern(monkeypatch):
     """Two-edge cuts leave the sparsity pattern alone: the reused matrices
-    share the first one's index arrays, hold the bits of a matrix built from
-    scratch, and only the moved patches are keyed again."""
-    keyed = []  # patches keyed by each build_configs
-    shape_keys = adaptation._shape_keys
+    take the first one's index arrays, hold the bits of a matrix built from
+    scratch, and only the rows around the moved patches are computed."""
+    computed = []  # stiffness rows computed by each assembly
+    row_order = assembly._row_order
 
-    def counting(tris):
-        if sys._getframe(1).f_code.co_name == "build_configs":
-            keyed.append(len(tris))
-        return shape_keys(tris)
+    def counting(sub_dofs, n_dof, rows):
+        computed.append(len(rows))
+        return row_order(sub_dofs, n_dof, rows)
 
-    monkeypatch.setattr(adaptation, "_shape_keys", counting)
+    monkeypatch.setattr(assembly, "_row_order", counting)
     first = None
     for eps in (0.3, 0.1, 0.55, 0.9, 0.3):
         run_single(RunConfig(problem="horizontal", n=16, eps=eps))
@@ -143,8 +143,10 @@ def test_two_edge_sweep_reuses_one_pattern(monkeypatch):
         else:
             assert np.shares_memory(matrix.indptr, first.indptr)
             assert np.shares_memory(matrix.indices, first.indices)
-    # The first solve and each fresh build key all 512 patches. A reused one
-    # keys only the cut cell row and the patches across its moved edge
-    # nodes: at most two cell rows of 32 patches.
-    assert keyed[:2] == [512, 512] and keyed[3::2] == [512] * 4
-    assert all(0 < count <= 64 for count in keyed[2::2])
+    # The first solve and each fresh build compute all 1,089 rows (the
+    # nodes of 16 x 16 cells). A reused one computes only the nodes of the
+    # patches whose shape or sides changed: the cut cell row and the rows
+    # across its moved edge nodes, at most three node rows of 65.
+    n_dof = 33 * 33
+    assert computed[:2] == [n_dof, n_dof] and computed[3::2] == [n_dof] * 4
+    assert all(0 < count <= 3 * 65 for count in computed[2::2])
