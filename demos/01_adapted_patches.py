@@ -18,19 +18,16 @@ print(f"mesh: {mesh.n_patches} patches, {mesh.n_vertices} vertices, "
 interface = Circle((0.0, 0.0), 0.5)
 configs, classification, conflicts = adapt(mesh, interface, strategy=2)
 
-kinds = collections.Counter(cfg.cut.kind for cfg in configs)
-print(f"cut classes: {dict(kinds)}")
+kinds = configs.kind_names()
+print(f"cut classes: {dict(collections.Counter(kinds))}")
 print(f"parameter conflicts between neighboring cut patches: {len(conflicts)}")
 
 # Every cut patch now carries (q, r, s) with the interface crossings pinned
 # to edge nodes; show a few.
-shown = 0
-for pid, cfg in enumerate(configs):
-    if cfg.cut.is_cut and shown < 4:
-        q, r, s = cfg.params
-        print(f"  patch {pid:3d} {cfg.cut.kind:11s} q={q:.4f} r={r:.4f} s={s:.4f} "
-              f"sides={cfg.sides.tolist()}")
-        shown += 1
+for pid in classification.cut_ids[:4].tolist():
+    q, r, s = configs.params[pid]
+    print(f"  patch {pid:3d} {kinds[pid]:11s} q={q:.4f} r={r:.4f} s={s:.4f} "
+          f"sides={configs.sides[pid].tolist()}")
 
 audit = max_angle_audit(mesh, configs)
 print(f"largest subtriangle angle anywhere: {audit.global_max:.2f} degrees")

@@ -9,11 +9,10 @@ Run:  python3 demos/04_max_angle_audit.py
 import numpy as np
 
 from patchfem.adaptation import (
-    CutClass,
+    TOPOLOGIES,
     free_params_two_edges,
     free_params_vertex_edge,
     reference_local_nodes,
-    subtriangle_topology,
 )
 from patchfem.geometry import interior_angles
 from patchfem.runner import run_angles
@@ -25,7 +24,7 @@ print(f"two-edge cut with determined s={s_det}, r={r_det}:")
 for strategy in (1, 2, 3):
     q, r, s = free_params_two_edges(strategy, {"s": s_det, "r": r_det})
     nodes = reference_local_nodes(q, r, s)
-    worst = interior_angles(nodes[subtriangle_topology(CutClass("uncut"))]).max()
+    worst = interior_angles(nodes[TOPOLOGIES[0]]).max()  # uncut and edge-edge
     print(f"  strategy {strategy}: free q = {q:.4f}  ->  max angle {worst:7.2f} deg")
 
 print("\nrandom cuts, 100000 draws per cell, worst reference angle:")
@@ -35,7 +34,7 @@ for strategy in (1, 2, 3):
     worst = 0.0
     for name, vertex in (("r", 0), ("q", 1), ("s", 2)):
         q, r, s = free_params_vertex_edge(strategy, {name: draws})
-        topo = subtriangle_topology(CutClass("vertex_edge", (0,), vertex))
+        topo = TOPOLOGIES[1 + vertex]  # the split through the cut vertex
         nodes = reference_local_nodes(q, r, s)
         worst = max(worst, float(interior_angles(nodes[:, topo, :]).max()))
     print(f"  strategy {strategy} vertex cuts: {worst:7.2f} deg"

@@ -12,25 +12,19 @@ freedom.
 from .adaptation import (
     AngleAudit,
     CutClass,
-    PatchConfig,
     PatchConfigs,
     RefinementRequired,
     adapt,
-    angle_cosines_two_edges,
-    angle_cosines_vertex_edge,
     classify_all,
     free_params_two_edges,
     free_params_vertex_edge,
     max_angle_audit,
     resolve_edge_params,
     side_labels,
-    subtriangle_topology,
 )
 from .assembly import (
-    DofMap,
     LinearSystem,
     assemble,
-    build_dof_map,
     interpolate_nodal,
 )
 from .geometry import (
@@ -41,7 +35,7 @@ from .geometry import (
     reference_quad_rule,
     triangle_area,
 )
-from .levelset import Circle, HorizontalLine, TiltedLine, vertex_hit
+from .levelset import Circle, HorizontalLine, TiltedLine
 from .mesh import PatchMesh, build_structured_mesh, mesh_to_json, refine
 from .problems import (
     InsufficientData,

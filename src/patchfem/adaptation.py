@@ -8,8 +8,10 @@ three strategies so that no subtriangle angle exceeds 162 degrees (strategies
 2 and 3; strategy 1 keeps free parameters at 1/2 and gives no such guarantee
 when a vertex is cut).
 
-Classification and the audits are pure per patch; ``resolve_edge_params`` is
-the single sequential pass that writes edge parameters.
+Every stage works on whole arrays. ``classify_all`` gives each patch a cut
+code into ``_CUT_CLASSES``, and ``resolve_edge_params`` writes the edge
+parameters of all cut patches at once, each free edge from the lowest
+(patch, local edge) on it.
 """
 
 from __future__ import annotations
@@ -31,21 +33,18 @@ from .mesh import FREE, INTERFACE_LOCKED, STRATEGY_SET, PatchMesh, patch_blocks
 __all__ = [
     "RefinementRequired",
     "CutClass",
-    "PatchConfig",
     "PatchConfigs",
     "ShapeTable",
     "Classification",
+    "CONFLICT",
+    "TOPOLOGIES",
     "classify_all",
-    "determined_params",
     "free_params_two_edges",
     "free_params_vertex_edge",
     "resolve_edge_params",
-    "subtriangle_topology",
     "side_labels",
     "build_configs",
     "adapt",
-    "angle_cosines_two_edges",
-    "angle_cosines_vertex_edge",
     "reference_local_nodes",
     "max_angle_audit",
     "AngleAudit",
@@ -55,44 +54,11 @@ UNCUT = "uncut"
 EDGE_EDGE = "edge_edge"
 VERTEX_EDGE = "vertex_edge"
 
-# Subtriangle index triples over the six local nodes, counterclockwise in
-# reference coordinates, one table per cut situation. Constraints pinning the
-# tables: the four triples tile the patch for every (q,r,s) in (0,1)^3, and
-# the segment between the two cut nodes is an edge of the triangulation.
-_TOPOLOGY_UNCUT = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]], dtype=np.int8)
-_TOPOLOGY_VERTEX = {
-    0: np.array([[0, 4, 5], [0, 3, 4], [3, 1, 4], [5, 4, 2]], dtype=np.int8),
-    1: np.array([[0, 3, 5], [3, 1, 5], [5, 1, 4], [5, 4, 2]], dtype=np.int8),
-    2: np.array([[0, 3, 5], [5, 3, 2], [3, 4, 2], [3, 1, 4]], dtype=np.int8),
-}
-
-# All four tables, indexed by 0 (uncut or edge-edge) or 1 + the cut vertex.
-_TOPOLOGIES = np.stack([_TOPOLOGY_UNCUT] + [_TOPOLOGY_VERTEX[v] for v in range(3)])
-
-# For each cut situation: (subtriangles on the side of the cut segment away
-# from it, their anchor vertex) and the complementary group. The anchor is a
-# patch vertex not lying on the cut, used to resolve side labels robustly.
-_SIDE_GROUPS = {
-    (EDGE_EDGE, (0, 1)): (((0, 2, 3), 0), ((1,), 1)),
-    (EDGE_EDGE, (1, 2)): (((0, 1, 3), 0), ((2,), 2)),
-    (EDGE_EDGE, (0, 2)): (((1, 2, 3), 1), ((0,), 0)),
-    (VERTEX_EDGE, 0): (((0, 3), 2), ((1, 2), 1)),
-    (VERTEX_EDGE, 1): (((0, 1), 0), ((2, 3), 2)),
-    (VERTEX_EDGE, 2): (((0, 1), 0), ((2, 3), 1)),
-}
-# The same table as arrays over the situation index: group membership masks
-# (6, 4) and anchor vertices (6,) for the groups a and b.
-_SITUATION = {key: idx for idx, key in enumerate(_SIDE_GROUPS)}
-_GROUP_A = np.array([np.isin(np.arange(4), a) for (a, _), _ in _SIDE_GROUPS.values()])
-_GROUP_B = ~_GROUP_A  # the two groups tile the patch
-_ANCHOR_A = np.array([anchor for (_, anchor), _ in _SIDE_GROUPS.values()])
-_ANCHOR_B = np.array([anchor for _, (_, anchor) in _SIDE_GROUPS.values()])
+# Cut kinds in the order of their codes in PatchConfigs.kind.
+CUT_KINDS = (UNCUT, EDGE_EDGE, VERTEX_EDGE)
 
 # The paper's bound on every subtriangle angle under strategies 2 and 3.
 MAX_ANGLE_DEG = 162.0
-
-# Cut kinds in the order of their codes in PatchConfigs.kind.
-CUT_KINDS = (UNCUT, EDGE_EDGE, VERTEX_EDGE)
 
 
 class RefinementRequired(Exception):
@@ -128,9 +94,9 @@ class CutClass:
         return self.kind != UNCUT
 
 
-# Every cut class a patch can have: uncut, the three edge-edge cuts (the
-# uncrossed edge is 2, 1, 0) and the vertex cuts at vertex 0, 1, 2, whose
-# crossing lies on the opposite edge.
+# Every cut class a patch can have, indexed by its cut code: uncut, the
+# three edge-edge cuts (the uncrossed edge is 2, 1, 0) and the vertex cuts
+# at vertex 0, 1, 2, whose crossing lies on the opposite edge.
 _CUT_CLASSES = (
     CutClass(UNCUT),
     CutClass(EDGE_EDGE, (0, 1)),
@@ -141,17 +107,53 @@ _CUT_CLASSES = (
     CutClass(VERTEX_EDGE, (0,), 2),
 )
 
+# Subtriangle index triples over the six local nodes, counterclockwise in
+# reference coordinates: entry 0 for uncut and edge-edge patches (the cut
+# segment between any two of the nodes 3, 4, 5 is an edge of the middle
+# triangle), entry 1 + v for a vertex cut at local vertex v, whose split
+# diagonal runs through v. Constraints pinning the tables: the four triples
+# tile the patch for every (q,r,s) in (0,1)^3, and the segment between the
+# two cut nodes is an edge of the triangulation.
+TOPOLOGIES = np.array([
+    [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]],
+    [[0, 4, 5], [0, 3, 4], [3, 1, 4], [5, 4, 2]],
+    [[0, 3, 5], [3, 1, 5], [5, 1, 4], [5, 4, 2]],
+    [[0, 3, 5], [5, 3, 2], [3, 4, 2], [3, 1, 4]],
+], dtype=np.int8)
 
-@dataclass(frozen=True)
-class PatchConfig:
-    """One patch's adaptation result: cut class, parameters (q, r, s),
-    subtriangle topology (4 triples of local node ids) and side labels
-    (1 or 2 per subtriangle)."""
+# Per cut code: its kind (into CUT_KINDS), its topology (into TOPOLOGIES),
+# which local edges it crosses, and its cut classes as an object array.
+_KIND = np.array([CUT_KINDS.index(c.kind) for c in _CUT_CLASSES], dtype=np.int8)
+_TOPOLOGY = np.array([0 if c.vertex is None else 1 + c.vertex for c in _CUT_CLASSES])
+_CROSSED = np.array([np.isin(np.arange(3), c.edges) for c in _CUT_CLASSES])
+_CUT_CLASS_ARRAY = np.array(_CUT_CLASSES, dtype=object)
 
-    cut: CutClass
-    params: tuple[float, float, float]
-    topology: np.ndarray
-    sides: np.ndarray
+# The parameter that the node on local edge k sits at: s, r, and q = 1 - t.
+_PARAM_OF_EDGE = ("s", "r", "q")
+
+# For each cut code 1..6 (row code - 1): (subtriangles on the side of the
+# cut segment away from it, their anchor vertex) and the complementary
+# group. The anchor is a patch vertex not lying on the cut, used to resolve
+# side labels robustly.
+_SIDE_GROUPS = (
+    (((0, 2, 3), 0), ((1,), 1)),  # edge-edge (0, 1)
+    (((1, 2, 3), 1), ((0,), 0)),  # edge-edge (0, 2)
+    (((0, 1, 3), 0), ((2,), 2)),  # edge-edge (1, 2)
+    (((0, 3), 2), ((1, 2), 1)),  # vertex 0
+    (((0, 1), 0), ((2, 3), 2)),  # vertex 1
+    (((0, 1), 0), ((2, 3), 1)),  # vertex 2
+)
+# The same table as arrays: group membership masks (6, 4) and anchor
+# vertices (6,) for the groups a and b.
+_GROUP_A = np.array([np.isin(np.arange(4), a) for (a, _), _ in _SIDE_GROUPS])
+_GROUP_B = ~_GROUP_A  # the two groups tile the patch
+_ANCHOR_A = np.array([anchor for (_, anchor), _ in _SIDE_GROUPS])
+_ANCHOR_B = np.array([anchor for _, (_, anchor) in _SIDE_GROUPS])
+
+# One edge-parameter conflict: a patch whose strategy value for a local
+# edge differs from the value the edge keeps (local direction both).
+CONFLICT = np.dtype([("patch", np.intp), ("local_edge", np.int8), ("wanted", float),
+                     ("kept", float)])
 
 
 @dataclass(frozen=True)
@@ -183,17 +185,14 @@ class ShapeTable:
 class PatchConfigs:
     """Adaptation result of every patch, as arrays indexed by patch id.
 
-    ``kind`` codes index ``CUT_KINDS``; ``cuts`` is the classification's list
-    of cut classes. ``shape`` indexes ``table``, the subtriangle geometry
-    that assembly, error norms and the angle audit share: patches the
-    interface leaves alone share a few shapes, so nothing is stored per
-    subtriangle of the mesh; quadrature gathers the physical subtriangles of
-    a patch block from ``PatchMesh.node_planes`` where it needs their
-    position. Indexing gives one patch's ``PatchConfig`` for inspection; the
-    pipeline reads the arrays.
+    ``kind`` codes index ``CUT_KINDS``. ``shape`` indexes ``table``, the
+    subtriangle geometry that assembly, error norms and the angle audit
+    share: patches the interface leaves alone share a few shapes, so nothing
+    is stored per subtriangle of the mesh; quadrature gathers the physical
+    subtriangles of a patch block from ``PatchMesh.node_planes`` where it
+    needs their position.
     """
 
-    cuts: list[CutClass]
     kind: np.ndarray  # (n_patches,) int8
     params: np.ndarray  # (n_patches, 3) float: q, r, s
     topology: np.ndarray  # (n_patches, 4, 3) int8
@@ -204,14 +203,6 @@ class PatchConfigs:
     def __len__(self) -> int:
         return len(self.kind)
 
-    def __getitem__(self, pid: int) -> PatchConfig:
-        q, r, s = self.params[pid].tolist()
-        return PatchConfig(self.cuts[pid], (q, r, s), self.topology[pid],
-                           self.sides[pid])
-
-    def __iter__(self):
-        return (self[pid] for pid in range(len(self)))
-
     def kind_names(self) -> list[str]:
         """Cut kind of every patch as its name."""
         return np.array(CUT_KINDS)[self.kind].tolist()
@@ -219,24 +210,40 @@ class PatchConfigs:
 
 @dataclass
 class Classification:
-    """Cut classes for every patch plus the interface crossings found on each
-    edge (storage parameters, keyed by edge id). ``cut_ids`` lists the cut
-    patches in ascending order; it is derived from ``cuts`` when not given."""
+    """How the interface crosses every patch.
 
-    cuts: list[CutClass]
-    edge_crossings: dict[int, float]
+    ``code`` (int8 per patch) indexes ``_CUT_CLASSES``. ``crossed_edges``
+    are the edges a cut patch counted a crossing on, in the order of the
+    lowest (patch, local edge) through each, and ``crossing_t`` their
+    crossings in the edge storage direction. ``vertex_hits`` flags the mesh
+    vertices the interface passes through.
+    """
+
+    code: np.ndarray  # (n_patches,) int8
+    crossed_edges: np.ndarray  # (n_crossed,) int64
+    crossing_t: np.ndarray  # (n_crossed,) float
     vertex_hits: np.ndarray  # bool per mesh vertex
-    cut_ids: np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.cut_ids is None:
-            self.cut_ids = np.array(
-                [pid for pid, c in enumerate(self.cuts) if c.is_cut], dtype=np.intp
-            )
+    @classmethod
+    def uncut(cls, mesh: PatchMesh) -> Classification:
+        """Every patch uncut, as the unfitted baseline splits them."""
+        return cls(np.zeros(mesh.n_patches, dtype=np.int8), np.empty(0, dtype=np.int64),
+                   np.empty(0), np.zeros(mesh.n_vertices, dtype=bool))
+
+    @property
+    def cut_ids(self) -> np.ndarray:
+        """The cut patches, ascending."""
+        return np.flatnonzero(self.code)
 
     @property
     def n_cut(self) -> int:
         return len(self.cut_ids)
+
+    @property
+    def cuts(self) -> np.ndarray:
+        """The ``CutClass`` of every patch, an object array built on each
+        access for inspection."""
+        return _CUT_CLASS_ARRAY[self.code]
 
 
 def classify_all(mesh: PatchMesh, levelset) -> Classification:
@@ -288,9 +295,8 @@ def classify_all(mesh: PatchMesh, levelset) -> Classification:
 
     # Codes into _CUT_CLASSES: an edge-edge cut by its uncrossed edge, a
     # vertex cut by its vertex.
-    code = np.where(single, 4 + hit_vertex, 3 - counts.argmin(axis=1))
+    code = np.where(single, 4 + hit_vertex, 3 - counts.argmin(axis=1)).astype(np.int8)
     code[total == 0] = 0
-    cuts = np.array(_CUT_CLASSES, dtype=object)[code].tolist()
 
     cut_ids = np.nonzero(total)[0]
     pid, k = np.nonzero(counts[cut_ids] == 1)  # by patch, then local edge
@@ -302,37 +308,17 @@ def classify_all(mesh: PatchMesh, levelset) -> Classification:
     t = np.where(mesh.patch_edge_forward[pid, k], t_local, 1.0 - t_local)
     eids = mesh.patch_edges[pid, k]
     first = np.sort(np.unique(eids, return_index=True)[1])
-    edge_crossings = dict(zip(eids[first].tolist(), t[first].tolist()))
-    return Classification(cuts, edge_crossings, vhit, cut_ids)
+    return Classification(code, eids[first], t[first], vhit)
 
 
-def determined_params(cut: CutClass, crossings: dict[int, float]) -> dict[str, float]:
-    """Translate local-edge crossings into fixed (q, r, s) components.
+def free_params_two_edges(strategy: int, fixed: dict[str, np.ndarray]):
+    """Complete (q, r, s) of cut patches whose cut fixed two of them.
 
-    ``crossings`` maps the cut local edge index to the crossing parameter in
-    local direction. Local edge 0 fixes s, edge 1 fixes r and edge 2 fixes
-    q = 1 - t (the node on edge 2 sits at parameter 1-q from vertex 2).
-    """
-    if not cut.is_cut:
-        raise ValueError("uncut patches determine no parameters")
-    fixed = {}
-    for k in cut.edges:
-        t = crossings[k]
-        if k == 0:
-            fixed["s"] = t
-        elif k == 1:
-            fixed["r"] = t
-        else:
-            fixed["q"] = 1.0 - t
-    return fixed
-
-
-def free_params_two_edges(strategy: int, fixed: dict[str, float]):
-    """Complete (q, r, s) when the cut fixed two of them.
-
-    Strategy 1 always sets the free parameter to 1/2. Strategies 2 and 3
-    apply their remedy only where the determined pair can squeeze the middle
-    subtriangle flat, and fall back to 1/2 otherwise:
+    ``fixed`` maps the two fixed names to arrays of one shape; the result
+    is three arrays of that shape. Strategy 1 always sets the free parameter
+    to 1/2. Strategies 2 and 3 apply their remedy only where the determined
+    pair can squeeze the middle subtriangle flat, and fall back to 1/2
+    otherwise:
 
         free r, determined q > 1/2 and s > 1/2:  r = 1-s (S2), (1-s)(1-q) (S3)
         free q, determined s < 1/2 and r > 1/2:  q = s   (S2), (1-r)s     (S3)
@@ -346,7 +332,6 @@ def free_params_two_edges(strategy: int, fixed: dict[str, float]):
     if strategy not in (1, 2, 3):
         raise ValueError(f"unknown strategy {strategy}")
     (name,) = {"q", "r", "s"} - set(fixed)
-    scalar = all(np.ndim(v) == 0 for v in fixed.values())
     p = {k: np.asarray(v, dtype=float) for k, v in fixed.items()}
     half = np.full(np.broadcast_shapes(*(v.shape for v in p.values())), 0.5)
     if strategy == 1:
@@ -360,16 +345,17 @@ def free_params_two_edges(strategy: int, fixed: dict[str, float]):
     else:
         opt = 1.0 - p["r"] if strategy == 2 else p["q"] * p["r"]
         p["s"] = np.where((p["q"] < 0.5) & (p["r"] < 0.5), opt, half)
-    if scalar:
-        return float(p["q"]), float(p["r"]), float(p["s"])
     return p["q"], p["r"], p["s"]
 
 
-def free_params_vertex_edge(strategy: int, fixed: dict[str, float]):
-    """Complete (q, r, s) when a vertex cut fixed a single parameter.
+def free_params_vertex_edge(strategy: int, fixed: dict[str, np.ndarray]):
+    """Complete (q, r, s) of vertex-cut patches, whose cut fixed one of
+    them.
 
-    Strategy 1 sets both free parameters to 1/2. Strategies 2 and 3 use the
-    case table, evaluated from the one determined value with fallback 1/2:
+    ``fixed`` maps the fixed name to an array; the result is three arrays
+    of its shape. Strategy 1 sets both free parameters to 1/2. Strategies 2
+    and 3 use the case table, evaluated from the one determined value with
+    fallback 1/2:
 
         fixed r: q = r if r > 1/2 else 1/2;   s = 1-r if r < 1/2 else 1/2
         fixed q: r = q if q > 1/2 else 1/2;   s = q   if q < 1/2 else 1/2
@@ -380,7 +366,6 @@ def free_params_vertex_edge(strategy: int, fixed: dict[str, float]):
     if strategy not in (1, 2, 3):
         raise ValueError(f"unknown strategy {strategy}")
     ((name, value),) = fixed.items()
-    scalar = np.ndim(value) == 0
     v = np.asarray(value, dtype=float)
     half = np.full(v.shape, 0.5)
     if strategy == 1:
@@ -397,29 +382,20 @@ def free_params_vertex_edge(strategy: int, fixed: dict[str, float]):
         p = {"s": v,
              "r": np.where(v > 0.5, 1.0 - v, half),
              "q": np.where(v < 0.5, v, half)}
-    if scalar:
-        return float(p["q"]), float(p["r"]), float(p["s"])
     return p["q"], p["r"], p["s"]
 
 
-@dataclass
-class Conflict:
-    patch_id: int
-    local_edge: int
-    wanted: float
-    kept: float
-
-
 def resolve_edge_params(mesh: PatchMesh, classification: Classification,
-                        strategy: int) -> list[Conflict]:
+                        strategy: int) -> np.ndarray:
     """Write interface crossings and strategy values into the edge registry.
 
-    Pass 1 locks every crossed edge at its crossing. Pass 2 walks cut patches
-    in ascending id order and writes each patch's free parameters to still
-    free edges; an edge that is already locked or set is never overwritten
-    (first writer wins). A conflict is recorded for each later patch whose
-    value differs from the one the edge keeps. Untouched edges stay at 1/2.
-    Running the pass again changes nothing.
+    Every crossed edge is locked at its crossing first. Each other edge of a
+    cut patch that is still free then takes the value that the strategy
+    gives the lowest (patch, local edge) on it (first writer wins); an edge
+    that is already locked or set is never overwritten. Every later
+    (patch, local edge) on an edge, and every one on an edge that was not
+    free, whose value differs from the one the edge keeps is a conflict.
+    Untouched edges stay at 1/2. Running the pass again changes nothing.
 
     Strategy 3 bounds the angles of the cut patch that sets an edge, not
     those of the patch on the other side, which may be uncut or cut
@@ -427,64 +403,97 @@ def resolve_edge_params(mesh: PatchMesh, classification: Classification,
     such an edge with an angle above 162 degrees or a collinear or inverted
     subtriangle, or cannot be stored at all, the edge keeps strategy 2's
     value instead (``_keep_angle_bound``).
-    """
-    for eid, t in classification.edge_crossings.items():
-        mesh.edge_param[eid] = t
-        mesh.edge_lock[eid] = INTERFACE_LOCKED
 
-    losers = []  # (patch, local edge, wanted local t) of edges kept by others
-    fallback = {}  # edge -> (patch, local edge, strategy 2's local t)
-    for pid in classification.cut_ids.tolist():
-        cut = classification.cuts[pid]
-        local_ts = {k: mesh.local_t(pid, k) for k in cut.edges}
-        fixed = determined_params(cut, local_ts)
-        if cut.kind == EDGE_EDGE:
-            wanted = plain = _local_ts(free_params_two_edges(strategy, fixed))
-            if strategy == 3:
-                plain = _local_ts(free_params_two_edges(2, fixed))
-        else:
-            wanted = plain = _local_ts(free_params_vertex_edge(strategy, fixed))
-        for k in range(3):
-            if k in cut.edges:
-                continue
-            eid = mesh.patch_edges[pid, k]
-            if mesh.edge_lock[eid] != FREE:
-                losers.append((pid, k, wanted[k]))
-                continue
-            # A strategy-3 value rounded onto a vertex of the edge cannot be stored.
-            t = wanted[k] if 0.0 < wanted[k] < 1.0 else plain[k]
-            mesh.set_local_t(pid, k, t, STRATEGY_SET)
-            if t != plain[k]:
-                fallback[eid] = (pid, k, plain[k])
-    if fallback:
-        _keep_angle_bound(mesh, classification, fallback)
-    conflicts = []
-    for pid, k, wanted in losers:
-        kept = mesh.local_t(pid, k)
-        if abs(kept - wanted) > 1e-12:
-            conflicts.append(Conflict(pid, k, wanted, kept))
+    Returns the conflicts as a ``CONFLICT`` array, by patch, then local
+    edge; its values are in the patch's local direction.
+    """
+    mesh.edge_param[classification.crossed_edges] = classification.crossing_t
+    mesh.edge_lock[classification.crossed_edges] = INTERFACE_LOCKED
+
+    cut_ids = classification.cut_ids
+    code = classification.code[cut_ids]
+    forward = mesh.patch_edge_forward[cut_ids]
+    t = mesh.edge_param[mesh.patch_edges[cut_ids]]
+    t = np.where(forward, t, 1.0 - t)
+    wanted = _strategy_values(strategy, code, t)
+    plain = _strategy_values(2, code, t) if strategy == 3 else wanted
+    # Every uncrossed edge of a cut patch, by patch, then local edge.
+    row, k = np.nonzero(~_CROSSED[code])
+    eids = mesh.patch_edges[cut_ids[row], k]
+    forward, wanted, plain = forward[row, k], wanted[row, k], plain[row, k]
+
+    free = np.flatnonzero(mesh.edge_lock[eids] == FREE)
+    writer = free[np.sort(np.unique(eids[free], return_index=True)[1])]
+    # A strategy-3 value rounded onto a vertex of the edge cannot be stored.
+    value = wanted[writer]
+    value = np.where((value > 0.0) & (value < 1.0), value, plain[writer])
+    _store(mesh, eids[writer], forward[writer], value)
+    fallback = writer[value != plain[writer]]
+    if len(fallback):
+        _keep_angle_bound(mesh, classification.code, eids[fallback], forward[fallback],
+                          plain[fallback])
+
+    loser = np.ones(len(eids), dtype=bool)
+    loser[writer] = False
+    loser = np.flatnonzero(loser)
+    kept = mesh.edge_param[eids[loser]]
+    kept = np.where(forward[loser], kept, 1.0 - kept)
+    differs = np.abs(kept - wanted[loser]) > 1e-12
+    loser = loser[differs]
+    conflicts = np.empty(len(loser), dtype=CONFLICT)
+    conflicts["patch"] = cut_ids[row[loser]]
+    conflicts["local_edge"] = k[loser]
+    conflicts["wanted"] = wanted[loser]
+    conflicts["kept"] = kept[differs]
     return conflicts
 
 
-def _local_ts(params) -> dict[int, float]:
-    """Local edge -> local node parameter t of (q, r, s)."""
-    q, r, s = params
-    return {0: s, 1: r, 2: 1.0 - q}
+def _strategy_values(strategy: int, code: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The local node parameters (n, 3) that ``strategy`` gives cut patches
+    of codes ``code`` (n,) whose edge parameters in local direction are
+    ``t`` (n, 3); only the entries of uncrossed edges are meant.
+
+    A crossing fixes the parameter of its edge: local edge 0 fixes s, edge
+    1 fixes r and edge 2 fixes q = 1 - t (the node on edge 2 sits at
+    parameter 1-q from vertex 2). The patches of one code share the
+    function that completes (q, r, s).
+    """
+    determined = {"s": t[:, 0], "r": t[:, 1], "q": 1.0 - t[:, 2]}
+    out = np.empty_like(t)
+    for c in np.unique(code).tolist():
+        rows = code == c
+        names = [_PARAM_OF_EDGE[k] for k in _CUT_CLASSES[c].edges]
+        complete = free_params_two_edges if len(names) == 2 else free_params_vertex_edge
+        q, r, s = complete(strategy, {name: determined[name][rows] for name in names})
+        out[rows, 0], out[rows, 1], out[rows, 2] = s, r, 1.0 - q
+    return out
 
 
-def _keep_angle_bound(mesh: PatchMesh, classification: Classification,
-                      fallback: dict) -> None:
+def _store(mesh: PatchMesh, eids, forward, t) -> None:
+    """Write the local-direction parameters ``t`` of the edges ``eids`` as
+    strategy values; ``forward`` tells whether each local direction is the
+    stored one."""
+    outside = ~((t > 0.0) & (t < 1.0))
+    if outside.any():
+        raise ValueError(f"edge parameter {float(t[outside.argmax()])} outside (0,1)")
+    mesh.edge_param[eids] = np.where(forward, t, 1.0 - t)
+    mesh.edge_lock[eids] = STRATEGY_SET
+
+
+def _keep_angle_bound(mesh: PatchMesh, code: np.ndarray, eids, forward, plain) -> None:
     """Give strategy 2's value back to every strategy-3 edge of a patch that
     breaks the 162-degree bound or has a degenerate subtriangle.
 
-    ``fallback`` maps each edge that holds a strategy-3 value other than
-    strategy 2's to (writer patch, its local edge, strategy 2's local t).
-    The patches on both sides of those edges are checked, and the edges of
-    the offending ones reverted, until none offends. If the offenders have
-    no strategy-3 edge left, the lowest one raises RefinementRequired.
+    ``eids`` are the edges that hold a strategy-3 value other than strategy
+    2's local value ``plain``, and ``forward`` their local directions;
+    ``code`` is every patch's cut code. The patches on both sides of those
+    edges are checked, and the edges of the offending ones reverted, until
+    none offends. If the offenders have no strategy-3 edge left, the lowest
+    one raises RefinementRequired.
     """
-    watched = np.flatnonzero(np.isin(mesh.patch_edges, list(fallback)).any(axis=1))
-    topology = _TOPOLOGIES[_topology_ids(classification.cuts, watched)]
+    watched = np.flatnonzero(np.isin(mesh.patch_edges, eids).any(axis=1))
+    topology = TOPOLOGIES[_TOPOLOGY[code[watched]]]
+    pending = np.ones(len(eids), dtype=bool)
     while True:
         tris = gather_triangles(mesh.node_planes(),
                                 mesh.subtriangle_nodes(watched, topology))
@@ -494,38 +503,13 @@ def _keep_angle_bound(mesh: PatchMesh, classification: Classification,
         if not bad.any():
             return
         offenders = watched[bad]
-        edges = set(mesh.patch_edges[offenders].ravel().tolist()) & fallback.keys()
-        if not edges:
+        revert = pending & np.isin(eids, mesh.patch_edges[offenders])
+        if not revert.any():
             raise RefinementRequired(
                 int(offenders[0]),
                 f"a subtriangle angle exceeds {MAX_ANGLE_DEG:g} degrees under strategy 2")
-        for eid in sorted(edges):
-            mesh.set_local_t(*fallback.pop(eid), STRATEGY_SET)
-
-
-def _topology_ids(cuts, pids) -> np.ndarray:
-    """Index into ``_TOPOLOGIES`` of each patch in ``pids``: 0 for uncut
-    and edge-edge patches, 1 + the cut vertex for a vertex cut."""
-    return np.array([0 if cuts[pid].kind != VERTEX_EDGE else 1 + cuts[pid].vertex
-                     for pid in pids.tolist()], dtype=np.intp)
-
-
-def subtriangle_topology(cut: CutClass) -> np.ndarray:
-    """Four local-node index triples tiling the patch, counterclockwise.
-
-    Uncut and edge-edge patches share one table (the cut segment between any
-    two of the nodes 3, 4, 5 is an edge of the middle triangle); a vertex cut
-    routes the split diagonal through the cut vertex.
-    """
-    if cut.kind == VERTEX_EDGE:
-        return _TOPOLOGY_VERTEX[cut.vertex]
-    return _TOPOLOGY_UNCUT
-
-
-def _group_key(cut: CutClass):
-    if cut.kind == EDGE_EDGE:
-        return (EDGE_EDGE, tuple(sorted(cut.edges)))
-    return (VERTEX_EDGE, cut.vertex)
+        _store(mesh, eids[revert], forward[revert], plain[revert])
+        pending &= ~revert
 
 
 def side_labels(tris, levelset, scale=1.0) -> np.ndarray:
@@ -548,8 +532,8 @@ def side_labels(tris, levelset, scale=1.0) -> np.ndarray:
 def _anchor_labels(labels, nodes, situation, levelset) -> np.ndarray:
     """Make the side labels of cut patches consistent along the cut segment.
 
-    ``labels`` (Nc, 4), ``nodes`` (Nc, 6, 2) and ``situation`` (Nc,) index
-    into ``_SIDE_GROUPS``. A subtriangle group whose labels disagree (a sliver
+    ``labels`` (Nc, 4), ``nodes`` (Nc, 6, 2) and ``situation`` (Nc,), the
+    cut codes less one, index into ``_SIDE_GROUPS``. A subtriangle group whose labels disagree (a sliver
     centroid across a curved interface) takes the label of its anchor vertex,
     off the interface. If both groups then carry the same label, each falls
     back to its anchor.
@@ -595,16 +579,10 @@ def build_configs(mesh: PatchMesh, classification: Classification,
     patch's shape. The distinct keys of each block, merged over the blocks,
     give the same shape ids as one ``np.unique`` over the whole mesh; areas
     and gradients are computed once per shape, on the subtriangles of its
-    lowest patch. Only the cut patches are visited one by one, to look up
-    their cut situation.
+    lowest patch.
     """
-    cut_ids = classification.cut_ids
-    cut = [classification.cuts[pid] for pid in cut_ids]
-    kind = np.zeros(mesh.n_patches, dtype=np.int8)
-    kind[cut_ids] = [CUT_KINDS.index(c.kind) for c in cut]
-    topology_id = np.zeros(mesh.n_patches, dtype=np.intp)
-    topology_id[cut_ids] = _topology_ids(classification.cuts, cut_ids)
-    topology = _TOPOLOGIES[topology_id]
+    code = classification.code
+    topology = TOPOLOGIES[_TOPOLOGY[code]]
 
     planes = mesh.node_planes()
     diameters = mesh.patch_diameters()
@@ -621,10 +599,10 @@ def build_configs(mesh: PatchMesh, classification: Classification,
         keys.append(block_keys)
         firsts.append(first + blk.start)
     del tris
+    cut_ids = classification.cut_ids
     if len(cut_ids):
-        situation = np.array([_SITUATION[_group_key(c)] for c in cut])
         nodes = planes[:, mesh.patch_nodes(cut_ids)].transpose(1, 2, 0)
-        sides[cut_ids] = _anchor_labels(sides[cut_ids], nodes, situation, levelset)
+        sides[cut_ids] = _anchor_labels(sides[cut_ids], nodes, code[cut_ids] - 1, levelset)
     # Block order is patch order, so the first occurrence of a merged key is
     # its lowest patch.
     _, first, merged = np.unique(np.concatenate(keys), return_index=True,
@@ -637,8 +615,8 @@ def build_configs(mesh: PatchMesh, classification: Classification,
     # A zero-area shape gets infinite gradients; assemble rejects it first.
     with np.errstate(divide="ignore", invalid="ignore"):
         grads = barycentric_gradients(tris, areas)
-    return PatchConfigs(classification.cuts, kind, mesh.local_params_all(),
-                        topology, sides, shape, ShapeTable(tris, areas, grads))
+    return PatchConfigs(_KIND[code], mesh.local_params_all(), topology, sides, shape,
+                        ShapeTable(tris, areas, grads))
 
 
 def adapt(mesh: PatchMesh, levelset, strategy: int):
@@ -654,59 +632,6 @@ def adapt(mesh: PatchMesh, levelset, strategy: int):
 
 
 # -- angle bookkeeping -------------------------------------------------------
-
-def angle_cosines_two_edges(q, r, s):
-    """Cosines (cos a, cos b, cos g) of the middle subtriangle
-    ((s,0), (1-r,r), (0,q)) in reference coordinates: a at the node on the
-    slanted edge, b at the node on the left edge, g at the node on the bottom
-    edge. Inputs broadcast."""
-    q, r, s = np.asarray(q, float), np.asarray(r, float), np.asarray(s, float)
-    len_45 = np.sqrt((q - r) ** 2 + (r - 1.0) ** 2)  # node4-node5 distance
-    len_34 = np.sqrt((1.0 - r - s) ** 2 + r**2)
-    len_35 = np.sqrt(s**2 + q**2)
-    cos_a = ((1.0 - r) * (1.0 - r - s) + r * (r - q)) / (len_45 * len_34)
-    cos_b = (s * (1.0 - r) + q * (q - r)) / (len_45 * len_35)
-    cos_g = (s * (s - 1.0 + r) + r * q) / (len_34 * len_35)
-    return cos_a, cos_b, cos_g
-
-
-def angle_cosines_vertex_edge(case: str, q, r, s):
-    """Six cosines for the two subtriangles along the split diagonal of a
-    vertex cut, in reference coordinates.
-
-    case "lower-left": diagonal from (0,0) to the slanted-edge node; returns
-    the angles of triangles ((0,0),(1-r,r),(0,q)) and ((0,0),(s,0),(1-r,r)),
-    each ordered (angle at the left-edge or bottom node, at the corner, at
-    the slanted-edge node).
-
-    case "lower-right": diagonal from (1,0) to the left-edge node; returns
-    the angles of ((s,0),(1,0),(0,q)) and ((0,q),(1,0),(1-r,r)).
-    """
-    q, r, s = np.asarray(q, float), np.asarray(r, float), np.asarray(s, float)
-    if case == "lower-left":
-        len_04 = np.sqrt((1.0 - r) ** 2 + r**2)
-        len_45 = np.sqrt((1.0 - r) ** 2 + (r - q) ** 2)
-        len_34 = np.sqrt(r**2 + (s - 1.0 + r) ** 2)
-        cos_a1 = (q - r) / len_45
-        cos_b1 = r / len_04
-        cos_g1 = ((1.0 - r) ** 2 + r * (r - q)) / (len_04 * len_45)
-        cos_a2 = (1.0 - r) / len_04
-        cos_b2 = (s - 1.0 + r) / len_34
-        cos_g2 = ((1.0 - r) * (1.0 - r - s) + r**2) / (len_04 * len_34)
-        return cos_a1, cos_b1, cos_g1, cos_a2, cos_b2, cos_g2
-    if case == "lower-right":
-        len_15 = np.sqrt(1.0 + q**2)
-        len_35 = np.sqrt(s**2 + q**2)
-        len_45 = np.sqrt((1.0 - r) ** 2 + (r - q) ** 2)
-        cos_a3 = -s / len_35
-        cos_b3 = 1.0 / len_15
-        cos_g3 = (s + q**2) / (len_15 * len_35)
-        cos_a4 = (1.0 + q) / (np.sqrt(2.0) * len_15)
-        cos_b4 = ((1.0 - r) + q * (q - r)) / (len_15 * len_45)
-        cos_g4 = (2.0 * r - 1.0 - q) / (np.sqrt(2.0) * len_45)
-        return cos_a3, cos_b3, cos_g3, cos_a4, cos_b4, cos_g4
-    raise ValueError(f"unknown case {case!r}")
-
 
 def reference_local_nodes(q, r, s) -> np.ndarray:
     """Six local nodes on the unit reference patch for given parameters.

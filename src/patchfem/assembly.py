@@ -1,5 +1,6 @@
-"""Degree-of-freedom management and assembly of the stiffness matrix and
-load vector for piecewise-linear elements on the four-triangle patch splits.
+"""Assembly of the stiffness matrix and load vector for piecewise-linear
+elements on the four-triangle patch splits. The dofs are the nodes of the
+mesh (``PatchMesh.node_planes``): the vertices, then the edge nodes.
 
 The subtriangle areas and barycentric gradients come from the shape table
 of ``PatchConfigs``; the subtriangles themselves are gathered per patch
@@ -33,35 +34,10 @@ from .geometry import (
 from .mesh import PatchMesh, patch_blocks
 
 __all__ = [
-    "DofMap",
     "LinearSystem",
-    "build_dof_map",
     "assemble",
     "interpolate_nodal",
 ]
-
-
-@dataclass
-class DofMap:
-    """Global numbering: one dof per mesh vertex, then one per edge node.
-
-    ``patch_dofs[p]`` lists the six global dofs of patch p in local node
-    order, the node ids of ``PatchMesh.patch_nodes``; shared edge nodes
-    resolve to one global index from both sides.
-    """
-
-    n_vertices: int
-    n_edges: int
-    boundary: np.ndarray  # (n_dof,) bool
-    patch_dofs: np.ndarray  # (n_patches, 6) int
-
-    @property
-    def n_dof(self) -> int:
-        return self.n_vertices + self.n_edges
-
-
-def build_dof_map(mesh: PatchMesh) -> DofMap:
-    return DofMap(mesh.n_vertices, mesh.n_edges, mesh.boundary_nodes(), mesh.patch_nodes())
 
 
 @dataclass
@@ -186,7 +162,12 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
         del qpts, qwts, mask, kap, wf, acc, load
     values = problem.u(planes.T[dirichlet])
     del planes
-    matrix = _stiffness(sub_dofs, configs.shape, table.grads, kap_area, n_dof,
+    # The four subtriangles of a patch tile the hexagon of its vertices and
+    # edge nodes, which takes three diagonals whatever the topology, and each
+    # mesh edge is two segments: every node couples with itself and each
+    # such segment couples two nodes.
+    nnz = n_dof + 2 * (3 * mesh.n_patches + 2 * mesh.n_edges)
+    matrix = _stiffness(sub_dofs, configs.shape, table.grads, kap_area, n_dof, nnz,
                         rows, matrix)
     return LinearSystem(matrix, rhs, dirichlet, values)
 
@@ -202,7 +183,7 @@ def _shape_ids(table, old_table) -> np.ndarray:
 
 
 def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
-               kap_area: np.ndarray, n_dof: int, rows=None,
+               kap_area: np.ndarray, n_dof: int, nnz: int, rows=None,
                previous=None) -> sp.csr_matrix:
     """The stiffness matrix, one block of ``PATCH_BLOCK`` dof rows at a time.
 
@@ -216,7 +197,10 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
     gathered from the geometry in that order and SciPy sorts and sums the
     duplicates of the block, row by row as it would over the whole matrix.
     So every bit is the one of a single COO over the whole mesh, and nothing
-    with one slot per element-matrix entry is held.
+    with one slot per element-matrix entry is held. The blocks are written
+    into arrays of the matrix's ``nnz`` entries: arrays grown block by
+    block are copied whenever the allocator cannot extend them in place,
+    and then held twice.
 
     Given the sorted dofs ``rows`` and a matrix ``previous`` of the same
     sparsity pattern, only those rows are computed, in the same way, and
@@ -235,7 +219,7 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
     col_items = cols.view(np.dtype((np.void, 3 * cols.itemsize))).ravel()
     if previous is None:
         indptr = np.zeros(n_dof + 1, dtype=sub_dofs.dtype)
-        data, indices = np.empty(0), np.empty(0, dtype=sub_dofs.dtype)
+        data, indices = np.empty(nnz), np.empty(nnz, dtype=sub_dofs.dtype)
     else:
         indptr, indices, data = previous.indptr, previous.indices, previous.data
     for blk in patch_blocks(len(row_ptr) - 1):
@@ -270,18 +254,16 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
         block.sum_duplicates()
         if previous is None:
             indptr[blk.start + 1:blk.stop + 1] = block.indptr[1:] + indptr[blk.start]
-            # Grow the matrix arrays in place (a realloc: no view of them
-            # exists) and append the block.
-            start = indptr[blk.start]
-            data.resize(indptr[blk.stop], refcheck=False)
-            indices.resize(indptr[blk.stop], refcheck=False)
-            data[start:], indices[start:] = block.data, block.indices
+            start, stop = indptr[blk.start], indptr[blk.stop]
+            data[start:stop], indices[start:stop] = block.data, block.indices
         else:
             # Each row's entries go where the row starts in ``previous``.
             lengths = np.diff(block.indptr)
             shift = indptr[rows[blk]] - block.indptr[:-1]
             data[np.repeat(shift, lengths) + np.arange(len(block.data))] = block.data
         del block
+    if indptr[-1] != nnz:
+        raise RuntimeError(f"the stiffness matrix has {indptr[-1]} entries, not {nnz}")
     return sp.csr_matrix((data, indices, indptr), shape=(n_dof, n_dof))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Circle", "TiltedLine", "HorizontalLine", "vertex_hit", "SNAP_TOL"]
+__all__ = ["Circle", "TiltedLine", "HorizontalLine", "SNAP_TOL"]
 
 # Crossings within SNAP_TOL (relative to segment length / supplied scale) of a
 # segment endpoint are treated as vertex hits, never as interior crossings.
@@ -134,12 +134,3 @@ class HorizontalLine:
         """Parameter t in (0,1) where the segment a -> b crosses the line:
         (..., 2) NaN-padded for batched endpoints, a list for one segment."""
         return _line_segment_crossings(self.eval(a), self.eval(b))
-
-
-def vertex_hit(levelset, point, scale: float) -> bool:
-    """True iff the interface passes through ``point`` up to snapping.
-
-    ``scale`` is the local length scale (patch diameter) the tolerance is
-    relative to.
-    """
-    return abs(levelset.eval(point)) <= SNAP_TOL * scale

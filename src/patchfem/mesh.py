@@ -158,16 +158,9 @@ class PatchMesh:
     def n_patches(self) -> int:
         return len(self.patches)
 
-    def patch_diameter(self, pid: int) -> float:
-        return float(self._edge_lengths[pid].max())
-
     def patch_diameters(self) -> np.ndarray:
         """Longest edge of every patch, (n_patches,)."""
         return self._edge_lengths.max(axis=1)
-
-    def edge_points(self) -> np.ndarray:
-        """Physical position of every edge node, (n_edges, 2)."""
-        return self.node_planes()[:, self.n_vertices:].T
 
     def node_planes(self) -> np.ndarray:
         """Coordinates of every node, (2, n_vertices + n_edges): the x plane
@@ -213,12 +206,6 @@ class PatchMesh:
         """
         return self.node_planes()[:, self.patch_nodes()].transpose(1, 2, 0)
 
-    def local_t(self, pid: int, k: int) -> float:
-        """Edge-node parameter of local edge k, measured in local direction."""
-        eid = self.patch_edges[pid, k]
-        t = float(self.edge_param[eid])
-        return t if self.patch_edge_forward[pid, k] else 1.0 - t
-
     def local_params_all(self) -> np.ndarray:
         """(n_patches, 3) array of (q, r, s)."""
         t = self.edge_param[self.patch_edges]  # (Np, 3) storage params
@@ -228,15 +215,6 @@ class PatchMesh:
         out[:, 1] = t[:, 1]        # r
         out[:, 2] = t[:, 0]        # s
         return out
-
-    def set_local_t(self, pid: int, k: int, t_local: float, lock: int) -> None:
-        """Write the edge-node parameter of local edge k (local direction)."""
-        if not 0.0 < t_local < 1.0:
-            raise ValueError(f"edge parameter {t_local} outside (0,1)")
-        eid = self.patch_edges[pid, k]
-        t = t_local if self.patch_edge_forward[pid, k] else 1.0 - t_local
-        self.edge_param[eid] = t
-        self.edge_lock[eid] = lock
 
 
 def build_structured_mesh(n: int, domain=((-1.0, -1.0), (1.0, 1.0))) -> PatchMesh:

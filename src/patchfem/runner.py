@@ -35,7 +35,6 @@ import numpy as np
 
 from .adaptation import (
     Classification,
-    CutClass,
     RefinementRequired,
     adapt,
     build_configs,
@@ -194,11 +193,7 @@ def _solve_once(config: RunConfig, n: int):
     mesh = workspace.mesh
     if config.mode == "baseline":
         # The baseline ignores the interface: uniform splits, pointwise kappa.
-        classification = Classification(
-            [CutClass("uncut")] * mesh.n_patches, {},
-            np.zeros(mesh.n_vertices, dtype=bool), np.empty(0, dtype=np.intp),
-        )
-        configs = build_configs(mesh, classification, problem.levelset)
+        configs = build_configs(mesh, Classification.uncut(mesh), problem.levelset)
     else:
         configs, _, _ = adapt(mesh, problem.levelset, config.strategy)
     kappas = (problem.kappa1, problem.kappa2)

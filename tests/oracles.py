@@ -24,45 +24,61 @@ the same results with whole-array NumPy passes; the tests require them to be
 exactly equal.
 
 ``local_nodes`` and ``local_params`` read one patch from the edge registry,
-and ``local_stiffness``, ``local_load`` and ``barycentric`` are the textbook
-per-element formulas; the tests scatter them element by element to check
-the vectorised assembly. ``dense_solve_oracle`` solves a small system by a
+``local_t`` and ``set_local_t`` read and write one local edge parameter,
+``patch_diameter``, ``edge_points`` and ``vertex_hit`` answer the other
+per-patch and per-point queries the tests make, and ``local_stiffness``,
+``local_load`` and ``barycentric`` are the textbook per-element formulas;
+the tests scatter them element by element to check the vectorised
+assembly. ``dense_solve_oracle`` solves a small system by a
 dense factorization, and ``jacobi_cg_reference`` runs textbook Jacobi-CG on
 the sliced free-dof system; the tests check the in-place CG solver against
 both.
+
+``resolve_edge_params_reference`` is the scalar edge-parameter pass that
+``resolve_edge_params`` replaced: it walks the cut patches one by one with
+``determined_params`` and the free-parameter strategies, and returns a list
+of ``Conflict``. ``PatchConfig`` and ``subtriangle_topology`` give one
+patch's configuration, ``DofMap`` the dof numbering with one row of dofs per
+patch, and ``angle_cosines_two_edges`` / ``angle_cosines_vertex_edge`` the
+closed-form subtriangle angles in reference coordinates.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
 from patchfem.adaptation import (
+    _CUT_CLASSES,
     _SIDE_GROUPS,
     EDGE_EDGE,
+    MAX_ANGLE_DEG,
+    TOPOLOGIES,
     UNCUT,
     VERTEX_EDGE,
     Classification,
     CutClass,
-    PatchConfig,
     RefinementRequired,
-    _group_key,
-    subtriangle_topology,
+    free_params_two_edges,
+    free_params_vertex_edge,
 )
-from patchfem.assembly import build_dof_map
 from patchfem.geometry import (
     DEGENERACY_TOL,
     DegenerateTriangle,
+    degenerate,
+    gather_triangles,
+    interior_angles,
     map_rule,
     reference_lambdas,
     reference_quad_rule,
     triangle_area,
 )
 from patchfem.levelset import SNAP_TOL, Circle
-from patchfem.mesh import LOCK_NAMES, PatchMesh
+from patchfem.mesh import FREE, INTERFACE_LOCKED, LOCK_NAMES, STRATEGY_SET, PatchMesh
 
 
 def local_nodes(mesh: PatchMesh, pid: int) -> np.ndarray:
@@ -79,10 +95,69 @@ def local_nodes(mesh: PatchMesh, pid: int) -> np.ndarray:
 
 def local_params(mesh: PatchMesh, pid: int) -> tuple[float, float, float]:
     """Local (q, r, s) of one patch derived from the edge registry."""
-    s = mesh.local_t(pid, 0)
-    r = mesh.local_t(pid, 1)
-    q = 1.0 - mesh.local_t(pid, 2)
+    s = local_t(mesh, pid, 0)
+    r = local_t(mesh, pid, 1)
+    q = 1.0 - local_t(mesh, pid, 2)
     return q, r, s
+
+
+def local_t(mesh: PatchMesh, pid: int, k: int) -> float:
+    """Edge-node parameter of local edge k, measured in local direction."""
+    eid = mesh.patch_edges[pid, k]
+    t = float(mesh.edge_param[eid])
+    return t if mesh.patch_edge_forward[pid, k] else 1.0 - t
+
+
+def set_local_t(mesh: PatchMesh, pid: int, k: int, t_local: float, lock: int) -> None:
+    """Write the edge-node parameter of local edge k (local direction)."""
+    if not 0.0 < t_local < 1.0:
+        raise ValueError(f"edge parameter {t_local} outside (0,1)")
+    eid = mesh.patch_edges[pid, k]
+    t = t_local if mesh.patch_edge_forward[pid, k] else 1.0 - t_local
+    mesh.edge_param[eid] = t
+    mesh.edge_lock[eid] = lock
+
+
+def patch_diameter(mesh: PatchMesh, pid: int) -> float:
+    """Longest edge of one patch."""
+    return float(mesh.patch_diameters()[pid])
+
+
+def edge_points(mesh: PatchMesh) -> np.ndarray:
+    """Physical position of every edge node, (n_edges, 2)."""
+    return mesh.node_planes()[:, mesh.n_vertices:].T
+
+
+def vertex_hit(levelset, point, scale: float) -> bool:
+    """True iff the interface passes through ``point`` up to snapping.
+
+    ``scale`` is the local length scale (patch diameter) the tolerance is
+    relative to.
+    """
+    return abs(levelset.eval(point)) <= SNAP_TOL * scale
+
+
+@dataclass
+class DofMap:
+    """Global numbering: one dof per mesh vertex, then one per edge node.
+
+    ``patch_dofs[p]`` lists the six global dofs of patch p in local node
+    order, the node ids of ``PatchMesh.patch_nodes``; shared edge nodes
+    resolve to one global index from both sides.
+    """
+
+    n_vertices: int
+    n_edges: int
+    boundary: np.ndarray  # (n_dof,) bool
+    patch_dofs: np.ndarray  # (n_patches, 6) int
+
+    @property
+    def n_dof(self) -> int:
+        return self.n_vertices + self.n_edges
+
+
+def build_dof_map(mesh: PatchMesh) -> DofMap:
+    return DofMap(mesh.n_vertices, mesh.n_edges, mesh.boundary_nodes(), mesh.patch_nodes())
 
 
 def local_stiffness(tri, kappa: float) -> np.ndarray:
@@ -178,7 +253,7 @@ def side_labels_reference(nodes, topology, levelset, cut=None, scale=1.0) -> np.
     labels = np.where(phi < -SNAP_TOL * scale, 1, 2).astype(np.int8)
 
     if cut is not None and cut.is_cut:
-        (group_a, anchor_a), (group_b, anchor_b) = _SIDE_GROUPS[_group_key(cut)]
+        (group_a, anchor_a), (group_b, anchor_b) = _SIDE_GROUPS[_CUT_CLASSES.index(cut) - 1]
         for group, anchor in ((group_a, anchor_a), (group_b, anchor_b)):
             group = list(group)
             if len(set(labels[group])) > 1:
@@ -190,6 +265,30 @@ def side_labels_reference(nodes, topology, levelset, cut=None, scale=1.0) -> np.
     return labels
 
 
+@dataclass(frozen=True)
+class PatchConfig:
+    """One patch's adaptation result: cut class, parameters (q, r, s),
+    subtriangle topology (4 triples of local node ids) and side labels
+    (1 or 2 per subtriangle)."""
+
+    cut: CutClass
+    params: tuple[float, float, float]
+    topology: np.ndarray
+    sides: np.ndarray
+
+
+def subtriangle_topology(cut: CutClass) -> np.ndarray:
+    """Four local-node index triples tiling the patch, counterclockwise.
+
+    Uncut and edge-edge patches share one table (the cut segment between any
+    two of the nodes 3, 4, 5 is an edge of the middle triangle); a vertex cut
+    routes the split diagonal through the cut vertex.
+    """
+    if cut.kind == VERTEX_EDGE:
+        return TOPOLOGIES[1 + cut.vertex]
+    return TOPOLOGIES[0]
+
+
 def build_configs_reference(mesh: PatchMesh, classification,
                             levelset) -> list[PatchConfig]:
     """One PatchConfig per patch, built patch by patch."""
@@ -199,7 +298,7 @@ def build_configs_reference(mesh: PatchMesh, classification,
     for pid, cut in enumerate(classification.cuts):
         topo = subtriangle_topology(cut)
         sides = side_labels_reference(nodes_all[pid], topo, levelset, cut,
-                                      scale=mesh.patch_diameter(pid))
+                                      scale=patch_diameter(mesh, pid))
         q, r, s = params_all[pid]
         configs.append(PatchConfig(cut, (float(q), float(r), float(s)), topo, sides))
     return configs
@@ -518,7 +617,7 @@ def _patch_edge_crossings(mesh, pid, levelset):
 
 def _classify(mesh: PatchMesh, pid: int, levelset):
     """Cut class of one patch plus its filtered per-edge crossings."""
-    scale = mesh.patch_diameter(pid)
+    scale = patch_diameter(mesh, pid)
     verts = mesh.vertices[mesh.patches[pid]]
     hits = [abs(levelset_eval_reference(levelset, v)) <= SNAP_TOL * scale for v in verts]
     per_edge = _patch_edge_crossings(mesh, pid, levelset)
@@ -576,7 +675,185 @@ def classify_all_reference(mesh: PatchMesh, levelset) -> Classification:
                 (t_local,) = per_edge[k]
                 t = t_local if mesh.patch_edge_forward[pid, k] else 1.0 - t_local
                 edge_crossings[eid] = t
-    return Classification(cuts, edge_crossings, vhit)
+    code = np.array([_CUT_CLASSES.index(c) for c in cuts], dtype=np.int8)
+    return Classification(code, np.array(list(edge_crossings), dtype=np.int64),
+                          np.array(list(edge_crossings.values()), dtype=float), vhit)
+
+
+# -- the scalar edge-parameter pass ---------------------------------------------
+
+def determined_params(cut: CutClass, crossings: dict[int, float]) -> dict[str, float]:
+    """Translate local-edge crossings into fixed (q, r, s) components.
+
+    ``crossings`` maps the cut local edge index to the crossing parameter in
+    local direction. Local edge 0 fixes s, edge 1 fixes r and edge 2 fixes
+    q = 1 - t (the node on edge 2 sits at parameter 1-q from vertex 2).
+    """
+    if not cut.is_cut:
+        raise ValueError("uncut patches determine no parameters")
+    fixed = {}
+    for k in cut.edges:
+        t = crossings[k]
+        if k == 0:
+            fixed["s"] = t
+        elif k == 1:
+            fixed["r"] = t
+        else:
+            fixed["q"] = 1.0 - t
+    return fixed
+
+
+@dataclass
+class Conflict:
+    patch_id: int
+    local_edge: int
+    wanted: float
+    kept: float
+
+
+def resolve_edge_params_reference(mesh: PatchMesh, classification: Classification,
+                                  strategy: int) -> list[Conflict]:
+    """Write interface crossings and strategy values into the edge registry.
+
+    Pass 1 locks every crossed edge at its crossing. Pass 2 walks cut patches
+    in ascending id order and writes each patch's free parameters to still
+    free edges; an edge that is already locked or set is never overwritten
+    (first writer wins). A conflict is recorded for each later patch whose
+    value differs from the one the edge keeps. Untouched edges stay at 1/2.
+    Under strategy 3, ``_keep_angle_bound_reference`` gives strategy 2's
+    value back to the edges of patches that break the angle bound.
+    """
+    for eid, t in zip(classification.crossed_edges.tolist(),
+                      classification.crossing_t.tolist()):
+        mesh.edge_param[eid] = t
+        mesh.edge_lock[eid] = INTERFACE_LOCKED
+
+    cuts = classification.cuts
+    losers = []  # (patch, local edge, wanted local t) of edges kept by others
+    fallback = {}  # edge -> (patch, local edge, strategy 2's local t)
+    for pid in classification.cut_ids.tolist():
+        cut = cuts[pid]
+        local_ts = {k: local_t(mesh, pid, k) for k in cut.edges}
+        fixed = determined_params(cut, local_ts)
+        if cut.kind == EDGE_EDGE:
+            wanted = plain = _local_ts(free_params_two_edges(strategy, fixed))
+            if strategy == 3:
+                plain = _local_ts(free_params_two_edges(2, fixed))
+        else:
+            wanted = plain = _local_ts(free_params_vertex_edge(strategy, fixed))
+        for k in range(3):
+            if k in cut.edges:
+                continue
+            eid = mesh.patch_edges[pid, k]
+            if mesh.edge_lock[eid] != FREE:
+                losers.append((pid, k, wanted[k]))
+                continue
+            # A strategy-3 value rounded onto a vertex of the edge cannot be stored.
+            t = wanted[k] if 0.0 < wanted[k] < 1.0 else plain[k]
+            set_local_t(mesh, pid, k, t, STRATEGY_SET)
+            if t != plain[k]:
+                fallback[eid] = (pid, k, plain[k])
+    if fallback:
+        _keep_angle_bound_reference(mesh, cuts, fallback)
+    conflicts = []
+    for pid, k, wanted in losers:
+        kept = local_t(mesh, pid, k)
+        if abs(kept - wanted) > 1e-12:
+            conflicts.append(Conflict(pid, k, wanted, kept))
+    return conflicts
+
+
+def _local_ts(params) -> dict[int, float]:
+    """Local edge -> local node parameter t of (q, r, s), as floats (the
+    strategies return arrays)."""
+    q, r, s = (float(v) for v in params)
+    return {0: s, 1: r, 2: 1.0 - q}
+
+
+def _keep_angle_bound_reference(mesh: PatchMesh, cuts, fallback: dict) -> None:
+    """Give strategy 2's value back to every strategy-3 edge of a patch that
+    breaks the 162-degree bound or has a degenerate subtriangle.
+
+    ``fallback`` maps each edge that holds a strategy-3 value other than
+    strategy 2's to (writer patch, its local edge, strategy 2's local t).
+    The patches on both sides of those edges are checked, and the edges of
+    the offending ones reverted in ascending order, until none offends. If
+    the offenders have no strategy-3 edge left, the lowest one raises
+    RefinementRequired.
+    """
+    watched = np.flatnonzero(np.isin(mesh.patch_edges, list(fallback)).any(axis=1))
+    topology = np.stack([subtriangle_topology(cuts[pid]) for pid in watched.tolist()])
+    while True:
+        tris = gather_triangles(mesh.node_planes(),
+                                mesh.subtriangle_nodes(watched, topology))
+        bad = degenerate(tris).any(axis=1)
+        fine = ~bad
+        bad[fine] = interior_angles(tris[fine]).max(axis=(1, 2)) > MAX_ANGLE_DEG
+        if not bad.any():
+            return
+        offenders = watched[bad]
+        edges = set(mesh.patch_edges[offenders].ravel().tolist()) & fallback.keys()
+        if not edges:
+            raise RefinementRequired(
+                int(offenders[0]),
+                f"a subtriangle angle exceeds {MAX_ANGLE_DEG:g} degrees under strategy 2")
+        for eid in sorted(edges):
+            set_local_t(mesh, *fallback.pop(eid), STRATEGY_SET)
+
+
+# -- closed-form angles -------------------------------------------------------
+
+def angle_cosines_two_edges(q, r, s):
+    """Cosines (cos a, cos b, cos g) of the middle subtriangle
+    ((s,0), (1-r,r), (0,q)) in reference coordinates: a at the node on the
+    slanted edge, b at the node on the left edge, g at the node on the bottom
+    edge. Inputs broadcast."""
+    q, r, s = np.asarray(q, float), np.asarray(r, float), np.asarray(s, float)
+    len_45 = np.sqrt((q - r) ** 2 + (r - 1.0) ** 2)  # node4-node5 distance
+    len_34 = np.sqrt((1.0 - r - s) ** 2 + r**2)
+    len_35 = np.sqrt(s**2 + q**2)
+    cos_a = ((1.0 - r) * (1.0 - r - s) + r * (r - q)) / (len_45 * len_34)
+    cos_b = (s * (1.0 - r) + q * (q - r)) / (len_45 * len_35)
+    cos_g = (s * (s - 1.0 + r) + r * q) / (len_34 * len_35)
+    return cos_a, cos_b, cos_g
+
+
+def angle_cosines_vertex_edge(case: str, q, r, s):
+    """Six cosines for the two subtriangles along the split diagonal of a
+    vertex cut, in reference coordinates.
+
+    case "lower-left": diagonal from (0,0) to the slanted-edge node; returns
+    the angles of triangles ((0,0),(1-r,r),(0,q)) and ((0,0),(s,0),(1-r,r)),
+    each ordered (angle at the left-edge or bottom node, at the corner, at
+    the slanted-edge node).
+
+    case "lower-right": diagonal from (1,0) to the left-edge node; returns
+    the angles of ((s,0),(1,0),(0,q)) and ((0,q),(1,0),(1-r,r)).
+    """
+    q, r, s = np.asarray(q, float), np.asarray(r, float), np.asarray(s, float)
+    if case == "lower-left":
+        len_04 = np.sqrt((1.0 - r) ** 2 + r**2)
+        len_45 = np.sqrt((1.0 - r) ** 2 + (r - q) ** 2)
+        len_34 = np.sqrt(r**2 + (s - 1.0 + r) ** 2)
+        cos_a1 = (q - r) / len_45
+        cos_b1 = r / len_04
+        cos_g1 = ((1.0 - r) ** 2 + r * (r - q)) / (len_04 * len_45)
+        cos_a2 = (1.0 - r) / len_04
+        cos_b2 = (s - 1.0 + r) / len_34
+        cos_g2 = ((1.0 - r) * (1.0 - r - s) + r**2) / (len_04 * len_34)
+        return cos_a1, cos_b1, cos_g1, cos_a2, cos_b2, cos_g2
+    if case == "lower-right":
+        len_15 = np.sqrt(1.0 + q**2)
+        len_35 = np.sqrt(s**2 + q**2)
+        len_45 = np.sqrt((1.0 - r) ** 2 + (r - q) ** 2)
+        cos_a3 = -s / len_35
+        cos_b3 = 1.0 / len_15
+        cos_g3 = (s + q**2) / (len_15 * len_35)
+        cos_a4 = (1.0 + q) / (np.sqrt(2.0) * len_15)
+        cos_b4 = ((1.0 - r) + q * (q - r)) / (len_15 * len_45)
+        cos_g4 = (2.0 * r - 1.0 - q) / (np.sqrt(2.0) * len_45)
+        return cos_a3, cos_b3, cos_g3, cos_a4, cos_b4, cos_g4
+    raise ValueError(f"unknown case {case!r}")
 
 
 # -- dense direct solve -------------------------------------------------------

@@ -12,14 +12,11 @@ import numpy as np
 import pytest
 
 from patchfem.adaptation import (
-    CutClass,
+    TOPOLOGIES,
     adapt,
-    angle_cosines_two_edges,
-    angle_cosines_vertex_edge,
     free_params_two_edges,
     free_params_vertex_edge,
     reference_local_nodes,
-    subtriangle_topology,
 )
 from patchfem.assembly import assemble, interpolate_nodal
 from patchfem.geometry import interior_angles, map_rule, reference_quad_rule, triangle_area
@@ -35,7 +32,7 @@ from patchfem.problems import (
 from patchfem.runner import RunConfig, run_single, run_sweep
 from patchfem.solver import cg_solve
 
-from .oracles import dense_solve_oracle
+from .oracles import angle_cosines_two_edges, angle_cosines_vertex_edge, dense_solve_oracle
 
 LEVELS = [8, 16, 32, 64, 128]
 ANGLE_BOUND = 162.0 + 1e-9
@@ -78,11 +75,11 @@ def _max_ref_angle(strategy, kind, which, rng, n_draws):
         names = PAIR_FIXED[which]
         fixed = {n: rng.uniform(1e-9, 1 - 1e-9, n_draws) for n in names}
         q, r, s = free_params_two_edges(strategy, fixed)
-        topo = subtriangle_topology(CutClass("edge_edge", which))
+        topo = TOPOLOGIES[0]  # shared by uncut and edge-edge patches
     else:
         fixed = {VERTEX_FIXED[which]: rng.uniform(1e-9, 1 - 1e-9, n_draws)}
         q, r, s = free_params_vertex_edge(strategy, fixed)
-        topo = subtriangle_topology(CutClass("vertex_edge", (0,), which))
+        topo = TOPOLOGIES[1 + which]
     nodes = reference_local_nodes(q, r, s)
     return float(interior_angles(nodes[:, topo, :]).max())
 
@@ -179,7 +176,7 @@ class TestCriterion4QuadratureGoldenVectors:
         """criterion 4: the twelve mapped points for q=9/16, s=1/2, r=11/16
         match the tabulated rationals to 1e-14."""
         nodes = reference_local_nodes(9 / 16, 11 / 16, 1 / 2)
-        tris = nodes[subtriangle_topology(CutClass("uncut"))]
+        tris = nodes[TOPOLOGIES[0]]
         points, _ = map_rule(tris, triangle_area(tris), reference_quad_rule(2))
         expected = np.array([
             [1 / 3, 3 / 32], [1 / 12, 3 / 32], [1 / 12, 3 / 8],
@@ -200,9 +197,8 @@ class TestCriterion5QuadratureConsistency:
         global linears exactly (1e-13 relative)."""
         rng = np.random.default_rng(7)
         rule = reference_quad_rule(2)
-        cuts = [CutClass("uncut")] + [
-            CutClass("vertex_edge", (0,), v) for v in VERTICES
-        ]
+        # The uncut topology and the vertex cuts at each vertex.
+        topologies = TOPOLOGIES[[0] + [1 + v for v in VERTICES]]
         worst_area, worst_lin = 0.0, 0.0
         for _ in range(10_000):
             while True:
@@ -220,7 +216,7 @@ class TestCriterion5QuadratureConsistency:
                 tri[1] + r * (tri[2] - tri[1]),
                 tri[2] + (1 - q) * (tri[0] - tri[2]),
             ])
-            tris = nodes[subtriangle_topology(cuts[rng.integers(len(cuts))])]
+            tris = nodes[topologies[rng.integers(len(topologies))]]
             points, weights = map_rule(tris, triangle_area(tris), rule)
             worst_area = max(worst_area, abs(weights.sum() - area) / area)
             a, b, c = rng.uniform(-2, 2, 3)

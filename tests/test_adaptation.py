@@ -9,22 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patchfem.adaptation import (
+    _SIDE_GROUPS,
+    TOPOLOGIES,
     Classification,
     CutClass,
     RefinementRequired,
     adapt,
-    angle_cosines_two_edges,
-    angle_cosines_vertex_edge,
     build_configs,
     classify_all,
-    determined_params,
     free_params_two_edges,
     free_params_vertex_edge,
     max_angle_audit,
     reference_local_nodes,
     resolve_edge_params,
     side_labels,
-    subtriangle_topology,
 )
 from patchfem.assembly import assemble
 from patchfem.geometry import interior_angles, triangle_area
@@ -34,7 +32,15 @@ from patchfem.problems import circle_problem, horizontal_problem
 from patchfem.runner import make_problem
 from patchfem.solver import cg_solve
 
-from .oracles import local_params
+from .oracles import (
+    angle_cosines_two_edges,
+    angle_cosines_vertex_edge,
+    determined_params,
+    edge_points,
+    local_params,
+    local_t,
+    set_local_t,
+)
 
 
 def single_patch(v0, v1, v2):
@@ -107,7 +113,7 @@ class TestDeterminedParams:
         # the derived q must reproduce the worked-example node (0, 9/16)
         mesh = single_patch([0.0, 0.0], [1.0, 0.0], [0.0, 1.0])
         t = 1.0 - 9.0 / 16.0
-        mesh.set_local_t(0, 2, t, INTERFACE_LOCKED)
+        set_local_t(mesh, 0, 2, t, INTERFACE_LOCKED)
         fixed = determined_params(CutClass("vertex_edge", (2,), 1), {2: t})
         assert fixed["q"] == pytest.approx(9 / 16)
         assert np.allclose(mesh.local_nodes_all()[0, 5], [0.0, 9 / 16])
@@ -182,7 +188,7 @@ class TestFreeParamsVertexEdge:
 class TestTopologies:
     def test_midpoints_give_uniform_subdivision(self):
         nodes = reference_local_nodes(0.5, 0.5, 0.5)
-        topo = subtriangle_topology(CutClass("uncut"))
+        topo = TOPOLOGIES[0]
         areas = triangle_area(nodes[topo])
         assert np.allclose(areas, 0.125)
         angles = interior_angles(nodes[topo])
@@ -207,7 +213,7 @@ class TestTopologies:
             a, b = (node_of_edge[e] for e in cut.edges)
         else:
             a, b = cut.vertex, {0: 4, 1: 5, 2: 3}[cut.vertex]
-        topo = subtriangle_topology(cut)
+        topo = TOPOLOGIES[0 if cut.vertex is None else 1 + cut.vertex]
         with_edge = set()
         for i, tri in enumerate(topo):
             edges = {frozenset((tri[0], tri[1])), frozenset((tri[1], tri[2])),
@@ -231,7 +237,7 @@ class TestTopologies:
         rng = np.random.default_rng(31)
         q, r, s = rng.uniform(1e-3, 1 - 1e-3, size=(3, 20_000))
         nodes = reference_local_nodes(q, r, s)
-        tris = nodes[:, subtriangle_topology(cut), :]
+        tris = nodes[:, TOPOLOGIES[0 if cut.vertex is None else 1 + cut.vertex], :]
         areas = triangle_area(tris)
         assert np.all(areas > 0)
         assert np.abs(areas.sum(axis=1) - 0.5).max() < 1e-12
@@ -245,22 +251,22 @@ class TestInterfaceAlignment:
         ls = Circle((0, 0), 0.5)
         configs, classification, _ = adapt(mesh, ls, 2)
         nodes_all = mesh.local_nodes_all()
+        cuts = classification.cuts
         n_checked = 0
-        for pid, cfg in enumerate(configs):
-            if not cfg.cut.is_cut:
-                continue
+        for pid in classification.cut_ids.tolist():
+            cut = cuts[pid]
             nodes = nodes_all[pid]
             cut_nodes = []
-            if cfg.cut.kind == "edge_edge":
-                cut_nodes = [3 + e for e in cfg.cut.edges]
+            if cut.kind == "edge_edge":
+                cut_nodes = [3 + e for e in cut.edges]
             else:
-                cut_nodes = [cfg.cut.vertex, 3 + cfg.cut.edges[0]]
+                cut_nodes = [cut.vertex, 3 + cut.edges[0]]
             for ln in cut_nodes:
                 assert abs(ls.eval(nodes[ln])) < 1e-12
             mid = 0.5 * (nodes[cut_nodes[0]] + nodes[cut_nodes[1]])
             # midpoint must lie on an edge of some subtriangle
             best = np.inf
-            for tri in cfg.topology:
+            for tri in configs.topology[pid]:
                 for i in range(3):
                     a, b = nodes[tri[i]], nodes[tri[(i + 1) % 3]]
                     t = np.dot(mid - a, b - a) / np.dot(b - a, b - a)
@@ -304,17 +310,24 @@ class TestResolveEdgeParams:
             eid[(0, 2)]: 0.4,  # patch 1: s = 1 - 0.4 = 0.6
             eid[(2, 3)]: 0.9,  # patch 1: q = 0.9
         }
-        cuts = [CutClass("edge_edge", (0, 2)), CutClass("edge_edge", (0, 2))]
-        classification = Classification(cuts, crossings, np.zeros(4, bool))
+        # both patches are edge-edge cuts on their local edges 0 and 2 (code 2)
+        classification = Classification(np.array([2, 2], dtype=np.int8),
+                                         np.array(list(crossings), dtype=np.int64),
+                                         np.array(list(crossings.values())),
+                                         np.zeros(4, bool))
         conflicts = resolve_edge_params(mesh, classification, 2)
         diag = eid[(0, 3)]
         # patch 0 in regime (q=0.8, s=0.7): wants r = 1 - s = 0.3 and writes
         # first; patch 1 wants r = 1 - 0.6 = 0.4 and must lose
-        assert mesh.local_t(0, 1) == pytest.approx(0.3)
+        assert local_t(mesh, 0, 1) == pytest.approx(0.3)
         assert mesh.edge_lock[diag] == STRATEGY_SET
         assert len(conflicts) == 1
-        assert conflicts[0].patch_id == 1
-        assert conflicts[0].wanted == pytest.approx(0.4)
+        assert conflicts["patch"].tolist() == [1]
+        assert conflicts["local_edge"].tolist() == [1]
+        assert conflicts["wanted"][0] == pytest.approx(0.4)
+        # both values in patch 1's direction, which runs the diagonal the
+        # other way
+        assert conflicts["kept"][0] == pytest.approx(0.7)
 
     def test_idempotent(self):
         mesh = build_structured_mesh(8)
@@ -333,14 +346,14 @@ class TestResolveEdgeParams:
         resolve_edge_params(mesh, classification, 2)
         locked = np.nonzero(mesh.edge_lock == INTERFACE_LOCKED)[0]
         assert len(locked) > 0
-        pts = mesh.edge_points()[locked]
+        pts = edge_points(mesh)[locked]
         assert np.abs(ls.eval(pts)).max() < 1e-12
 
 
 class TestSideLabels:
     def test_uncut_inside_circle(self):
         nodes = reference_local_nodes(0.5, 0.5, 0.5) * 0.1
-        labels = side_labels(nodes[subtriangle_topology(CutClass("uncut"))],
+        labels = side_labels(nodes[TOPOLOGIES[0]],
                              Circle((0, 0), 0.5))
         assert np.all(labels == 1)
 
@@ -349,23 +362,20 @@ class TestSideLabels:
         ls = HorizontalLine(0.125)
         configs, classification, _ = adapt(mesh, ls, 2)
         nodes = mesh.local_nodes_all()
-        for pid, cfg in enumerate(configs):
-            centroids = nodes[pid][cfg.topology].mean(axis=1)
+        for pid in range(mesh.n_patches):
+            centroids = nodes[pid][configs.topology[pid]].mean(axis=1)
             expect = np.where(centroids[:, 1] < 0.125, 1, 2)
-            assert np.array_equal(cfg.sides, expect)
+            assert np.array_equal(configs.sides[pid], expect)
 
     def test_cut_patch_sides_differ_across_interface(self):
         mesh = build_structured_mesh(8)
-        configs, _, _ = adapt(mesh, Circle((0, 0), 0.5), 2)
-        from patchfem.adaptation import _SIDE_GROUPS, _group_key
+        configs, classification, _ = adapt(mesh, Circle((0, 0), 0.5), 2)
 
         n_cut = 0
-        for cfg in configs:
-            if not cfg.cut.is_cut:
-                continue
-            (ga, _), (gb, _) = _SIDE_GROUPS[_group_key(cfg.cut)]
-            la = {int(cfg.sides[i]) for i in ga}
-            lb = {int(cfg.sides[i]) for i in gb}
+        for pid in classification.cut_ids.tolist():
+            (ga, _), (gb, _) = _SIDE_GROUPS[classification.code[pid] - 1]
+            la = {int(configs.sides[pid, i]) for i in ga}
+            lb = {int(configs.sides[pid, i]) for i in gb}
             assert len(la) == 1 and len(lb) == 1 and la != lb
             n_cut += 1
         assert n_cut > 10
@@ -444,7 +454,7 @@ class TestMaxAngleAudit:
     def test_unremedied_anisotropy_reported(self):
         # q, r -> 0 with s pinned at 1/2 (no strategy applied) degenerates
         nodes = reference_local_nodes(1e-4, 1e-4, 0.5)
-        angles = interior_angles(nodes[subtriangle_topology(CutClass("uncut"))])
+        angles = interior_angles(nodes[TOPOLOGIES[0]])
         assert angles.max() > 179.0
 
     def test_strategy2_circle_below_bound(self):
@@ -476,8 +486,8 @@ class TestAdaptEndToEnd:
     def test_configs_params_match_mesh(self):
         mesh = build_structured_mesh(8)
         configs, _, _ = adapt(mesh, Circle((0, 0), 0.5), 3)
-        for pid, cfg in enumerate(configs):
-            assert cfg.params == pytest.approx(local_params(mesh, pid))
+        for pid in range(mesh.n_patches):
+            assert tuple(configs.params[pid]) == pytest.approx(local_params(mesh, pid))
 
 
 class TestShapeTable:
@@ -539,21 +549,27 @@ class TestStrategy3Reproducers:
         # Strategy 3's own values without the guard: the lowest cut patch
         # next to a free edge writes it, and strategy 3 differs from
         # strategy 2 only on the free edge of an edge-edge cut.
+        cut_ids = classification.cut_ids
+        code = classification.code[cut_ids]
+        forward = plain.patch_edge_forward[cut_ids]
+        t = plain.edge_param[plain.patch_edges[cut_ids]]
+        t = np.where(forward, t, 1.0 - t)
+        determined = {"s": t[:, 0], "r": t[:, 1], "q": 1.0 - t[:, 2]}
+        wanted = np.full(t.shape, np.nan)
+        for c, free_edge in ((1, 2), (2, 1), (3, 0)):  # edge-edge codes
+            rows = code == c
+            fixed = {name: v[rows] for name, v in determined.items()
+                     if name != "srq"[free_edge]}
+            q, r, s = free_params_two_edges(3, fixed)
+            wanted[rows, free_edge] = (s, r, 1.0 - q)[free_edge]
+        row, k = np.nonzero(plain.edge_lock[plain.patch_edges[cut_ids]] == STRATEGY_SET)
+        eids = plain.patch_edges[cut_ids[row], k]
+        first = np.unique(eids, return_index=True)[1]
+        row, k, eids = row[first], k[first], eids[first]
+        edge_edge = code[row] <= 3
+        row, k, eids = row[edge_edge], k[edge_edge], eids[edge_edge]
         unguarded = plain.edge_param.copy()
-        written = set()
-        for pid in classification.cut_ids.tolist():
-            cut = classification.cuts[pid]
-            for k in set(range(3)) - set(cut.edges):
-                eid = int(plain.patch_edges[pid, k])
-                if plain.edge_lock[eid] != STRATEGY_SET or eid in written:
-                    continue
-                written.add(eid)
-                if cut.kind == "edge_edge":
-                    fixed = determined_params(cut, {j: plain.local_t(pid, j)
-                                                    for j in cut.edges})
-                    q, r, s = free_params_two_edges(3, fixed)
-                    t = {0: s, 1: r, 2: 1.0 - q}[k]
-                    unguarded[eid] = t if plain.patch_edge_forward[pid, k] else 1.0 - t
+        unguarded[eids] = np.where(forward[row, k], wanted[row, k], 1.0 - wanted[row, k])
         fell_back = guarded.edge_param != unguarded
         assert fell_back.any()
         np.testing.assert_array_equal(guarded.edge_param[fell_back],

@@ -7,15 +7,14 @@ import pytest
 import scipy.sparse as sp
 
 from patchfem.adaptation import (
-    CutClass,
+    TOPOLOGIES,
     adapt,
     build_configs,
     classify_all,
     reference_local_nodes,
     resolve_edge_params,
-    subtriangle_topology,
 )
-from patchfem.assembly import LinearSystem, assemble, build_dof_map, interpolate_nodal
+from patchfem.assembly import LinearSystem, assemble, interpolate_nodal
 from patchfem.geometry import DegenerateTriangle, map_rule, reference_quad_rule, triangle_area
 from patchfem.levelset import Circle
 from patchfem.mesh import build_structured_mesh
@@ -28,10 +27,18 @@ from patchfem.problems import (
 )
 from patchfem.solver import cg_solve
 
-from .oracles import barycentric, local_load, local_nodes, local_stiffness, reduced_reference
+from .oracles import (
+    barycentric,
+    build_dof_map,
+    edge_points,
+    local_load,
+    local_nodes,
+    local_stiffness,
+    reduced_reference,
+)
 
 UNIT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-TOPO_A = subtriangle_topology(CutClass("uncut"))
+TOPO_A = TOPOLOGIES[0]
 
 
 def patch_rule(nodes, topology, rule):
@@ -288,9 +295,9 @@ class TestAssemblyOracle:
         x, y = rule.points.T
         matrix = np.zeros((system.n_dof, system.n_dof))
         rhs = np.zeros(system.n_dof)
-        for pid, cfg in enumerate(configs):
+        for pid in range(mesh.n_patches):
             nodes = local_nodes(mesh, pid)
-            for topo, side in zip(cfg.topology, cfg.sides):
+            for topo, side in zip(configs.topology[pid], configs.sides[pid]):
                 tri, dofs = nodes[topo], patch_dofs[pid, topo]
                 kappa = problem.kappa1 if side == 1 else problem.kappa2
                 matrix[np.ix_(dofs, dofs)] += local_stiffness(tri, kappa)
@@ -361,7 +368,7 @@ class TestInterpolateNodal:
         p = circle_problem()
         mesh = build_structured_mesh(16, p.domain)
         adapt(mesh, p.levelset, 2)
-        pts = np.concatenate([mesh.vertices, mesh.edge_points()])
+        pts = np.concatenate([mesh.vertices, edge_points(mesh)])
         on_gamma = np.abs(p.levelset.eval(pts)) < 1e-12
         assert on_gamma.sum() > 0
         assert np.abs(p.u1(pts[on_gamma]) - p.u2(pts[on_gamma])).max() < 1e-12

@@ -4,7 +4,6 @@ and their working memory must not grow with the mesh beyond the arrays they
 return."""
 
 import dataclasses
-import gc
 import tracemalloc
 
 import numpy as np
@@ -12,19 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patchfem import assembly as assembly_module
 from patchfem import mesh as mesh_module
 from patchfem.adaptation import (
     CUT_KINDS,
     VERTEX_EDGE,
     Classification,
-    CutClass,
     adapt,
     build_configs,
     classify_all,
     max_angle_audit,
 )
-from patchfem.assembly import DofMap, assemble
+from patchfem.assembly import assemble
 from patchfem.mesh import build_structured_mesh, pairwise_sums, patch_blocks
 from patchfem.problems import circle_problem, error_norms, tilted_problem
 from patchfem.runner import RunConfig, run_single
@@ -51,11 +48,7 @@ class TestPatchBlocks:
 
 def _uncut_configs(mesh, levelset):
     """Uniform splits, as the unfitted baseline builds them."""
-    classification = Classification(
-        [CutClass("uncut")] * mesh.n_patches, {},
-        np.zeros(mesh.n_vertices, dtype=bool), np.empty(0, dtype=np.intp),
-    )
-    return build_configs(mesh, classification, levelset)
+    return build_configs(mesh, Classification.uncut(mesh), levelset)
 
 
 def _pipeline(problem, n, mode):
@@ -371,23 +364,6 @@ class TestPeakMemory:
                       + matrix.indptr.nbytes) / MIB
         assert CG_SOLVE_BOUND_MIB < matrix_mib
         assert _traced_peak_mib(cg_solve, system) < CG_SOLVE_BOUND_MIB
-
-    def test_dof_map_freed_before_the_matrix_build(self, monkeypatch):
-        """Its int64 patch dofs (1.5 MiB at n = 128) are not held while the
-        matrix is built, as the 20% margins of the bounds above would let
-        through."""
-        problem = circle_problem()
-        mesh = build_structured_mesh(16, problem.domain)
-        configs, _, _ = adapt(mesh, problem.levelset, 2)
-        stiffness, alive = assembly_module._stiffness, []
-
-        def counting(*args):
-            alive.append(sum(isinstance(o, DofMap) for o in gc.get_objects()))
-            return stiffness(*args)
-
-        monkeypatch.setattr(assembly_module, "_stiffness", counting)
-        assemble(mesh, configs, problem)
-        assert alive == [0]
 
     def test_run_single(self):
         config = RunConfig(problem="tilted", n=128, strategy=3, alpha=0.3)

@@ -156,6 +156,14 @@ def adapted_cases(draw):
     return problem, n, draw(st.integers(1, 3))
 
 
+def _assert_same_classification(got, want):
+    """Equal cut codes, and equal crossed edges and crossings in the same
+    order, dtypes included."""
+    for name in ("code", "crossed_edges", "crossing_t"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 def check_adapted_mesh(problem, n, strategy):
     """Classification (or the RefinementRequired patch and reason), the
     subtriangle geometry, angles, assembly and error norms all equal the
@@ -169,9 +177,7 @@ def check_adapted_mesh(problem, n, strategy):
         assert (got.value.patch_id, got.value.reason) == (exc.patch_id, exc.reason)
         return None
     classification = classify_all(mesh, problem.levelset)
-    assert classification.cuts == want.cuts
-    assert list(classification.edge_crossings.items()) == list(want.edge_crossings.items())
-    assert np.array_equal(classification.cut_ids, want.cut_ids)
+    _assert_same_classification(classification, want)
     assert np.array_equal(classification.vertex_hits, want.vertex_hits)
 
     resolve_edge_params(mesh, classification, strategy)
@@ -222,7 +228,7 @@ def test_adapted_meshes_equal_patch_major(case):
 )
 def test_fixed_adapted_meshes_equal_patch_major(problem, n, vertex_cuts):
     classification = check_adapted_mesh(problem, n, 2)
-    assert any(c.kind == "vertex_edge" for c in classification.cuts) == vertex_cuts
+    assert bool(np.any(classification.code >= 4)) == vertex_cuts
 
 
 def _circle(center, radius):
@@ -259,8 +265,8 @@ def test_crossing_next_to_a_hit_vertex_belongs_to_the_vertex():
                      [True] * 3, [(0, 1, 2)], [(0, 1, 2)])
     assert 1.0 - 1e-9 < circle.segment_crossings([0.0, 0.0], [1.0, 0.0])[0] < 1.0 - 1e-10
     got, want = classify_all(mesh, circle), classify_all_reference(mesh, circle)
-    assert got.cuts == want.cuts == [CutClass("vertex_edge", (2,), 1)]
-    assert got.edge_crossings == want.edge_crossings
+    assert got.cuts.tolist() == [CutClass("vertex_edge", (2,), 1)]
+    _assert_same_classification(got, want)
 
 
 class _ScaledCircle:
@@ -283,9 +289,7 @@ def test_classification_needs_no_signed_distance():
     want = classify_all(mesh, circle)
     assert not want.vertex_hits.any()
     got = classify_all(mesh, _ScaledCircle(circle))
-    assert got.cuts == want.cuts
-    assert got.edge_crossings == want.edge_crossings
-    assert np.array_equal(got.cut_ids, want.cut_ids)
+    _assert_same_classification(got, want)
     # Some cut patch has every vertex farther than a quarter diameter from
     # the circle: a distance prefilter on the scaled values would skip it.
     phi = np.abs(circle.eval(mesh.vertices))[mesh.patches[want.cut_ids]]

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from patchfem.levelset import Circle, HorizontalLine, TiltedLine, vertex_hit
+from patchfem.levelset import Circle, HorizontalLine, TiltedLine
+
+from .oracles import vertex_hit
 
 
 class TestEval:

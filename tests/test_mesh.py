@@ -8,7 +8,7 @@ import pytest
 from patchfem.geometry import triangle_area
 from patchfem.mesh import build_structured_mesh, mesh_to_json, refine
 
-from .oracles import local_params
+from .oracles import local_params, set_local_t
 
 
 class TestBuild:
@@ -104,9 +104,9 @@ class TestLocalNodes:
         # the LocalNodes formulas prescribe, in the patch's own frame.
         mesh = build_structured_mesh(1, domain=((0.0, 0.0), (1.0, 1.0)))
         pid = 0
-        mesh.set_local_t(pid, 0, 0.5, 2)
-        mesh.set_local_t(pid, 1, 11 / 16, 2)
-        mesh.set_local_t(pid, 2, 1 - 9 / 16, 2)
+        set_local_t(mesh, pid, 0, 0.5, 2)
+        set_local_t(mesh, pid, 1, 11 / 16, 2)
+        set_local_t(mesh, pid, 2, 1 - 9 / 16, 2)
         nodes = mesh.local_nodes_all()[pid]
         v0, v1, v2 = nodes[:3]
         assert np.allclose(nodes[3], v0 + 0.5 * (v1 - v0))
@@ -132,12 +132,12 @@ class TestLocalNodes:
         assert np.array_equal(n1, n2)
 
     def test_positive_subtriangle_areas_any_params(self):
-        from patchfem.adaptation import CutClass, subtriangle_topology
+        from patchfem.adaptation import TOPOLOGIES
 
         rng = np.random.default_rng(17)
         mesh = build_structured_mesh(2)
         mesh.edge_param[:] = rng.uniform(0.01, 0.99, mesh.n_edges)
-        topo = subtriangle_topology(CutClass("uncut"))
+        topo = TOPOLOGIES[0]
         nodes = mesh.local_nodes_all()
         tris = nodes[np.arange(mesh.n_patches)[:, None, None], topo]
         assert np.all(triangle_area(tris) > 0)
@@ -147,9 +147,9 @@ class TestLocalNodes:
         rng = np.random.default_rng(23)
         for pid in rng.integers(0, mesh.n_patches, 10):
             q, r, s = rng.uniform(0.05, 0.95, 3)
-            mesh.set_local_t(pid, 0, s, 2)
-            mesh.set_local_t(pid, 1, r, 2)
-            mesh.set_local_t(pid, 2, 1 - q, 2)
+            set_local_t(mesh, pid, 0, s, 2)
+            set_local_t(mesh, pid, 1, r, 2)
+            set_local_t(mesh, pid, 2, 1 - q, 2)
             assert local_params(mesh, pid) == pytest.approx((q, r, s))
         assert np.allclose(
             mesh.local_params_all(),

@@ -8,9 +8,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from patchfem.adaptation import (
+    CONFLICT,
     CUT_KINDS,
+    TOPOLOGIES,
     Classification,
-    CutClass,
     RefinementRequired,
     build_configs,
     classify_all,
@@ -18,7 +19,6 @@ from patchfem.adaptation import (
     reference_local_nodes,
     resolve_edge_params,
     side_labels,
-    subtriangle_topology,
 )
 from patchfem.geometry import triangle_area
 from patchfem.levelset import Circle, HorizontalLine, TiltedLine
@@ -28,6 +28,7 @@ from .oracles import (
     build_configs_reference,
     build_structured_mesh_reference,
     mesh_to_json_reference,
+    resolve_edge_params_reference,
 )
 
 MESH_FIELDS = ("vertices", "edges", "edge_boundary", "patches", "patch_edges",
@@ -121,17 +122,89 @@ def test_vertex_cut_cases_equal_oracles(levelset, n, strategy):
     check_against_oracles(levelset, n, strategy)
 
 
+def check_edge_params_against_oracle(mesh, classification, strategy):
+    """The array pass and the scalar pass over copies of ``mesh`` either
+    raise the same RefinementRequired (patch and reason) or ValueError, or
+    write the same edge parameter and lock bits and report the same
+    conflicts in the same order. Returns the conflicts, or the error."""
+    outcomes = []
+    for resolve, copy in ((resolve_edge_params, mesh.fresh()),
+                          (resolve_edge_params_reference, mesh.fresh())):
+        try:
+            outcomes.append((resolve(copy, classification, strategy), copy))
+        except (RefinementRequired, ValueError) as exc:
+            outcomes.append((exc, copy))
+    (got, got_mesh), (want, want_mesh) = outcomes
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        if isinstance(want, RefinementRequired):
+            assert (got.patch_id, got.reason) == (want.patch_id, want.reason)
+        return want
+    assert got_mesh.edge_param.tobytes() == want_mesh.edge_param.tobytes()
+    assert got_mesh.edge_lock.tobytes() == want_mesh.edge_lock.tobytes()
+    assert got.dtype == CONFLICT
+    expected = np.array([(c.patch_id, c.local_edge, c.wanted, c.kept) for c in want],
+                        dtype=CONFLICT)
+    assert got.tobytes() == expected.tobytes()
+    return got
+
+
+def _edge_params_case(levelset, n, strategy):
+    mesh = build_structured_mesh(n)
+    try:
+        classification = classify_all(mesh, levelset)
+    except RefinementRequired:
+        return None
+    return check_edge_params_against_oracle(mesh, classification, strategy)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=cases())
+def test_edge_params_equal_scalar_oracle(case):
+    _edge_params_case(*case)
+
+
+def test_edge_params_near_grid_lines_equal_scalar_oracle():
+    # Strategy 3 next to a grid line: its values fall back to strategy 2's
+    # on some edges, and some offsets need refinement.
+    rng = np.random.default_rng(0)
+    outcomes = []
+    for n in (4, 8, 16, 32):
+        offsets = np.concatenate([10.0 ** -rng.uniform(2, 14, 12), [1e-14]])
+        for eps in np.concatenate([offsets, 1.0 - offsets]).tolist():
+            outcomes.append(_edge_params_case(HorizontalLine(eps * 2.0 / n), n, 3))
+    assert all(outcome is not None for outcome in outcomes)
+
+
+def test_edge_param_conflicts_equal_scalar_oracle():
+    # Small circles: neighbouring cut patches want different values for a
+    # shared edge.
+    rng = np.random.default_rng(0)
+    n_conflicts = 0
+    for _ in range(60):
+        circle = Circle(tuple(rng.uniform(-0.5, 0.5, 2).tolist()),
+                        rng.uniform(0.5, 1.2) * 2.0 / 16)
+        for strategy in (1, 2, 3):
+            conflicts = _edge_params_case(circle, 16, strategy)
+            if isinstance(conflicts, np.ndarray):
+                n_conflicts += len(conflicts)
+    assert n_conflicts > 0
+
+
 def test_patch_view_and_audit_rows():
     levelset = Circle((0.0, 0.0), 0.5)
     mesh = build_structured_mesh(8)
     configs = _configs(mesh, build_configs, levelset, 2)
-    reference = build_configs_reference(mesh, classify_all(mesh, levelset), levelset)
+    classification = classify_all(mesh, levelset)
+    reference = build_configs_reference(mesh, classification, levelset)
     assert len(configs) == len(reference) == mesh.n_patches
     assert set(configs.kind_names()) == set(CUT_KINDS)
-    for got, want in zip(configs, reference):
-        assert got.cut == want.cut and got.params == want.params
-        assert np.array_equal(got.topology, want.topology)
-        assert np.array_equal(got.sides, want.sides)
+    cuts = classification.cuts
+    for pid, want in enumerate(reference):
+        assert cuts[pid] == want.cut and tuple(configs.params[pid].tolist()) == want.params
+        assert np.array_equal(configs.topology[pid], want.topology)
+        assert np.array_equal(configs.sides[pid], want.sides)
 
     audit = max_angle_audit(mesh, configs)
     assert audit.rows == [
@@ -153,8 +226,8 @@ def test_side_groups_fall_back_to_their_anchors():
     # for subtriangles 0, 2, 3 and (1, 0) on side 2 for subtriangle 1.
     mesh = _unit_patch()
     levelset = Circle((-10.0, 0.0), 10.9)
-    classification = Classification([CutClass("edge_edge", (0, 1))], {},
-                                     np.zeros(3, dtype=bool))
+    classification = Classification(np.array([1], dtype=np.int8), np.empty(0, dtype=np.int64),
+                                     np.empty(0), np.zeros(3, dtype=bool))
     configs = build_configs(mesh, classification, levelset)
     assert configs.sides.tolist() == [[1, 2, 1, 1]]
     (reference,) = build_configs_reference(mesh, classification, levelset)
@@ -163,7 +236,7 @@ def test_side_groups_fall_back_to_their_anchors():
 
 def test_centroid_within_snap_tolerance_is_side_2():
     nodes = reference_local_nodes(0.5, 0.5, 0.5)
-    topology = subtriangle_topology(CutClass("uncut"))
+    topology = TOPOLOGIES[0]
     y = nodes[topology].mean(axis=1)[0, 1]
     # phi = -1e-12 at the first centroid: inside the tolerance 1e-10 * scale
     tris = nodes[topology]

@@ -7,7 +7,6 @@ import pytest
 from patchfem import assembly, runner
 from patchfem.adaptation import (
     Classification,
-    CutClass,
     RefinementRequired,
     adapt,
     build_configs,
@@ -106,9 +105,7 @@ def test_other_topologies_reassemble_every_row():
     assert np.any(configs.kind == 2)
     matrix = assemble(mesh, configs, problem).matrix
     data = matrix.data.copy()
-    uncut = Classification([CutClass("uncut")] * mesh.n_patches, {},
-                           classification.vertex_hits, np.empty(0, dtype=np.intp))
-    other = build_configs(mesh, uncut, problem.levelset)
+    other = build_configs(mesh, Classification.uncut(mesh), problem.levelset)
     fresh = assemble(mesh, other, problem).matrix
     reused = assemble(mesh, other, problem, previous=(configs, matrix)).matrix
     for attr in ("indptr", "indices", "data"):
