@@ -60,6 +60,9 @@ CUT_KINDS = (UNCUT, EDGE_EDGE, VERTEX_EDGE)
 # The paper's bound on every subtriangle angle under strategies 2 and 3.
 MAX_ANGLE_DEG = 162.0
 
+# The edges of the angle histogram's 10-degree bins over [0, 180].
+_ANGLE_BIN_EDGES = np.linspace(0.0, 180.0, 19)
+
 
 class RefinementRequired(Exception):
     """The interface cuts a patch in a way the four-triangle split cannot
@@ -165,7 +168,7 @@ class ShapeTable:
     coordinate-major (Fortran order) like the kernels return them. Patches
     of one shape have bitwise-equal vertex differences, so every area,
     gradient and angle computed here is the one of each of them. Shape ids
-    follow the sorted keys of those differences (``keys``).
+    follow the sorted keys of those differences (``_shape_keys``).
     """
 
     tris: np.ndarray  # (n_shapes, 4, 3, 2) subtriangle vertices, F order
@@ -174,11 +177,6 @@ class ShapeTable:
 
     def __len__(self) -> int:
         return len(self.areas)
-
-    def keys(self) -> np.ndarray:
-        """The shape key (``_shape_keys``) of every shape, in ascending
-        order."""
-        return _shape_keys(self.tris)
 
 
 @dataclass(frozen=True)
@@ -215,20 +213,18 @@ class Classification:
     ``code`` (int8 per patch) indexes ``_CUT_CLASSES``. ``crossed_edges``
     are the edges a cut patch counted a crossing on, in the order of the
     lowest (patch, local edge) through each, and ``crossing_t`` their
-    crossings in the edge storage direction. ``vertex_hits`` flags the mesh
-    vertices the interface passes through.
+    crossings in the edge storage direction.
     """
 
     code: np.ndarray  # (n_patches,) int8
     crossed_edges: np.ndarray  # (n_crossed,) int64
     crossing_t: np.ndarray  # (n_crossed,) float
-    vertex_hits: np.ndarray  # bool per mesh vertex
 
     @classmethod
     def uncut(cls, mesh: PatchMesh) -> Classification:
         """Every patch uncut, as the unfitted baseline splits them."""
         return cls(np.zeros(mesh.n_patches, dtype=np.int8), np.empty(0, dtype=np.int64),
-                   np.empty(0), np.zeros(mesh.n_vertices, dtype=bool))
+                   np.empty(0))
 
     @property
     def cut_ids(self) -> np.ndarray:
@@ -261,7 +257,6 @@ def classify_all(mesh: PatchMesh, levelset) -> Classification:
     through each edge and converted to the edge storage direction.
     """
     phi = levelset.eval(mesh.vertices)
-    vhit = np.abs(phi) <= SNAP_TOL * mesh.h_max
     hits = np.abs(phi[mesh.patches]) <= SNAP_TOL * mesh.patch_diameters()[:, None]
 
     roots = levelset.segment_crossings(mesh.vertices[mesh.edges[:, 0]],
@@ -308,7 +303,7 @@ def classify_all(mesh: PatchMesh, levelset) -> Classification:
     t = np.where(mesh.patch_edge_forward[pid, k], t_local, 1.0 - t_local)
     eids = mesh.patch_edges[pid, k]
     first = np.sort(np.unique(eids, return_index=True)[1])
-    return Classification(code, eids[first], t[first], vhit)
+    return Classification(code, eids[first], t[first])
 
 
 def free_params_two_edges(strategy: int, fixed: dict[str, np.ndarray]):
@@ -666,9 +661,7 @@ class AngleAudit:
     per_patch: np.ndarray  # (n_patches,) max angle in degrees
     global_max: float
     histogram: np.ndarray  # counts in 10-degree bins over [0, 180)
-    bin_edges: np.ndarray = field(
-        default_factory=lambda: np.linspace(0.0, 180.0, 19)
-    )
+    bin_edges: np.ndarray = field(default_factory=_ANGLE_BIN_EDGES.copy)
 
     @property
     def rows(self) -> list:
@@ -686,7 +679,7 @@ def max_angle_audit(mesh: PatchMesh, configs: PatchConfigs) -> AngleAudit:
     maximum is its shape's; the histogram counts each shape's angles once
     per patch of that shape, in integers.
     """
-    edges = np.linspace(0.0, 180.0, 19)
+    edges = _ANGLE_BIN_EDGES
     angles = interior_angles(configs.table.tris)  # (n_shapes, 4, 3)
     per_patch = angles.max(axis=(1, 2))[configs.shape]
     # np.histogram's bins: [e_i, e_i+1), the last one closed at 180.
@@ -696,4 +689,4 @@ def max_angle_audit(mesh: PatchMesh, configs: PatchConfigs) -> AngleAudit:
     per_shape = np.bincount(bins.ravel(), minlength=n_shapes * n_bins)
     patches = np.bincount(configs.shape, minlength=n_shapes)
     hist = patches @ per_shape.reshape(n_shapes, n_bins)
-    return AngleAudit(configs, per_patch, float(per_patch.max()), hist, edges)
+    return AngleAudit(configs, per_patch, float(per_patch.max()), hist)

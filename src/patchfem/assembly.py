@@ -95,15 +95,17 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
     (``_stiffness``), so the result is the one of a single COO over the whole
     mesh, for any block size.
 
-    ``previous``, the (configs, matrix) of an earlier adapted assembly on
-    the same grid with the same kappas, spares the stiffness rows that no
-    changed patch touches. A patch changed if its shape's key or its side
-    labels differ from that assembly's; only the rows of its dofs are
-    computed again, written over that matrix's, whose arrays the new matrix
-    takes. Without such an assembly (or in mode "baseline", or where a
-    topology differs, which moves the sparsity pattern) every row is
-    computed, and ``previous`` is let go of first. The result is bitwise
-    the same.
+    ``previous``, the (edge parameters, topology, side labels, matrix) of
+    an earlier adapted assembly on the same grid with the same kappas,
+    spares the stiffness rows that no changed patch touches. A patch
+    changed if one of its three edge parameters or one of its side labels
+    differs from that assembly's. Equal edge parameters place its nodes at
+    the same points, so its areas and gradients have the same bits and so
+    do its rows. Only the rows of a changed patch's dofs are computed
+    again, written over that matrix's, whose arrays the new matrix takes.
+    Without such an assembly (or in mode "baseline", or where a topology
+    differs, which moves the sparsity pattern) every row is computed, and
+    ``previous`` is let go of first. The result is bitwise the same.
     """
     if mode not in ("adapted", "baseline"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -116,14 +118,15 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
     index = np.int32 if max(36 * mesh.n_patches, n_dof) < 2**31 else np.int64
     rows = matrix = None
     if (previous is not None and mode == "adapted"
-            and np.array_equal(previous[0].topology, configs.topology)):
-        old, matrix = previous
-        changed = _shape_ids(table, old.table)[old.shape] != configs.shape
-        changed |= (old.sides != configs.sides).any(axis=1)
+            and np.array_equal(previous[1], configs.topology)):
+        edge_param, _, sides, matrix = previous
+        # Edge parameters lie in (0, 1), where equal values have equal bits.
+        changed = (edge_param != mesh.edge_param)[mesh.patch_edges].any(axis=1)
+        changed |= (sides != configs.sides).any(axis=1)
         touched = np.zeros(n_dof, dtype=bool)
         touched[mesh.patch_nodes(np.flatnonzero(changed))] = True
         rows = np.flatnonzero(touched).astype(index)
-        del old, changed, touched
+        del edge_param, sides, changed, touched
     del previous
 
     rule = reference_quad_rule(load_degree)
@@ -172,24 +175,15 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
     return LinearSystem(matrix, rhs, dirichlet, values)
 
 
-def _shape_ids(table, old_table) -> np.ndarray:
-    """The id in ``table`` of every shape of ``old_table``, -1 where it has
-    none: shape ids follow the sorted keys."""
-    keys, old_keys = table.keys(), old_table.keys()
-    ids = np.searchsorted(keys, old_keys)
-    found = ids < len(keys)
-    found[found] = keys[ids[found]] == old_keys[found]
-    return np.where(found, ids, -1)
-
-
 def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
                kap_area: np.ndarray, n_dof: int, nnz: int, rows=None,
                previous=None) -> sp.csr_matrix:
     """The stiffness matrix, one block of ``PATCH_BLOCK`` dof rows at a time.
 
-    Element-matrix row (t, a) of subtriangle t = 4 * patch + j holds
-    kappa * area * grad(l_a).grad(l_b) at the dofs ``sub_dofs[t, b]``; the
-    gradients are row j of ``grads[shape[patch]]``, the shape table's. In
+    Element-matrix row 3 * t + a (the flat position of ``sub_dofs[t, a]``,
+    subtriangle t = 4 * patch + j) holds kappa * area * grad(l_a).grad(l_b)
+    at the dofs ``sub_dofs[t, b]``; the gradients are row j of
+    ``grads[shape[patch]]``, the shape table's. In
     the COO triplets of all element matrices in patch order its three
     entries are consecutive, and SciPy's COO -> CSR conversion buckets them
     by row dof in that order, i.e. in a stable sort of the row dofs. For
@@ -224,11 +218,11 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
         indptr, indices, data = previous.indptr, previous.indices, previous.data
     for blk in patch_blocks(len(row_ptr) - 1):
         lo, hi = row_ptr[blk.start], row_ptr[blk.stop]
-        # Element row 4 * t + a of subtriangle t = 4 * patch + j; k is t in
-        # kappa * area, s is its shape's subtriangle in the planes of gx and
-        # gy, and at is vertex a of s in their (3, 4 * n_shapes) planes.
-        at = order[lo:hi].astype(np.intp)
-        tri = at >> 2
+        # Element row 3 * t + a, vertex a of subtriangle t = 4 * patch + j;
+        # k is t in kappa * area, s is its shape's subtriangle in the planes
+        # of gx and gy, and at is vertex a of s in their (3, 4 * n_shapes)
+        # planes.
+        tri, at = np.divmod(order[lo:hi].astype(np.intp), 3)
         patch = tri >> 2
         k = tri & 3
         s = k * n_shapes
@@ -236,7 +230,6 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
         k *= n_patches
         k += patch
         del patch
-        at &= 3
         at *= 4 * n_shapes
         at += s
         # (gx_a gx_b + gy_a gy_b) * kappa * area, one plane per b.
@@ -269,29 +262,19 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
 
 def _row_order(sub_dofs: np.ndarray, n_dof: int, rows: np.ndarray):
     """The element-matrix rows whose row dof is in the sorted ``rows``, in a
-    stable sort of their row dofs, each as ``4 * t + a`` (subtriangle t,
-    local vertex a), and the start of each row's run in that order
-    (``len(rows) + 1`` offsets)."""
+    stable sort of their row dofs, each as its flat position ``3 * t + a``
+    in ``sub_dofs`` (subtriangle t, local vertex a), and the start of each
+    row's run in that order (``len(rows) + 1`` offsets)."""
     flat = sub_dofs.ravel()
-    # A stable sort of the row dofs, as one sort of distinct keys
-    # (dof, 4 * t + a) packed into int64.
-    n_sub = len(flat) // 3
-    shift = (4 * n_sub).bit_length()
-    order = flat.astype(np.int64)
-    order <<= shift
-    for a, plane in enumerate(order.reshape(-1, 3).T):
-        plane |= np.arange(a, 4 * n_sub, 4)
+    row_ptr = np.zeros(len(rows) + 1, dtype=flat.dtype)
+    np.cumsum(np.bincount(flat, minlength=n_dof)[rows], out=row_ptr[1:])
     if len(rows) < n_dof:
         wanted = np.zeros(n_dof, dtype=bool)
         wanted[rows] = True
-        order = order[wanted[flat]]
-    order.sort()
-    # Each row's first key, and one past the last row's keys.
-    bounds = np.empty(len(rows) + 1, dtype=np.int64)
-    bounds[:-1], bounds[-1] = rows, n_dof
-    bounds <<= shift
-    row_ptr = np.searchsorted(order, bounds).astype(flat.dtype)
-    order &= (1 << shift) - 1
+        order = np.flatnonzero(wanted[flat])
+        order = order[np.argsort(flat[order], kind="stable")]
+    else:
+        order = np.argsort(flat, kind="stable")
     return order.astype(flat.dtype), row_ptr
 
 

@@ -20,6 +20,7 @@ from .runner import (
     SOLVE_HEADER,
     SWEEP_HEADER,
     RunConfig,
+    _fmt,
     run_angles,
     run_convergence,
     run_single,
@@ -127,8 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _print_rows(header, rows):
     print(",".join(header))
     for row in rows:
-        print(",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                       for v in row))
+        print(",".join(_fmt(v) for v in row))
 
 
 def _cmd_solve(args) -> int:

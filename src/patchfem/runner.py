@@ -76,9 +76,10 @@ MAX_ANGLE_BOUND = 162.0 + 1e-9
 # cells): the ru_maxrss of run_single measured 1,775-1,795 bytes at
 # n = 128, 1,318-1,472 at n = 256 and 1,200-1,275 at n = 512 on the circle,
 # horizontal and tilted problems. A solve that follows one on the same grid
-# also holds the workspace's matrix and configurations until it assembles:
-# three solves in a row peaked at 2,020-2,310 bytes at n = 128 and
-# 1,520-1,620 at n = 256. This is the largest, rounded up.
+# also holds the workspace's last matrix until it assembles: three solves in
+# a row, while the workspace held whole configurations too, peaked at
+# 2,020-2,310 bytes at n = 128 and 1,520-1,620 at n = 256. This is the
+# largest, rounded up.
 SOLVE_BYTES_PER_CELL = 2400
 
 SOLVE_HEADER = ["problem", "mode", "strategy", "n", "h", "ndofs", "L2", "H1",
@@ -152,9 +153,10 @@ class _Workspace:
 
     ``mesh`` is built once per grid, and each later solve adapts a copy of
     the last one with edge parameters of its own (``PatchMesh.fresh``).
-    ``assembled`` is the (kappa1, kappa2), configs and matrix of the last
-    adapted-mode assembly, from which ``assemble`` computes only the
-    stiffness rows that changed, over that matrix. A solve takes it
+    ``assembled`` is the (kappa1, kappa2), edge parameters, topology, side
+    labels and matrix of the last adapted-mode assembly, from which
+    ``assemble`` computes, over that matrix, only the stiffness rows of the
+    patches whose edge parameters or side labels changed. A solve takes it
     (``take``) just before it assembles, so one that fails before then
     leaves it, and one that fails in assembly leaves none.
     """
@@ -165,8 +167,9 @@ class _Workspace:
     assembled: tuple | None = None
 
     def take(self, kappas: tuple):
-        """The (configs, matrix) of ``assembled`` if it has ``kappas``, else
-        None; either way, the workspace holds it no more."""
+        """The (edge parameters, topology, side labels, matrix) of
+        ``assembled`` if it has ``kappas``, else None; either way, the
+        workspace holds it no more."""
         assembled, self.assembled = self.assembled, None
         return assembled[1:] if assembled is not None and assembled[0] == kappas else None
 
@@ -201,7 +204,8 @@ def _solve_once(config: RunConfig, n: int):
     system = assemble(mesh, configs, problem, mode=config.mode,
                       previous=workspace.take(kappas))
     if config.mode == "adapted":
-        workspace.assembled = (kappas, configs, system.matrix)
+        workspace.assembled = (kappas, mesh.edge_param, configs.topology, configs.sides,
+                               system.matrix)
     report = cg_solve(system)
     l2, h1 = error_norms(mesh, configs, problem, report.solution)
     audit = max_angle_audit(mesh, configs)

@@ -662,8 +662,6 @@ def classify_patch(mesh: PatchMesh, pid: int, levelset) -> CutClass:
 def classify_all_reference(mesh: PatchMesh, levelset) -> Classification:
     """Classify patch by patch in ascending id; the first crossing recorded
     on an edge wins."""
-    phi = levelset_eval_reference(levelset, mesh.vertices)
-    vhit = np.abs(phi) <= SNAP_TOL * mesh.h_max
     cuts = []
     edge_crossings: dict[int, float] = {}
     for pid in range(mesh.n_patches):
@@ -677,7 +675,7 @@ def classify_all_reference(mesh: PatchMesh, levelset) -> Classification:
                 edge_crossings[eid] = t
     code = np.array([_CUT_CLASSES.index(c) for c in cuts], dtype=np.int8)
     return Classification(code, np.array(list(edge_crossings), dtype=np.int64),
-                          np.array(list(edge_crossings.values()), dtype=float), vhit)
+                          np.array(list(edge_crossings.values()), dtype=float))
 
 
 # -- the scalar edge-parameter pass ---------------------------------------------

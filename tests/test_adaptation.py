@@ -313,8 +313,7 @@ class TestResolveEdgeParams:
         # both patches are edge-edge cuts on their local edges 0 and 2 (code 2)
         classification = Classification(np.array([2, 2], dtype=np.int8),
                                          np.array(list(crossings), dtype=np.int64),
-                                         np.array(list(crossings.values())),
-                                         np.zeros(4, bool))
+                                         np.array(list(crossings.values())))
         conflicts = resolve_edge_params(mesh, classification, 2)
         diag = eid[(0, 3)]
         # patch 0 in regime (q=0.8, s=0.7): wants r = 1 - s = 0.3 and writes

@@ -28,7 +28,7 @@ from patchfem.geometry import (
     reference_quad_rule,
     triangle_area,
 )
-from patchfem.levelset import Circle, HorizontalLine, TiltedLine
+from patchfem.levelset import SNAP_TOL, Circle, HorizontalLine, TiltedLine
 from patchfem.mesh import PatchMesh, build_structured_mesh
 from patchfem.problems import circle_problem, error_norms, horizontal_problem, tilted_problem
 
@@ -178,7 +178,6 @@ def check_adapted_mesh(problem, n, strategy):
         return None
     classification = classify_all(mesh, problem.levelset)
     _assert_same_classification(classification, want)
-    assert np.array_equal(classification.vertex_hits, want.vertex_hits)
 
     resolve_edge_params(mesh, classification, strategy)
     configs = build_configs(mesh, classification, problem.levelset)
@@ -286,8 +285,10 @@ class _ScaledCircle:
 def test_classification_needs_no_signed_distance():
     circle = Circle((0.13769793659039903, 0.026174994879253732), 0.6740289695151073)
     mesh = build_structured_mesh(12)
+    # No vertex lies within the snap tolerance of the circle, where scaling
+    # phi would change which vertices are hit.
+    assert not np.any(np.abs(circle.eval(mesh.vertices)) <= SNAP_TOL * mesh.h_max)
     want = classify_all(mesh, circle)
-    assert not want.vertex_hits.any()
     got = classify_all(mesh, _ScaledCircle(circle))
     _assert_same_classification(got, want)
     # Some cut patch has every vertex farther than a quarter diameter from

@@ -227,7 +227,7 @@ def test_side_groups_fall_back_to_their_anchors():
     mesh = _unit_patch()
     levelset = Circle((-10.0, 0.0), 10.9)
     classification = Classification(np.array([1], dtype=np.int8), np.empty(0, dtype=np.int64),
-                                     np.empty(0), np.zeros(3, dtype=bool))
+                                     np.empty(0))
     configs = build_configs(mesh, classification, levelset)
     assert configs.sides.tolist() == [[1, 2, 1, 1]]
     (reference,) = build_configs_reference(mesh, classification, levelset)

@@ -1,5 +1,5 @@
 """A solve that reuses the workspace of the previous solve on its grid gives
-the bytes of a solve from scratch: rows, shape tables and matrices."""
+the bytes of a solve from scratch: rows and matrices."""
 
 import numpy as np
 import pytest
@@ -107,29 +107,36 @@ def test_other_topologies_reassemble_every_row():
     data = matrix.data.copy()
     other = build_configs(mesh, Classification.uncut(mesh), problem.levelset)
     fresh = assemble(mesh, other, problem).matrix
-    reused = assemble(mesh, other, problem, previous=(configs, matrix)).matrix
+    reused = assemble(mesh, other, problem, previous=(
+        mesh.edge_param, configs.topology, configs.sides, matrix)).matrix
     for attr in ("indptr", "indices", "data"):
         assert getattr(reused, attr).tobytes() == getattr(fresh, attr).tobytes()
     assert not np.shares_memory(reused.data, matrix.data)
     assert matrix.data.tobytes() == data.tobytes()
 
 
-def test_two_edge_sweep_reuses_one_pattern(monkeypatch):
-    """Two-edge cuts leave the sparsity pattern alone: the reused matrices
-    take the first one's index arrays, hold the bits of a matrix built from
-    scratch, and only the rows around the moved patches are computed."""
-    computed = []  # stiffness rows computed by each assembly
+@pytest.fixture
+def computed(monkeypatch):
+    """The number of stiffness rows each assembly computes, in order."""
+    counts = []
     row_order = assembly._row_order
 
     def counting(sub_dofs, n_dof, rows):
-        computed.append(len(rows))
+        counts.append(len(rows))
         return row_order(sub_dofs, n_dof, rows)
 
     monkeypatch.setattr(assembly, "_row_order", counting)
+    return counts
+
+
+def test_two_edge_sweep_reuses_one_pattern(computed):
+    """Two-edge cuts leave the sparsity pattern alone: the reused matrices
+    take the first one's index arrays, hold the bits of a matrix built from
+    scratch, and only the rows around the moved patches are computed."""
     first = None
     for eps in (0.3, 0.1, 0.55, 0.9, 0.3):
         run_single(RunConfig(problem="horizontal", n=16, eps=eps))
-        matrix = runner._workspace.assembled[2]
+        matrix = runner._workspace.assembled[-1]
         problem = make_problem("horizontal", 16, eps=eps)
         mesh = build_structured_mesh(16, problem.domain)
         fresh = assemble(mesh, adapt(mesh, problem.levelset, 2)[0], problem).matrix
@@ -142,8 +149,30 @@ def test_two_edge_sweep_reuses_one_pattern(monkeypatch):
             assert np.shares_memory(matrix.indices, first.indices)
     # The first solve and each fresh build compute all 1,089 rows (the
     # nodes of 16 x 16 cells). A reused one computes only the nodes of the
-    # patches whose shape or sides changed: the cut cell row and the rows
-    # across its moved edge nodes, at most three node rows of 65.
+    # patches whose edge parameters or sides changed: the cut cell row and
+    # the rows across its moved edge nodes, at most three node rows of 65.
     n_dof = 33 * 33
     assert computed[:2] == [n_dof, n_dof] and computed[3::2] == [n_dof] * 4
     assert all(0 < count <= 3 * 65 for count in computed[2::2])
+
+
+def test_side_labels_alone_trigger_reuse(tmp_path, computed):
+    """The interface on one grid line, then on the next: every edge
+    parameter stays at 1/2 and the topology stays the same, but the 32
+    patches between the two lines change sides. The rows of their nodes are
+    computed again, with the bits of a matrix built from scratch."""
+    configs = [RunConfig(problem="horizontal", n=16, eps=eps) for eps in (0.0, 1.0)]
+    run_single(configs[0])
+    first = runner._workspace.assembled
+    run_single(configs[1])
+    _, edge_param, topology, sides, matrix = runner._workspace.assembled
+    assert np.all(first[1] == 0.5) and np.all(edge_param == 0.5)
+    assert np.array_equal(first[2], topology)
+    assert np.count_nonzero((first[3] != sides).any(axis=1)) == 32
+    assert computed[0] == 33 * 33 and 0 < computed[1] <= 3 * 65
+    runner._workspace = None
+    run_single(configs[1])
+    fresh = runner._workspace.assembled[-1]
+    for attr in ("indptr", "indices", "data"):
+        assert getattr(matrix, attr).tobytes() == getattr(fresh, attr).tobytes()
+    _same_rows(configs, tmp_path)
