@@ -36,7 +36,7 @@ from .geometry import (
     triangle_area,
 )
 from .levelset import Circle, HorizontalLine, TiltedLine
-from .mesh import PatchMesh, build_structured_mesh, mesh_to_json, refine
+from .mesh import PatchMesh, build_structured_mesh, mesh_to_json
 from .problems import (
     InsufficientData,
     ProblemSpec,

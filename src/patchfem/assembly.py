@@ -39,6 +39,8 @@ __all__ = [
     "interpolate_nodal",
 ]
 
+LOAD_DEGREE = 2  # degree of the load's quadrature rule
+
 
 @dataclass
 class LinearSystem:
@@ -80,7 +82,7 @@ class LinearSystem:
 
 
 def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
-             load_degree: int = 2, previous=None) -> LinearSystem:
+             previous=None) -> LinearSystem:
     """Assemble the global stiffness matrix and load vector.
 
     mode "adapted": the diffusion is constant on every subtriangle, taken
@@ -129,7 +131,7 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
         del edge_param, sides, changed, touched
     del previous
 
-    rule = reference_quad_rule(load_degree)
+    rule = reference_quad_rule(LOAD_DEGREE)
     lam = reference_lambdas(rule)  # (nq, 3)
     sub_dofs = mesh.subtriangle_nodes(slice(None), configs.topology).astype(index)
     dirichlet = np.flatnonzero(mesh.boundary_nodes())

@@ -32,7 +32,6 @@ __all__ = [
     "build_structured_mesh",
     "patch_blocks",
     "pairwise_sums",
-    "refine",
     "mesh_to_json",
     "FREE",
     "INTERFACE_LOCKED",
@@ -117,8 +116,7 @@ class PatchMesh:
         Longest patch edge in the mesh.
     """
 
-    def __init__(self, vertices, edges, edge_boundary, patches, patch_edges, n=None,
-                 domain=None):
+    def __init__(self, vertices, edges, edge_boundary, patches, patch_edges):
         self.vertices = np.asarray(vertices, dtype=float)
         self.edges = np.asarray(edges, dtype=np.int64)
         self.edge_boundary = np.asarray(edge_boundary, dtype=bool)
@@ -126,8 +124,6 @@ class PatchMesh:
         self.patch_edges = np.asarray(patch_edges, dtype=np.int64)
         self.edge_param = np.full(len(self.edges), 0.5)
         self.edge_lock = np.zeros(len(self.edges), dtype=np.int8)
-        self.n = n
-        self.domain = domain
 
         pv = self.vertices[self.patches]  # (Np, 3, 2)
         pe = self.edges[self.patch_edges]  # (Np, 3, 2)
@@ -279,18 +275,7 @@ def build_structured_mesh(n: int, domain=((-1.0, -1.0), (1.0, 1.0))) -> PatchMes
     on_horz = (a[:, 1] == b[:, 1]) & ((a[:, 1] == y0) | (a[:, 1] == y1))
     boundary = on_vert | on_horz
 
-    return PatchMesh(vertices, edges, boundary, patches, patch_edges, n=n,
-                     domain=domain)
-
-
-def refine(mesh: PatchMesh) -> PatchMesh:
-    """Globally refined mesh: regenerate the structured grid at 2n.
-
-    Edge parameters are reset to 1/2; adaptation must be re-run.
-    """
-    if mesh.n is None or mesh.domain is None:
-        raise ValueError("can only refine meshes built by build_structured_mesh")
-    return build_structured_mesh(2 * mesh.n, mesh.domain)
+    return PatchMesh(vertices, edges, boundary, patches, patch_edges)
 
 
 def mesh_to_json(mesh: PatchMesh, configs=None) -> str:

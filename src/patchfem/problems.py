@@ -33,6 +33,8 @@ __all__ = [
     "InsufficientData",
 ]
 
+ERROR_DEGREE = 5  # degree of the error norms' quadrature rule
+
 
 class InsufficientData(ValueError):
     """Fewer data points than a rate fit needs."""
@@ -285,8 +287,7 @@ def pde_residual_defect(problem: ProblemSpec, n_per_side: int = 100,
     return worst
 
 
-def error_norms(mesh, configs, problem: ProblemSpec, u_h: np.ndarray,
-                degree: int = 5):
+def error_norms(mesh, configs, problem: ProblemSpec, u_h: np.ndarray):
     """L2 and H1-seminorm errors of a dof vector against the analytic solution.
 
     Integrated per subtriangle with the degree-5 rule; the analytic branch at
@@ -297,7 +298,7 @@ def error_norms(mesh, configs, problem: ProblemSpec, u_h: np.ndarray,
     span of ``pairwise_sums`` at a time, so the result does not depend on the
     block size and no integrand array over the whole mesh is held.
     """
-    rule = reference_quad_rule(degree)
+    rule = reference_quad_rule(ERROR_DEGREE)
     lam = reference_lambdas(rule)  # (nq, 3)
     planes = mesh.node_planes()
     per_patch = 4 * len(rule.weights)

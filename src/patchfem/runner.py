@@ -11,12 +11,14 @@ The solves of a sweep or a convergence study are independent.
 more than there are solves, nor than the free memory holds; see
 ``_workers``). Each worker is pinned to a CPU of its own, so its CG sees
 one CPU and runs serially, which gives the same bits as the threaded loop.
-The largest grids go out first; rows and stderr lines come back in job
-order, so the output does not depend on the number of CPUs. With one
-worker the solves run in this process in the same order, as ``solve`` and
-``angles`` always do. Each process keeps a workspace of the grid it solved
-last (``_Workspace``), and a solve on that grid reuses what the last one
-left, with the same bits as a solve from scratch.
+The largest grids go out first (ties in input order), and each solve's
+stderr lines are printed, and the first error raised, in that run order;
+the rows come back in input order. With one worker the solves run in this
+process in the same order, as ``solve`` and ``angles`` always do, so the
+output does not depend on the number of CPUs. Each process keeps a
+workspace of the grid it solved last (``_Workspace``), and a solve on that
+grid reuses what the last one left, with the same bits as a solve from
+scratch.
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ import itertools
 import multiprocessing
 import os
 import sys
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adaptation import (
+    MAX_ANGLE_DEG,
     Classification,
     RefinementRequired,
     adapt,
@@ -71,7 +74,7 @@ __all__ = [
 ]
 
 MAX_REFINE_RETRIES = 3
-MAX_ANGLE_BOUND = 162.0 + 1e-9
+MAX_ANGLE_BOUND = MAX_ANGLE_DEG + 1e-9
 # Peak memory of one solve above the imported package, per grid cell (n * n
 # cells): the ru_maxrss of run_single measured 1,775-1,795 bytes at
 # n = 128, 1,318-1,472 at n = 256 and 1,200-1,275 at n = 512 on the circle,
@@ -259,7 +262,7 @@ def _job(config: RunConfig):
     with contextlib.redirect_stderr(io.StringIO()) as err:
         try:
             row, exc = run_single(config), None
-        except Exception as error:  # re-raised by _run_all, in job order
+        except Exception as error:  # re-raised by _run_all, in run order
             row, exc = None, error
     return row, exc, err.getvalue()
 
@@ -324,65 +327,26 @@ def _pool(workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _in_job_order(futures: list):
-    """The results of ``futures`` (one per job, in job order), each as soon
-    as it and the jobs before it are done. Once a job has failed, the jobs
-    after it that have not started are cancelled: their results would never
-    be read."""
-    position = {future: i for i, future in enumerate(futures)}
-    pending = set(futures)
-    for future in futures:
-        while not future.done():
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for finished in done:
-                if not finished.cancelled() and finished.result()[1] is not None:
-                    for later in futures[position[finished] + 1:]:
-                        later.cancel()
-        yield future.result()
-
-
-def _here(configs: list[RunConfig], order: list[int]):
-    """``_job`` over ``configs`` run in this process in ``order``, each
-    result yielded in job order as soon as it and every one before it are
-    done. Once a job has failed, the jobs after it are not run."""
-    done = {}
-    failed = len(configs)
-    upto = 0  # the next job to yield
-    for i in order:
-        if i > failed:
-            continue
-        done[i] = _job(configs[i])
-        if done[i][1] is not None:
-            failed = i
-        while upto in done:
-            yield done.pop(upto)
-            upto += 1
-
-
 def _run_all(configs: list[RunConfig]) -> list[ResultRow]:
     """``run_single`` over ``configs``: one row per config, in order.
 
     The solves run on ``_workers(configs)`` worker processes, or here with
-    one, largest ``n`` first, so that consecutive solves in a process
-    mostly share a grid and its workspace. Each solve's stderr lines are
-    printed, and its exception raised, in job order, as if the solves had
-    run one after another here.
+    one, largest ``n`` first (ties in input order), so that consecutive
+    solves in a process mostly share a grid and its workspace. Each solve's
+    stderr lines are printed, and the first exception raised, in that run
+    order, whatever the number of workers. The solves after a failure do
+    not run here; in the pool, those no worker has taken are cancelled
+    (``_pool``).
     """
     order = sorted(range(len(configs)), key=lambda i: -configs[i].n)
+    rows = [None] * len(configs)
     with _pool(_workers(configs)) as pool:
-        if pool is None:
-            results = _here(configs, order)
-        else:
-            futures = [None] * len(configs)
-            for i in order:
-                futures[i] = pool.submit(_job, configs[i])
-            results = _in_job_order(futures)
-        rows = []
-        for row, exc, err in results:
+        results = (map if pool is None else pool.map)(_job, [configs[i] for i in order])
+        for i, (row, exc, err) in zip(order, results):
             sys.stderr.write(err)
             if exc is not None:
                 raise exc
-            rows.append(row)
+            rows[i] = row
     return rows
 
 

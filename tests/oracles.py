@@ -241,8 +241,7 @@ def build_structured_mesh_reference(n: int,
         on_horz = (ay == by) and (ay in (y0, y1))
         boundary[eid] = on_vert or on_horz
 
-    return PatchMesh(vertices, edges, boundary, patches, patch_edges, n=n,
-                     domain=domain)
+    return PatchMesh(vertices, edges, boundary, patches, patch_edges)
 
 
 def side_labels_reference(nodes, topology, levelset, cut=None, scale=1.0) -> np.ndarray:

@@ -456,9 +456,10 @@ class TestWorkerPool:
         assert err.startswith("error: CG stalled")
         assert "Traceback" not in err
 
-    def test_refinement_lines_in_job_order(self, monkeypatch, tmp_path, capsys, cpus):
+    def test_refinement_lines_in_run_order(self, monkeypatch, tmp_path, capsys, cpus):
         # Grids below n = 16 need refining: one line per doubling, printed
-        # in job order whichever worker finishes first.
+        # in run order (largest n first, ties in job order) whichever
+        # worker finishes first.
         def coarse_fails(mesh, levelset, strategy):
             if mesh.n_patches < 2 * 16 * 16:
                 raise RefinementRequired(mesh.n_patches, "synthetic")
@@ -473,19 +474,16 @@ class TestWorkerPool:
         pooled = self._run(argv, tmp_path, capsys, "two")
         assert pool.started == 1
         assert pooled == serial
-        per_value = [
-            "refining: n=4 -> n=8 (patch 32: synthetic)",
-            "refining: n=8 -> n=16 (patch 128: synthetic)",
-            "refining: n=8 -> n=16 (patch 128: synthetic)",
-        ]
-        assert serial[3].splitlines() == per_value * 2
+        from_8 = "refining: n=8 -> n=16 (patch 128: synthetic)"
+        from_4 = "refining: n=4 -> n=8 (patch 32: synthetic)"
+        assert serial[3].splitlines() == [from_8, from_8] + [from_4, from_8] * 2
 
     def test_first_failure_cancels_the_jobs_after_it(self, monkeypatch, tmp_path,
                                                      cpus):
-        # Job order is (0.05, 16), (0.05, 8), (0.1, 16), ...; the n = 16 jobs
-        # go out first. The third job fails at once while the first still
-        # runs: of the jobs after it, only those already handed to a worker
-        # run, and the second still runs before the error is raised.
+        # Run order is (0.05, 16), (0.1, 16), (0.15, 16), ..., then the
+        # n = 8 jobs. The second job fails at once while the first still
+        # runs. A serial run stops there; of the jobs after it, the pool
+        # runs only those its workers have taken or queued.
         def probe(config, n):
             if (config.eps, n) == (0.1, 16):
                 raise RuntimeError("synthetic failure")
@@ -503,13 +501,28 @@ class TestWorkerPool:
                 run_sweep("horizontal", "eps", values, [16, 8], 2)
             ran[tag] = {p.name[4:] for p in tmp_path.iterdir() if p.name.startswith(tag)}
         assert pool.started == 1
-        assert ran["one"] == {"0.05 16", "0.05 8"}
+        assert ran["one"] == {"0.05 16"}
         assert ran["one"] < ran["two"] and len(ran["two"]) < len(values)
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_first_failure_in_run_order_is_raised(self, monkeypatch, cpus, n_cpus):
+        # Job order is (0.25, 8), (0.25, 16), (0.75, 8), (0.75, 16); both
+        # jobs at 0.75 fail, and the n = 16 one runs first.
+        def probe(config, n):
+            if config.eps == 0.75:
+                raise RuntimeError(f"synthetic failure at n={n}")
+            return ResultRow(config.problem, config.mode, config.strategy, n, 1.0,
+                             0, 1.0, 1.0, 0, 90.0)
+
+        monkeypatch.setattr(runner_module, "_solve_once", probe)
+        pool = cpus(n_cpus)
+        with pytest.raises(RuntimeError, match="at n=16"):
+            run_sweep("horizontal", "eps", [0.25, 0.75], [8, 16], 2)
+        assert pool.started == (n_cpus > 1)
 
     def test_solves_here_run_largest_grid_first(self, monkeypatch, capsys, cpus):
         # Consecutive solves then share a grid; the rows keep job order, and
-        # a solve's stderr is printed once it and every job before it are
-        # done: jobs 0 and 1 before job 2 runs.
+        # a solve's stderr is printed before the next solve runs.
         ran, printed = [], []
 
         def probe(config, n):
@@ -523,8 +536,8 @@ class TestWorkerPool:
         cpus(1)
         rows = run_sweep("horizontal", "eps", [0.25, 0.75], [8, 16], 2)
         assert ran == [16, 16, 8, 8]
-        assert printed == ["", "", "", "0.25 8\n0.25 16\n"]
-        assert capsys.readouterr().err == "0.75 8\n0.75 16\n"
+        assert printed == ["", "0.25 16\n", "0.75 16\n", "0.25 8\n"]
+        assert capsys.readouterr().err == "0.75 8\n"
         assert [row[:3] for row in rows] == [[0.25, 8, 0.25], [0.25, 16, 0.25],
                                              [0.75, 8, 0.75], [0.75, 16, 0.75]]
 

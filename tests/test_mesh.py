@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from patchfem.geometry import triangle_area
-from patchfem.mesh import build_structured_mesh, mesh_to_json, refine
+from patchfem.mesh import build_structured_mesh, mesh_to_json
 
 from .oracles import local_params, set_local_t
 
@@ -64,29 +64,13 @@ class TestBuild:
 
 
 class TestRefine:
-    def test_refine_equals_double_n(self):
-        fine = refine(build_structured_mesh(1))
-        direct = build_structured_mesh(2)
-        assert np.array_equal(fine.patches, direct.patches)
-        assert np.array_equal(fine.vertices, direct.vertices)
-
     def test_h_max_halves(self):
         mesh = build_structured_mesh(4)
-        assert refine(mesh).h_max == pytest.approx(mesh.h_max / 2)
+        assert build_structured_mesh(8).h_max == pytest.approx(mesh.h_max / 2)
 
     def test_patch_count_quadruples(self):
         mesh = build_structured_mesh(3)
-        assert refine(mesh).n_patches == 4 * mesh.n_patches
-
-    def test_refine_requires_structured_provenance(self):
-        from patchfem.mesh import PatchMesh
-
-        bare = PatchMesh(
-            [[0, 0], [1, 0], [0, 1]], [(0, 1), (1, 2), (0, 2)],
-            [True] * 3, [(0, 1, 2)], [(0, 1, 2)],
-        )
-        with pytest.raises(ValueError):
-            refine(bare)
+        assert build_structured_mesh(6).n_patches == 4 * mesh.n_patches
 
 
 class TestLocalNodes:
