@@ -217,14 +217,14 @@ class Classification:
     """
 
     code: np.ndarray  # (n_patches,) int8
-    crossed_edges: np.ndarray  # (n_crossed,) int64
+    crossed_edges: np.ndarray  # (n_crossed,) of the mesh's index type
     crossing_t: np.ndarray  # (n_crossed,) float
 
     @classmethod
     def uncut(cls, mesh: PatchMesh) -> Classification:
         """Every patch uncut, as the unfitted baseline splits them."""
-        return cls(np.zeros(mesh.n_patches, dtype=np.int8), np.empty(0, dtype=np.int64),
-                   np.empty(0))
+        return cls(np.zeros(mesh.n_patches, dtype=np.int8),
+                   np.empty(0, dtype=mesh.patch_edges.dtype), np.empty(0))
 
     @property
     def cut_ids(self) -> np.ndarray:
@@ -255,14 +255,34 @@ def classify_all(mesh: PatchMesh, levelset) -> Classification:
     passes through two vertices counts as uncut. The recorded edge crossings
     are the ones classification counted, taken from the lowest cut patch
     through each edge and converted to the edge storage direction.
+
+    The crossings are found one block of edges at a time, and the patches
+    are classified one patch block at a time, in patch order.
     """
     phi = levelset.eval(mesh.vertices)
-    hits = np.abs(phi[mesh.patches]) <= SNAP_TOL * mesh.patch_diameters()[:, None]
+    roots = np.empty((mesh.n_edges, 2))
+    for blk in patch_blocks(mesh.n_edges):
+        ends = mesh.vertices[mesh.edges[blk]]
+        roots[blk] = levelset.segment_crossings(ends[:, 0], ends[:, 1])
+    code = np.empty(mesh.n_patches, dtype=np.int8)
+    eids, ts = [], []
+    for blk in patch_blocks(mesh.n_patches):
+        code[blk], block_eids, block_t = _classify_block(mesh, blk, phi, roots)
+        eids.append(block_eids)
+        ts.append(block_t)
+    eids, t = np.concatenate(eids), np.concatenate(ts)
+    first = np.sort(np.unique(eids, return_index=True)[1])
+    return Classification(code, eids[first], t[first])
 
-    roots = levelset.segment_crossings(mesh.vertices[mesh.edges[:, 0]],
-                                       mesh.vertices[mesh.edges[:, 1]])
-    local = roots[mesh.patch_edges]  # (Np, 3, 2) in storage direction
-    local = np.where(mesh.patch_edge_forward[:, :, None], local, 1.0 - local)
+
+def _classify_block(mesh: PatchMesh, blk: slice, phi, roots):
+    """The cut codes of the patches ``blk`` and the (edge, crossing) of each
+    of their counted crossings, by patch, then local edge, given the level
+    set at the vertices ``phi`` and every edge's crossings ``roots``."""
+    hits = np.abs(phi[mesh.patches[blk]]) <= SNAP_TOL * mesh.patch_diameters()[blk, None]
+    patch_edges, forward = mesh.patch_edges[blk], mesh.patch_edge_forward[blk]
+    local = roots[patch_edges]  # (nb, 3, 2) in storage direction
+    local = np.where(forward[:, :, None], local, 1.0 - local)
     local.sort(axis=-1)
     # Local edge k runs from local vertex k to k + 1.
     start_hit = hits[:, :, None]
@@ -286,7 +306,8 @@ def classify_all(mesh: PatchMesh, levelset) -> Classification:
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     if bad.any():
         pid = int(bad.argmax())
-        raise RefinementRequired(pid, next(reason for mask, reason in checks if mask[pid]))
+        raise RefinementRequired(blk.start + pid,
+                                 next(reason for mask, reason in checks if mask[pid]))
 
     # Codes into _CUT_CLASSES: an edge-edge cut by its uncrossed edge, a
     # vertex cut by its vertex.
@@ -300,10 +321,8 @@ def classify_all(mesh: PatchMesh, levelset) -> Classification:
     # dropped root needs a hit endpoint, and a hit with a counted crossing on
     # an adjacent edge has raised above.
     t_local = local[pid, k, 0]
-    t = np.where(mesh.patch_edge_forward[pid, k], t_local, 1.0 - t_local)
-    eids = mesh.patch_edges[pid, k]
-    first = np.sort(np.unique(eids, return_index=True)[1])
-    return Classification(code, eids[first], t[first])
+    t = np.where(forward[pid, k], t_local, 1.0 - t_local)
+    return code, patch_edges[pid, k], t
 
 
 def free_params_two_edges(strategy: int, fixed: dict[str, np.ndarray]):

@@ -31,7 +31,7 @@ from .geometry import (
     reference_lambdas,
     reference_quad_rule,
 )
-from .mesh import PatchMesh, patch_blocks
+from .mesh import PatchMesh, index_dtype, patch_blocks
 
 __all__ = [
     "LinearSystem",
@@ -117,7 +117,7 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
     # The dofs are the nodes of the mesh: vertices, then edge nodes.
     n_dof = mesh.n_vertices + mesh.n_edges
     # The index type SciPy picks for a COO with 36 entries per patch.
-    index = np.int32 if max(36 * mesh.n_patches, n_dof) < 2**31 else np.int64
+    index = index_dtype(36 * mesh.n_patches, n_dof)
     rows = matrix = None
     if (previous is not None and mode == "adapted"
             and np.array_equal(previous[1], configs.topology)):
@@ -133,7 +133,8 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
 
     rule = reference_quad_rule(LOAD_DEGREE)
     lam = reference_lambdas(rule)  # (nq, 3)
-    sub_dofs = mesh.subtriangle_nodes(slice(None), configs.topology).astype(index)
+    sub_dofs = mesh.subtriangle_nodes(slice(None), configs.topology).astype(index,
+                                                                            copy=False)
     dirichlet = np.flatnonzero(mesh.boundary_nodes())
     planes = mesh.node_planes()
     kap_area = np.empty((mesh.n_patches, 4), order="F")
@@ -189,21 +190,22 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
     the COO triplets of all element matrices in patch order its three
     entries are consecutive, and SciPy's COO -> CSR conversion buckets them
     by row dof in that order, i.e. in a stable sort of the row dofs. For
-    each block of dof rows, the element-matrix rows of the block are
-    gathered from the geometry in that order and SciPy sorts and sums the
-    duplicates of the block, row by row as it would over the whole matrix.
-    So every bit is the one of a single COO over the whole mesh, and nothing
-    with one slot per element-matrix entry is held. The blocks are written
-    into arrays of the matrix's ``nnz`` entries: arrays grown block by
-    block are copied whenever the allocator cannot extend them in place,
-    and then held twice.
+    each block of dof rows, the element-matrix rows of the block are found
+    (``_row_order``) and gathered from the geometry in that order, and SciPy
+    sorts and sums the duplicates of the block, row by row as it would over
+    the whole matrix. So every bit is the one of a single COO over the whole
+    mesh, and nothing with one slot per element-matrix entry is held. The
+    blocks are written into arrays of the matrix's ``nnz`` entries: arrays
+    grown block by block are copied whenever the allocator cannot extend
+    them in place, and then held twice.
 
     Given the sorted dofs ``rows`` and a matrix ``previous`` of the same
     sparsity pattern, only those rows are computed, in the same way, and
     written over ``previous``'s: the result takes its arrays.
     """
-    order, row_ptr = _row_order(
-        sub_dofs, n_dof, np.arange(n_dof, dtype=sub_dofs.dtype) if rows is None else rows)
+    if rows is None:
+        rows = np.arange(n_dof, dtype=sub_dofs.dtype)
+    flat = sub_dofs.ravel()
     n_patches, n_shapes = len(shape), len(grads)
     # Coordinate-major planes over the table's subtriangles
     # j * n_shapes + shape, and kappa * area over the mesh's
@@ -218,13 +220,26 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
         data, indices = np.empty(nnz), np.empty(nnz, dtype=sub_dofs.dtype)
     else:
         indptr, indices, data = previous.indptr, previous.indices, previous.data
-    for blk in patch_blocks(len(row_ptr) - 1):
-        lo, hi = row_ptr[blk.start], row_ptr[blk.stop]
+    blocks = list(patch_blocks(len(rows)))
+    # The element rows of each patch block (its span of ``flat``) and the
+    # blocks of dof rows they reach, so that each row block scans only
+    # those: reach[i + 1, c] when patch block c has a dof from the first row
+    # of row block i up to the first of row block i + 1 (reach[0]: below
+    # the first row).
+    spans = [slice(12 * p.start, 12 * p.stop) for p in patch_blocks(n_patches)]
+    starts = rows[[blk.start for blk in blocks]]
+    reach = np.zeros((len(blocks) + 1, len(spans)), dtype=bool)
+    for c, span in enumerate(spans):
+        reach[np.searchsorted(starts, flat[span], side="right"), c] = True
+    for blk, reached in zip(blocks, reach[1:]):
+        order, row_ptr = _row_order(flat, n_dof, rows[blk],
+                                    [spans[c] for c in np.flatnonzero(reached)])
         # Element row 3 * t + a, vertex a of subtriangle t = 4 * patch + j;
         # k is t in kappa * area, s is its shape's subtriangle in the planes
         # of gx and gy, and at is vertex a of s in their (3, 4 * n_shapes)
         # planes.
-        tri, at = np.divmod(order[lo:hi].astype(np.intp), 3)
+        tri, at = np.divmod(order.astype(flat.dtype), 3)
+        del order
         patch = tri >> 2
         k = tri & 3
         s = k * n_shapes
@@ -234,18 +249,22 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
         del patch
         at *= 4 * n_shapes
         at += s
-        # (gx_a gx_b + gy_a gy_b) * kappa * area, one plane per b.
-        vals = np.empty((hi - lo, 3))
-        np.multiply(np.take(gx, s, axis=1), np.take(gx, at), out=vals.T)
-        gyy = np.take(gy, s, axis=1)
-        gyy *= np.take(gy, at)
-        vals.T[...] += gyy
-        vals.T[...] *= np.take(ka, k)
-        block = sp.csr_matrix(
-            (vals.ravel(), np.take(col_items, tri).view(cols.dtype),
-             3 * (row_ptr[blk.start:blk.stop + 1] - lo)),
-            shape=(blk.stop - blk.start, n_dof))
-        del at, tri, k, s, vals, gyy
+        # (gx_a gx_b + gy_a gy_b) * kappa * area, one plane per b: the x
+        # products, then the y products added, then kappa * area.
+        vals = np.empty((len(tri), 3))
+        a_side, b_side = np.take(gx, at), np.empty(len(tri))
+        for b, out in enumerate(vals.T):
+            np.multiply(np.take(gx[b], s, out=b_side), a_side, out=out)
+        np.take(gy, at, out=a_side)
+        for b, out in enumerate(vals.T):
+            np.take(gy[b], s, out=b_side)
+            b_side *= a_side
+            out += b_side
+        vals.T[...] *= np.take(ka, k, out=a_side)
+        del at, k, s, a_side, b_side, out
+        block = sp.csr_matrix((vals.ravel(), np.take(col_items, tri).view(cols.dtype),
+                               3 * row_ptr), shape=(blk.stop - blk.start, n_dof))
+        del vals, tri
         block.sum_duplicates()
         if previous is None:
             indptr[blk.start + 1:blk.stop + 1] = block.indptr[1:] + indptr[blk.start]
@@ -262,22 +281,32 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
     return sp.csr_matrix((data, indices, indptr), shape=(n_dof, n_dof))
 
 
-def _row_order(sub_dofs: np.ndarray, n_dof: int, rows: np.ndarray):
+def _row_order(flat: np.ndarray, n_dof: int, rows: np.ndarray, spans):
     """The element-matrix rows whose row dof is in the sorted ``rows``, in a
     stable sort of their row dofs, each as its flat position ``3 * t + a``
-    in ``sub_dofs`` (subtriangle t, local vertex a), and the start of each
-    row's run in that order (``len(rows) + 1`` offsets)."""
-    flat = sub_dofs.ravel()
-    row_ptr = np.zeros(len(rows) + 1, dtype=flat.dtype)
-    np.cumsum(np.bincount(flat, minlength=n_dof)[rows], out=row_ptr[1:])
-    if len(rows) < n_dof:
+    in the subtriangle dofs ``flat`` (subtriangle t, local vertex a), and
+    the start of each row's run in that order (``len(rows) + 1`` offsets).
+    They are looked for in the slices ``spans`` of ``flat``, in order."""
+    lo, hi = rows[0], rows[-1]
+    wanted = None
+    if hi - lo != len(rows) - 1:
         wanted = np.zeros(n_dof, dtype=bool)
         wanted[rows] = True
-        order = np.flatnonzero(wanted[flat])
-        order = order[np.argsort(flat[order], kind="stable")]
-    else:
-        order = np.argsort(flat, kind="stable")
-    return order.astype(flat.dtype), row_ptr
+    found = []
+    for span in spans:
+        dofs = flat[span]
+        # Consecutive rows need only a range test, cheaper than a gather.
+        selected = (dofs >= lo) & (dofs <= hi) if wanted is None else wanted[dofs]
+        found.append(np.flatnonzero(selected) + span.start)
+    order = np.concatenate(found)
+    del found, selected
+    dofs = flat[order]
+    sort = np.argsort(dofs, kind="stable")
+    order = order[sort]
+    row_ptr = np.empty(len(rows) + 1, dtype=flat.dtype)
+    row_ptr[:-1] = np.searchsorted(dofs[sort], rows)
+    row_ptr[-1] = len(order)
+    return order, row_ptr
 
 
 def interpolate_nodal(problem, mesh: PatchMesh) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Command-line front end: solve, convergence, sweep, angles subcommands.
 
 Exit codes: 0 on success, 1 on runtime failure (non-convergence, unresolvable
-cut, a grid too large to allocate), 2 on usage errors.
+cut, a grid too large to allocate, an output file that cannot be written), 2
+on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -62,6 +64,14 @@ def _size_list(text: str):
     return _distinct([_size(v) for v in text.split(",") if v.strip() != ""])
 
 
+def _out_path(text: str) -> str:
+    """An output path whose directory exists, checked before any solve."""
+    directory = os.path.dirname(text) or "."
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"no directory {directory!r} for {text!r}")
+    return text
+
+
 # Upper ends of the allowed [0, hi] ranges of the interface parameters.
 _PARAM_MAX = {"eps": 1.0, "alpha": float(np.pi)}
 
@@ -99,12 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="interface offset for the horizontal problem, in [0, 1]")
         p.add_argument("--alpha", type=_alpha, default=float(np.pi / 4),
                        help="interface angle for the tilted problem, in [0, pi]")
-        p.add_argument("--out", default=None, help="CSV output path")
+        p.add_argument("--out", type=_out_path, default=None, help="CSV output path")
 
     p_solve = sub.add_parser("solve", help="solve one configuration")
     common(p_solve)
     p_solve.add_argument("--n", type=_size, default=16)
-    p_solve.add_argument("--dump-mesh", default=None,
+    p_solve.add_argument("--dump-mesh", type=_out_path, default=None,
                          help="write the adapted mesh as JSON")
 
     p_conv = sub.add_parser("convergence", help="refinement study with rates")
@@ -206,7 +216,8 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args, parser)
         return _cmd_angles(args)
-    except (NonConvergence, RuntimeError, InsufficientData, ValueError, MemoryError) as exc:
+    except (NonConvergence, RuntimeError, InsufficientData, ValueError, MemoryError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

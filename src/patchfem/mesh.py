@@ -30,6 +30,7 @@ import numpy as np
 __all__ = [
     "PatchMesh",
     "build_structured_mesh",
+    "index_dtype",
     "patch_blocks",
     "pairwise_sums",
     "mesh_to_json",
@@ -46,13 +47,22 @@ INTERFACE_LOCKED = 1
 STRATEGY_SET = 2
 LOCK_NAMES = {FREE: "free", INTERFACE_LOCKED: "interface", STRATEGY_SET: "strategy"}
 
+
+def index_dtype(*counts: int) -> type:
+    """The integer type of index arrays whose entries stay below the largest
+    of ``counts``: int32, or int64 from 2**31 on, as SciPy picks the index
+    type of a sparse matrix."""
+    return np.int32 if max(counts) < 2**31 else np.int64
+
+
 # Patches per block of the per-patch integrals (assembly, error norms, angle
 # audit): their quadrature temporaries are sized by a block, not the mesh.
 PATCH_BLOCK = 2**14
 
 
 def patch_blocks(n_patches: int):
-    """Consecutive slices of at most ``PATCH_BLOCK`` patches, in patch order.
+    """Consecutive slices of at most ``PATCH_BLOCK`` patches, in patch order
+    (or dof rows, or edges).
 
     Per-patch work is local, so a pass that fills its outputs block by block
     and reduces them once afterwards gives the same bytes for any block size.
@@ -101,7 +111,9 @@ class PatchMesh:
     ----------
     vertices : (n_vertices, 2) float array
     edges : (n_edges, 2) int array
-        Vertex pairs, lower index first.
+        Vertex pairs, lower index first. The int arrays are int32, or int64
+        where the node count (vertices and edges) reaches 2**31
+        (``index_dtype``), so that node ids fit them too.
     edge_param : (n_edges,) float array
         Node position along the edge, measured from the lower-indexed vertex.
     edge_lock : (n_edges,) int8 array of FREE / INTERFACE_LOCKED / STRATEGY_SET
@@ -118,21 +130,24 @@ class PatchMesh:
 
     def __init__(self, vertices, edges, edge_boundary, patches, patch_edges):
         self.vertices = np.asarray(vertices, dtype=float)
-        self.edges = np.asarray(edges, dtype=np.int64)
+        index = index_dtype(len(self.vertices) + len(edges))
+        self.edges = np.asarray(edges, dtype=index)
         self.edge_boundary = np.asarray(edge_boundary, dtype=bool)
-        self.patches = np.asarray(patches, dtype=np.int64)
-        self.patch_edges = np.asarray(patch_edges, dtype=np.int64)
+        self.patches = np.asarray(patches, dtype=index)
+        self.patch_edges = np.asarray(patch_edges, dtype=index)
         self.edge_param = np.full(len(self.edges), 0.5)
         self.edge_lock = np.zeros(len(self.edges), dtype=np.int8)
 
-        pv = self.vertices[self.patches]  # (Np, 3, 2)
-        pe = self.edges[self.patch_edges]  # (Np, 3, 2)
-        # Local edge k runs from local vertex k to local vertex (k+1)%3.
-        first_local = self.patches  # (Np, 3): local start vertex of edge k
-        self.patch_edge_forward = pe[:, :, 0] == first_local
-        edge_vec = pv[:, [1, 2, 0], :] - pv
-        self._edge_lengths = np.linalg.norm(edge_vec, axis=-1)  # (Np, 3)
-        self.h_max = float(self._edge_lengths.max())
+        self.patch_edge_forward = np.empty(self.patches.shape, dtype=bool)
+        self._diameters = np.empty(self.n_patches)
+        for blk in patch_blocks(self.n_patches):
+            # Local edge k runs from local vertex k to local vertex (k+1)%3.
+            start = self.edges[self.patch_edges[blk], 0]
+            self.patch_edge_forward[blk] = start == self.patches[blk]
+            pv = self.vertices[self.patches[blk]]  # (nb, 3, 2)
+            lengths = np.linalg.norm(pv[:, [1, 2, 0], :] - pv, axis=-1)
+            self._diameters[blk] = lengths.max(axis=1)
+        self.h_max = float(self._diameters.max())
 
     def fresh(self) -> PatchMesh:
         """A mesh sharing this one's vertices, edges and patches (which no
@@ -156,7 +171,7 @@ class PatchMesh:
 
     def patch_diameters(self) -> np.ndarray:
         """Longest edge of every patch, (n_patches,)."""
-        return self._edge_lengths.max(axis=1)
+        return self._diameters
 
     def node_planes(self) -> np.ndarray:
         """Coordinates of every node, (2, n_vertices + n_edges): the x plane
@@ -203,13 +218,15 @@ class PatchMesh:
         return self.node_planes()[:, self.patch_nodes()].transpose(1, 2, 0)
 
     def local_params_all(self) -> np.ndarray:
-        """(n_patches, 3) array of (q, r, s)."""
-        t = self.edge_param[self.patch_edges]  # (Np, 3) storage params
-        t = np.where(self.patch_edge_forward, t, 1.0 - t)
-        out = np.empty_like(t)
-        out[:, 0] = 1.0 - t[:, 2]  # q
-        out[:, 1] = t[:, 1]        # r
-        out[:, 2] = t[:, 0]        # s
+        """(n_patches, 3) array of (q, r, s), formed one patch block at a
+        time."""
+        out = np.empty((self.n_patches, 3))
+        for blk in patch_blocks(self.n_patches):
+            t = self.edge_param[self.patch_edges[blk]]  # (nb, 3) storage params
+            t = np.where(self.patch_edge_forward[blk], t, 1.0 - t)
+            out[blk, 0] = 1.0 - t[:, 2]  # q
+            out[blk, 1] = t[:, 1]        # r
+            out[blk, 2] = t[:, 0]        # s
         return out
 
 
@@ -232,8 +249,10 @@ def build_structured_mesh(n: int, domain=((-1.0, -1.0), (1.0, 1.0))) -> PatchMes
     gx, gy = np.meshgrid(xs, ys)
     vertices = np.column_stack([gx.ravel(), gy.ravel()])
 
+    n_edges = 3 * n * n + 2 * n
+    index = index_dtype(len(vertices) + n_edges)
     # Cell corners, indexed [row j, column i].
-    j, i = np.mgrid[0:n, 0:n]
+    j, i = np.indices((n, n), dtype=index)
     bl = j * (n + 1) + i
     br, tl = bl + 1, bl + n + 1
     tr = tl + 1
@@ -241,8 +260,8 @@ def build_structured_mesh(n: int, domain=((-1.0, -1.0), (1.0, 1.0))) -> PatchMes
     # Edge ids follow a row-major walk over the cells that numbers each edge
     # when first met: right vertical, diagonal, bottom (new only in row 0),
     # left (new only in column 0), top. Closed form of that walk:
-    first_row, first_col = (j == 0).astype(np.int64), (i == 0).astype(np.int64)
-    base = j * (3 * n + 1) + n * (j > 0) + i * (3 + first_row) + (i > 0)
+    first_row, first_col = (j == 0).astype(index), (i == 0).astype(index)
+    base = j * (3 * n + 1) + n * (1 - first_row) + i * (3 + first_row) + (1 - first_col)
     right, diag = base, base + 1
     top = base + 2 + first_row + first_col
     bottom = np.empty_like(base)
@@ -252,7 +271,7 @@ def build_structured_mesh(n: int, domain=((-1.0, -1.0), (1.0, 1.0))) -> PatchMes
     left[:, 0] = base[:, 0] + 2 + first_row[:, 0]
     left[:, 1:] = right[:, :-1]
 
-    edges = np.empty((3 * n * n + 2 * n, 2), dtype=np.int64)
+    edges = np.empty((n_edges, 2), dtype=index)
     edges[right] = np.stack([br, tr], axis=-1)
     edges[diag] = np.stack([bl, tr], axis=-1)
     edges[bottom[0]] = np.stack([bl[0], br[0]], axis=-1)
@@ -270,10 +289,11 @@ def build_structured_mesh(n: int, domain=((-1.0, -1.0), (1.0, 1.0))) -> PatchMes
                             np.stack([left, diag, top], axis=-1)],
                            axis=2).reshape(-1, 3)
 
-    a, b = vertices[edges[:, 0]], vertices[edges[:, 1]]
-    on_vert = (a[:, 0] == b[:, 0]) & ((a[:, 0] == x0) | (a[:, 0] == x1))
-    on_horz = (a[:, 1] == b[:, 1]) & ((a[:, 1] == y0) | (a[:, 1] == y1))
-    boundary = on_vert | on_horz
+    # The boundary: the bottom of row 0, the top of row n - 1, the left of
+    # column 0 and the right of column n - 1.
+    boundary = np.zeros(n_edges, dtype=bool)
+    for side in (bottom[0], top[-1], left[:, 0], right[:, -1]):
+        boundary[side] = True
 
     return PatchMesh(vertices, edges, boundary, patches, patch_edges)
 

@@ -121,10 +121,10 @@ def cg_solve(system: LinearSystem, tol: float = 1e-10,
     fixed = [np.flatnonzero(~free[s]) for s in spans]
     inv_diag = np.zeros(system.n_dof)
     np.divide(1.0, a.diagonal(), out=inv_diag, where=free)
-    z = inv_diag * r
-    p = z.copy()
-    tmp = np.empty(system.n_dof)
-    ds, xs, zs, ps, ts = ([v[s] for s in spans] for v in (inv_diag, x, z, p, tmp))
+    p = inv_diag * r  # z = D^-1 r
+    ds, xs, ps = ([v[s] for s in spans] for v in (inv_diag, x, p))
+    # Each span's A p, whose buffer then holds alpha A p, alpha p and z in
+    # turn: the iteration keeps no other vector.
     aps = [None] * len(spans)
 
     def product(k):
@@ -134,18 +134,19 @@ def cg_solve(system: LinearSystem, tol: float = 1e-10,
         return np.einsum("i,i->", ps[k], ap)
 
     def update(k, alpha):
-        np.multiply(ps[k], alpha, out=ts[k])
-        xs[k] += ts[k]
-        aps[k] *= alpha
-        rs[k] -= aps[k]
-        np.multiply(ds[k], rs[k], out=zs[k])
-        return np.einsum("i,i->", rs[k], rs[k]), np.einsum("i,i->", rs[k], zs[k])
+        buf = aps[k]
+        buf *= alpha
+        rs[k] -= buf
+        np.multiply(ps[k], alpha, out=buf)
+        xs[k] += buf
+        np.multiply(ds[k], rs[k], out=buf)
+        return np.einsum("i,i->", rs[k], rs[k]), np.einsum("i,i->", rs[k], buf)
 
     def direction(k, beta):
         ps[k] *= beta
-        ps[k] += zs[k]
+        ps[k] += aps[k]
 
-    rz = span_dot(rs, zs)
+    rz = span_dot(rs, ps)
     history = [1.0]  # r = b
     threaded = len(spans) > 1 and _cpus() > 1
     with ThreadPoolExecutor(1) if threaded else nullcontext() as pool:

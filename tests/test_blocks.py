@@ -22,7 +22,7 @@ from patchfem.adaptation import (
     max_angle_audit,
 )
 from patchfem.assembly import assemble
-from patchfem.mesh import build_structured_mesh, pairwise_sums, patch_blocks
+from patchfem.mesh import build_structured_mesh, index_dtype, pairwise_sums, patch_blocks
 from patchfem.problems import circle_problem, error_norms, tilted_problem
 from patchfem.runner import RunConfig, run_single
 from patchfem.solver import cg_solve
@@ -259,28 +259,38 @@ def _traced_peak_mib(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-# Measured traced peaks at n = 128 are 18.2 MiB (assemble, the matrix built
-# one block of dof rows at a time, the int64 patch dofs dropped once the
-# subtriangle dofs exist, each patch block's load arrays freed before the
-# next block's are made) and 6.6 MiB (error_norms, integrand spans of at
-# most 4 * PATCH_BLOCK elements); the bounds add 20%. Holding the patch dofs
-# through the matrix build, assemble peaked at 19.8 MiB; with the CSR array
-# with duplicates over the whole mesh and spans of PATCH_BLOCK patches the
-# same calls peaked at 36.5 and 42.0 MiB, with the whole-mesh COO and
-# integrand arrays at 43.1 and 59.5 MiB, and without the patch blocks at
-# 84.6 and 89.0 MiB.
-ASSEMBLE_BOUND_MIB = 21.9
+# Measured traced peaks at n = 128 are 6.8 MiB (build_structured_mesh:
+# int32 index arrays, the edge directions and diameters formed one patch
+# block at a time) and 14.3 MiB (adapt, whose largest part is build_configs'
+# patch-block keys and subtriangles); the bounds add 20%. With int64 index
+# arrays and (n_patches, 3, 2) temporaries the mesh build peaked at
+# 14.1 MiB.
+MESH_BOUND_MIB = 8.2
+ADAPT_BOUND_MIB = 17.2
+# Measured traced peaks at n = 128 are 16.2 MiB (assemble, the matrix built
+# one block of dof rows at a time, each block finding and sorting its own
+# element rows, each patch block's load arrays freed before the next
+# block's are made) and 6.6 MiB (error_norms, integrand spans of at most
+# 4 * PATCH_BLOCK elements); the bounds add 20%. With one whole-mesh int64
+# sort of the element rows and int64 mesh arrays, assemble peaked at
+# 19.5 MiB, and at 19.8 MiB holding the patch dofs through the matrix
+# build; with the CSR array with duplicates over the whole mesh and spans of
+# PATCH_BLOCK patches the same calls peaked at 36.5 and 42.0 MiB, with the
+# whole-mesh COO and integrand arrays at 43.1 and 59.5 MiB, and without the
+# patch blocks at 84.6 and 89.0 MiB.
+ASSEMBLE_BOUND_MIB = 19.4
 ERRORS_BOUND_MIB = 7.9
 # With blocks of 512 patches (and dof rows) the block temporaries are
 # small, and the peaks show what each call holds over the whole mesh:
-# measured 10.6 MiB (assemble: the row order, kappa * area, the loads, the
-# node coordinates and the returned matrix) and 1.76 MiB (error_norms, which
-# holds the node coordinates instead of the int64 patch dofs), plus 20%.
-# With the whole-mesh subtriangle geometry they peaked at 11.6 and 2.3 MiB;
+# measured 9.1 MiB (assemble: kappa * area, the loads, the node
+# coordinates and the returned matrix) and 1.8 MiB (error_norms, which
+# holds the node coordinates instead of the patch dofs), plus 20%. Holding
+# the whole-mesh row order, assemble peaked at 10.7 MiB; with the
+# whole-mesh subtriangle geometry they peaked at 11.6 and 2.3 MiB;
 # the CSR array with duplicates at 19.4 MiB, the whole-mesh COO at 43.1, and
 # the whole-mesh integrand arrays at 16.9 (2.8 with the patch-block spans).
 SMALL_BLOCK = 512
-ASSEMBLE_SMALL_BLOCK_BOUND_MIB = 12.8
+ASSEMBLE_SMALL_BLOCK_BOUND_MIB = 10.9
 ERRORS_SMALL_BLOCK_BOUND_MIB = 2.2
 # The same for the shape table: 14.8 MiB (build_configs, whose patch-block
 # keys and subtriangles are the largest part) and 0.67 MiB (max_angle_audit,
@@ -289,21 +299,26 @@ ERRORS_SMALL_BLOCK_BOUND_MIB = 2.2
 # 11.8 MiB.
 CONFIGS_BOUND_MIB = 17.8
 AUDIT_BOUND_MIB = 0.81
+# adapt: 3.0 MiB (what it returns and the crossings of every edge), plus
+# 20%. classify_all over the whole mesh at once peaked at 7.9 MiB.
+ADAPT_SMALL_BLOCK_BOUND_MIB = 3.7
 # A vector over the 66,049 dofs at n = 128 is 0.50 MiB and the matrix 5.52.
 # LinearSystem.reduced: 1.07 MiB measured (the lifted load, the Dirichlet
 # data vector and the free mask), plus 20%. Copying the free rows and
 # columns into A_ff peaked at 8.1 MiB, slicing them at 12.2.
 REDUCED_BOUND_MIB = 1.3
-# cg_solve: 4.38 MiB measured (its vectors over all dofs), plus 20%: below
-# the matrix itself, so a copy of it fails. On a separate A_ff it peaked at
-# 10.3 MiB.
-CG_SOLVE_BOUND_MIB = 5.3
+# cg_solve: 3.37 MiB measured (x, r, p, the inverse diagonal and each
+# span's A p, whose buffer also holds alpha p and z), plus 20%: below the
+# matrix itself, so a copy of it fails. With separate vectors for alpha p
+# and z it peaked at 4.38 MiB, on a separate A_ff at 10.3 MiB.
+CG_SOLVE_BOUND_MIB = 4.1
 # A whole run_single of the tilted problem at n = 128 with strategy 3,
-# every stage included: 23.8 MiB measured, plus 20%. It was 36.7 MiB with
+# every stage included: 19.9 MiB measured, plus 20%. It was 24.9 MiB with
+# int64 mesh arrays and whole-mesh sorts and classification, 36.7 MiB with
 # the whole-mesh subtriangle geometry, 38.1 MiB with a separate A_ff and
 # the patch dofs held through the matrix build, and its largest stage was
 # error_norms at 67.0 MiB before the row blocks and the capped spans.
-RUN_SINGLE_BOUND_MIB = 28.6
+RUN_SINGLE_BOUND_MIB = 23.9
 
 
 class TestPeakMemory:
@@ -318,6 +333,21 @@ class TestPeakMemory:
         mesh = build_structured_mesh(128, problem.domain)
         configs, _, _ = adapt(mesh, problem.levelset, 2)
         return problem, mesh, configs
+
+    def test_build_structured_mesh(self):
+        problem = circle_problem()
+        assert (_traced_peak_mib(build_structured_mesh, 128, problem.domain)
+                < MESH_BOUND_MIB)
+
+    def test_adapt(self, circle):
+        problem, mesh, _ = circle
+        assert _traced_peak_mib(adapt, mesh.fresh(), problem.levelset, 2) < ADAPT_BOUND_MIB
+
+    def test_adapt_small_blocks(self, circle, monkeypatch):
+        problem, mesh, _ = circle
+        monkeypatch.setattr(mesh_module, "PATCH_BLOCK", SMALL_BLOCK)
+        assert (_traced_peak_mib(adapt, mesh.fresh(), problem.levelset, 2)
+                < ADAPT_SMALL_BLOCK_BOUND_MIB)
 
     def test_assemble(self, circle):
         problem, mesh, configs = circle
@@ -368,3 +398,19 @@ class TestPeakMemory:
     def test_run_single(self):
         config = RunConfig(problem="tilted", n=128, strategy=3, alpha=0.3)
         assert _traced_peak_mib(run_single, config) < RUN_SINGLE_BOUND_MIB
+
+    def test_index_dtypes(self):
+        """The mesh's index arrays are int32 at n = 256; the rule widens
+        them, and assembly's, to int64 once a count reaches 2**31."""
+        mesh = build_structured_mesh(256)
+        for name in ("edges", "patches", "patch_edges"):
+            assert getattr(mesh, name).dtype == np.int32, name
+        assert index_dtype(2**31 - 1) is np.int32
+        assert index_dtype(2**31) is np.int64
+        # The mesh's count is its nodes, (2n + 1)^2 on the n x n grid.
+        assert index_dtype((2 * 23169 + 1) ** 2) is np.int32
+        assert index_dtype((2 * 23170 + 1) ** 2) is np.int64
+        # Assembly's: 36 element-matrix entries per patch, and the dofs.
+        n_patches = 2**31 // 36
+        assert index_dtype(36 * n_patches, 10) is np.int32
+        assert index_dtype(36 * (n_patches + 1), 10) is np.int64

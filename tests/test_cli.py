@@ -211,6 +211,45 @@ class TestCliExitCodes:
         assert info.value.code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--n", "8", "--out"],
+            ["solve", "--n", "8", "--dump-mesh"],
+            ["convergence", "--levels", "8,16", "--out"],
+            ["sweep", "--problem", "horizontal", "--values", "0.5", "--n", "8", "--out"],
+            ["angles", "--n", "8", "--out"],
+        ],
+    )
+    def test_missing_output_directory_usage_error(self, argv, tmp_path, capsys,
+                                                  monkeypatch):
+        """Refused while the arguments are parsed, before any solve."""
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the output path was checked")
+
+        for name in ("run_single", "run_convergence", "run_sweep", "run_angles"):
+            monkeypatch.setattr(f"patchfem.cli.{name}", no_solve)
+        path = tmp_path / "missing" / "x.csv"
+        with pytest.raises(SystemExit) as info:
+            main(argv + [str(path)])
+        assert info.value.code == 2
+        assert f"no directory {str(path.parent)!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--dump-mesh"])
+    def test_unwritable_output_exits_1(self, flag, tmp_path):
+        # A directory in place of the file: writing it raises
+        # IsADirectoryError after the solve. Run as a separate process so an
+        # uncaught exception would show.
+        proc = subprocess.run(
+            [sys.executable, "-m", "patchfem.cli", "solve", "--n", "4", flag,
+             str(tmp_path)],
+            capture_output=True, text=True, env=_package_env(), check=False,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: [Errno 21] Is a directory: {str(tmp_path)!r}"]
+
     def test_repeated_entry_named_in_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["convergence", "--levels", "16,16"])

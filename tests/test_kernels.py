@@ -29,7 +29,7 @@ from patchfem.geometry import (
     triangle_area,
 )
 from patchfem.levelset import SNAP_TOL, Circle, HorizontalLine, TiltedLine
-from patchfem.mesh import PatchMesh, build_structured_mesh
+from patchfem.mesh import PatchMesh, build_structured_mesh, index_dtype
 from patchfem.problems import circle_problem, error_norms, horizontal_problem, tilted_problem
 
 from .oracles import (
@@ -156,12 +156,16 @@ def adapted_cases(draw):
     return problem, n, draw(st.integers(1, 3))
 
 
-def _assert_same_classification(got, want):
+def _assert_same_classification(got, want, mesh):
     """Equal cut codes, and equal crossed edges and crossings in the same
-    order, dtypes included."""
+    order. The oracle's crossed edges are int64; ``classify_all``'s are of
+    the mesh's index type."""
     for name in ("code", "crossed_edges", "crossing_t"):
         a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert np.array_equal(a, b), name
+    assert got.code.dtype == want.code.dtype
+    assert got.crossing_t.dtype == want.crossing_t.dtype
+    assert got.crossed_edges.dtype == index_dtype(mesh.n_vertices + mesh.n_edges)
 
 
 def check_adapted_mesh(problem, n, strategy):
@@ -177,7 +181,7 @@ def check_adapted_mesh(problem, n, strategy):
         assert (got.value.patch_id, got.value.reason) == (exc.patch_id, exc.reason)
         return None
     classification = classify_all(mesh, problem.levelset)
-    _assert_same_classification(classification, want)
+    _assert_same_classification(classification, want, mesh)
 
     resolve_edge_params(mesh, classification, strategy)
     configs = build_configs(mesh, classification, problem.levelset)
@@ -265,7 +269,7 @@ def test_crossing_next_to_a_hit_vertex_belongs_to_the_vertex():
     assert 1.0 - 1e-9 < circle.segment_crossings([0.0, 0.0], [1.0, 0.0])[0] < 1.0 - 1e-10
     got, want = classify_all(mesh, circle), classify_all_reference(mesh, circle)
     assert got.cuts.tolist() == [CutClass("vertex_edge", (2,), 1)]
-    _assert_same_classification(got, want)
+    _assert_same_classification(got, want, mesh)
 
 
 class _ScaledCircle:
@@ -290,7 +294,7 @@ def test_classification_needs_no_signed_distance():
     assert not np.any(np.abs(circle.eval(mesh.vertices)) <= SNAP_TOL * mesh.h_max)
     want = classify_all(mesh, circle)
     got = classify_all(mesh, _ScaledCircle(circle))
-    _assert_same_classification(got, want)
+    _assert_same_classification(got, want, mesh)
     # Some cut patch has every vertex farther than a quarter diameter from
     # the circle: a distance prefilter on the scaled values would skip it.
     phi = np.abs(circle.eval(mesh.vertices))[mesh.patches[want.cut_ids]]

@@ -117,15 +117,22 @@ def test_other_topologies_reassemble_every_row():
 
 @pytest.fixture
 def computed(monkeypatch):
-    """The number of stiffness rows each assembly computes, in order."""
+    """The number of stiffness rows each assembly computes, in order: the
+    rows of each block of dof rows whose element rows ``_row_order`` finds,
+    summed over the assembly's blocks."""
     counts = []
-    row_order = assembly._row_order
+    stiffness, row_order = assembly._stiffness, assembly._row_order
 
-    def counting(sub_dofs, n_dof, rows):
-        counts.append(len(rows))
-        return row_order(sub_dofs, n_dof, rows)
+    def counting_assembly(*args):
+        counts.append(0)
+        return stiffness(*args)
 
-    monkeypatch.setattr(assembly, "_row_order", counting)
+    def counting_block(flat, n_dof, rows, spans):
+        counts[-1] += len(rows)
+        return row_order(flat, n_dof, rows, spans)
+
+    monkeypatch.setattr(assembly, "_stiffness", counting_assembly)
+    monkeypatch.setattr(assembly, "_row_order", counting_block)
     return counts
 
 
