@@ -22,10 +22,11 @@ kinds = configs.kind_names()
 print(f"cut classes: {dict(collections.Counter(kinds))}")
 print(f"parameter conflicts between neighboring cut patches: {len(conflicts)}")
 
-# Every cut patch now carries (q, r, s) with the interface crossings pinned
-# to edge nodes; show a few.
+# Every cut patch now carries (q, r, s), read from the mesh's edge
+# parameters, with the interface crossings pinned to edge nodes; show a few.
+params = mesh.local_params_all()
 for pid in classification.cut_ids[:4].tolist():
-    q, r, s = configs.params[pid]
+    q, r, s = params[pid]
     print(f"  patch {pid:3d} {kinds[pid]:11s} q={q:.4f} r={r:.4f} s={s:.4f} "
           f"sides={configs.sides[pid].tolist()}")
 

@@ -22,11 +22,7 @@ from .adaptation import (
     resolve_edge_params,
     side_labels,
 )
-from .assembly import (
-    LinearSystem,
-    assemble,
-    interpolate_nodal,
-)
+from .assembly import LinearSystem, assemble
 from .geometry import (
     DegenerateTriangle,
     QuadRule,

@@ -188,11 +188,12 @@ class PatchConfigs:
     share: patches the interface leaves alone share a few shapes, so nothing
     is stored per subtriangle of the mesh; quadrature gathers the physical
     subtriangles of a patch block from ``PatchMesh.node_planes`` where it
-    needs their position.
+    needs their position. The parameters (q, r, s) live on the mesh's
+    edges; ``PatchMesh.local_params_all`` forms them for the outputs that
+    list them.
     """
 
     kind: np.ndarray  # (n_patches,) int8
-    params: np.ndarray  # (n_patches, 3) float: q, r, s
     topology: np.ndarray  # (n_patches, 4, 3) int8
     sides: np.ndarray  # (n_patches, 4) int8
     shape: np.ndarray  # (n_patches,) int32 index into table
@@ -230,10 +231,6 @@ class Classification:
     def cut_ids(self) -> np.ndarray:
         """The cut patches, ascending."""
         return np.flatnonzero(self.code)
-
-    @property
-    def n_cut(self) -> int:
-        return len(self.cut_ids)
 
     @property
     def cuts(self) -> np.ndarray:
@@ -629,8 +626,7 @@ def build_configs(mesh: PatchMesh, classification: Classification,
     # A zero-area shape gets infinite gradients; assemble rejects it first.
     with np.errstate(divide="ignore", invalid="ignore"):
         grads = barycentric_gradients(tris, areas)
-    return PatchConfigs(_KIND[code], mesh.local_params_all(), topology, sides, shape,
-                        ShapeTable(tris, areas, grads))
+    return PatchConfigs(_KIND[code], topology, sides, shape, ShapeTable(tris, areas, grads))
 
 
 def adapt(mesh: PatchMesh, levelset, strategy: int):
@@ -674,8 +670,10 @@ def reference_local_nodes(q, r, s) -> np.ndarray:
 
 @dataclass
 class AngleAudit:
-    """Per-patch maxima of the physical subtriangle interior angles."""
+    """Per-patch maxima of the physical subtriangle interior angles of the
+    adapted ``mesh``."""
 
+    mesh: PatchMesh
     configs: PatchConfigs
     per_patch: np.ndarray  # (n_patches,) max angle in degrees
     global_max: float
@@ -685,8 +683,9 @@ class AngleAudit:
     @property
     def rows(self) -> list:
         """One (patch_id, cut kind, q, r, s, max_angle_deg) row per patch,
-        built on each access."""
-        q, r, s = self.configs.params.T.tolist()
+        built on each access; (q, r, s) come from the mesh's edge
+        parameters."""
+        q, r, s = self.mesh.local_params_all().T.tolist()
         return list(zip(range(len(self.per_patch)), self.configs.kind_names(),
                         q, r, s, self.per_patch.tolist()))
 
@@ -708,4 +707,4 @@ def max_angle_audit(mesh: PatchMesh, configs: PatchConfigs) -> AngleAudit:
     per_shape = np.bincount(bins.ravel(), minlength=n_shapes * n_bins)
     patches = np.bincount(configs.shape, minlength=n_shapes)
     hist = patches @ per_shape.reshape(n_shapes, n_bins)
-    return AngleAudit(configs, per_patch, float(per_patch.max()), hist)
+    return AngleAudit(mesh, configs, per_patch, float(per_patch.max()), hist)

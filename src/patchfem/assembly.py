@@ -36,7 +36,6 @@ from .mesh import PatchMesh, index_dtype, patch_blocks
 __all__ = [
     "LinearSystem",
     "assemble",
-    "interpolate_nodal",
 ]
 
 LOAD_DEGREE = 2  # degree of the load's quadrature rule
@@ -287,19 +286,12 @@ def _row_order(flat: np.ndarray, n_dof: int, rows: np.ndarray, spans):
     in the subtriangle dofs ``flat`` (subtriangle t, local vertex a), and
     the start of each row's run in that order (``len(rows) + 1`` offsets).
     They are looked for in the slices ``spans`` of ``flat``, in order."""
-    lo, hi = rows[0], rows[-1]
-    wanted = None
-    if hi - lo != len(rows) - 1:
-        wanted = np.zeros(n_dof, dtype=bool)
-        wanted[rows] = True
-    found = []
-    for span in spans:
-        dofs = flat[span]
-        # Consecutive rows need only a range test, cheaper than a gather.
-        selected = (dofs >= lo) & (dofs <= hi) if wanted is None else wanted[dofs]
-        found.append(np.flatnonzero(selected) + span.start)
-    order = np.concatenate(found)
-    del found, selected
+    wanted = np.zeros(n_dof, dtype=bool)
+    wanted[rows] = True
+    # np.take gathers the mask about twice as fast as fancy indexing.
+    order = np.concatenate([np.flatnonzero(np.take(wanted, flat[span])) + span.start
+                            for span in spans])
+    del wanted
     dofs = flat[order]
     sort = np.argsort(dofs, kind="stable")
     order = order[sort]
@@ -308,12 +300,3 @@ def _row_order(flat: np.ndarray, n_dof: int, rows: np.ndarray, spans):
     row_ptr[-1] = len(order)
     return order, row_ptr
 
-
-def interpolate_nodal(problem, mesh: PatchMesh) -> np.ndarray:
-    """Nodal interpolant of the analytic solution on the current mesh.
-
-    Each vertex and edge node takes the branch selected by the level-set
-    sign there; nodes on the discrete interface get identical values from
-    either branch since the solution is continuous.
-    """
-    return problem.u(mesh.node_planes().T)

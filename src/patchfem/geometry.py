@@ -53,7 +53,7 @@ def gather_triangles(planes, ids) -> np.ndarray:
     return np.take(planes, ids.T, axis=1).T
 
 
-def triangle_area(tri) -> np.ndarray | float:
+def triangle_area(tri) -> np.ndarray:
     """Signed area of ``tri``; positive for counterclockwise vertex order.
 
     Parameters
@@ -62,13 +62,12 @@ def triangle_area(tri) -> np.ndarray | float:
 
     Returns
     -------
-    float or ndarray of shape (...)
+    ndarray, shape (...)
     """
     tri = np.asarray(tri, dtype=float)
     x, y = tri[..., 0], tri[..., 1]
-    area = 0.5 * ((x[..., 1] - x[..., 0]) * (y[..., 2] - y[..., 0])
+    return 0.5 * ((x[..., 1] - x[..., 0]) * (y[..., 2] - y[..., 0])
                   - (y[..., 1] - y[..., 0]) * (x[..., 2] - x[..., 0]))
-    return area if area.ndim else float(area)
 
 
 def interior_angles(tri) -> np.ndarray:
@@ -170,20 +169,14 @@ class QuadRule:
         if abs(self.weights.sum() - 0.5) > 1e-14:
             raise ValueError("quadrature weights must sum to 1/2")
 
-    def integrate(self, f) -> float:
-        """Integrate a callable f(points (n,2)) -> (n,) over the reference triangle."""
-        return float(np.dot(self.weights, np.asarray(f(self.points))))
-
 
 def reference_quad_rule(degree: int) -> QuadRule:
     """Tabulated rule exact for polynomials up to ``degree`` on the reference triangle.
 
-    degree 1: centroid rule (1 point); degree 2: the three-point rule with
-    points (2/3,1/6), (1/6,1/6), (1/6,2/3) and weights 1/6; degree 5: the
-    classical seven-point rule.
+    degree 2: the three-point rule with points (2/3,1/6), (1/6,1/6),
+    (1/6,2/3) and weights 1/6 (the load); degree 5: the classical
+    seven-point rule (the error norms).
     """
-    if degree == 1:
-        return QuadRule(np.array([[1.0 / 3.0, 1.0 / 3.0]]), np.array([0.5]), 1)
     if degree == 2:
         pts = np.array(
             [

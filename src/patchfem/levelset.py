@@ -3,8 +3,9 @@
 Each level set evaluates a signed distance phi; phi < 0 marks subdomain 1 and
 phi > 0 subdomain 2. Crossings of straight segments are solved exactly (linear
 equation for lines, quadratic for circles), so no iterative root finding is
-involved. ``segment_crossings`` is batched over leading axes of its
-endpoints. Values are immutable and all queries are pure.
+involved. Every query is batched over the leading axes of its points: one
+point gives a 0-d array, and ``segment_crossings`` always returns sorted
+roots (..., 2), NaN-padded. Values are immutable and all queries are pure.
 """
 
 from __future__ import annotations
@@ -30,21 +31,12 @@ def _interior(t1, t2):
     return roots
 
 
-def _crossing_result(roots):
-    """Batched segments keep the (..., 2) array; one segment gets the list
-    of its interior roots."""
-    if roots.ndim > 1:
-        return roots
-    return [float(t) for t in roots if not np.isnan(t)]
-
-
 def _line_segment_crossings(phi_a, phi_b):
-    phi_a, phi_b = np.asarray(phi_a), np.asarray(phi_b)
     denom = phi_a - phi_b
     # A segment parallel to (or lying on) the line has no isolated crossing.
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(denom == 0.0, np.nan, phi_a / denom)
-    return _crossing_result(_interior(t, np.full_like(t, np.nan)))
+    return _interior(t, np.full_like(t, np.nan))
 
 
 def _dot(u, v):
@@ -69,8 +61,7 @@ class Circle:
         points = np.asarray(points, dtype=float)
         dx = points[..., 0] - self.center[0]
         dy = points[..., 1] - self.center[1]
-        out = np.sqrt(dx * dx + dy * dy) - self.radius
-        return out if out.ndim else float(out)
+        return np.sqrt(dx * dx + dy * dy) - self.radius
 
     def segment_crossings(self, a, b):
         """Parameters t in (0,1) with ||(1-t)a + t b - center|| = radius.
@@ -78,7 +69,7 @@ class Circle:
         At most two, solved from the quadratic in t with the numerically
         stable formula. Double roots (tangency) do not cross and yield none.
         Segments with endpoints ``a``, ``b`` (..., 2) give sorted roots
-        (..., 2), NaN-padded; a single segment gives a list.
+        (..., 2), NaN-padded.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
@@ -99,7 +90,7 @@ class Circle:
         # No sign change without two distinct roots (grazing contact).
         crossing = (disc > 0.0) & ~(np.abs(t1 - t2) <= SNAP_TOL)
         t1, t2 = np.where(crossing, t1, np.nan), np.where(crossing, t2, np.nan)
-        return _crossing_result(_interior(t1, t2))
+        return _interior(t1, t2)
 
 
 @dataclass(frozen=True)
@@ -110,12 +101,12 @@ class TiltedLine:
 
     def eval(self, points):
         points = np.asarray(points, dtype=float)
-        out = np.cos(self.alpha) * points[..., 1] - np.sin(self.alpha) * points[..., 0]
-        return out if out.ndim else float(out)
+        return np.cos(self.alpha) * points[..., 1] - np.sin(self.alpha) * points[..., 0]
 
     def segment_crossings(self, a, b):
-        """Parameter t in (0,1) where the segment a -> b crosses the line:
-        (..., 2) NaN-padded for batched endpoints, a list for one segment."""
+        """Parameter t in (0,1) where the segment a -> b crosses the line,
+        as (..., 2) roots with NaN in the second slot (and the first where
+        it does not cross)."""
         return _line_segment_crossings(self.eval(a), self.eval(b))
 
 
@@ -127,10 +118,10 @@ class HorizontalLine:
 
     def eval(self, points):
         points = np.asarray(points, dtype=float)
-        out = points[..., 1] - self.y0
-        return out if out.ndim else float(out)
+        return points[..., 1] - self.y0
 
     def segment_crossings(self, a, b):
-        """Parameter t in (0,1) where the segment a -> b crosses the line:
-        (..., 2) NaN-padded for batched endpoints, a list for one segment."""
+        """Parameter t in (0,1) where the segment a -> b crosses the line,
+        as (..., 2) roots with NaN in the second slot (and the first where
+        it does not cross)."""
         return _line_segment_crossings(self.eval(a), self.eval(b))

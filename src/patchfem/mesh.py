@@ -219,7 +219,8 @@ class PatchMesh:
 
     def local_params_all(self) -> np.ndarray:
         """(n_patches, 3) array of (q, r, s), formed one patch block at a
-        time."""
+        time. Only the angle rows and the mesh dump list them; a solve
+        reads the edge parameters themselves."""
         out = np.empty((self.n_patches, 3))
         for blk in patch_blocks(self.n_patches):
             t = self.edge_param[self.patch_edges[blk]]  # (nb, 3) storage params
@@ -320,7 +321,7 @@ def mesh_to_json(mesh: PatchMesh, configs=None) -> str:
         "subtriangles": [],
     }
     if configs is not None:
-        columns = zip(configs.kind_names(), configs.params.tolist(),
+        columns = zip(configs.kind_names(), mesh.local_params_all().tolist(),
                       mesh.local_nodes_all().tolist(), configs.topology.tolist(),
                       configs.sides.tolist())
         doc["subtriangles"] = [

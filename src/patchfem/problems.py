@@ -64,7 +64,7 @@ class ProblemSpec:
 
     def inside(self, points) -> np.ndarray:
         """Side mask: True where the level set is negative (branch 1)."""
-        return np.asarray(self.levelset.eval(np.asarray(points, dtype=float))) < 0.0
+        return self.levelset.eval(points) < 0.0
 
     def _select(self, points, branch1, branch2, mask):
         points = np.asarray(points, dtype=float)
@@ -74,8 +74,7 @@ class ProblemSpec:
         v2 = np.asarray(branch2(points))
         if v1.ndim == mask.ndim + 1:  # gradient-valued
             mask = mask[..., None]
-        out = np.where(mask, v1, v2)
-        return out if out.ndim else float(out)
+        return np.where(mask, v1, v2)
 
     def u(self, points, mask=None):
         return self._select(points, self.u1, self.u2, mask)
@@ -268,7 +267,7 @@ def pde_residual_defect(problem: ProblemSpec, n_per_side: int = 100,
         pts = []
         while len(pts) < n_per_side:
             cand = rng.uniform([x0, y0], [x1, y1], size=(4 * n_per_side, 2))
-            phi = np.asarray(problem.levelset.eval(cand))
+            phi = problem.levelset.eval(cand)
             margin = 10.0 * step
             keep = (np.sign(phi) == want) & (np.abs(phi) > margin)
             keep &= np.all(cand > [x0 + margin, y0 + margin], axis=1)

@@ -76,13 +76,13 @@ __all__ = [
 MAX_REFINE_RETRIES = 3
 MAX_ANGLE_BOUND = MAX_ANGLE_DEG + 1e-9
 # Peak memory of one solve above the imported package, per grid cell (n * n
-# cells): the ru_maxrss of run_single measured 1,438-1,483 bytes at
-# n = 128, 964-992 at n = 256 and 915-949 at n = 512 on the circle,
+# cells): the ru_maxrss of run_single measured 1,411-1,432 bytes at
+# n = 128, 917-944 at n = 256 and 867-878 at n = 512 on the circle,
 # horizontal and tilted problems. A solve that follows one on the same grid
 # also holds the workspace's last matrix, edge parameters, topologies and
-# side labels until it assembles: three solves in a row peaked at
-# 1,820-1,906 bytes at n = 128, 1,144-1,179 at n = 256 and 963 at n = 512.
-# This is the largest, rounded up.
+# side labels until it assembles: three solves in a row (strategies 2, 1,
+# 3) peaked at 1,769-1,886 bytes at n = 128, 1,099-1,128 at n = 256 and
+# 935-1,007 at n = 512. This is the largest, rounded up.
 SOLVE_BYTES_PER_CELL = 2000
 
 SOLVE_HEADER = ["problem", "mode", "strategy", "n", "h", "ndofs", "L2", "H1",

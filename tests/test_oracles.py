@@ -89,7 +89,7 @@ def check_against_oracles(levelset, n, strategy):
     assert np.array_equal(configs.topology, np.stack([cfg.topology for cfg in reference]))
     assert np.array_equal(configs.sides, np.stack([cfg.sides for cfg in reference]))
     assert configs.topology.dtype == configs.sides.dtype == np.int8
-    assert configs.params.tolist() == [list(cfg.params) for cfg in reference]
+    assert mesh.local_params_all().tolist() == [list(cfg.params) for cfg in reference]
     assert mesh_to_json(mesh, configs) == mesh_to_json_reference(ref_mesh, reference)
 
     # The four subtriangles tile each patch.
@@ -201,8 +201,9 @@ def test_patch_view_and_audit_rows():
     assert len(configs) == len(reference) == mesh.n_patches
     assert set(configs.kind_names()) == set(CUT_KINDS)
     cuts = classification.cuts
+    params = mesh.local_params_all().tolist()
     for pid, want in enumerate(reference):
-        assert cuts[pid] == want.cut and tuple(configs.params[pid].tolist()) == want.params
+        assert cuts[pid] == want.cut and tuple(params[pid]) == want.params
         assert np.array_equal(configs.topology[pid], want.topology)
         assert np.array_equal(configs.sides[pid], want.sides)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from patchfem.adaptation import adapt
-from patchfem.assembly import assemble, interpolate_nodal
+from patchfem.assembly import assemble
 from patchfem.mesh import build_structured_mesh
 from patchfem.problems import (
     InsufficientData,
@@ -125,7 +125,7 @@ class TestErrorNorms:
 
         mesh = build_structured_mesh(4, LINEAR_X.domain)
         configs, _, _ = adapt(mesh, LINEAR_X.levelset, 2)
-        u_i = interpolate_nodal(LINEAR_X, mesh)
+        u_i = LINEAR_X.u(mesh.node_planes().T)
         l2, h1 = error_norms(mesh, configs, LINEAR_X, u_i)
         assert l2 <= 1e-12 and h1 <= 1e-12
 
@@ -160,7 +160,7 @@ class TestErrorNorms:
         for n in (8, 16, 32):
             mesh = build_structured_mesh(n, p.domain)
             configs, _, _ = adapt(mesh, p.levelset, 2)
-            u_i = interpolate_nodal(p, mesh)
+            u_i = p.u(mesh.node_planes().T)
             l2, _ = error_norms(mesh, configs, p, u_i)
             assert l2 < prev
             prev = l2
