@@ -40,9 +40,7 @@ from .problems import (
     convergence_rate,
     error_norms,
     horizontal_problem,
-    pde_residual_defect,
     tilted_problem,
-    verify_jump_conditions,
 )
 from .runner import RunConfig, run_angles, run_convergence, run_single, run_sweep
 from .solver import NonConvergence, SolveReport, cg_solve

@@ -155,7 +155,6 @@ class QuadRule:
 
     points: np.ndarray  # (n, 2)
     weights: np.ndarray  # (n,)
-    degree: int
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
@@ -185,7 +184,7 @@ def reference_quad_rule(degree: int) -> QuadRule:
                 [1.0 / 6.0, 2.0 / 3.0],
             ]
         )
-        return QuadRule(pts, np.full(3, 1.0 / 6.0), 2)
+        return QuadRule(pts, np.full(3, 1.0 / 6.0))
     if degree == 5:
         sq15 = np.sqrt(15.0)
         a = (6.0 + sq15) / 21.0
@@ -204,7 +203,7 @@ def reference_quad_rule(degree: int) -> QuadRule:
             ]
         )
         wts = np.array([9.0 / 80.0, wa, wa, wa, wb, wb, wb])
-        return QuadRule(pts, wts, 5)
+        return QuadRule(pts, wts)
     raise UnsupportedDegree(f"no rule tabulated for degree {degree}")
 
 

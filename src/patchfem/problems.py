@@ -25,9 +25,6 @@ __all__ = [
     "circle_problem",
     "horizontal_problem",
     "tilted_problem",
-    "verify_jump_conditions",
-    "JumpReport",
-    "pde_residual_defect",
     "error_norms",
     "convergence_rate",
     "InsufficientData",
@@ -86,13 +83,11 @@ class ProblemSpec:
         return self._select(points, self.f1, self.f2, mask)
 
 
-def circle_problem(radius: float = 0.5, kappa1: float = 0.1,
-                   kappa2: float = 1.0) -> ProblemSpec:
+def circle_problem(kappa1: float = 0.1, kappa2: float = 1.0) -> ProblemSpec:
     """Circular interface centered at the origin on (-1,1)^2.
 
-    u = -2 k2 ||x||^4 inside, -k1 ||x||^2 + k1/4 - k2/8 outside; the jump
-    conditions close only for radius 1/2, which is the default. Other radii
-    (the 1/4 variant in particular) are valid inputs for negative tests.
+    u = -2 k2 ||x||^4 inside, -k1 ||x||^2 + k1/4 - k2/8 outside, with the
+    interface at radius 1/2, where the jump conditions close.
     """
     k1, k2 = float(kappa1), float(kappa2)
 
@@ -104,7 +99,7 @@ def circle_problem(radius: float = 0.5, kappa1: float = 0.1,
         name="circle",
         kappa1=k1,
         kappa2=k2,
-        levelset=Circle((0.0, 0.0), radius),
+        levelset=Circle((0.0, 0.0), 0.5),
         domain=((-1.0, -1.0), (1.0, 1.0)),
         u1=lambda x: -2.0 * k2 * rsq(x) ** 2,
         u2=lambda x: -k1 * rsq(x) + 0.25 * k1 - 0.125 * k2,
@@ -189,101 +184,6 @@ def tilted_problem(alpha: float, kappa1: float = 0.1,
         f1=lambda x: (k2**2 / k1) * np.sin(ratio * d(x)),
         f2=lambda x: k2 * np.sin(d(x)),
     )
-
-
-@dataclass
-class JumpReport:
-    max_u_jump: float
-    max_flux_jump: float
-    n_samples: int
-
-    def ok(self, tol: float = 1e-10) -> bool:
-        return self.max_u_jump <= tol and self.max_flux_jump <= tol
-
-
-def _interface_samples(problem: ProblemSpec, n: int):
-    """Points on the interface inside the domain plus unit normals."""
-    ls = problem.levelset
-    (x0, y0), (x1, y1) = problem.domain
-    if isinstance(ls, Circle):
-        theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        pts = np.column_stack(
-            [
-                ls.center[0] + ls.radius * np.cos(theta),
-                ls.center[1] + ls.radius * np.sin(theta),
-            ]
-        )
-        normals = np.column_stack([np.cos(theta), np.sin(theta)])
-        return pts, normals
-    if isinstance(ls, HorizontalLine):
-        xs = np.linspace(x0, x1, n)
-        pts = np.column_stack([xs, np.full(n, ls.y0)])
-        normals = np.tile([0.0, 1.0], (n, 1))
-        return pts, normals
-    if isinstance(ls, TiltedLine):
-        ca, sa = np.cos(ls.alpha), np.sin(ls.alpha)
-        # Line x = t (cos a, sin a); keep |t| small enough to stay inside.
-        tmax = min(
-            abs(x1) / abs(ca) if ca != 0.0 else np.inf,
-            abs(y1) / abs(sa) if sa != 0.0 else np.inf,
-        )
-        ts = np.linspace(-tmax, tmax, n)
-        pts = np.column_stack([ts * ca, ts * sa])
-        normals = np.tile([-sa, ca], (n, 1))
-        return pts, normals
-    raise TypeError(f"unsupported level set {type(ls).__name__}")
-
-
-def verify_jump_conditions(problem: ProblemSpec, n_samples: int = 1000) -> JumpReport:
-    """Maximum solution jump and flux jump over interface samples.
-
-    A valid manufactured problem reports both below 1e-10; the radius-1/4
-    circle variant fails the flux check by construction.
-    """
-    pts, normals = _interface_samples(problem, n_samples)
-    u_jump = np.abs(problem.u2(pts) - problem.u1(pts))
-    flux1 = problem.kappa1 * np.sum(np.asarray(problem.grad_u1(pts)) * normals, axis=1)
-    flux2 = problem.kappa2 * np.sum(np.asarray(problem.grad_u2(pts)) * normals, axis=1)
-    return JumpReport(float(u_jump.max()), float(np.abs(flux2 - flux1).max()),
-                      n_samples)
-
-
-def pde_residual_defect(problem: ProblemSpec, n_per_side: int = 100,
-                        step: float = 1e-5, seed: int = 0) -> float:
-    """Largest defect of -kappa * laplace(u) - f at random interior points.
-
-    Five-point finite-difference Laplacian at the given step; points closer
-    than 10 * step to the interface or the domain boundary are rejected so
-    the stencil stays one-sided. The defect is measured relative to
-    max(1, max |f|) per subdomain.
-    """
-    rng = np.random.default_rng(seed)
-    (x0, y0), (x1, y1) = problem.domain
-    worst = 0.0
-    for side in (1, 2):
-        u = problem.u1 if side == 1 else problem.u2
-        f = problem.f1 if side == 1 else problem.f2
-        want = -1.0 if side == 1 else 1.0
-        pts = []
-        while len(pts) < n_per_side:
-            cand = rng.uniform([x0, y0], [x1, y1], size=(4 * n_per_side, 2))
-            phi = problem.levelset.eval(cand)
-            margin = 10.0 * step
-            keep = (np.sign(phi) == want) & (np.abs(phi) > margin)
-            keep &= np.all(cand > [x0 + margin, y0 + margin], axis=1)
-            keep &= np.all(cand < [x1 - margin, y1 - margin], axis=1)
-            pts.extend(cand[keep])
-        pts = np.asarray(pts[:n_per_side])
-        ex = np.array([step, 0.0])
-        ey = np.array([0.0, step])
-        lap = (
-            u(pts + ex) + u(pts - ex) + u(pts + ey) + u(pts - ey) - 4.0 * u(pts)
-        ) / step**2
-        kappa = problem.kappa1 if side == 1 else problem.kappa2
-        fv = np.asarray(f(pts))
-        scale = max(1.0, float(np.abs(fv).max()))
-        worst = max(worst, float(np.abs(-kappa * lap - fv).max()) / scale)
-    return worst
 
 
 def error_norms(mesh, configs, problem: ProblemSpec, u_h: np.ndarray):
