@@ -11,15 +11,15 @@ baseline) needs quadrature. The per-patch work runs over fixed-size patch
 blocks (``mesh.patch_blocks``), so its temporaries do not grow with the
 mesh. The matrix is built one block of dof rows at a time, its
 element-matrix rows in the order SciPy's COO -> CSR conversion of all
-element matrices in patch order would bucket them, and SciPy sums each
-block's duplicates; the loads are added in patch order. The result is the
-same for any block size, and no array with one slot per element-matrix
-entry is held.
+element matrices in patch order would bucket them, SciPy sums each
+block's duplicates, and the block drops its exact zeros; the loads are
+added in patch order. The result is the same for any block size, and no
+array with one slot per element-matrix entry is held.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,13 +46,20 @@ class LinearSystem:
     """Sparse symmetric system with Dirichlet data kept alongside.
 
     ``matrix`` and ``rhs`` are assembled over all dofs; ``dirichlet_dofs``
-    carry ``dirichlet_values``. ``reduced()`` lifts them into the load.
+    carry ``dirichlet_values``. ``reduced()`` lifts them into the load in
+    ``rhs`` itself and hands that vector to CG, which updates it as its
+    residual: the load is consumed, and a second ``reduced()`` raises.
+    ``half_row`` is the first row at which the matrix's coupling graph, its
+    stored entries and the exact zeros ``assemble`` leaves out, reaches half
+    its entries; CG splits its row spans there.
     """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     dirichlet_dofs: np.ndarray
     dirichlet_values: np.ndarray
+    half_row: int
+    lifted: bool = field(default=False, init=False)
 
     @property
     def n_dof(self) -> int:
@@ -67,17 +74,22 @@ class LinearSystem:
         """(matrix, b, free mask): the system CG solves on the free dofs.
 
         The matrix is ``matrix`` itself; its free rows and columns are the
-        SPD system. ``b`` is the lifted load ``rhs - A g`` over all dofs, g
-        the Dirichlet data and zero at the free dofs, and ``b`` is zero at
-        the Dirichlet dofs. Its free entries have the bits of
-        ``b_f - A_fb g``: the zeros of g add nothing to a row sum.
+        SPD system. ``b`` is ``rhs`` itself, lifted in place to ``rhs - A
+        g`` over all dofs, g the Dirichlet data and zero at the free dofs,
+        and set to zero at the Dirichlet dofs. Its free entries have the bits
+        of ``b_f - A_fb g``: the zeros of g add nothing to a row sum. CG
+        updates ``b`` as its residual, so this consumes the load: a second
+        call raises instead of lifting it again.
         """
+        if self.lifted:
+            raise RuntimeError("the load was lifted and handed to CG already; "
+                               "assemble the system again")
+        self.lifted = True
         g = np.zeros(self.n_dof)
         g[self.dirichlet_dofs] = self.dirichlet_values
-        b = self.matrix @ g
-        np.subtract(self.rhs, b, out=b)
-        b[self.dirichlet_dofs] = 0.0
-        return self.matrix, b, self.free_mask()
+        self.rhs -= self.matrix @ g
+        self.rhs[self.dirichlet_dofs] = 0.0
+        return self.matrix, self.rhs, self.free_mask()
 
 
 def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
@@ -90,23 +102,25 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
     level-set sign, i.e. the mesh ignores the interface. The Dirichlet dofs
     carry the problem's boundary data; ``LinearSystem.reduced`` lifts it.
 
-    The loads and kappa * area of every subtriangle are formed one patch
-    block at a time (``patch_blocks``), and the loads are added in patch
-    order. The matrix is then built one block of dof rows at a time
-    (``_stiffness``), so the result is the one of a single COO over the whole
-    mesh, for any block size.
+    The loads (and, in mode "baseline", the diffusion of every subtriangle)
+    are formed one patch block at a time (``patch_blocks``), and the loads
+    are added in patch order. The matrix is then built one block of dof rows
+    at a time (``_stiffness``), so the result is the one of a single COO
+    over the whole mesh, for any block size, less its exact zeros.
 
-    ``previous``, the (edge parameters, topology, side labels, matrix) of
-    an earlier adapted assembly on the same grid with the same kappas,
-    spares the stiffness rows that no changed patch touches. A patch
+    ``previous``, the (edge parameters, topology, side labels, matrix, half
+    row) of an earlier adapted assembly on the same grid with the same
+    kappas, spares the stiffness rows that no changed patch touches. A patch
     changed if one of its three edge parameters or one of its side labels
     differs from that assembly's. Equal edge parameters place its nodes at
     the same points, so its areas and gradients have the same bits and so
     do its rows. Only the rows of a changed patch's dofs are computed
     again, written over that matrix's, whose arrays the new matrix takes.
-    Without such an assembly (or in mode "baseline", or where a topology
-    differs, which moves the sparsity pattern) every row is computed, and
-    ``previous`` is let go of first. The result is bitwise the same.
+    Every row is computed, with ``previous`` let go of first, without such
+    an assembly, in mode "baseline", where a topology differs (the coupling
+    graph moves), and where a computed row stores other columns than that
+    matrix's row (a patch was cut or uncut, which turns exact zeros into
+    couplings or back). The result is bitwise the same.
     """
     if mode not in ("adapted", "baseline"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -117,17 +131,17 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
     n_dof = mesh.n_vertices + mesh.n_edges
     # The index type SciPy picks for a COO with 36 entries per patch.
     index = index_dtype(36 * mesh.n_patches, n_dof)
-    rows = matrix = None
+    reuse = None
     if (previous is not None and mode == "adapted"
             and np.array_equal(previous[1], configs.topology)):
-        edge_param, _, sides, matrix = previous
+        edge_param, _, sides, matrix, half = previous
         # Edge parameters lie in (0, 1), where equal values have equal bits.
         changed = (edge_param != mesh.edge_param)[mesh.patch_edges].any(axis=1)
         changed |= (sides != configs.sides).any(axis=1)
         touched = np.zeros(n_dof, dtype=bool)
         touched[mesh.patch_nodes(np.flatnonzero(changed))] = True
-        rows = np.flatnonzero(touched).astype(index)
-        del edge_param, sides, changed, touched
+        reuse = np.flatnonzero(touched).astype(index), (matrix, half)
+        del edge_param, sides, matrix, changed, touched
     del previous
 
     rule = reference_quad_rule(LOAD_DEGREE)
@@ -136,20 +150,25 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
                                                                             copy=False)
     dirichlet = np.flatnonzero(mesh.boundary_nodes())
     planes = mesh.node_planes()
-    kap_area = np.empty((mesh.n_patches, 4), order="F")
+    if mode == "adapted":
+        def kappa(patch, j):
+            return np.where(configs.sides[patch, j] == 1, problem.kappa1, problem.kappa2)
+    else:
+        kap = np.empty((mesh.n_patches, 4))
+
+        def kappa(patch, j):
+            return kap[patch, j]
     rhs = np.zeros(n_dof)
     for blk in patch_blocks(mesh.n_patches):
         areas = table.areas[configs.shape[blk]]
         qpts, qwts = map_rule(gather_triangles(planes, sub_dofs[blk]), areas,
                               rule)  # (nb,4,nq,2), (nb,4,nq)
         mask = problem.inside(qpts)  # true interface side at each load point
-        if mode == "adapted":
-            kap = np.where(configs.sides[blk] == 1, problem.kappa1, problem.kappa2)
-        else:
+        if mode == "baseline":
             # Pointwise diffusion from the true interface, averaged by quadrature.
             kap_q = np.where(mask, problem.kappa1, problem.kappa2)
-            kap = (qwts * kap_q).sum(axis=-1) / qwts.sum(axis=-1)  # (nb, 4)
-        np.multiply(kap, areas, out=kap_area[blk])
+            kap[blk] = (qwts * kap_q).sum(axis=-1) / qwts.sum(axis=-1)
+            del kap_q
         # Load: f from the true level-set sign at each quadrature point,
         # weighted and summed against each basis function in quadrature-point
         # order, as einsum("pqn,pqn,na->pqa", qwts, f, lam) sums it. The
@@ -164,7 +183,7 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
             load[..., a] = acc
         np.add.at(rhs, sub_dofs[blk].ravel(), load.ravel())
         # Freed before the next block's arrays are made.
-        del qpts, qwts, mask, kap, wf, acc, load
+        del qpts, qwts, mask, wf, acc, load
     values = problem.u(planes.T[dirichlet])
     del planes
     # The four subtriangles of a patch tile the hexagon of its vertices and
@@ -172,60 +191,73 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
     # mesh edge is two segments: every node couples with itself and each
     # such segment couples two nodes.
     nnz = n_dof + 2 * (3 * mesh.n_patches + 2 * mesh.n_edges)
-    matrix = _stiffness(sub_dofs, configs.shape, table.grads, kap_area, n_dof, nnz,
-                        rows, matrix)
-    return LinearSystem(matrix, rhs, dirichlet, values)
+    stiffness = None
+    if reuse is not None:
+        stiffness = _stiffness(sub_dofs, configs.shape, table, kappa, n_dof, nnz, *reuse)
+        reuse = None  # let go of, should the stored columns have moved
+    if stiffness is None:
+        stiffness = _stiffness(sub_dofs, configs.shape, table, kappa, n_dof, nnz)
+    matrix, half = stiffness
+    return LinearSystem(matrix, rhs, dirichlet, values, half)
 
 
-def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
-               kap_area: np.ndarray, n_dof: int, nnz: int, rows=None,
-               previous=None) -> sp.csr_matrix:
-    """The stiffness matrix, one block of ``PATCH_BLOCK`` dof rows at a time.
+def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, table, kappa, n_dof: int,
+               nnz: int, rows=None, previous=None):
+    """The stiffness matrix, one block of ``PATCH_BLOCK`` dof rows at a time,
+    without its exact zeros, and its half row (``LinearSystem.half_row``).
 
     Element-matrix row 3 * t + a (the flat position of ``sub_dofs[t, a]``,
     subtriangle t = 4 * patch + j) holds kappa * area * grad(l_a).grad(l_b)
-    at the dofs ``sub_dofs[t, b]``; the gradients are row j of
-    ``grads[shape[patch]]``, the shape table's. In
-    the COO triplets of all element matrices in patch order its three
-    entries are consecutive, and SciPy's COO -> CSR conversion buckets them
-    by row dof in that order, i.e. in a stable sort of the row dofs. For
-    each block of dof rows, the element-matrix rows of the block are found
-    (``_row_order``) and gathered from the geometry in that order, and SciPy
-    sorts and sums the duplicates of the block, row by row as it would over
-    the whole matrix. So every bit is the one of a single COO over the whole
-    mesh, and nothing with one slot per element-matrix entry is held. The
-    blocks are written into arrays of the matrix's ``nnz`` entries: arrays
-    grown block by block are copied whenever the allocator cannot extend
-    them in place, and then held twice.
+    at the dofs ``sub_dofs[t, b]``; the area and the gradients are entry j
+    of the shape table's ``areas`` and ``grads`` at ``shape[patch]``, and
+    kappa is ``kappa(patch, j)``. In the COO triplets of all element
+    matrices in patch order its three entries are consecutive, and SciPy's
+    COO -> CSR conversion buckets them by row dof in that order, i.e. in a
+    stable sort of the row dofs. For each block of dof rows, the
+    element-matrix rows of the block are found (``_row_order``) and gathered
+    from the geometry in that order, and SciPy sorts and sums the duplicates
+    of the block, row by row as it would over the whole matrix. So every
+    bit is the one of a single COO over the whole mesh, and nothing with one
+    slot per element-matrix entry is held.
 
-    Given the sorted dofs ``rows`` and a matrix ``previous`` of the same
-    sparsity pattern, only those rows are computed, in the same way, and
-    written over ``previous``'s: the result takes its arrays.
+    The coupling graph has ``nnz`` entries, counted before each block drops
+    its exact zeros: the couplings across the right angles of the
+    right-isosceles subtriangles, whose cotangent is 0. The blocks are
+    written one after another into arrays of ``nnz`` entries, which are then
+    shrunk in place to the stored ones: arrays grown block by block are
+    copied whenever the allocator cannot extend them in place, and then held
+    twice, and SciPy copies a view of less than half its base.
+
+    Given the sorted dofs ``rows`` and ``previous``, the (matrix, half row)
+    of an assembly with the same coupling graph, only those rows are
+    computed, in the same way, and written over that matrix's: the result
+    takes its arrays. None if a computed row stores other columns than that
+    matrix's row, by which time that matrix may hold some of the new rows.
     """
     if rows is None:
         rows = np.arange(n_dof, dtype=sub_dofs.dtype)
     flat = sub_dofs.ravel()
-    n_patches, n_shapes = len(shape), len(grads)
-    # Coordinate-major planes over the table's subtriangles
-    # j * n_shapes + shape, and kappa * area over the mesh's
-    # j * n_patches + patch.
-    gx, gy = grads.T.reshape(2, 3, -1)
-    ka = kap_area.T.ravel()
+    n_shapes = len(table.grads)
+    # Coordinate-major planes over the table's subtriangles j * n_shapes + shape.
+    gx, gy = table.grads.T.reshape(2, 3, -1)
+    areas = table.areas.T.ravel()
     # The three dofs of a subtriangle as one 12- or 24-byte item.
     cols = sub_dofs.reshape(-1, 3)
     col_items = cols.view(np.dtype((np.void, 3 * cols.itemsize))).ravel()
     if previous is None:
         indptr = np.zeros(n_dof + 1, dtype=sub_dofs.dtype)
         data, indices = np.empty(nnz), np.empty(nnz, dtype=sub_dofs.dtype)
+        half, coupled = None, 0  # the coupling graph's entries so far
     else:
-        indptr, indices, data = previous.indptr, previous.indices, previous.data
+        matrix, half = previous
+        indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
     blocks = list(patch_blocks(len(rows)))
     # The element rows of each patch block (its span of ``flat``) and the
     # blocks of dof rows they reach, so that each row block scans only
     # those: reach[i + 1, c] when patch block c has a dof from the first row
     # of row block i up to the first of row block i + 1 (reach[0]: below
     # the first row).
-    spans = [slice(12 * p.start, 12 * p.stop) for p in patch_blocks(n_patches)]
+    spans = [slice(12 * p.start, 12 * p.stop) for p in patch_blocks(len(shape))]
     starts = rows[[blk.start for blk in blocks]]
     reach = np.zeros((len(blocks) + 1, len(spans)), dtype=bool)
     for c, span in enumerate(spans):
@@ -234,18 +266,13 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
         order, row_ptr = _row_order(flat, n_dof, rows[blk],
                                     [spans[c] for c in np.flatnonzero(reached)])
         # Element row 3 * t + a, vertex a of subtriangle t = 4 * patch + j;
-        # k is t in kappa * area, s is its shape's subtriangle in the planes
-        # of gx and gy, and at is vertex a of s in their (3, 4 * n_shapes)
-        # planes.
+        # s is its shape's subtriangle in the planes of the table, and at is
+        # vertex a of s in their (3, 4 * n_shapes) planes.
         tri, at = np.divmod(order.astype(flat.dtype), 3)
         del order
-        patch = tri >> 2
-        k = tri & 3
-        s = k * n_shapes
-        s += np.take(shape, patch)
-        k *= n_patches
-        k += patch
-        del patch
+        s = tri & 3
+        s *= n_shapes
+        s += np.take(shape, tri >> 2)
         at *= 4 * n_shapes
         at += s
         # (gx_a gx_b + gy_a gy_b) * kappa * area, one plane per b: the x
@@ -259,25 +286,42 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, grads: np.ndarray,
             np.take(gy[b], s, out=b_side)
             b_side *= a_side
             out += b_side
-        vals.T[...] *= np.take(ka, k, out=a_side)
-        del at, k, s, a_side, b_side, out
+        np.take(areas, s, out=a_side)
+        a_side *= kappa(tri >> 2, tri & 3)
+        vals.T[...] *= a_side
+        del at, s, a_side, b_side, out
         block = sp.csr_matrix((vals.ravel(), np.take(col_items, tri).view(cols.dtype),
                                3 * row_ptr), shape=(blk.stop - blk.start, n_dof))
         del vals, tri
         block.sum_duplicates()
         if previous is None:
+            if half is None and coupled + block.nnz >= nnz // 2:
+                half = blk.start + int(np.searchsorted(block.indptr, nnz // 2 - coupled))
+            coupled += block.nnz
+            block.eliminate_zeros()
             indptr[blk.start + 1:blk.stop + 1] = block.indptr[1:] + indptr[blk.start]
             start, stop = indptr[blk.start], indptr[blk.stop]
             data[start:stop], indices[start:stop] = block.data, block.indices
         else:
             # Each row's entries go where the row starts in ``previous``.
+            block.eliminate_zeros()
+            first = indptr[rows[blk]]
             lengths = np.diff(block.indptr)
-            shift = indptr[rows[blk]] - block.indptr[:-1]
-            data[np.repeat(shift, lengths) + np.arange(len(block.data))] = block.data
+            if not np.array_equal(indptr[rows[blk] + 1] - first, lengths):
+                return None
+            slots = np.repeat(first - block.indptr[:-1], lengths)
+            slots += np.arange(len(block.data), dtype=slots.dtype)
+            if not np.array_equal(indices[slots], block.indices):
+                return None
+            data[slots] = block.data
         del block
-    if indptr[-1] != nnz:
-        raise RuntimeError(f"the stiffness matrix has {indptr[-1]} entries, not {nnz}")
-    return sp.csr_matrix((data, indices, indptr), shape=(n_dof, n_dof))
+    if previous is None:
+        if coupled != nnz:
+            raise RuntimeError(f"the coupling graph has {coupled} entries, not {nnz}")
+        stored = int(indptr[-1])
+        data.resize(stored, refcheck=False)
+        indices.resize(stored, refcheck=False)
+    return sp.csr_matrix((data, indices, indptr), shape=(n_dof, n_dof)), half
 
 
 def _row_order(flat: np.ndarray, n_dof: int, rows: np.ndarray, spans):

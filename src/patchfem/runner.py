@@ -76,13 +76,13 @@ __all__ = [
 MAX_REFINE_RETRIES = 3
 MAX_ANGLE_BOUND = MAX_ANGLE_DEG + 1e-9
 # Peak memory of one solve above the imported package, per grid cell (n * n
-# cells): the ru_maxrss of run_single measured 1,411-1,432 bytes at
-# n = 128, 917-944 at n = 256 and 867-878 at n = 512 on the circle,
+# cells): the ru_maxrss of run_single measured 1,288-1,368 bytes at
+# n = 128, 771-798 at n = 256 and 724-735 at n = 512 on the circle,
 # horizontal and tilted problems. A solve that follows one on the same grid
 # also holds the workspace's last matrix, edge parameters, topologies and
 # side labels until it assembles: three solves in a row (strategies 2, 1,
-# 3) peaked at 1,769-1,886 bytes at n = 128, 1,099-1,128 at n = 256 and
-# 935-1,007 at n = 512. This is the largest, rounded up.
+# 3) peaked at 1,698-1,758 bytes at n = 128, 938-968 at n = 256 and
+# 767-815 at n = 512. This is the largest, rounded up to a thousand.
 SOLVE_BYTES_PER_CELL = 2000
 
 SOLVE_HEADER = ["problem", "mode", "strategy", "n", "h", "ndofs", "L2", "H1",
@@ -157,9 +157,10 @@ class _Workspace:
     ``mesh`` is built once per grid, and each later solve adapts a copy of
     the last one with edge parameters of its own (``PatchMesh.fresh``).
     ``assembled`` is the (kappa1, kappa2), edge parameters, topology, side
-    labels and matrix of the last adapted-mode assembly, from which
-    ``assemble`` computes, over that matrix, only the stiffness rows of the
-    patches whose edge parameters or side labels changed. A solve takes it
+    labels, matrix and half row of the last adapted-mode assembly, from
+    which ``assemble`` computes, over that matrix, only the stiffness rows of
+    the patches whose edge parameters or side labels changed, as long as
+    they store the same columns. A solve takes it
     (``take``) just before it assembles, so one that fails before then
     leaves it, and one that fails in assembly leaves none.
     """
@@ -170,7 +171,7 @@ class _Workspace:
     assembled: tuple | None = None
 
     def take(self, kappas: tuple):
-        """The (edge parameters, topology, side labels, matrix) of
+        """The (edge parameters, topology, side labels, matrix, half row) of
         ``assembled`` if it has ``kappas``, else None; either way, the
         workspace holds it no more."""
         assembled, self.assembled = self.assembled, None
@@ -208,7 +209,7 @@ def _solve_once(config: RunConfig, n: int):
                       previous=workspace.take(kappas))
     if config.mode == "adapted":
         workspace.assembled = (kappas, mesh.edge_param, configs.topology, configs.sides,
-                               system.matrix)
+                               system.matrix, system.half_row)
     report = cg_solve(system)
     l2, h1 = error_norms(mesh, configs, problem, report.solution)
     audit = max_angle_audit(mesh, configs)

@@ -60,14 +60,13 @@ class NonConvergence(RuntimeError):
         return type(self), (self.report, self.tol)
 
 
-def row_spans(a: sp.csr_matrix, n_free: int) -> list[slice]:
-    """The fixed row spans of ``a``: one below ``ROW_SPLIT`` free dofs, else
-    two split at half the stored entries."""
-    n = a.shape[0]
+def row_spans(system: LinearSystem, n_free: int) -> list[slice]:
+    """The fixed row spans of ``system``'s matrix: one below ``ROW_SPLIT``
+    free dofs, else two split at its ``half_row``."""
+    n, half = system.n_dof, system.half_row
     if n_free < ROW_SPLIT:
         return [slice(0, n)]
-    mid = int(np.searchsorted(a.indptr, a.indptr[-1] // 2))
-    return [slice(0, mid), slice(mid, n)]
+    return [slice(0, half), slice(half, n)]
 
 
 def row_block(a: sp.csr_matrix, rows: slice) -> sp.csr_matrix:
@@ -99,9 +98,11 @@ def cg_solve(system: LinearSystem, tol: float = 1e-10,
     ||r|| / ||b|| <= tol. The solution carries the Dirichlet values as
     given. Deterministic: identical inputs give identical iterate sequences,
     whatever the number of threads. Raises NonConvergence past ``max_iter``
-    (default 10 times the free dofs).
+    (default 10 times the free dofs). The residual is the system's own load
+    vector, lifted in place (``LinearSystem.reduced``): a system is solved
+    once, and a second solve of it raises.
     """
-    a, r, free = system.reduced()  # r = b, a new vector CG may update
+    a, r, free = system.reduced()  # r = b, the system's rhs, which CG updates
     n_free = np.count_nonzero(free)
     if max_iter is None:
         max_iter = 10 * n_free
@@ -111,7 +112,7 @@ def cg_solve(system: LinearSystem, tol: float = 1e-10,
         x[system.dirichlet_dofs] = system.dirichlet_values
         return SolveReport(x, iterations, history[-1], np.array(history))
 
-    spans = row_spans(a, n_free)
+    spans = row_spans(system, n_free)
     rs = [r[s] for s in spans]
     norm_b = math.sqrt(span_dot(rs, rs))
     if norm_b == 0.0:

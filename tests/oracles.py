@@ -12,7 +12,9 @@ the whole-mesh geometry with one entry per subtriangle that it replaced.
 ``assemble_buckets_reference`` is the whole-mesh path that the row-block
 assembly replaced: every element-matrix row written into its slot of one
 row-bucketed CSR array with duplicates (``row_buckets_reference``), then
-one ``sum_duplicates``. ``reduced_reference`` eliminates the Dirichlet dofs
+one ``sum_duplicates``. Both drop the exact zeros, as ``assemble`` does,
+unless asked for the coupling graph with them (``zeros=True``).
+``reduced_reference`` eliminates the Dirichlet dofs
 by slicing the matrix into a separate free-dof system, and ``embed`` puts
 the Dirichlet data back around its solution.
 
@@ -403,9 +405,10 @@ def patch_major_geometry(mesh: PatchMesh, topology):
     return tris, areas, barycentric_gradients_reference(tris, areas)
 
 
-def assemble_reference(mesh: PatchMesh, configs, problem, mode="adapted"):
+def assemble_reference(mesh: PatchMesh, configs, problem, mode="adapted", zeros=False):
     """Stiffness matrix and load vector over the whole mesh at once, from the
-    patch-major geometry, with one COO over all element matrices."""
+    patch-major geometry, with one COO over all element matrices; without
+    its exact zeros unless ``zeros``."""
     tris, areas, grads = patch_major_geometry(mesh, configs.topology)
     rule = reference_quad_rule(2)
     qpts, qwts = map_rule_reference(tris, areas, rule)
@@ -424,9 +427,18 @@ def assemble_reference(mesh: PatchMesh, configs, problem, mode="adapted"):
     cols = np.repeat(sub_dofs[..., None, :], 3, axis=-2).ravel()
     matrix = sp.coo_matrix((cell.ravel(), (rows, cols)),
                            shape=(dof_map.n_dof, dof_map.n_dof)).tocsr()
+    if not zeros:
+        matrix.eliminate_zeros()
     rhs = np.zeros(dof_map.n_dof)
     np.add.at(rhs, sub_dofs.ravel(), load.ravel())
     return matrix, rhs
+
+
+def half_row(matrix) -> int:
+    """The first row at which ``matrix``'s stored entries reach half their
+    count: ``LinearSystem.half_row`` for a matrix that stores its whole
+    coupling graph."""
+    return int(np.searchsorted(matrix.indptr, matrix.nnz // 2))
 
 
 def row_buckets_reference(sub_dofs: np.ndarray, n_dof: int):
@@ -452,13 +464,14 @@ def row_buckets_reference(sub_dofs: np.ndarray, n_dof: int):
     return slots, indptr, indices
 
 
-def assemble_buckets_reference(mesh: PatchMesh, configs, problem, mode="adapted"):
+def assemble_buckets_reference(mesh: PatchMesh, configs, problem, mode="adapted",
+                               zeros=False):
     """Stiffness matrix and load vector as the whole-mesh bucketed path
     builds them: the element matrices of all patches at once from the
     whole-mesh geometry of ``patch_major_geometry`` and the coordinate-major
     kernels, each row put into its slot of one CSR array
-    with duplicates, one ``sum_duplicates``; the loads added in patch
-    order."""
+    with duplicates, one ``sum_duplicates``, then the exact zeros dropped
+    unless ``zeros``; the loads added in patch order."""
     rule = reference_quad_rule(2)
     lam = reference_lambdas(rule)
     dof_map = build_dof_map(mesh)
@@ -486,6 +499,8 @@ def assemble_buckets_reference(mesh: PatchMesh, configs, problem, mode="adapted"
     np.put(data.view(row_item).ravel(), slots, cell.view(row_item).ravel())
     matrix = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(n_dof, n_dof))
     matrix.sum_duplicates()
+    if not zeros:
+        matrix.eliminate_zeros()
     wf = np.multiply(qwts, problem.f(qpts, mask), order="F")
     load = np.empty(areas.shape + (3,))
     for a in range(3):

@@ -28,9 +28,11 @@ from patchfem.problems import (
 from patchfem.solver import cg_solve
 
 from .oracles import (
+    assemble_reference,
     barycentric,
     build_dof_map,
     edge_points,
+    half_row,
     local_load,
     local_nodes,
     local_stiffness,
@@ -312,9 +314,10 @@ class TestAssemblyOracle:
 
 
 class TestReduced:
-    """``reduced()`` hands CG the assembled matrix itself and the lifted
-    load over all dofs: its free entries have the bits of slicing's
-    ``b_f - A_fb g``, and it is zero at the Dirichlet dofs."""
+    """``reduced()`` hands CG the assembled matrix itself and the load over
+    all dofs, lifted in place: its free entries have the bits of slicing's
+    ``b_f - A_fb g``, and it is zero at the Dirichlet dofs. The load is then
+    consumed, and a second call raises."""
 
     @staticmethod
     def _assembled(problem, n, mode="adapted"):
@@ -324,13 +327,18 @@ class TestReduced:
 
     @staticmethod
     def _check(system):
-        a, b, free = system.reduced()
         _, ref_b = reduced_reference(system)
+        rhs = system.rhs
+        a, b, free = system.reduced()
         assert a is system.matrix
+        assert b is rhs and system.rhs is rhs
         np.testing.assert_array_equal(free, system.free_mask())
         assert b.shape == (system.n_dof,)
         assert b[free].tobytes() == ref_b.tobytes()
         assert b[~free].tobytes() == np.zeros(system.n_dof - len(ref_b)).tobytes()
+        with pytest.raises(RuntimeError, match="assemble the system again"):
+            system.reduced()
+        assert b[free].tobytes() == ref_b.tobytes()
         return b
 
     @pytest.mark.parametrize("problem, mode", [
@@ -344,9 +352,11 @@ class TestReduced:
     def test_no_dirichlet_dofs(self):
         rng = np.random.default_rng(4)
         m = rng.standard_normal((12, 12)) * (rng.random((12, 12)) < 0.4)
-        system = LinearSystem(sp.csr_matrix(m.T @ m + np.eye(12)), rng.standard_normal(12),
-                              np.array([], dtype=int), np.array([]))
-        assert self._check(system).tobytes() == system.rhs.tobytes()
+        rhs = rng.standard_normal(12)
+        a = sp.csr_matrix(m.T @ m + np.eye(12))
+        system = LinearSystem(a, rhs.copy(), np.array([], dtype=int), np.array([]),
+                              half_row(a))
+        assert self._check(system).tobytes() == rhs.tobytes()
 
     def test_every_dof_dirichlet(self):
         system = self._assembled(circle_problem(), 4)
@@ -386,34 +396,57 @@ class TestInterpolateNodal:
 
 
 class TestSparsityPattern:
-    """The dof set never depends on the interface. The stored pattern does,
-    through vertex cuts: their topology couples a patch vertex with the node
-    on the opposite edge and drops the coupling of the two other edge nodes."""
+    """The dof set never depends on the interface, and neither does the
+    coupling graph (the matrix's pattern with its exact zeros) but through
+    vertex cuts: their topology couples a patch vertex with the node on the
+    opposite edge and drops the coupling of the two other edge nodes. The
+    stored pattern is that graph less its exact zeros, the couplings across
+    the right angles of right-isosceles subtriangles, so it also moves with
+    the cut set."""
 
     N = 16
 
-    def _pattern(self, problem):
+    def _patterns(self, problem):
         mesh = build_structured_mesh(self.N, problem.domain)
         configs, classification, _ = adapt(mesh, problem.levelset, 2)
-        matrix = assemble(mesh, configs, problem).matrix.tocsr()
+        stored = assemble(mesh, configs, problem).matrix
+        graph, _ = assemble_reference(mesh, configs, problem, zeros=True)
+        # The stored entries are the graph's nonzero entries, bit for bit.
+        kept = graph.data != 0.0
+        rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
+        np.testing.assert_array_equal(np.diff(stored.indptr),
+                                      np.bincount(rows[kept], minlength=graph.shape[0]))
+        np.testing.assert_array_equal(stored.indices, graph.indices[kept])
+        assert stored.data.tobytes() == graph.data[kept].tobytes()
         has_vertex_cut = any(c.kind == "vertex_edge" for c in classification.cuts)
-        return (matrix.indptr.tobytes(), matrix.indices.tobytes()), has_vertex_cut
+        if len(classification.cut_ids) == 0:
+            # Each patch's inner diagonal and its half of the cell diagonal
+            # cross right angles: 4 exact zeros per patch.
+            assert np.count_nonzero(~kept) == 4 * mesh.n_patches
+        return _pattern(graph), _pattern(stored), has_vertex_cut
 
     def test_horizontal_sweep_has_one_pattern(self):
-        patterns = set()
+        graphs, stored = set(), set()
         for eps in np.linspace(0.0, 1.0, 11):
-            pattern, has_vertex_cut = self._pattern(horizontal_problem(eps, 2.0 / self.N))
+            graph, pattern, has_vertex_cut = self._patterns(
+                horizontal_problem(eps, 2.0 / self.N))
             assert not has_vertex_cut
-            patterns.add(pattern)
-        assert len(patterns) == 1
+            graphs.add(graph)
+            stored.add(pattern)
+        assert len(graphs) == 1
+        assert len(stored) > 1
 
     def test_vertex_cuts_change_the_pattern(self):
-        uncut, _ = self._pattern(horizontal_problem(0.0, 2.0 / self.N))
-        patterns, n_vertex_cut = set(), 0
+        uncut, _, _ = self._patterns(horizontal_problem(0.0, 2.0 / self.N))
+        graphs, n_vertex_cut = set(), 0
         for alpha in np.linspace(0.1, 1.4, 11):
-            pattern, has_vertex_cut = self._pattern(tilted_problem(alpha))
-            assert (pattern != uncut) == has_vertex_cut
-            patterns.add(pattern)
+            graph, _, has_vertex_cut = self._patterns(tilted_problem(alpha))
+            assert (graph != uncut) == has_vertex_cut
+            graphs.add(graph)
             n_vertex_cut += has_vertex_cut
         assert n_vertex_cut > 0
-        assert len(patterns) > 1
+        assert len(graphs) > 1
+
+
+def _pattern(matrix):
+    return matrix.indptr.tobytes(), matrix.indices.tobytes()

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patchfem import assembly as assembly_module
 from patchfem import mesh as mesh_module
 from patchfem.adaptation import (
     CUT_KINDS,
@@ -129,8 +130,10 @@ def _same_bits(actual, expected):
 class TestRowBlocks:
     """The matrix is built one block of ``PATCH_BLOCK`` dof rows at a time.
     It equals the whole-mesh bucketed path (every element-matrix row in one
-    CSR array with duplicates, one ``sum_duplicates``) bit for bit, with
-    row blocks that do not divide the dof count and with a single block."""
+    CSR array with duplicates, one ``sum_duplicates``, the exact zeros
+    dropped) bit for bit, with row blocks that do not divide the dof count
+    and with a single block. Its half row is where that path's coupling
+    graph, the zeros kept, reaches half its entries."""
 
     @pytest.mark.parametrize("block", [5, "one"])
     @pytest.mark.parametrize(
@@ -156,16 +159,20 @@ class TestRowBlocks:
         monkeypatch.setattr(mesh_module, "PATCH_BLOCK", block)
         system = assemble(mesh, configs, problem, mode=mode)
         matrix, rhs = assemble_buckets_reference(mesh, configs, problem, mode)
+        graph, _ = assemble_buckets_reference(mesh, configs, problem, mode, zeros=True)
 
         if problem.name == "tilted":
             assert np.any(configs.kind == CUT_KINDS.index(VERTEX_EDGE))
         for attr in ("indptr", "indices", "data"):
             _same_bits(getattr(system.matrix, attr), getattr(matrix, attr))
         _same_bits(system.rhs, rhs)
+        assert matrix.nnz < graph.nnz
+        assert system.half_row == np.searchsorted(graph.indptr, graph.nnz // 2)
 
     def test_two_patterns_match_the_bucketed_path(self, monkeypatch):
         """Two tilted interfaces that cut different vertices give two
-        stored patterns, and both match the bucketed path."""
+        coupling graphs, each of the closed-form entry count, and stored
+        patterns that match the bucketed path."""
         monkeypatch.setattr(mesh_module, "PATCH_BLOCK", 5)
         patterns = set()
         for alpha in (0.3, 1.0):
@@ -176,7 +183,9 @@ class TestRowBlocks:
             matrix, _ = assemble_buckets_reference(mesh, configs, problem)
             for attr in ("indptr", "indices", "data"):
                 _same_bits(getattr(system.matrix, attr), getattr(matrix, attr))
-            patterns.add((matrix.indptr.tobytes(), matrix.indices.tobytes()))
+            graph, _ = assemble_buckets_reference(mesh, configs, problem, zeros=True)
+            assert graph.nnz == system.n_dof + 6 * mesh.n_patches + 4 * mesh.n_edges
+            patterns.add((graph.indptr.tobytes(), graph.indices.tobytes()))
         assert len(patterns) == 2
 
 
@@ -267,30 +276,33 @@ def _traced_peak_mib(fn, *args, **kwargs):
 # 14.1 MiB.
 MESH_BOUND_MIB = 8.2
 ADAPT_BOUND_MIB = 17.2
-# Measured traced peaks at n = 128 are 16.2 MiB (assemble, the matrix built
+# Measured traced peaks at n = 128 are 14.8 MiB (assemble, the matrix built
 # one block of dof rows at a time, each block finding and sorting its own
 # element rows, each patch block's load arrays freed before the next
 # block's are made) and 6.6 MiB (error_norms, integrand spans of at most
-# 4 * PATCH_BLOCK elements); the bounds add 20%. With one whole-mesh int64
-# sort of the element rows and int64 mesh arrays, assemble peaked at
-# 19.5 MiB, and at 19.8 MiB holding the patch dofs through the matrix
-# build; with the CSR array with duplicates over the whole mesh and spans of
-# PATCH_BLOCK patches the same calls peaked at 36.5 and 42.0 MiB, with the
+# 4 * PATCH_BLOCK elements); the bounds add 20%. With the exact zeros
+# stored and the kappa * area of every subtriangle held through the matrix
+# build, assemble peaked at 16.2 MiB; with one whole-mesh int64 sort of the
+# element rows and int64 mesh arrays, at 19.5 MiB, and at 19.8 MiB holding
+# the patch dofs through the matrix build; with the CSR array with
+# duplicates over the whole mesh and spans of PATCH_BLOCK patches the same
+# calls peaked at 36.5 and 42.0 MiB, with the
 # whole-mesh COO and integrand arrays at 43.1 and 59.5 MiB, and without the
 # patch blocks at 84.6 and 89.0 MiB.
-ASSEMBLE_BOUND_MIB = 19.4
+ASSEMBLE_BOUND_MIB = 17.8
 ERRORS_BOUND_MIB = 7.9
 # With blocks of 512 patches (and dof rows) the block temporaries are
 # small, and the peaks show what each call holds over the whole mesh:
-# measured 9.1 MiB (assemble: kappa * area, the loads, the node
-# coordinates and the returned matrix) and 1.8 MiB (error_norms, which
-# holds the node coordinates instead of the patch dofs), plus 20%. Holding
-# the whole-mesh row order, assemble peaked at 10.7 MiB; with the
-# whole-mesh subtriangle geometry they peaked at 11.6 and 2.3 MiB;
-# the CSR array with duplicates at 19.4 MiB, the whole-mesh COO at 43.1, and
-# the whole-mesh integrand arrays at 16.9 (2.8 with the patch-block spans).
+# measured 8.1 MiB (assemble: the loads, the node coordinates and the
+# returned matrix) and 1.8 MiB (error_norms, which holds the node
+# coordinates instead of the patch dofs), plus 20%. Holding kappa * area
+# over the mesh, assemble peaked at 9.1 MiB; holding the whole-mesh row
+# order, at 10.7 MiB; with the whole-mesh subtriangle geometry they peaked
+# at 11.6 and 2.3 MiB; the CSR array with duplicates at 19.4 MiB, the
+# whole-mesh COO at 43.1, and the whole-mesh integrand arrays at 16.9 (2.8
+# with the patch-block spans).
 SMALL_BLOCK = 512
-ASSEMBLE_SMALL_BLOCK_BOUND_MIB = 10.9
+ASSEMBLE_SMALL_BLOCK_BOUND_MIB = 9.7
 ERRORS_SMALL_BLOCK_BOUND_MIB = 2.2
 # The same for the shape table: 14.8 MiB (build_configs, whose patch-block
 # keys and subtriangles are the largest part) and 0.67 MiB (max_angle_audit,
@@ -302,23 +314,28 @@ AUDIT_BOUND_MIB = 0.81
 # adapt: 3.0 MiB (what it returns and the crossings of every edge), plus
 # 20%. classify_all over the whole mesh at once peaked at 7.9 MiB.
 ADAPT_SMALL_BLOCK_BOUND_MIB = 3.7
-# A vector over the 66,049 dofs at n = 128 is 0.50 MiB and the matrix 5.52.
-# LinearSystem.reduced: 1.07 MiB measured (the lifted load, the Dirichlet
-# data vector and the free mask), plus 20%. Copying the free rows and
-# columns into A_ff peaked at 8.1 MiB, slicing them at 12.2.
-REDUCED_BOUND_MIB = 1.3
-# cg_solve: 3.37 MiB measured (x, r, p, the inverse diagonal and each
-# span's A p, whose buffer also holds alpha p and z), plus 20%: below the
-# matrix itself, so a copy of it fails. With separate vectors for alpha p
-# and z it peaked at 4.38 MiB, on a separate A_ff at 10.3 MiB.
-CG_SOLVE_BOUND_MIB = 4.1
+# A vector over the 66,049 dofs at n = 128 is 0.50 MiB and the matrix 4.05
+# (5.52 with its exact zeros stored).
+# LinearSystem.reduced: 1.01 MiB measured (the Dirichlet data vector, its
+# product with the matrix and the free mask; the load is lifted in place),
+# plus 20%. Lifting it into a new vector peaked at 1.07 MiB, copying the
+# free rows and columns into A_ff at 8.1 MiB, slicing them at 12.2.
+REDUCED_BOUND_MIB = 1.2
+# cg_solve: 2.87 MiB measured (x, p, the inverse diagonal and each span's
+# A p, whose buffer also holds alpha p and z; r is the system's lifted
+# load), plus 20%: below the matrix itself, so a copy of it fails. With r
+# a vector of its own it peaked at 3.37 MiB, with separate vectors for
+# alpha p and z at 4.38 MiB, on a separate A_ff at 10.3 MiB.
+CG_SOLVE_BOUND_MIB = 3.5
 # A whole run_single of the tilted problem at n = 128 with strategy 3,
-# every stage included: 19.9 MiB measured, plus 20%. It was 24.9 MiB with
-# int64 mesh arrays and whole-mesh sorts and classification, 36.7 MiB with
-# the whole-mesh subtriangle geometry, 38.1 MiB with a separate A_ff and
-# the patch dofs held through the matrix build, and its largest stage was
-# error_norms at 67.0 MiB before the row blocks and the capped spans.
-RUN_SINGLE_BOUND_MIB = 23.9
+# every stage included: 17.8 MiB measured, plus 20%. It was 19.1 MiB with
+# the exact zeros stored, kappa * area held and a second load vector,
+# 24.9 MiB with int64 mesh arrays and whole-mesh sorts and
+# classification, 36.7 MiB with the whole-mesh subtriangle geometry,
+# 38.1 MiB with a separate A_ff and the patch dofs held through the matrix
+# build, and its largest stage was error_norms at 67.0 MiB before the row
+# blocks and the capped spans.
+RUN_SINGLE_BOUND_MIB = 21.4
 
 
 class TestPeakMemory:
@@ -408,6 +425,40 @@ class TestPeakMemory:
 
         monkeypatch.setattr(mesh_module.PatchMesh, "local_params_all", refuse)
         run_single(RunConfig(problem="circle", n=16, mode=mode))
+
+    @pytest.mark.parametrize("mode", ["adapted", "baseline"])
+    def test_assemble_forms_no_float_per_subtriangle(self, monkeypatch, mode):
+        """Adapted assembly forms kappa * area of each element row from its
+        side label and the shape table's area: no NumPy call in
+        ``patchfem.assembly`` returns a float array with one entry per
+        subtriangle of the mesh. The baseline, whose kappa is a quadrature
+        average, holds one, which shows the check sees it."""
+        problem = circle_problem()
+        mesh = build_structured_mesh(8, problem.domain)
+        configs, _, _ = adapt(mesh, problem.levelset, 2)
+        monkeypatch.setattr(mesh_module, "PATCH_BLOCK", 5)
+        formed = []
+
+        class Watched:
+            """NumPy, or one of its functions, with every result looked at."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __getattr__(self, name):
+                attr = getattr(self.inner, name)
+                return attr if isinstance(attr, type) or not callable(attr) else Watched(attr)
+
+            def __call__(self, *args, **kwargs):
+                result = self.inner(*args, **kwargs)
+                if (isinstance(result, np.ndarray) and result.dtype.kind == "f"
+                        and result.shape == (mesh.n_patches, 4)):
+                    formed.append(self.inner.__name__)
+                return result
+
+        monkeypatch.setattr(assembly_module, "np", Watched(np))
+        assemble(mesh, configs, problem, mode=mode)
+        assert bool(formed) == (mode == "baseline"), formed
 
     def test_index_dtypes(self):
         """The mesh's index arrays are int32 at n = 256; the rule widens

@@ -7,22 +7,31 @@ import threading
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from patchfem import solver as solver_module
-from patchfem.adaptation import adapt
+from patchfem.adaptation import RefinementRequired, adapt
 from patchfem.assembly import LinearSystem, assemble
 from patchfem.mesh import build_structured_mesh
 from patchfem.problems import circle_problem, tilted_problem
+from patchfem.runner import make_problem
 from patchfem.solver import NonConvergence, cg_solve, row_block, row_spans, span_dot
 
-from .oracles import SingularSystem, dense_solve_oracle, jacobi_cg_reference
+from .oracles import (
+    SingularSystem,
+    assemble_reference,
+    dense_solve_oracle,
+    half_row,
+    jacobi_cg_reference,
+)
 
 
 def plain_system(a, b):
-    return LinearSystem(sp.csr_matrix(a), np.asarray(b, float),
-                        np.array([], dtype=int), np.array([]))
+    # A copy of b: CG updates the system's load in place.
+    a = sp.csr_matrix(a)
+    return LinearSystem(a, np.array(b, float), np.array([], dtype=int), np.array([]),
+                        half_row(a))
 
 
 def assembled_system(n=8, p=None):
@@ -56,17 +65,24 @@ class TestCgSolve:
 
     def test_matches_dense_oracle_on_assembled_system(self):
         system = assembled_system()
+        x_dense = dense_solve_oracle(system)  # before CG consumes the load
         x_cg = cg_solve(system, tol=1e-12).solution
-        x_dense = dense_solve_oracle(system)
         assert np.abs(x_cg - x_dense).max() < 1e-8
 
     def test_deterministic(self):
-        system = assembled_system(4)
-        r1 = cg_solve(system)
-        r2 = cg_solve(system)
+        # Each solve consumes its system's load: the system is assembled twice.
+        r1 = cg_solve(assembled_system(4))
+        r2 = cg_solve(assembled_system(4))
         assert r1.iterations == r2.iterations
         assert np.array_equal(r1.residual_history, r2.residual_history)
         assert np.array_equal(r1.solution, r2.solution)
+
+    def test_second_solve_of_one_system_raises(self):
+        # The first solve took the load as its residual and left it spent.
+        system = assembled_system(4)
+        cg_solve(system)
+        with pytest.raises(RuntimeError, match="assemble the system again"):
+            cg_solve(system)
 
     def test_energy_error_decreases_monotonically(self):
         # the CG guarantee: the A-norm of the error is non-increasing
@@ -148,28 +164,35 @@ def two_spans(monkeypatch):
 
 class TestRowSpans:
     def test_one_span_below_split(self):
-        a, _, free = assembled_system(16).reduced()
-        assert a.shape[0] < solver_module.ROW_SPLIT
-        assert row_spans(a, np.count_nonzero(free)) == [slice(0, a.shape[0])]
+        system = assembled_system(16)
+        n_free = np.count_nonzero(system.free_mask())
+        assert system.n_dof < solver_module.ROW_SPLIT
+        assert row_spans(system, n_free) == [slice(0, system.n_dof)]
 
     def test_split_counts_free_dofs(self, monkeypatch):
-        a, _, free = assembled_system(16).reduced()
-        n_free = np.count_nonzero(free)
+        system = assembled_system(16)
+        n_free = np.count_nonzero(system.free_mask())
         monkeypatch.setattr(solver_module, "ROW_SPLIT", n_free + 1)
-        assert a.shape[0] >= solver_module.ROW_SPLIT
-        assert row_spans(a, n_free) == [slice(0, a.shape[0])]
-        assert len(row_spans(a, n_free + 1)) == 2
+        assert system.n_dof >= solver_module.ROW_SPLIT
+        assert row_spans(system, n_free) == [slice(0, system.n_dof)]
+        assert len(row_spans(system, n_free + 1)) == 2
 
     def test_two_spans_share_the_matrix(self, two_spans):
-        system = assembled_system(16)
+        problem = circle_problem()
+        mesh = build_structured_mesh(16, problem.domain)
+        configs, _, _ = adapt(mesh, problem.levelset, 2)
+        system = assemble(mesh, configs, problem)
         a, _, free = system.reduced()
         assert a is system.matrix
-        spans = row_spans(a, np.count_nonzero(free))
+        spans = row_spans(system, np.count_nonzero(free))
         assert len(spans) == 2
         assert spans[0].start == 0 and spans[0].stop == spans[1].start
         assert spans[1].stop == a.shape[0]
-        # split at half the stored entries
-        assert abs(2 * a.indptr[spans[0].stop] - a.nnz) <= np.diff(a.indptr).max()
+        # Split where the coupling graph, exact zeros included, reaches half
+        # its entries.
+        graph, _ = assemble_reference(mesh, configs, problem, zeros=True)
+        assert graph.nnz > a.nnz
+        assert spans[0].stop == np.searchsorted(graph.indptr, graph.nnz // 2)
         p = np.random.default_rng(3).standard_normal(a.shape[0])
         # A block of less than half the entries shares them too.
         for rows in spans + [slice(0, 3)]:
@@ -193,8 +216,8 @@ class TestInPlace:
         mesh = build_structured_mesh(32, problem.domain)
         configs, _, _ = adapt(mesh, problem.levelset, 2)
         system = assemble(mesh, configs, problem, mode)
+        x_ref, iterations = jacobi_cg_reference(system)  # before CG consumes the load
         report = cg_solve(system)
-        x_ref, iterations = jacobi_cg_reference(system)
         assert abs(report.iterations - iterations) <= 2
         err = np.abs(report.solution - x_ref).max()
         assert err <= 1e-9 * np.abs(x_ref).max()
@@ -205,8 +228,8 @@ class TestInPlace:
         rng = np.random.default_rng(5)
         m = rng.standard_normal((40, 40)) * (rng.random((40, 40)) < 0.2)
         system = plain_system(m.T @ m + np.eye(40), rng.standard_normal(40))
-        report = cg_solve(system)
         x_ref, iterations = jacobi_cg_reference(system)
+        report = cg_solve(system)
         assert abs(report.iterations - iterations) <= 2
         assert np.abs(report.solution - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
 
@@ -214,7 +237,8 @@ class TestInPlace:
         # A Dirichlet dof with no stored entries: its inverse diagonal is
         # zero, not 1 / 0.
         a = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 0.0]]))
-        system = LinearSystem(a, np.array([1.0, 1.0, 5.0]), np.array([2]), np.array([7.0]))
+        system = LinearSystem(a, np.array([1.0, 1.0, 5.0]), np.array([2]), np.array([7.0]),
+                              half_row(a))
         with np.errstate(all="raise"):
             report = cg_solve(system)
         np.testing.assert_allclose(report.solution, [1.0, 1.0, 7.0])
@@ -257,20 +281,21 @@ class TestThreadedSpans:
     @pytest.mark.parametrize("problem", [circle_problem(), tilted_problem(0.3)],
                              ids=["circle", "tilted"])
     def test_threaded_serial_and_repeat_agree(self, two_spans, problem):
-        system = assembled_system(16, problem)
+        # Each solve consumes its system's load, so each has a system of its
+        # own, assembled alike.
         pool = two_spans(2)
-        threaded = cg_solve(system)
+        threaded = cg_solve(assembled_system(16, problem))
         assert pool.submitted == 3 * threaded.iterations - 1
         # The repeat hands the GIL between the threads as often as it can.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            repeat = cg_solve(system)
+            repeat = cg_solve(assembled_system(16, problem))
         finally:
             sys.setswitchinterval(interval)
         two_spans(1)
         pool.submitted = 0
-        serial = cg_solve(system)
+        serial = cg_solve(assembled_system(16, problem))
         assert pool.submitted == 0
         assert _bits(threaded) == _bits(repeat) == _bits(serial)
         assert threaded.relative_residual <= 1e-10
@@ -328,6 +353,42 @@ def test_span_dot_ignores_alignment(n, split, offsets, seed):
     assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
+@st.composite
+def adapted_problems(draw):
+    """A circle, horizontal or tilted problem at a small n, and a strategy."""
+    name = draw(st.sampled_from(["circle", "horizontal", "tilted"]))
+    n = draw(st.sampled_from([8, 12, 16]))
+    eps = draw(st.sampled_from([0.0, 0.025, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    alpha = draw(st.floats(0.1, 1.4))
+    return make_problem(name, n, eps, alpha), n, draw(st.sampled_from([2, 3]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(case=adapted_problems(), n_spans=st.sampled_from([1, 2]))
+def test_dropped_zeros_change_no_bit_of_cg(case, n_spans):
+    """CG on the assembled system, which stores no exact zeros, takes the
+    iterates of CG on the oracle matrix with them: the same iteration count,
+    solution and residual history, bit for bit, on one span and on two."""
+    problem, n, strategy = case
+    mesh = build_structured_mesh(n, problem.domain)
+    try:
+        configs, _, _ = adapt(mesh, problem.levelset, strategy)
+    except RefinementRequired:
+        reject()
+    system = assemble(mesh, configs, problem)
+    graph, _ = assemble_reference(mesh, configs, problem, zeros=True)
+    assert graph.nnz > system.matrix.nnz
+    with_zeros = LinearSystem(graph, system.rhs.copy(), system.dirichlet_dofs,
+                              system.dirichlet_values, half_row(graph))
+    # Both split where the coupling graph reaches half its entries.
+    assert with_zeros.half_row == system.half_row
+    with pytest.MonkeyPatch.context() as patch:
+        if n_spans == 2:
+            patch.setattr(solver_module, "ROW_SPLIT", 100)
+        assert len(solver_module.row_spans(system, np.count_nonzero(system.free_mask()))) == n_spans
+        assert _bits(cg_solve(system)) == _bits(cg_solve(with_zeros))
+
+
 class TestDenseOracle:
     def test_identity(self):
         b = np.array([1.0, 2.0])
@@ -349,6 +410,6 @@ class TestDenseOracle:
     def test_size_guard(self):
         n = 5001
         a = sp.eye(n, format="csr")
-        system = LinearSystem(a, np.ones(n), np.array([], int), np.array([]))
+        system = LinearSystem(a, np.ones(n), np.array([], int), np.array([]), half_row(a))
         with pytest.raises(ValueError):
             dense_solve_oracle(system)
