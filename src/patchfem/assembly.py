@@ -3,11 +3,12 @@ elements on the four-triangle patch splits. The dofs are the nodes of the
 mesh (``PatchMesh.node_planes``): the vertices, then the edge nodes.
 
 The subtriangle areas and barycentric gradients come from the shape table
-of ``PatchConfigs``; the subtriangles themselves are gathered per patch
-block for the load quadrature. The basis restricted to a subtriangle is
-linear, so stiffness entries use the exact constant-gradient formulas and
-only the load (and the pointwise diffusion sampling of the unfitted
-baseline) needs quadrature. The per-patch work runs over fixed-size patch
+of ``PatchConfigs``, and the stiffness forms the gradient products once per
+shape; the subtriangles themselves are gathered per patch block for the
+load quadrature. The basis restricted to a subtriangle is linear, so
+stiffness entries use the exact constant-gradient formulas and only the
+load (and the pointwise diffusion sampling of the unfitted baseline) needs
+quadrature. The per-patch work runs over fixed-size patch
 blocks (``mesh.patch_blocks``), so its temporaries do not grow with the
 mesh. The matrix is built one block of dof rows at a time, its
 element-matrix rows in the order SciPy's COO -> CSR conversion of all
@@ -92,8 +93,7 @@ class LinearSystem:
         return self.matrix, self.rhs, self.free_mask()
 
 
-def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
-             previous=None) -> LinearSystem:
+def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted") -> LinearSystem:
     """Assemble the global stiffness matrix and load vector.
 
     mode "adapted": the diffusion is constant on every subtriangle, taken
@@ -107,20 +107,6 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
     are added in patch order. The matrix is then built one block of dof rows
     at a time (``_stiffness``), so the result is the one of a single COO
     over the whole mesh, for any block size, less its exact zeros.
-
-    ``previous``, the (edge parameters, topology, side labels, matrix, half
-    row) of an earlier adapted assembly on the same grid with the same
-    kappas, spares the stiffness rows that no changed patch touches. A patch
-    changed if one of its three edge parameters or one of its side labels
-    differs from that assembly's. Equal edge parameters place its nodes at
-    the same points, so its areas and gradients have the same bits and so
-    do its rows. Only the rows of a changed patch's dofs are computed
-    again, written over that matrix's, whose arrays the new matrix takes.
-    Every row is computed, with ``previous`` let go of first, without such
-    an assembly, in mode "baseline", where a topology differs (the coupling
-    graph moves), and where a computed row stores other columns than that
-    matrix's row (a patch was cut or uncut, which turns exact zeros into
-    couplings or back). The result is bitwise the same.
     """
     if mode not in ("adapted", "baseline"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -131,19 +117,6 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
     n_dof = mesh.n_vertices + mesh.n_edges
     # The index type SciPy picks for a COO with 36 entries per patch.
     index = index_dtype(36 * mesh.n_patches, n_dof)
-    reuse = None
-    if (previous is not None and mode == "adapted"
-            and np.array_equal(previous[1], configs.topology)):
-        edge_param, _, sides, matrix, half = previous
-        # Edge parameters lie in (0, 1), where equal values have equal bits.
-        changed = (edge_param != mesh.edge_param)[mesh.patch_edges].any(axis=1)
-        changed |= (sides != configs.sides).any(axis=1)
-        touched = np.zeros(n_dof, dtype=bool)
-        touched[mesh.patch_nodes(np.flatnonzero(changed))] = True
-        reuse = np.flatnonzero(touched).astype(index), (matrix, half)
-        del edge_param, sides, matrix, changed, touched
-    del previous
-
     rule = reference_quad_rule(LOAD_DEGREE)
     lam = reference_lambdas(rule)  # (nq, 3)
     sub_dofs = mesh.subtriangle_nodes(slice(None), configs.topology).astype(index,
@@ -191,18 +164,12 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted",
     # mesh edge is two segments: every node couples with itself and each
     # such segment couples two nodes.
     nnz = n_dof + 2 * (3 * mesh.n_patches + 2 * mesh.n_edges)
-    stiffness = None
-    if reuse is not None:
-        stiffness = _stiffness(sub_dofs, configs.shape, table, kappa, n_dof, nnz, *reuse)
-        reuse = None  # let go of, should the stored columns have moved
-    if stiffness is None:
-        stiffness = _stiffness(sub_dofs, configs.shape, table, kappa, n_dof, nnz)
-    matrix, half = stiffness
+    matrix, half = _stiffness(sub_dofs, configs.shape, table, kappa, n_dof, nnz)
     return LinearSystem(matrix, rhs, dirichlet, values, half)
 
 
 def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, table, kappa, n_dof: int,
-               nnz: int, rows=None, previous=None):
+               nnz: int):
     """The stiffness matrix, one block of ``PATCH_BLOCK`` dof rows at a time,
     without its exact zeros, and its half row (``LinearSystem.half_row``).
 
@@ -210,15 +177,16 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, table, kappa, n_dof: int
     subtriangle t = 4 * patch + j) holds kappa * area * grad(l_a).grad(l_b)
     at the dofs ``sub_dofs[t, b]``; the area and the gradients are entry j
     of the shape table's ``areas`` and ``grads`` at ``shape[patch]``, and
-    kappa is ``kappa(patch, j)``. In the COO triplets of all element
-    matrices in patch order its three entries are consecutive, and SciPy's
-    COO -> CSR conversion buckets them by row dof in that order, i.e. in a
-    stable sort of the row dofs. For each block of dof rows, the
-    element-matrix rows of the block are found (``_row_order``) and gathered
-    from the geometry in that order, and SciPy sorts and sums the duplicates
-    of the block, row by row as it would over the whole matrix. So every
-    bit is the one of a single COO over the whole mesh, and nothing with one
-    slot per element-matrix entry is held.
+    kappa is ``kappa(patch, j)``. The products grad(l_a).grad(l_b) are
+    formed once per subtriangle of the table, and each element row takes its
+    three from there. In the COO triplets of all element matrices in patch
+    order its three entries are consecutive, and SciPy's COO -> CSR
+    conversion buckets them by row dof in that order, i.e. in a stable sort
+    of the row dofs. For each block of dof rows, the element-matrix rows of
+    the block are found (``_row_order``) and gathered in that order, and
+    SciPy sorts and sums the duplicates of the block, row by row as it would
+    over the whole matrix. So every bit is the one of a single COO over the
+    whole mesh, and nothing with one slot per element-matrix entry is held.
 
     The coupling graph has ``nnz`` entries, counted before each block drops
     its exact zeros: the couplings across the right angles of the
@@ -227,120 +195,83 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, table, kappa, n_dof: int
     shrunk in place to the stored ones: arrays grown block by block are
     copied whenever the allocator cannot extend them in place, and then held
     twice, and SciPy copies a view of less than half its base.
-
-    Given the sorted dofs ``rows`` and ``previous``, the (matrix, half row)
-    of an assembly with the same coupling graph, only those rows are
-    computed, in the same way, and written over that matrix's: the result
-    takes its arrays. None if a computed row stores other columns than that
-    matrix's row, by which time that matrix may hold some of the new rows.
     """
-    if rows is None:
-        rows = np.arange(n_dof, dtype=sub_dofs.dtype)
     flat = sub_dofs.ravel()
-    n_shapes = len(table.grads)
-    # Coordinate-major planes over the table's subtriangles j * n_shapes + shape.
-    gx, gy = table.grads.T.reshape(2, 3, -1)
-    areas = table.areas.T.ravel()
-    # The three dofs of a subtriangle as one 12- or 24-byte item.
+    # grad(l_a).grad(l_b) of vertex a of subtriangle j of each shape, for
+    # all b, as row 12 * shape + 3 * j + a: the x products, then the y
+    # products added.
+    gx, gy = np.moveaxis(table.grads, -1, 0)  # (n_shapes, 4, 3)
+    dots = gx[..., :, None] * gx[..., None, :]
+    dots += gy[..., :, None] * gy[..., None, :]
+    areas = table.areas.ravel()
+    # The three values, and the three dofs, of an element row as one item.
+    row_items = dots.reshape(-1, 3).view(np.dtype((np.void, 3 * dots.itemsize))).ravel()
     cols = sub_dofs.reshape(-1, 3)
     col_items = cols.view(np.dtype((np.void, 3 * cols.itemsize))).ravel()
-    if previous is None:
-        indptr = np.zeros(n_dof + 1, dtype=sub_dofs.dtype)
-        data, indices = np.empty(nnz), np.empty(nnz, dtype=sub_dofs.dtype)
-        half, coupled = None, 0  # the coupling graph's entries so far
-    else:
-        matrix, half = previous
-        indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-    blocks = list(patch_blocks(len(rows)))
+    indptr = np.zeros(n_dof + 1, dtype=sub_dofs.dtype)
+    data, indices = np.empty(nnz), np.empty(nnz, dtype=sub_dofs.dtype)
+    half, coupled = None, 0  # the coupling graph's entries so far
+    blocks = list(patch_blocks(n_dof))
     # The element rows of each patch block (its span of ``flat``) and the
     # blocks of dof rows they reach, so that each row block scans only
-    # those: reach[i + 1, c] when patch block c has a dof from the first row
-    # of row block i up to the first of row block i + 1 (reach[0]: below
-    # the first row).
+    # those: reach[i, c] when patch block c has a dof in row block i.
     spans = [slice(12 * p.start, 12 * p.stop) for p in patch_blocks(len(shape))]
-    starts = rows[[blk.start for blk in blocks]]
-    reach = np.zeros((len(blocks) + 1, len(spans)), dtype=bool)
+    starts = [blk.start for blk in blocks[1:]]
+    reach = np.zeros((len(blocks), len(spans)), dtype=bool)
     for c, span in enumerate(spans):
         reach[np.searchsorted(starts, flat[span], side="right"), c] = True
-    for blk, reached in zip(blocks, reach[1:]):
-        order, row_ptr = _row_order(flat, n_dof, rows[blk],
-                                    [spans[c] for c in np.flatnonzero(reached)])
-        # Element row 3 * t + a, vertex a of subtriangle t = 4 * patch + j;
-        # s is its shape's subtriangle in the planes of the table, and at is
-        # vertex a of s in their (3, 4 * n_shapes) planes.
-        tri, at = np.divmod(order.astype(flat.dtype), 3)
+    for blk, reached in zip(blocks, reach):
+        order, row_ptr = _row_order(flat, blk, [spans[c] for c in np.flatnonzero(reached)])
+        # Element row 3 * t + a, vertex a of subtriangle t = 4 * patch + j; at
+        # is its shape's subtriangle 4 * shape + j in the table, then its row
+        # 3 * at + a of the products.
+        tri, a = np.divmod(order.astype(flat.dtype), 3)
         del order
-        s = tri & 3
-        s *= n_shapes
-        s += np.take(shape, tri >> 2)
-        at *= 4 * n_shapes
-        at += s
-        # (gx_a gx_b + gy_a gy_b) * kappa * area, one plane per b: the x
-        # products, then the y products added, then kappa * area.
-        vals = np.empty((len(tri), 3))
-        a_side, b_side = np.take(gx, at), np.empty(len(tri))
-        for b, out in enumerate(vals.T):
-            np.multiply(np.take(gx[b], s, out=b_side), a_side, out=out)
-        np.take(gy, at, out=a_side)
-        for b, out in enumerate(vals.T):
-            np.take(gy[b], s, out=b_side)
-            b_side *= a_side
-            out += b_side
-        np.take(areas, s, out=a_side)
-        a_side *= kappa(tri >> 2, tri & 3)
-        vals.T[...] *= a_side
-        del at, s, a_side, b_side, out
+        patch, j = tri >> 2, tri & 3
+        at = np.take(shape, patch)
+        at *= 4
+        at += j
+        scale = np.take(areas, at)
+        scale *= kappa(patch, j)
+        del patch, j
+        at *= 3
+        at += a
+        vals = np.take(row_items, at).view(np.float64).reshape(-1, 3)
+        vals *= scale[:, None]
+        del a, at, scale
         block = sp.csr_matrix((vals.ravel(), np.take(col_items, tri).view(cols.dtype),
                                3 * row_ptr), shape=(blk.stop - blk.start, n_dof))
-        del vals, tri
+        del tri, vals
         block.sum_duplicates()
-        if previous is None:
-            if half is None and coupled + block.nnz >= nnz // 2:
-                half = blk.start + int(np.searchsorted(block.indptr, nnz // 2 - coupled))
-            coupled += block.nnz
-            block.eliminate_zeros()
-            indptr[blk.start + 1:blk.stop + 1] = block.indptr[1:] + indptr[blk.start]
-            start, stop = indptr[blk.start], indptr[blk.stop]
-            data[start:stop], indices[start:stop] = block.data, block.indices
-        else:
-            # Each row's entries go where the row starts in ``previous``.
-            block.eliminate_zeros()
-            first = indptr[rows[blk]]
-            lengths = np.diff(block.indptr)
-            if not np.array_equal(indptr[rows[blk] + 1] - first, lengths):
-                return None
-            slots = np.repeat(first - block.indptr[:-1], lengths)
-            slots += np.arange(len(block.data), dtype=slots.dtype)
-            if not np.array_equal(indices[slots], block.indices):
-                return None
-            data[slots] = block.data
+        if half is None and coupled + block.nnz >= nnz // 2:
+            half = blk.start + int(np.searchsorted(block.indptr, nnz // 2 - coupled))
+        coupled += block.nnz
+        block.eliminate_zeros()
+        indptr[blk.start + 1:blk.stop + 1] = block.indptr[1:] + indptr[blk.start]
+        start, stop = indptr[blk.start], indptr[blk.stop]
+        data[start:stop], indices[start:stop] = block.data, block.indices
         del block
-    if previous is None:
-        if coupled != nnz:
-            raise RuntimeError(f"the coupling graph has {coupled} entries, not {nnz}")
-        stored = int(indptr[-1])
-        data.resize(stored, refcheck=False)
-        indices.resize(stored, refcheck=False)
+    if coupled != nnz:
+        raise RuntimeError(f"the coupling graph has {coupled} entries, not {nnz}")
+    stored = int(indptr[-1])
+    data.resize(stored, refcheck=False)
+    indices.resize(stored, refcheck=False)
     return sp.csr_matrix((data, indices, indptr), shape=(n_dof, n_dof)), half
 
 
-def _row_order(flat: np.ndarray, n_dof: int, rows: np.ndarray, spans):
-    """The element-matrix rows whose row dof is in the sorted ``rows``, in a
+def _row_order(flat: np.ndarray, rows: slice, spans):
+    """The element-matrix rows whose row dof is in the range ``rows``, in a
     stable sort of their row dofs, each as its flat position ``3 * t + a``
     in the subtriangle dofs ``flat`` (subtriangle t, local vertex a), and
-    the start of each row's run in that order (``len(rows) + 1`` offsets).
-    They are looked for in the slices ``spans`` of ``flat``, in order."""
-    wanted = np.zeros(n_dof, dtype=bool)
-    wanted[rows] = True
-    # np.take gathers the mask about twice as fast as fancy indexing.
-    order = np.concatenate([np.flatnonzero(np.take(wanted, flat[span])) + span.start
+    the start of each row's run in that order (``rows.stop - rows.start +
+    1`` offsets). They are looked for in the slices ``spans`` of ``flat``,
+    in order."""
+    order = np.concatenate([np.flatnonzero((flat[span] >= rows.start)
+                                           & (flat[span] < rows.stop)) + span.start
                             for span in spans])
-    del wanted
     dofs = flat[order]
     sort = np.argsort(dofs, kind="stable")
     order = order[sort]
-    row_ptr = np.empty(len(rows) + 1, dtype=flat.dtype)
-    row_ptr[:-1] = np.searchsorted(dofs[sort], rows)
-    row_ptr[-1] = len(order)
-    return order, row_ptr
-
+    row_ptr = np.searchsorted(dofs[sort], np.arange(rows.start, rows.stop + 1,
+                                                    dtype=flat.dtype))
+    return order, row_ptr.astype(flat.dtype)

@@ -15,9 +15,9 @@ The largest grids go out first (ties in input order), and each solve's
 stderr lines are printed, and the first error raised, in that run order;
 the rows come back in input order. With one worker the solves run in this
 process in the same order, as ``solve`` and ``angles`` always do, so the
-output does not depend on the number of CPUs. Each process keeps a
-workspace of the grid it solved last (``_Workspace``), and a solve on that
-grid reuses what the last one left, with the same bits as a solve from
+output does not depend on the number of CPUs. Each process keeps the
+mesh of the grid it solved last (``_Workspace``), and a solve on that grid
+shares its vertices, edges and patches, with the same bits as a solve from
 scratch.
 """
 
@@ -76,14 +76,14 @@ __all__ = [
 MAX_REFINE_RETRIES = 3
 MAX_ANGLE_BOUND = MAX_ANGLE_DEG + 1e-9
 # Peak memory of one solve above the imported package, per grid cell (n * n
-# cells): the ru_maxrss of run_single measured 1,288-1,368 bytes at
-# n = 128, 771-798 at n = 256 and 724-735 at n = 512 on the circle,
+# cells): the ru_maxrss of run_single measured 1,296-1,356 bytes at
+# n = 128, 741-784 at n = 256 and 676-692 at n = 512 on the circle,
 # horizontal and tilted problems. A solve that follows one on the same grid
-# also holds the workspace's last matrix, edge parameters, topologies and
-# side labels until it assembles: three solves in a row (strategies 2, 1,
-# 3) peaked at 1,698-1,758 bytes at n = 128, 938-968 at n = 256 and
-# 767-815 at n = 512. This is the largest, rounded up to a thousand.
-SOLVE_BYTES_PER_CELL = 2000
+# holds only the workspace's mesh beyond that: three solves in a row
+# (strategies 2, 1, 3) peaked at 1,326-1,420 bytes at n = 128, 789-818 at
+# n = 256 and 727-744 at n = 512. This is the largest, rounded up to a
+# hundred.
+SOLVE_BYTES_PER_CELL = 1500
 
 SOLVE_HEADER = ["problem", "mode", "strategy", "n", "h", "ndofs", "L2", "H1",
                 "cg_iters", "max_angle_deg"]
@@ -151,31 +151,13 @@ def make_problem(name: str, n: int, eps: float = 0.5,
 
 @dataclass
 class _Workspace:
-    """The grid of the last solve in this process, and what that solve left
-    for the next one on the same grid.
-
-    ``mesh`` is built once per grid, and each later solve adapts a copy of
-    the last one with edge parameters of its own (``PatchMesh.fresh``).
-    ``assembled`` is the (kappa1, kappa2), edge parameters, topology, side
-    labels, matrix and half row of the last adapted-mode assembly, from
-    which ``assemble`` computes, over that matrix, only the stiffness rows of
-    the patches whose edge parameters or side labels changed, as long as
-    they store the same columns. A solve takes it
-    (``take``) just before it assembles, so one that fails before then
-    leaves it, and one that fails in assembly leaves none.
-    """
+    """The grid of the last solve in this process: ``mesh`` is built once
+    per grid, and each later solve on it adapts a copy of the last one with
+    edge parameters of its own (``PatchMesh.fresh``)."""
 
     n: int
     domain: tuple
     mesh: PatchMesh
-    assembled: tuple | None = None
-
-    def take(self, kappas: tuple):
-        """The (edge parameters, topology, side labels, matrix, half row) of
-        ``assembled`` if it has ``kappas``, else None; either way, the
-        workspace holds it no more."""
-        assembled, self.assembled = self.assembled, None
-        return assembled[1:] if assembled is not None and assembled[0] == kappas else None
 
 
 _workspace: _Workspace | None = None
@@ -196,20 +178,13 @@ def _grid(n: int, domain) -> _Workspace:
 
 def _solve_once(config: RunConfig, n: int):
     problem = make_problem(config.problem, n, config.eps, config.alpha)
-    workspace = _grid(n, problem.domain)
-    mesh = workspace.mesh
+    mesh = _grid(n, problem.domain).mesh
     if config.mode == "baseline":
         # The baseline ignores the interface: uniform splits, pointwise kappa.
         configs = build_configs(mesh, Classification.uncut(mesh), problem.levelset)
     else:
         configs, _, _ = adapt(mesh, problem.levelset, config.strategy)
-    kappas = (problem.kappa1, problem.kappa2)
-    # Passed on alone, so that assemble can let go of what it cannot reuse.
-    system = assemble(mesh, configs, problem, mode=config.mode,
-                      previous=workspace.take(kappas))
-    if config.mode == "adapted":
-        workspace.assembled = (kappas, mesh.edge_param, configs.topology, configs.sides,
-                               system.matrix, system.half_row)
+    system = assemble(mesh, configs, problem, mode=config.mode)
     report = cg_solve(system)
     l2, h1 = error_norms(mesh, configs, problem, report.solution)
     audit = max_angle_audit(mesh, configs)

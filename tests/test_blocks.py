@@ -276,20 +276,22 @@ def _traced_peak_mib(fn, *args, **kwargs):
 # 14.1 MiB.
 MESH_BOUND_MIB = 8.2
 ADAPT_BOUND_MIB = 17.2
-# Measured traced peaks at n = 128 are 14.8 MiB (assemble, the matrix built
+# Measured traced peaks at n = 128 are 14.0 MiB (assemble, the matrix built
 # one block of dof rows at a time, each block finding and sorting its own
-# element rows, each patch block's load arrays freed before the next
-# block's are made) and 6.6 MiB (error_norms, integrand spans of at most
-# 4 * PATCH_BLOCK elements); the bounds add 20%. With the exact zeros
+# element rows and taking each one's three gradient products from a table
+# formed once per shape, each patch block's load arrays freed before the
+# next block's are made) and 6.6 MiB (error_norms, integrand spans of at
+# most 4 * PATCH_BLOCK elements); the bounds add 20%. Forming the products
+# per element row, assemble peaked at 14.8 MiB; with the exact zeros
 # stored and the kappa * area of every subtriangle held through the matrix
-# build, assemble peaked at 16.2 MiB; with one whole-mesh int64 sort of the
+# build, at 16.2 MiB; with one whole-mesh int64 sort of the
 # element rows and int64 mesh arrays, at 19.5 MiB, and at 19.8 MiB holding
 # the patch dofs through the matrix build; with the CSR array with
 # duplicates over the whole mesh and spans of PATCH_BLOCK patches the same
 # calls peaked at 36.5 and 42.0 MiB, with the
 # whole-mesh COO and integrand arrays at 43.1 and 59.5 MiB, and without the
 # patch blocks at 84.6 and 89.0 MiB.
-ASSEMBLE_BOUND_MIB = 17.8
+ASSEMBLE_BOUND_MIB = 16.9
 ERRORS_BOUND_MIB = 7.9
 # With blocks of 512 patches (and dof rows) the block temporaries are
 # small, and the peaks show what each call holds over the whole mesh:
@@ -328,14 +330,21 @@ REDUCED_BOUND_MIB = 1.2
 # alpha p and z at 4.38 MiB, on a separate A_ff at 10.3 MiB.
 CG_SOLVE_BOUND_MIB = 3.5
 # A whole run_single of the tilted problem at n = 128 with strategy 3,
-# every stage included: 17.8 MiB measured, plus 20%. It was 19.1 MiB with
+# every stage included: 16.5 MiB measured, plus 20%. It was 17.8 MiB with
+# the gradient products formed per element row, 19.1 MiB with
 # the exact zeros stored, kappa * area held and a second load vector,
 # 24.9 MiB with int64 mesh arrays and whole-mesh sorts and
 # classification, 36.7 MiB with the whole-mesh subtriangle geometry,
 # 38.1 MiB with a separate A_ff and the patch dofs held through the matrix
 # build, and its largest stage was error_norms at 67.0 MiB before the row
 # blocks and the capped spans.
-RUN_SINGLE_BOUND_MIB = 21.4
+RUN_SINGLE_BOUND_MIB = 19.8
+# A second run_single on the grid of the first (the circle at n = 128,
+# strategy 2 then 3), both traced from before the first: 17.1 MiB each,
+# since the workspace holds only the mesh between them. It was 21.55
+# against 17.90 MiB (1.20x) while the workspace also held the last
+# matrix, edge parameters, topologies and side labels into the next solve.
+SAME_GRID_PEAK_RATIO = 1.05
 
 
 class TestPeakMemory:
@@ -415,6 +424,19 @@ class TestPeakMemory:
     def test_run_single(self):
         config = RunConfig(problem="tilted", n=128, strategy=3, alpha=0.3)
         assert _traced_peak_mib(run_single, config) < RUN_SINGLE_BOUND_MIB
+
+    def test_second_solve_on_one_grid(self):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_single(RunConfig(problem="circle", n=128, strategy=2))
+            first = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            run_single(RunConfig(problem="circle", n=128, strategy=3))
+            second = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert second < SAME_GRID_PEAK_RATIO * first
 
     @pytest.mark.parametrize("mode", ["adapted", "baseline"])
     def test_run_single_forms_no_local_params(self, monkeypatch, mode):
