@@ -22,7 +22,6 @@ afterwards it is treated as frozen and may be read concurrently.
 
 from __future__ import annotations
 
-import copy
 import json
 
 import numpy as np
@@ -148,14 +147,6 @@ class PatchMesh:
             lengths = np.linalg.norm(pv[:, [1, 2, 0], :] - pv, axis=-1)
             self._diameters[blk] = lengths.max(axis=1)
         self.h_max = float(self._diameters.max())
-
-    def fresh(self) -> PatchMesh:
-        """A mesh sharing this one's vertices, edges and patches (which no
-        pass writes), with every edge parameter back at 1/2 and free."""
-        mesh = copy.copy(self)
-        mesh.edge_param = np.full(self.n_edges, 0.5)
-        mesh.edge_lock = np.zeros(self.n_edges, dtype=np.int8)
-        return mesh
 
     @property
     def n_vertices(self) -> int:

@@ -11,14 +11,13 @@ The solves of a sweep or a convergence study are independent.
 more than there are solves, nor than the free memory holds; see
 ``_workers``). Each worker is pinned to a CPU of its own, so its CG sees
 one CPU and runs serially, which gives the same bits as the threaded loop.
-The largest grids go out first (ties in input order), and each solve's
-stderr lines are printed, and the first error raised, in that run order;
-the rows come back in input order. With one worker the solves run in this
-process in the same order, as ``solve`` and ``angles`` always do, so the
-output does not depend on the number of CPUs. Each process keeps the
-mesh of the grid it solved last (``_Workspace``), and a solve on that grid
-shares its vertices, edges and patches, with the same bits as a solve from
-scratch.
+The largest grids go out first (ties in input order), so that no worker
+is left with one large solve at the end; each solve's stderr lines are
+printed, and the first error raised, in that run order, and the rows come
+back in input order. With one worker the solves run in this process in the
+same order, as ``solve`` and ``angles`` always do, so the output does not
+depend on the number of CPUs. A solve builds its own mesh and keeps nothing
+for the next one.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .adaptation import (
     max_angle_audit,
 )
 from .assembly import assemble
-from .mesh import PatchMesh, build_structured_mesh, mesh_to_json
+from .mesh import build_structured_mesh, mesh_to_json
 from .problems import (
     InsufficientData,
     ProblemSpec,
@@ -78,11 +77,9 @@ MAX_ANGLE_BOUND = MAX_ANGLE_DEG + 1e-9
 # Peak memory of one solve above the imported package, per grid cell (n * n
 # cells): the ru_maxrss of run_single measured 1,296-1,356 bytes at
 # n = 128, 741-784 at n = 256 and 676-692 at n = 512 on the circle,
-# horizontal and tilted problems. A solve that follows one on the same grid
-# holds only the workspace's mesh beyond that: three solves in a row
-# (strategies 2, 1, 3) peaked at 1,326-1,420 bytes at n = 128, 789-818 at
-# n = 256 and 727-744 at n = 512. This is the largest, rounded up to a
-# hundred.
+# horizontal and tilted problems. A solve keeps nothing for the next, so a
+# worker holds one solve at a time. This is the largest with about 10% to
+# spare.
 SOLVE_BYTES_PER_CELL = 1500
 
 SOLVE_HEADER = ["problem", "mode", "strategy", "n", "h", "ndofs", "L2", "H1",
@@ -149,41 +146,22 @@ def make_problem(name: str, n: int, eps: float = 0.5,
     raise ValueError(f"unknown problem {name!r}")
 
 
-@dataclass
-class _Workspace:
-    """The grid of the last solve in this process: ``mesh`` is built once
-    per grid, and each later solve on it adapts a copy of the last one with
-    edge parameters of its own (``PatchMesh.fresh``)."""
-
-    n: int
-    domain: tuple
-    mesh: PatchMesh
-
-
-_workspace: _Workspace | None = None
-
-
-def _grid(n: int, domain) -> _Workspace:
-    """The workspace of grid (n, domain), its ``mesh`` ready for a solve:
-    this process's last one, with a fresh copy of its mesh, if it is of that
-    grid, else a new one (and the old one dropped first)."""
-    global _workspace
-    if _workspace is None or (_workspace.n, _workspace.domain) != (n, domain):
-        _workspace = None
-        _workspace = _Workspace(n, domain, build_structured_mesh(n, domain))
-    else:
-        _workspace.mesh = _workspace.mesh.fresh()
-    return _workspace
-
-
-def _solve_once(config: RunConfig, n: int):
+def _adapted(config: RunConfig, n: int):
+    """The problem of ``config`` at grid n, a new mesh of that grid, and its
+    patch configurations: adapted to the interface, or the baseline's
+    uniform splits."""
     problem = make_problem(config.problem, n, config.eps, config.alpha)
-    mesh = _grid(n, problem.domain).mesh
+    mesh = build_structured_mesh(n, problem.domain)
     if config.mode == "baseline":
         # The baseline ignores the interface: uniform splits, pointwise kappa.
         configs = build_configs(mesh, Classification.uncut(mesh), problem.levelset)
     else:
         configs, _, _ = adapt(mesh, problem.levelset, config.strategy)
+    return problem, mesh, configs
+
+
+def _solve_once(config: RunConfig, n: int):
+    problem, mesh, configs = _adapted(config, n)
     system = assemble(mesh, configs, problem, mode=config.mode)
     report = cg_solve(system)
     l2, h1 = error_norms(mesh, configs, problem, report.solution)
@@ -307,8 +285,8 @@ def _run_all(configs: list[RunConfig]) -> list[ResultRow]:
     """``run_single`` over ``configs``: one row per config, in order.
 
     The solves run on ``_workers(configs)`` worker processes, or here with
-    one, largest ``n`` first (ties in input order), so that consecutive
-    solves in a process mostly share a grid and its workspace. Each solve's
+    one, largest ``n`` first (ties in input order), so that the pool's last
+    solves are its smallest and no worker waits long on another. Each solve's
     stderr lines are printed, and the first exception raised, in that run
     order, whatever the number of workers. The solves after a failure do
     not run here; in the pool, those no worker has taken are cancelled
@@ -328,12 +306,22 @@ def _run_all(configs: list[RunConfig]) -> list[ResultRow]:
 
 def run_convergence(problem: str, levels, strategy: int, mode: str,
                     eps: float = 0.5, alpha: float = np.pi / 4.0):
-    """One ResultRow per level plus fitted (L2, H1) rates (None if < 2 rows)."""
+    """One ResultRow per level plus fitted (L2, H1) rates (None if < 2 rows).
+
+    Raises RuntimeError if two levels ran on one grid, which refinement can
+    bring about: their rows would repeat, and a rate fitted through them
+    would be meaningless."""
     rows = _run_all([
         RunConfig(problem=problem, n=n, strategy=strategy, mode=mode,
                   eps=eps, alpha=alpha)
         for n in levels
     ])
+    ran = {}
+    for level, row in zip(levels, rows):
+        if row.n in ran:
+            raise RuntimeError(f"levels {ran[row.n]} and {level} both ran at "
+                               f"n={row.n} (refined): a rate needs distinct grids")
+        ran[row.n] = level
     try:
         l2_rate = convergence_rate([(r.h, r.l2) for r in rows])
         h1_rate = convergence_rate([(r.h, r.h1) for r in rows])
@@ -345,7 +333,8 @@ def run_convergence(problem: str, levels, strategy: int, mode: str,
 def run_sweep(problem: str, param: str, values, ns, strategy: int):
     """Cartesian product of sweep values and grid sizes.
 
-    Returns rows [param_value, n, L2, H1] sorted by (value, n).
+    Returns rows [param_value, n, L2, H1] sorted by (value, n), where n is
+    the grid the solve ran at, refined or not.
     """
     if param not in ("eps", "alpha"):
         raise ValueError("sweep parameter must be 'eps' or 'alpha'")
@@ -356,8 +345,8 @@ def run_sweep(problem: str, param: str, values, ns, strategy: int):
                   alpha=value if param == "alpha" else np.pi / 4.0)
         for value, n in jobs
     ])
-    rows = [[float(value), n, res.l2, res.h1]
-            for (value, n), res in zip(jobs, results)]
+    rows = [[float(value), res.n, res.l2, res.h1]
+            for (value, _), res in zip(jobs, results)]
     rows.sort(key=lambda row: (row[0], row[1]))
     return rows
 
@@ -367,10 +356,10 @@ def run_angles(problem: str, n: int, strategy: int, eps: float = 0.5,
     """Angle audit of one adapted mesh, refining the grid while a cut needs
     it, as ``run_single`` does."""
 
+    config = RunConfig(problem=problem, n=n, strategy=strategy, eps=eps, alpha=alpha)
+
     def audit(n):
-        instance = make_problem(problem, n, eps, alpha)
-        mesh = build_structured_mesh(n, instance.domain)
-        configs, _, _ = adapt(mesh, instance.levelset, strategy)
+        _, mesh, configs = _adapted(config, n)
         return max_angle_audit(mesh, configs)
 
     return _refining(audit, n)

@@ -1,13 +1,17 @@
 """Tests for dof management, subtriangle quadrature, and global assembly."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from patchfem.adaptation import (
     TOPOLOGIES,
+    RefinementRequired,
     adapt,
     build_configs,
     classify_all,
@@ -446,6 +450,61 @@ class TestSparsityPattern:
             n_vertex_cut += has_vertex_cut
         assert n_vertex_cut > 0
         assert len(graphs) > 1
+
+
+class TestLocality:
+    """A matrix row and a load entry depend only on the patches around their
+    dof (the paper's locality): two circles whose centres differ by a small
+    move give the same bits, row pattern included, everywhere outside the
+    dofs of the patches whose edge parameters, sides or topology differ."""
+
+    N = 64
+
+    def _system(self, centre):
+        # The circle problem's f and kappas with the interface moved, so
+        # only the interface tells two systems apart.
+        problem = dataclasses.replace(circle_problem(), levelset=Circle(centre, 0.5))
+        mesh = build_structured_mesh(self.N, problem.domain)
+        configs, _, _ = adapt(mesh, problem.levelset, 2)
+        return mesh, configs, assemble(mesh, configs, problem)
+
+    def check(self, centre, move):
+        """The changed patches, and those of their dofs whose rows differ."""
+        moved = (centre[0] + move[0], centre[1] + move[1])
+        (mesh, configs, system), (other, other_configs, other_system) = (
+            self._system(centre), self._system(moved))
+        edges = mesh.patch_edges
+        changed = (np.any(mesh.edge_param[edges] != other.edge_param[edges], axis=1)
+                   | np.any(configs.sides != other_configs.sides, axis=1)
+                   | np.any(configs.topology != other_configs.topology, axis=(1, 2)))
+        near = np.zeros(system.n_dof, dtype=bool)
+        near[mesh.patches[changed]] = True
+        near[mesh.n_vertices + edges[changed]] = True
+        far = np.flatnonzero(~near)
+        a, b = system.matrix[far], other_system.matrix[far]
+        assert a.indptr.tobytes() == b.indptr.tobytes()
+        assert a.indices.tobytes() == b.indices.tobytes()
+        assert a.data.tobytes() == b.data.tobytes()
+        assert system.rhs[far].tobytes() == other_system.rhs[far].tobytes()
+        a, b = system.matrix, other_system.matrix
+        differ = [i for i in np.flatnonzero(near)
+                  if a[i].indices.tobytes() + a[i].data.tobytes()
+                  != b[i].indices.tobytes() + b[i].data.tobytes()]
+        return changed, differ
+
+    def test_small_move(self):
+        changed, differ = self.check((0.0, 0.0), (0.003, -0.002))
+        assert np.count_nonzero(changed) == 277
+        assert len(differ) == 772
+
+    @settings(derandomize=True, deadline=None, max_examples=10, database=None)
+    @given(centre=st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)),
+           move=st.tuples(st.floats(-0.01, 0.01), st.floats(-0.01, 0.01)))
+    def test_moved_circles(self, centre, move):
+        try:
+            self.check(centre, move)
+        except RefinementRequired:
+            reject()
 
 
 def _pattern(matrix):

@@ -341,10 +341,14 @@ CG_SOLVE_BOUND_MIB = 3.5
 RUN_SINGLE_BOUND_MIB = 19.8
 # A second run_single on the grid of the first (the circle at n = 128,
 # strategy 2 then 3), both traced from before the first: 17.1 MiB each,
-# since the workspace holds only the mesh between them. It was 21.55
-# against 17.90 MiB (1.20x) while the workspace also held the last
-# matrix, edge parameters, topologies and side labels into the next solve.
+# since a solve keeps nothing for the next. It was 21.55 against 17.90 MiB
+# (1.20x) while each process kept the last grid's mesh, matrix, edge
+# parameters, topologies and side labels into the next solve.
 SAME_GRID_PEAK_RATIO = 1.05
+# What run_single leaves allocated when it returns (the circle at n = 128):
+# 0.03 MiB measured, against 2.23 MiB while each process kept the mesh of
+# the grid it solved last.
+KEPT_BOUND_MIB = 0.25
 
 
 class TestPeakMemory:
@@ -365,14 +369,16 @@ class TestPeakMemory:
         assert (_traced_peak_mib(build_structured_mesh, 128, problem.domain)
                 < MESH_BOUND_MIB)
 
-    def test_adapt(self, circle):
-        problem, mesh, _ = circle
-        assert _traced_peak_mib(adapt, mesh.fresh(), problem.levelset, 2) < ADAPT_BOUND_MIB
+    def test_adapt(self):
+        problem = circle_problem()
+        mesh = build_structured_mesh(128, problem.domain)
+        assert _traced_peak_mib(adapt, mesh, problem.levelset, 2) < ADAPT_BOUND_MIB
 
-    def test_adapt_small_blocks(self, circle, monkeypatch):
-        problem, mesh, _ = circle
+    def test_adapt_small_blocks(self, monkeypatch):
+        problem = circle_problem()
         monkeypatch.setattr(mesh_module, "PATCH_BLOCK", SMALL_BLOCK)
-        assert (_traced_peak_mib(adapt, mesh.fresh(), problem.levelset, 2)
+        mesh = build_structured_mesh(128, problem.domain)
+        assert (_traced_peak_mib(adapt, mesh, problem.levelset, 2)
                 < ADAPT_SMALL_BLOCK_BOUND_MIB)
 
     def test_assemble(self, circle):
@@ -437,6 +443,16 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert second < SAME_GRID_PEAK_RATIO * first
+
+    def test_run_single_keeps_nothing(self):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_single(RunConfig(problem="circle", n=128, strategy=2))
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert kept / MIB < KEPT_BOUND_MIB
 
     @pytest.mark.parametrize("mode", ["adapted", "baseline"])
     def test_run_single_forms_no_local_params(self, monkeypatch, mode):

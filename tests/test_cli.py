@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,33 @@ class TestCliExitCodes:
             rows = list(csv.reader(fh))
         assert rows[-1][3] == "rates"
         assert 1.5 < float(rows[-1][6]) < 2.5  # fitted L2 rate
+
+    def test_convergence_levels_refined_onto_one_grid_exit_1(self, tmp_path, capsys):
+        # The circle refines n = 12 to 24, the next level's grid: its rows
+        # would repeat and a rate be fitted through two equal h.
+        out = tmp_path / "conv.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["convergence", "--problem", "circle", "--levels", "12,24",
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert not out.exists() and captured.out == ""
+        assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+            "error: levels 12 and 24 both ran at n=24 (refined): a rate needs "
+            "distinct grids"]
+        assert [w.category.__name__ for w in caught if "Rank" in w.category.__name__] == []
+
+    def test_sweep_row_carries_the_refined_grid(self, capsys):
+        # The tilted interface at n = 5 crosses one patch's boundary more
+        # than twice: the solve runs at n = 10, and its row says so.
+        assert main(["sweep", "--problem", "tilted", "--n", "5",
+                     "--values", repr(np.pi / 4)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("refining: n=5 -> n=10 ")
+        header, row = csv.reader(captured.out.splitlines())
+        solved = run_single(RunConfig(problem="tilted", n=10, alpha=np.pi / 4))
+        assert row == [repr(np.pi / 4), "10", repr(solved.l2), repr(solved.h1)]
 
     def test_angles_aligned_interface_ok(self, capsys):
         # alpha=0 aligns the interface with a mesh line: 90 degrees, exit 0
@@ -560,8 +588,8 @@ class TestWorkerPool:
         assert pool.started == (n_cpus > 1)
 
     def test_solves_here_run_largest_grid_first(self, monkeypatch, capsys, cpus):
-        # Consecutive solves then share a grid; the rows keep job order, and
-        # a solve's stderr is printed before the next solve runs.
+        # The rows keep job order, and a solve's stderr is printed before
+        # the next solve runs.
         ran, printed = [], []
 
         def probe(config, n):

@@ -122,18 +122,19 @@ def test_vertex_cut_cases_equal_oracles(levelset, n, strategy):
     check_against_oracles(levelset, n, strategy)
 
 
-def check_edge_params_against_oracle(mesh, classification, strategy):
-    """The array pass and the scalar pass over copies of ``mesh`` either
-    raise the same RefinementRequired (patch and reason) or ValueError, or
-    write the same edge parameter and lock bits and report the same
-    conflicts in the same order. Returns the conflicts, or the error."""
+def check_edge_params_against_oracle(n, classification, strategy):
+    """The array pass and the scalar pass, each over a new mesh of grid n,
+    either raise the same RefinementRequired (patch and reason) or
+    ValueError, or write the same edge parameter and lock bits and report
+    the same conflicts in the same order. Returns the conflicts, or the
+    error."""
     outcomes = []
-    for resolve, copy in ((resolve_edge_params, mesh.fresh()),
-                          (resolve_edge_params_reference, mesh.fresh())):
+    for resolve in (resolve_edge_params, resolve_edge_params_reference):
+        mesh = build_structured_mesh(n)
         try:
-            outcomes.append((resolve(copy, classification, strategy), copy))
+            outcomes.append((resolve(mesh, classification, strategy), mesh))
         except (RefinementRequired, ValueError) as exc:
-            outcomes.append((exc, copy))
+            outcomes.append((exc, mesh))
     (got, got_mesh), (want, want_mesh) = outcomes
     if isinstance(want, Exception):
         assert type(got) is type(want) and str(got) == str(want)
@@ -150,12 +151,11 @@ def check_edge_params_against_oracle(mesh, classification, strategy):
 
 
 def _edge_params_case(levelset, n, strategy):
-    mesh = build_structured_mesh(n)
     try:
-        classification = classify_all(mesh, levelset)
+        classification = classify_all(build_structured_mesh(n), levelset)
     except RefinementRequired:
         return None
-    return check_edge_params_against_oracle(mesh, classification, strategy)
+    return check_edge_params_against_oracle(n, classification, strategy)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None,
