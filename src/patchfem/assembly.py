@@ -50,16 +50,12 @@ class LinearSystem:
     carry ``dirichlet_values``. ``reduced()`` lifts them into the load in
     ``rhs`` itself and hands that vector to CG, which updates it as its
     residual: the load is consumed, and a second ``reduced()`` raises.
-    ``half_row`` is the first row at which the matrix's coupling graph, its
-    stored entries and the exact zeros ``assemble`` leaves out, reaches half
-    its entries; CG splits its row spans there.
     """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     dirichlet_dofs: np.ndarray
     dirichlet_values: np.ndarray
-    half_row: int
     lifted: bool = field(default=False, init=False)
 
     @property
@@ -164,14 +160,14 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted") -> Linear
     # mesh edge is two segments: every node couples with itself and each
     # such segment couples two nodes.
     nnz = n_dof + 2 * (3 * mesh.n_patches + 2 * mesh.n_edges)
-    matrix, half = _stiffness(sub_dofs, configs.shape, table, kappa, n_dof, nnz)
-    return LinearSystem(matrix, rhs, dirichlet, values, half)
+    matrix = _stiffness(sub_dofs, configs.shape, table, kappa, n_dof, nnz)
+    return LinearSystem(matrix, rhs, dirichlet, values)
 
 
 def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, table, kappa, n_dof: int,
                nnz: int):
     """The stiffness matrix, one block of ``PATCH_BLOCK`` dof rows at a time,
-    without its exact zeros, and its half row (``LinearSystem.half_row``).
+    without its exact zeros.
 
     Element-matrix row 3 * t + a (the flat position of ``sub_dofs[t, a]``,
     subtriangle t = 4 * patch + j) holds kappa * area * grad(l_a).grad(l_b)
@@ -210,18 +206,9 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, table, kappa, n_dof: int
     col_items = cols.view(np.dtype((np.void, 3 * cols.itemsize))).ravel()
     indptr = np.zeros(n_dof + 1, dtype=sub_dofs.dtype)
     data, indices = np.empty(nnz), np.empty(nnz, dtype=sub_dofs.dtype)
-    half, coupled = None, 0  # the coupling graph's entries so far
-    blocks = list(patch_blocks(n_dof))
-    # The element rows of each patch block (its span of ``flat``) and the
-    # blocks of dof rows they reach, so that each row block scans only
-    # those: reach[i, c] when patch block c has a dof in row block i.
-    spans = [slice(12 * p.start, 12 * p.stop) for p in patch_blocks(len(shape))]
-    starts = [blk.start for blk in blocks[1:]]
-    reach = np.zeros((len(blocks), len(spans)), dtype=bool)
-    for c, span in enumerate(spans):
-        reach[np.searchsorted(starts, flat[span], side="right"), c] = True
-    for blk, reached in zip(blocks, reach):
-        order, row_ptr = _row_order(flat, blk, [spans[c] for c in np.flatnonzero(reached)])
+    coupled = 0  # the coupling graph's entries so far
+    for blk in patch_blocks(n_dof):
+        order, row_ptr = _row_order(flat, blk)
         # Element row 3 * t + a, vertex a of subtriangle t = 4 * patch + j; at
         # is its shape's subtriangle 4 * shape + j in the table, then its row
         # 3 * at + a of the products.
@@ -243,8 +230,6 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, table, kappa, n_dof: int
                                3 * row_ptr), shape=(blk.stop - blk.start, n_dof))
         del tri, vals
         block.sum_duplicates()
-        if half is None and coupled + block.nnz >= nnz // 2:
-            half = blk.start + int(np.searchsorted(block.indptr, nnz // 2 - coupled))
         coupled += block.nnz
         block.eliminate_zeros()
         indptr[blk.start + 1:blk.stop + 1] = block.indptr[1:] + indptr[blk.start]
@@ -256,16 +241,17 @@ def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, table, kappa, n_dof: int
     stored = int(indptr[-1])
     data.resize(stored, refcheck=False)
     indices.resize(stored, refcheck=False)
-    return sp.csr_matrix((data, indices, indptr), shape=(n_dof, n_dof)), half
+    return sp.csr_matrix((data, indices, indptr), shape=(n_dof, n_dof))
 
 
-def _row_order(flat: np.ndarray, rows: slice, spans):
+def _row_order(flat: np.ndarray, rows: slice):
     """The element-matrix rows whose row dof is in the range ``rows``, in a
     stable sort of their row dofs, each as its flat position ``3 * t + a``
     in the subtriangle dofs ``flat`` (subtriangle t, local vertex a), and
     the start of each row's run in that order (``rows.stop - rows.start +
-    1`` offsets). They are looked for in the slices ``spans`` of ``flat``,
-    in order."""
+    1`` offsets). ``flat`` is scanned one patch block (12 entries per
+    patch) at a time."""
+    spans = (slice(12 * p.start, 12 * p.stop) for p in patch_blocks(len(flat) // 12))
     order = np.concatenate([np.flatnonzero((flat[span] >= rows.start)
                                            & (flat[span] < rows.stop)) + span.start
                             for span in spans])

@@ -304,24 +304,31 @@ def _run_all(configs: list[RunConfig]) -> list[ResultRow]:
     return rows
 
 
+def _one_grid_each(ns, rows, what: str, why: str) -> None:
+    """Raise RuntimeError if two of the grid sizes ``ns`` ran on one grid,
+    which refinement can bring about: ``rows[i]`` is the row of ``ns[i]``,
+    and gives the grid it ran at. ``what`` names the sizes in the message,
+    and ``why`` says what the repeat spoils."""
+    ran = {}
+    for n, row in zip(ns, rows):
+        if row.n in ran:
+            raise RuntimeError(f"{what} {ran[row.n]} and {n} both ran at "
+                               f"n={row.n} (refined): {why}")
+        ran[row.n] = n
+
+
 def run_convergence(problem: str, levels, strategy: int, mode: str,
                     eps: float = 0.5, alpha: float = np.pi / 4.0):
     """One ResultRow per level plus fitted (L2, H1) rates (None if < 2 rows).
 
-    Raises RuntimeError if two levels ran on one grid, which refinement can
-    bring about: their rows would repeat, and a rate fitted through them
-    would be meaningless."""
+    Raises RuntimeError if two levels ran on one grid (``_one_grid_each``):
+    a rate fitted through their rows would be meaningless."""
     rows = _run_all([
         RunConfig(problem=problem, n=n, strategy=strategy, mode=mode,
                   eps=eps, alpha=alpha)
         for n in levels
     ])
-    ran = {}
-    for level, row in zip(levels, rows):
-        if row.n in ran:
-            raise RuntimeError(f"levels {ran[row.n]} and {level} both ran at "
-                               f"n={row.n} (refined): a rate needs distinct grids")
-        ran[row.n] = level
+    _one_grid_each(levels, rows, "levels", "a rate needs distinct grids")
     try:
         l2_rate = convergence_rate([(r.h, r.l2) for r in rows])
         h1_rate = convergence_rate([(r.h, r.h1) for r in rows])
@@ -334,7 +341,8 @@ def run_sweep(problem: str, param: str, values, ns, strategy: int):
     """Cartesian product of sweep values and grid sizes.
 
     Returns rows [param_value, n, L2, H1] sorted by (value, n), where n is
-    the grid the solve ran at, refined or not.
+    the grid the solve ran at, refined or not. Raises RuntimeError if two
+    grid sizes of one value ran on one grid (``_one_grid_each``).
     """
     if param not in ("eps", "alpha"):
         raise ValueError("sweep parameter must be 'eps' or 'alpha'")
@@ -345,6 +353,9 @@ def run_sweep(problem: str, param: str, values, ns, strategy: int):
                   alpha=value if param == "alpha" else np.pi / 4.0)
         for value, n in jobs
     ])
+    for k, value in enumerate(values):
+        _one_grid_each(ns, results[k * len(ns):(k + 1) * len(ns)],
+                       f"{param}={value!r}: grid sizes", "their rows would repeat")
     rows = [[float(value), res.n, res.l2, res.h1]
             for (value, _), res in zip(jobs, results)]
     rows.sort(key=lambda row: (row[0], row[1]))

@@ -9,10 +9,10 @@ spans of the matrix: the matrix-vector product with ``p.Ap``; the ``x``/``r``
 updates, the preconditioned residual, ``r.r`` and ``r.z``; the new
 direction. Every dot product is a sum of per-span ``einsum`` partial sums
 added in span order, never a BLAS ``ddot``, so the iterates do not depend on
-the BLAS thread count. Large systems split into two spans, and the second
-one runs on a worker thread (SciPy's sparse products and NumPy's loops
-release the GIL). The spans depend only on the system, so the serial and the
-threaded loop give the same bits.
+the BLAS thread count. Large systems split into two spans at half the
+stored entries, and the second one runs on a worker thread (SciPy's sparse
+products and NumPy's loops release the GIL). The spans depend only on the
+system, so the serial and the threaded loop give the same bits.
 """
 
 from __future__ import annotations
@@ -60,12 +60,14 @@ class NonConvergence(RuntimeError):
         return type(self), (self.report, self.tol)
 
 
-def row_spans(system: LinearSystem, n_free: int) -> list[slice]:
-    """The fixed row spans of ``system``'s matrix: one below ``ROW_SPLIT``
-    free dofs, else two split at its ``half_row``."""
-    n, half = system.n_dof, system.half_row
+def row_spans(a: sp.csr_matrix, n_free: int) -> list[slice]:
+    """The fixed row spans of the matrix ``a``: one below ``ROW_SPLIT`` free
+    dofs, else two split at the first row at which its stored entries reach
+    half their count."""
+    n = a.shape[0]
     if n_free < ROW_SPLIT:
         return [slice(0, n)]
+    half = int(np.searchsorted(a.indptr, a.nnz // 2))
     return [slice(0, half), slice(half, n)]
 
 
@@ -112,7 +114,7 @@ def cg_solve(system: LinearSystem, tol: float = 1e-10,
         x[system.dirichlet_dofs] = system.dirichlet_values
         return SolveReport(x, iterations, history[-1], np.array(history))
 
-    spans = row_spans(system, n_free)
+    spans = row_spans(a, n_free)
     rs = [r[s] for s in spans]
     norm_b = math.sqrt(span_dot(rs, rs))
     if norm_b == 0.0:

@@ -434,13 +434,6 @@ def assemble_reference(mesh: PatchMesh, configs, problem, mode="adapted", zeros=
     return matrix, rhs
 
 
-def half_row(matrix) -> int:
-    """The first row at which ``matrix``'s stored entries reach half their
-    count: ``LinearSystem.half_row`` for a matrix that stores its whole
-    coupling graph."""
-    return int(np.searchsorted(matrix.indptr, matrix.nnz // 2))
-
-
 def row_buckets_reference(sub_dofs: np.ndarray, n_dof: int):
     """Slots of the element-matrix rows in a row-bucketed CSR with duplicates.
 

@@ -328,6 +328,37 @@ class TestInterfacePositionSpread:
         assert l2_fine <= 1.02 * l2_coarse and h1_fine <= 1.02 * h1_coarse, spreads
 
 
+class TestNearGridLineSpread:
+    """The interface 1e-9 of a cell off a grid line gives a larger error than
+    on it (the discrete solution jumps there), so the spread over offsets 0,
+    0.1, ..., 1 misses the worst positions. With 1e-9, 1e-6, 1e-3 and their
+    mirrors near 1 added, max/min of L2 measured 1.4039, 1.2175, 1.1136 and
+    of H1 1.0868, 1.0443, 1.0224 at n = 16, 32, 64, for strategies 2 and 3
+    alike. The bound at each n sits about 3% above what it measured; the
+    spread must fall as n grows, as a constant independent of the position
+    allows."""
+
+    NS = [16, 32, 64]
+    L2_SPREAD_BOUNDS = [1.45, 1.25, 1.15]
+    H1_SPREAD_BOUNDS = [1.12, 1.075, 1.055]
+
+    @pytest.mark.parametrize("strategy", [2, 3])
+    def test_near_line_spread_is_bounded_and_falls(self, strategy):
+        near = [1e-9, 1e-6, 1e-3]
+        offsets = [round(0.1 * i, 6) for i in range(11)] + near + [1.0 - e for e in near]
+        rows = run_sweep("horizontal", "eps", offsets, self.NS, strategy)
+        spreads = []
+        for n in self.NS:
+            l2 = [row[2] for row in rows if row[1] == n]
+            h1 = [row[3] for row in rows if row[1] == n]
+            spreads.append((max(l2) / min(l2), max(h1) / min(h1)))
+        for (l2_spread, h1_spread), (l2_finer, h1_finer) in zip(spreads, spreads[1:]):
+            assert l2_finer < l2_spread and h1_finer < h1_spread, spreads
+        for (l2, h1), l2_bound, h1_bound in zip(spreads, self.L2_SPREAD_BOUNDS,
+                                                self.H1_SPREAD_BOUNDS):
+            assert l2 < l2_bound and h1 < h1_bound, spreads
+
+
 class TestCriterion8TiltedStrategyInsensitivity:
     def test_strategies_agree(self):
         """criterion 8: n=32, alpha step pi/16: the three strategies' L2

@@ -132,8 +132,7 @@ class TestRowBlocks:
     It equals the whole-mesh bucketed path (every element-matrix row in one
     CSR array with duplicates, one ``sum_duplicates``, the exact zeros
     dropped) bit for bit, with row blocks that do not divide the dof count
-    and with a single block. Its half row is where that path's coupling
-    graph, the zeros kept, reaches half its entries."""
+    and with a single block."""
 
     @pytest.mark.parametrize("block", [5, "one"])
     @pytest.mark.parametrize(
@@ -167,7 +166,6 @@ class TestRowBlocks:
             _same_bits(getattr(system.matrix, attr), getattr(matrix, attr))
         _same_bits(system.rhs, rhs)
         assert matrix.nnz < graph.nnz
-        assert system.half_row == np.searchsorted(graph.indptr, graph.nnz // 2)
 
     def test_two_patterns_match_the_bucketed_path(self, monkeypatch):
         """Two tilted interfaces that cut different vertices give two

@@ -298,6 +298,19 @@ class TestCliExitCodes:
             "distinct grids"]
         assert [w.category.__name__ for w in caught if "Rank" in w.category.__name__] == []
 
+    def test_sweep_sizes_refined_onto_one_grid_exit_1(self, tmp_path, capsys):
+        # The tilted interface refines n = 5 to 10, the next size's grid:
+        # the value would get two identical rows.
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--problem", "tilted", "--n", "5,10",
+                     "--values", repr(np.pi / 4), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert not out.exists() and captured.out == ""
+        assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+            f"error: alpha={np.pi / 4!r}: grid sizes 5 and 10 both ran at n=10 "
+            "(refined): their rows would repeat"]
+
     def test_sweep_row_carries_the_refined_grid(self, capsys):
         # The tilted interface at n = 5 crosses one patch's boundary more
         # than twice: the solve runs at n = 10, and its row says so.
@@ -526,7 +539,8 @@ class TestWorkerPool:
     def test_refinement_lines_in_run_order(self, monkeypatch, tmp_path, capsys, cpus):
         # Grids below n = 16 need refining: one line per doubling, printed
         # in run order (largest n first, ties in job order) whichever
-        # worker finishes first.
+        # worker finishes first. Every size then runs at n = 16, so the
+        # sweep fails after the last solve, on one CPU and on two alike.
         def coarse_fails(mesh, levelset, strategy):
             if mesh.n_patches < 2 * 16 * 16:
                 raise RefinementRequired(mesh.n_patches, "synthetic")
@@ -543,7 +557,10 @@ class TestWorkerPool:
         assert pooled == serial
         from_8 = "refining: n=8 -> n=16 (patch 128: synthetic)"
         from_4 = "refining: n=4 -> n=8 (patch 32: synthetic)"
-        assert serial[3].splitlines() == [from_8, from_8] + [from_4, from_8] * 2
+        assert serial[:3] == (1, None, "")
+        assert serial[3].splitlines() == [from_8, from_8] + [from_4, from_8] * 2 + [
+            "error: eps=0.25: grid sizes 4 and 8 both ran at n=16 (refined): "
+            "their rows would repeat"]
 
     def test_first_failure_cancels_the_jobs_after_it(self, monkeypatch, tmp_path,
                                                      cpus):
