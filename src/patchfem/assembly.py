@@ -48,7 +48,8 @@ class LinearSystem:
 
     ``matrix`` and ``rhs`` are assembled over all dofs; ``dirichlet_dofs``
     carry ``dirichlet_values``. ``reduced()`` lifts them into the load in
-    ``rhs`` itself and hands that vector to CG, which updates it as its
+    ``rhs`` itself, clears the couplings of the Dirichlet rows in
+    ``matrix`` and hands both to CG, which updates the load as its
     residual: the load is consumed, and a second ``reduced()`` raises.
     """
 
@@ -62,31 +63,38 @@ class LinearSystem:
     def n_dof(self) -> int:
         return self.matrix.shape[0]
 
-    def free_mask(self) -> np.ndarray:
-        mask = np.ones(self.n_dof, dtype=bool)
-        mask[self.dirichlet_dofs] = False
-        return mask
-
     def reduced(self):
-        """(matrix, b, free mask): the system CG solves on the free dofs.
+        """(matrix, b, g): the system CG solves, and its start vector.
 
-        The matrix is ``matrix`` itself; its free rows and columns are the
-        SPD system. ``b`` is ``rhs`` itself, lifted in place to ``rhs - A
-        g`` over all dofs, g the Dirichlet data and zero at the free dofs,
-        and set to zero at the Dirichlet dofs. Its free entries have the bits
-        of ``b_f - A_fb g``: the zeros of g add nothing to a row sum. CG
-        updates ``b`` as its residual, so this consumes the load: a second
-        call raises instead of lifting it again.
+        g is the Dirichlet data over all dofs, zero at the free dofs. ``b``
+        is ``rhs`` itself, lifted in place to ``rhs - A g`` over all dofs
+        and set to zero at the Dirichlet dofs. Its free entries have the
+        bits of ``b_f - A_fb g``: the zeros of g add nothing to a row sum.
+        The matrix is ``matrix`` itself, with the off-diagonal entries of
+        its Dirichlet rows then set to zero in place, so that its product
+        with a vector that is zero at the Dirichlet dofs is zero there too;
+        its free rows and columns are the SPD system. CG updates ``b`` as
+        its residual, so this consumes the load: a second call raises
+        instead of lifting it again.
         """
         if self.lifted:
             raise RuntimeError("the load was lifted and handed to CG already; "
                                "assemble the system again")
         self.lifted = True
+        a = self.matrix
         g = np.zeros(self.n_dof)
         g[self.dirichlet_dofs] = self.dirichlet_values
-        self.rhs -= self.matrix @ g
+        self.rhs -= a @ g
         self.rhs[self.dirichlet_dofs] = 0.0
-        return self.matrix, self.rhs, self.free_mask()
+        # The positions of the Dirichlet rows' stored entries, row after row:
+        # entry k of a row's run sits at its row start plus k.
+        starts = a.indptr[self.dirichlet_dofs]
+        counts = a.indptr[self.dirichlet_dofs + 1] - starts
+        firsts = np.cumsum(counts) - counts  # each run's first entry in that list
+        entries = np.arange(counts.sum()) + np.repeat(starts - firsts, counts)
+        off_diagonal = a.indices[entries] != np.repeat(self.dirichlet_dofs, counts)
+        a.data[entries[off_diagonal]] = 0.0
+        return a, self.rhs, g
 
 
 def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted") -> LinearSystem:

@@ -31,7 +31,6 @@ __all__ = [
     "build_structured_mesh",
     "index_dtype",
     "patch_blocks",
-    "pairwise_sums",
     "mesh_to_json",
     "FREE",
     "INTERFACE_LOCKED",
@@ -59,48 +58,17 @@ def index_dtype(*counts: int) -> type:
 PATCH_BLOCK = 2**14
 
 
-def patch_blocks(n_patches: int):
-    """Consecutive slices of at most ``PATCH_BLOCK`` patches, in patch order
-    (or dof rows, or edges).
+def patch_blocks(n_patches: int, weight: int = 1):
+    """Consecutive slices of at most ``PATCH_BLOCK // weight`` patches (at
+    least one), in patch order (or dof rows, or edges). Work with larger
+    temporaries per patch passes a larger ``weight``.
 
     Per-patch work is local, so a pass that fills its outputs block by block
     and reduces them once afterwards gives the same bytes for any block size.
     """
-    for start in range(0, n_patches, PATCH_BLOCK):
-        yield slice(start, min(start + PATCH_BLOCK, n_patches))
-
-
-# NumPy sums a contiguous float64 array pairwise: a run of at most 128
-# elements is summed directly, a longer one is split at half its length
-# rounded down to a multiple of 8 and the sums of the two parts are added.
-_PAIRWISE_RUN = 128
-
-
-def pairwise_sums(leaf, n_patches: int, per_patch: int):
-    """``np.sum`` of per-patch arrays that are never formed over the mesh.
-
-    The arrays are C-ordered with ``per_patch`` elements per patch, i.e.
-    ``n_patches * per_patch`` elements flat. ``leaf(start, stop)`` returns
-    the ``np.sum`` of every array over the flat span [start, stop), which
-    covers at most ``4 * PATCH_BLOCK`` elements (or NumPy's 128-element
-    run). The spans are NumPy's own pairwise split, and their sums are
-    combined in its order, so each result equals ``np.sum`` of the whole
-    array bit for bit, for any block size.
-    """
-    # Four elements per patch of a block: about 2,300 patches of the
-    # 28-point error integrands, whatever ``per_patch`` is.
-    leaf_size = max(4 * PATCH_BLOCK, _PAIRWISE_RUN)
-    return _pairwise(leaf, 0, n_patches * per_patch, leaf_size)
-
-
-def _pairwise(leaf, start: int, stop: int, leaf_size: int):
-    if stop - start <= leaf_size:
-        return leaf(start, stop)
-    half = (stop - start) // 2
-    half -= half % 8
-    left = _pairwise(leaf, start, start + half, leaf_size)
-    right = _pairwise(leaf, start + half, stop, leaf_size)
-    return tuple(a + b for a, b in zip(left, right))
+    size = max(PATCH_BLOCK // weight, 1)
+    for start in range(0, n_patches, size):
+        yield slice(start, min(start + size, n_patches))
 
 
 class PatchMesh:

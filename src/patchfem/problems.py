@@ -4,9 +4,9 @@ Each problem ships an analytic solution with matching continuity and flux
 conditions across its interface, the right-hand side derived from it, and the
 diffusion pair. The solutions are vectorized over (..., 2) point arrays; the
 branch is always selected by the sign of the interface level set. The error
-norms form their integrands for at most one patch block at a time and sum
-them in NumPy's pairwise order (``mesh.pairwise_sums``), so they equal one
-``np.sum`` over all patches for any block size.
+norms form their integrands one patch block at a time and add each patch's
+terms in one fixed order, so the per-patch sums, and the norms summed from
+them, do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import gather_triangles, map_rule, reference_lambdas, reference_quad_rule
 from .levelset import Circle, HorizontalLine, TiltedLine
-from .mesh import pairwise_sums
+from .mesh import patch_blocks
 
 __all__ = [
     "ProblemSpec",
@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 ERROR_DEGREE = 5  # degree of the error norms' quadrature rule
+# The error integrands hold 28 points per patch and several fields at each:
+# their blocks are PATCH_BLOCK // 16 patches.
+ERROR_BLOCK_WEIGHT = 16
 
 
 class InsufficientData(ValueError):
@@ -191,19 +194,18 @@ def error_norms(mesh, configs, problem: ProblemSpec, u_h: np.ndarray):
 
     Integrated per subtriangle with the degree-5 rule; the analytic branch at
     every quadrature point follows the true interface sign, while u_h and its
-    gradient come from the linear basis on the subtriangle. Each norm is the
-    ``np.sum`` of its integrand over all patches (C order, patches
-    outermost), but the integrands are only formed for the patches under one
-    span of ``pairwise_sums`` at a time, so the result does not depend on the
-    block size and no integrand array over the whole mesh is held.
+    gradient come from the linear basis on the subtriangle. The integrands
+    are formed one block of patches at a time, and each patch's 4 x 7 terms
+    are added in C order (subtriangle, then point) into its own sum. Each
+    norm is the root of the ``np.sum`` of its per-patch sums, so the result
+    does not depend on the block size and no integrand array over the whole
+    mesh is held.
     """
     rule = reference_quad_rule(ERROR_DEGREE)
     lam = reference_lambdas(rule)  # (nq, 3)
     planes = mesh.node_planes()
-    per_patch = 4 * len(rule.weights)
-
-    def leaf(start, stop):
-        blk = slice(start // per_patch, -(-stop // per_patch))
+    l2_sums, h1_sums = np.empty(mesh.n_patches), np.empty(mesh.n_patches)
+    for blk in patch_blocks(mesh.n_patches, ERROR_BLOCK_WEIGHT):
         shape = configs.shape[blk]
         dofs = mesh.subtriangle_nodes(blk, configs.topology[blk])
         qpts, qwts = map_rule(gather_triangles(planes, dofs), configs.table.areas[shape],
@@ -220,12 +222,17 @@ def error_norms(mesh, configs, problem: ProblemSpec, u_h: np.ndarray):
                              + coeffs[..., 2] * grads[..., 2, d])[..., None]
         dx, dy = diff[..., 0], diff[..., 1]
         h1 = qwts * (dx * dx + dy * dy)
-        span = slice(start - blk.start * per_patch, stop - blk.start * per_patch)
-        # ravel() reads the integrands in C order, as np.sum of the whole would.
-        return np.sum(l2.ravel()[span]), np.sum(h1.ravel()[span])
-
-    l2, h1 = pairwise_sums(leaf, mesh.n_patches, per_patch)
-    return float(np.sqrt(l2)), float(np.sqrt(h1))
+        for terms, sums in ((l2, l2_sums), (h1, h1_sums)):
+            # Term by term across the block, an order of this code's own:
+            # NumPy's reductions pick their own grouping of a patch's terms.
+            terms = terms.reshape(len(terms), -1)
+            acc = sums[blk]
+            acc[:] = terms[:, 0]
+            for k in range(1, terms.shape[1]):
+                acc += terms[:, k]
+        # Freed before the next block's arrays are made.
+        del qpts, qwts, coeffs, uh_q, mask, l2, grads, diff, dx, dy, h1, terms
+    return float(np.sqrt(np.sum(l2_sums))), float(np.sqrt(np.sum(h1_sums)))
 
 
 def convergence_rate(pairs) -> float:

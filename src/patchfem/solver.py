@@ -1,9 +1,11 @@
 """Jacobi-preconditioned conjugate gradients.
 
-CG runs on the assembled matrix itself, with vectors over all dofs whose
-Dirichlet entries stay zero: the lifted load and the inverse diagonal are
-zero there, and so is every product after its Dirichlet rows are cleared.
-The free entries then follow Jacobi-CG on the free rows and columns, and no
+CG runs on the assembled matrix itself, with vectors over all dofs. It
+starts from the Dirichlet data, and the lifted load is zero at the
+Dirichlet dofs; ``LinearSystem.reduced`` clears the couplings of the
+Dirichlet rows, so every product, and with it every residual and search
+direction, stays zero there and the Dirichlet values are never moved. The
+free entries then follow Jacobi-CG on the free rows and columns, and no
 copy of them is made. Each iteration runs in three phases over fixed row
 spans of the matrix: the matrix-vector product with ``p.Ap``; the ``x``/``r``
 updates, the preconditioned residual, ``r.r`` and ``r.z``; the new
@@ -96,22 +98,22 @@ def cg_solve(system: LinearSystem, tol: float = 1e-10,
     """Solve the SPD system on the free dofs by preconditioned conjugate
     gradients.
 
-    Diagonal (Jacobi) preconditioner, zero start vector, termination on
-    ||r|| / ||b|| <= tol. The solution carries the Dirichlet values as
-    given. Deterministic: identical inputs give identical iterate sequences,
-    whatever the number of threads. Raises NonConvergence past ``max_iter``
+    Diagonal (Jacobi) preconditioner, start vector zero at the free dofs,
+    termination on ||r|| / ||b|| <= tol. The solution carries the Dirichlet
+    values as given (a -0.0 among them comes back as 0.0). Deterministic:
+    identical inputs give identical iterate sequences, whatever the number
+    of threads. Raises NonConvergence past ``max_iter``
     (default 10 times the free dofs). The residual is the system's own load
     vector, lifted in place (``LinearSystem.reduced``): a system is solved
     once, and a second solve of it raises.
     """
-    a, r, free = system.reduced()  # r = b, the system's rhs, which CG updates
-    n_free = np.count_nonzero(free)
+    # r = b, the system's rhs, which CG updates; x = g, the Dirichlet data.
+    a, r, x = system.reduced()
+    n_free = system.n_dof - len(system.dirichlet_dofs)
     if max_iter is None:
         max_iter = 10 * n_free
-    x = np.zeros(system.n_dof)
 
     def report(iterations, history):
-        x[system.dirichlet_dofs] = system.dirichlet_values
         return SolveReport(x, iterations, history[-1], np.array(history))
 
     spans = row_spans(a, n_free)
@@ -121,9 +123,8 @@ def cg_solve(system: LinearSystem, tol: float = 1e-10,
         return report(0, [0.0])
 
     blocks = [row_block(a, s) for s in spans]
-    fixed = [np.flatnonzero(~free[s]) for s in spans]
-    inv_diag = np.zeros(system.n_dof)
-    np.divide(1.0, a.diagonal(), out=inv_diag, where=free)
+    inv_diag = a.diagonal()  # kept zero where no diagonal is stored
+    np.divide(1.0, inv_diag, out=inv_diag, where=inv_diag != 0)
     p = inv_diag * r  # z = D^-1 r
     ds, xs, ps = ([v[s] for s in spans] for v in (inv_diag, x, p))
     # Each span's A p, whose buffer then holds alpha A p, alpha p and z in
@@ -131,10 +132,8 @@ def cg_solve(system: LinearSystem, tol: float = 1e-10,
     aps = [None] * len(spans)
 
     def product(k):
-        ap = blocks[k] @ p
-        ap[fixed[k]] = 0.0
-        aps[k] = ap
-        return np.einsum("i,i->", ps[k], ap)
+        aps[k] = blocks[k] @ p
+        return np.einsum("i,i->", ps[k], aps[k])
 
     def update(k, alpha):
         buf = aps[k]

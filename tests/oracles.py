@@ -15,8 +15,8 @@ row-bucketed CSR array with duplicates (``row_buckets_reference``), then
 one ``sum_duplicates``. Both drop the exact zeros, as ``assemble`` does,
 unless asked for the coupling graph with them (``zeros=True``).
 ``reduced_reference`` eliminates the Dirichlet dofs
-by slicing the matrix into a separate free-dof system, and ``embed`` puts
-the Dirichlet data back around its solution.
+(those off ``free_mask``) by slicing the matrix into a separate free-dof
+system, and ``embed`` puts the Dirichlet data back around its solution.
 
 ``build_structured_mesh_reference`` numbers the edges with a dictionary while
 walking the cells, and ``build_configs_reference`` builds one configuration
@@ -506,10 +506,17 @@ def assemble_buckets_reference(mesh: PatchMesh, configs, problem, mode="adapted"
     return matrix, rhs
 
 
+def free_mask(system) -> np.ndarray:
+    """Mask of the free dofs: True but at the system's Dirichlet dofs."""
+    mask = np.ones(system.n_dof, dtype=bool)
+    mask[system.dirichlet_dofs] = False
+    return mask
+
+
 def reduced_reference(system):
     """(A_ff, b_f - A_fb g) by slicing: the free rows of the matrix, then
     their free columns; b from the free rows of A g_ext."""
-    free = system.free_mask()
+    free = free_mask(system)
     a_ff = system.matrix[free][:, free]
     g_ext = np.zeros(system.n_dof)
     g_ext[system.dirichlet_dofs] = system.dirichlet_values
@@ -519,7 +526,7 @@ def reduced_reference(system):
 def embed(system, x_free: np.ndarray) -> np.ndarray:
     """Full dof vector from free-dof values plus the Dirichlet data."""
     out = np.empty(system.n_dof)
-    out[system.free_mask()] = x_free
+    out[free_mask(system)] = x_free
     out[system.dirichlet_dofs] = system.dirichlet_values
     return out
 
@@ -554,7 +561,8 @@ def jacobi_cg_reference(system, tol: float = 1e-10):
 
 def error_norms_reference(mesh: PatchMesh, configs, problem, u_h, degree=5):
     """L2 and H1-seminorm errors over the whole mesh at once, from the
-    patch-major geometry."""
+    patch-major geometry. Each patch's 4 x 7 terms are added in C order, one
+    term at a time, before the ``np.sum`` over the patches."""
     tris, areas, grads = patch_major_geometry(mesh, configs.topology)
     rule = reference_quad_rule(degree)
     qpts, qwts = map_rule_reference(tris, areas, rule)
@@ -565,7 +573,14 @@ def error_norms_reference(mesh: PatchMesh, configs, problem, u_h, degree=5):
     l2_terms = qwts * (problem.u(qpts, mask) - uh_q) ** 2
     diff = problem.grad_u(qpts, mask) - guh[..., None, :]
     h1_terms = qwts * np.sum(diff**2, axis=-1)
-    return float(np.sqrt(np.sum(l2_terms))), float(np.sqrt(np.sum(h1_terms)))
+    norms = []
+    for terms in (l2_terms, h1_terms):
+        terms = terms.reshape(mesh.n_patches, -1)
+        sums = terms[:, 0].copy()
+        for k in range(1, terms.shape[1]):
+            sums += terms[:, k]
+        norms.append(float(np.sqrt(np.sum(sums))))
+    return tuple(norms)
 
 
 # -- scalar level-set queries and per-patch classification --------------------

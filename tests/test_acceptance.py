@@ -359,6 +359,68 @@ class TestNearGridLineSpread:
             assert l2 < l2_bound and h1 < h1_bound, spreads
 
 
+class TestGridLineJump:
+    """The output jumps as the interface leaves a grid line, one-sidedly:
+    1e-9 of a cell off the line the crossing cuts the cell row, while within
+    ``SNAP_TOL`` (1e-10) it snaps back to the vertices. On the horizontal
+    problem, 1e-9 off offsets 0 and 1 raised L2 by 40.4%, 21.7%, 11.4% and
+    39.5%, 21.2%, 11.0% at n = 16, 32, 64: each relative jump fell by
+    1.86-1.92x per doubling, and each absolute jump (5.8e-4, 7.8e-5,
+    1.0e-5 off offset 0) by 7.4-7.7x, about O(h^3), as a constant
+    independent of the position allows. 1e-12 off, L2 moved by at most
+    1.1e-9 relative, through the analytic solution alone, with the same CG
+    iterations."""
+
+    NS = [16, 32, 64]
+    RELATIVE_FALL = 1.7  # per doubling of n
+    ABSOLUTE_FALL = 6.0
+    SNAP_REL = 1e-8
+
+    @pytest.mark.parametrize("line, sign", [(0.0, 1.0), (1.0, -1.0)], ids=["0", "1"])
+    def test_jump_is_one_sided_and_falls_with_n(self, line, sign):
+        jumps = []
+        for n in self.NS:
+            on, snapped, off = (run_single(RunConfig(problem="horizontal", n=n,
+                                                     eps=line + sign * d))
+                                for d in (0.0, 1e-12, 1e-9))
+            assert snapped.cg_iters == on.cg_iters
+            assert abs(snapped.l2 - on.l2) < self.SNAP_REL * on.l2
+            assert off.l2 > on.l2
+            jumps.append((off.l2 - on.l2, (off.l2 - on.l2) / on.l2))
+        for (absolute, relative), (abs_finer, rel_finer) in zip(jumps, jumps[1:]):
+            assert relative > self.RELATIVE_FALL * rel_finer, jumps
+            assert absolute > self.ABSOLUTE_FALL * abs_finer, jumps
+
+
+class TestStrategySwitch:
+    """At offset 0.5, n = 32, the free parameters meet q = s = 1/2. There
+    strategy 3's remedy (1 - s)(1 - q) = 1/4 switches in against its
+    fallback 1/2, so a 1e-12 move changed L2 by 5.8e-4 (up) and 1.1e-4
+    (down) relative; strategy 2's 1 - s meets its fallback there, and L2
+    moved by 1.4e-11 and 6.6e-12. Strategy 2 must stay continuous there;
+    strategy 3's jump is bounded at about 3x what it measured (a continuous
+    switch would fail the lower bound, and should replace it)."""
+
+    MOVES = (1e-12, -1e-12)
+    CONTINUOUS_REL = 1e-9
+    STRATEGY_3_JUMP = {1e-12: 1.8e-3, -1e-12: 3.5e-4}
+
+    def _moves(self, strategy):
+        at = run_single(RunConfig(problem="horizontal", n=32, eps=0.5, strategy=strategy))
+        return {d: abs(run_single(RunConfig(problem="horizontal", n=32, eps=0.5 + d,
+                                            strategy=strategy)).l2 - at.l2) / at.l2
+                for d in self.MOVES}
+
+    def test_strategy_2_is_continuous(self):
+        moves = self._moves(2)
+        assert max(moves.values()) < self.CONTINUOUS_REL, moves
+
+    def test_strategy_3_jump_is_bounded(self):
+        moves = self._moves(3)
+        for d, bound in self.STRATEGY_3_JUMP.items():
+            assert 1e-6 < moves[d] < bound, moves
+
+
 class TestCriterion8TiltedStrategyInsensitivity:
     def test_strategies_agree(self):
         """criterion 8: n=32, alpha step pi/16: the three strategies' L2

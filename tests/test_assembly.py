@@ -36,6 +36,7 @@ from .oracles import (
     barycentric,
     build_dof_map,
     edge_points,
+    free_mask,
     local_load,
     local_nodes,
     local_stiffness,
@@ -317,10 +318,12 @@ class TestAssemblyOracle:
 
 
 class TestReduced:
-    """``reduced()`` hands CG the assembled matrix itself and the load over
-    all dofs, lifted in place: its free entries have the bits of slicing's
-    ``b_f - A_fb g``, and it is zero at the Dirichlet dofs. The load is then
-    consumed, and a second call raises."""
+    """``reduced()`` hands CG the assembled matrix itself, each Dirichlet
+    row cut down to its diagonal in place, the load over all dofs, lifted
+    in place, and the Dirichlet data g as CG's start vector. The load's
+    free entries have the bits of slicing's ``b_f - A_fb g``, and it is
+    zero at the Dirichlet dofs. The load is then consumed, and a second
+    call raises."""
 
     @staticmethod
     def _assembled(problem, n, mode="adapted"):
@@ -331,14 +334,26 @@ class TestReduced:
     @staticmethod
     def _check(system):
         _, ref_b = reduced_reference(system)
-        rhs = system.rhs
-        a, b, free = system.reduced()
+        free = free_mask(system)
+        rhs, assembled = system.rhs, system.matrix.copy()
+        a, b, g = system.reduced()
         assert a is system.matrix
         assert b is rhs and system.rhs is rhs
-        np.testing.assert_array_equal(free, system.free_mask())
-        assert b.shape == (system.n_dof,)
+        assert b.shape == g.shape == (system.n_dof,)
         assert b[free].tobytes() == ref_b.tobytes()
         assert b[~free].tobytes() == np.zeros(system.n_dof - len(ref_b)).tobytes()
+        assert g[system.dirichlet_dofs].tobytes() == system.dirichlet_values.tobytes()
+        assert not g[free].any()
+        # The stored pattern and the free rows keep their bits; each
+        # Dirichlet row keeps only its diagonal.
+        np.testing.assert_array_equal(a.indptr, assembled.indptr)
+        np.testing.assert_array_equal(a.indices, assembled.indices)
+        rows = np.repeat(np.arange(system.n_dof), np.diff(a.indptr))
+        on_diagonal = a.indices == rows
+        kept = free[rows] | on_diagonal
+        assert a.data[kept].tobytes() == assembled.data[kept].tobytes()
+        assert not a.data[~kept].any()
+        assert assembled.data[~kept].any() or not len(system.dirichlet_dofs)
         with pytest.raises(RuntimeError, match="assemble the system again"):
             system.reduced()
         assert b[free].tobytes() == ref_b.tobytes()
@@ -372,7 +387,8 @@ class TestInterpolateNodal:
         mesh, configs = TestAssemble()._adapted(4, LINEAR_X)
         system = assemble(mesh, configs, LINEAR_X)
         interp = LINEAR_X.u(mesh.node_planes().T)
-        a, b, free = system.reduced()
+        free = free_mask(system)
+        a, b, _ = system.reduced()
         residual = (a @ np.where(free, interp, 0.0) - b)[free]
         assert np.abs(residual).max() < 1e-12
 

@@ -8,8 +8,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from patchfem import assembly as assembly_module
 from patchfem import mesh as mesh_module
@@ -23,8 +21,8 @@ from patchfem.adaptation import (
     max_angle_audit,
 )
 from patchfem.assembly import assemble
-from patchfem.mesh import build_structured_mesh, index_dtype, pairwise_sums, patch_blocks
-from patchfem.problems import circle_problem, error_norms, tilted_problem
+from patchfem.mesh import build_structured_mesh, index_dtype, patch_blocks
+from patchfem.problems import ERROR_BLOCK_WEIGHT, circle_problem, error_norms, tilted_problem
 from patchfem.runner import RunConfig, run_single
 from patchfem.solver import cg_solve
 
@@ -41,6 +39,14 @@ class TestPatchBlocks:
         covered = np.concatenate([np.arange(n_patches)[b] for b in blocks] + [[]])
         np.testing.assert_array_equal(covered, np.arange(n_patches))
         assert all(0 < b.stop - b.start <= 5 for b in blocks)
+
+    @pytest.mark.parametrize("weight, size", [(2, 2), (5, 1), (16, 1)])
+    def test_weight_divides_the_block(self, monkeypatch, weight, size):
+        monkeypatch.setattr(mesh_module, "PATCH_BLOCK", 5)
+        blocks = list(patch_blocks(12, weight))
+        assert [b.stop - b.start for b in blocks] == [size] * (12 // size)
+        assert blocks[0].start == 0 and blocks[-1].stop == 12
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
 
     def test_sweep_sizes_run_one_block(self):
         # n <= 64 gives at most 8192 patches: every sweep solve is one block.
@@ -187,33 +193,6 @@ class TestRowBlocks:
         assert len(patterns) == 2
 
 
-@settings(derandomize=True, deadline=None, max_examples=30, database=None)
-@given(n_patches=st.integers(1, 40000), block=st.sampled_from([1, 5, 2**14]),
-       seed=st.integers(0, 2**32 - 1))
-def test_pairwise_sums_equal_np_sum(n_patches, block, seed):
-    """The spans tile the flat arrays in order, each at most 4 * block
-    elements (or NumPy's 128-element run), and their sums combine to
-    ``np.sum`` of the whole C-ordered arrays bit for bit."""
-    rng = np.random.default_rng(seed)
-    shape = (n_patches, 4, 7)
-    positive = rng.random(shape) * 10.0 ** rng.integers(-8, 8, shape)
-    signed = rng.standard_normal(shape)
-    spans = []
-
-    def leaf(start, stop):
-        spans.append((start, stop))
-        return np.sum(positive.ravel()[start:stop]), np.sum(signed.ravel()[start:stop])
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mesh_module, "PATCH_BLOCK", block)
-        sums = pairwise_sums(leaf, n_patches, 28)
-    assert sums == (np.sum(positive), np.sum(signed))
-    starts, stops = np.array(spans).T
-    assert starts[0] == 0 and stops[-1] == positive.size
-    np.testing.assert_array_equal(starts[1:], stops[:-1])
-    assert np.all(stops - starts <= max(4 * block, 128))
-
-
 class _CountingLevelSet:
     def __init__(self, inner):
         self.inner = inner
@@ -242,9 +221,10 @@ class TestOneLevelSetPass:
         assert counting.calls == n_blocks + 1  # load points, then Dirichlet data
         counting.calls = 0
         error_norms(mesh, configs, problem, np.zeros(system.n_dof))
-        # The error integrands are formed per span of the pairwise sum.
-        (n_spans,) = pairwise_sums(lambda start, stop: (1,), mesh.n_patches, 4 * 7)
-        assert counting.calls == n_spans
+        # The error integrands are formed per error block, here one patch.
+        assert counting.calls == len(list(patch_blocks(mesh.n_patches,
+                                                        ERROR_BLOCK_WEIGHT)))
+        assert counting.calls == mesh.n_patches
 
     def test_mask_selects_like_the_level_set(self):
         problem = circle_problem()
@@ -278,8 +258,12 @@ ADAPT_BOUND_MIB = 17.2
 # one block of dof rows at a time, each block finding and sorting its own
 # element rows and taking each one's three gradient products from a table
 # formed once per shape, each patch block's load arrays freed before the
-# next block's are made) and 6.6 MiB (error_norms, integrand spans of at
-# most 4 * PATCH_BLOCK elements); the bounds add 20%. Forming the products
+# next block's are made) and 4.3 MiB (error_norms: the node coordinates,
+# the per-patch sums and one block of PATCH_BLOCK // 16 patches'
+# integrands, each block's freed before the next block's are made); the
+# bounds add 20%. With integrand spans of at most 4 * PATCH_BLOCK elements
+# summed in NumPy's pairwise order, error_norms peaked at 6.5 MiB, and with
+# blocks of 2,048 patches at 7.0 MiB. Forming the products
 # per element row, assemble peaked at 14.8 MiB; with the exact zeros
 # stored and the kappa * area of every subtriangle held through the matrix
 # build, at 16.2 MiB; with one whole-mesh int64 sort of the
@@ -290,12 +274,12 @@ ADAPT_BOUND_MIB = 17.2
 # whole-mesh COO and integrand arrays at 43.1 and 59.5 MiB, and without the
 # patch blocks at 84.6 and 89.0 MiB.
 ASSEMBLE_BOUND_MIB = 16.9
-ERRORS_BOUND_MIB = 7.9
+ERRORS_BOUND_MIB = 5.2
 # With blocks of 512 patches (and dof rows) the block temporaries are
 # small, and the peaks show what each call holds over the whole mesh:
 # measured 8.1 MiB (assemble: the loads, the node coordinates and the
 # returned matrix) and 1.8 MiB (error_norms, which holds the node
-# coordinates instead of the patch dofs), plus 20%. Holding kappa * area
+# coordinates instead of the patch dofs, and the per-patch sums), plus 20%. Holding kappa * area
 # over the mesh, assemble peaked at 9.1 MiB; holding the whole-mesh row
 # order, at 10.7 MiB; with the whole-mesh subtriangle geometry they peaked
 # at 11.6 and 2.3 MiB; the CSR array with duplicates at 19.4 MiB, the
@@ -316,12 +300,14 @@ AUDIT_BOUND_MIB = 0.81
 ADAPT_SMALL_BLOCK_BOUND_MIB = 3.7
 # A vector over the 66,049 dofs at n = 128 is 0.50 MiB and the matrix 4.05
 # (5.52 with its exact zeros stored).
-# LinearSystem.reduced: 1.01 MiB measured (the Dirichlet data vector, its
-# product with the matrix and the free mask; the load is lifted in place),
-# plus 20%. Lifting it into a new vector peaked at 1.07 MiB, copying the
-# free rows and columns into A_ff at 8.1 MiB, slicing them at 12.2.
+# LinearSystem.reduced: 1.01 MiB measured (the Dirichlet data vector,
+# returned as CG's start vector, and its product with the matrix; the load
+# is lifted in place, and the Dirichlet rows are cleared through index
+# arrays over their entries only), plus 20%. Lifting it into a new vector
+# peaked at 1.07 MiB, copying the free rows and columns into A_ff at
+# 8.1 MiB, slicing them at 12.2.
 REDUCED_BOUND_MIB = 1.2
-# cg_solve: 2.87 MiB measured (x, p, the inverse diagonal and each span's
+# cg_solve: 2.80 MiB measured (x, p, the inverse diagonal and each span's
 # A p, whose buffer also holds alpha p and z; r is the system's lifted
 # load), plus 20%: below the matrix itself, so a copy of it fails. With r
 # a vector of its own it peaked at 3.37 MiB, with separate vectors for
