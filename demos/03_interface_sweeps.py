@@ -16,7 +16,7 @@ from patchfem.runner import run_sweep
 
 print("horizontal interface, n = 32, strategy 2")
 eps_grid = [0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 1.0]
-rows = run_sweep("horizontal", "eps", eps_grid, [32], strategy=2)
+rows = run_sweep("horizontal", eps_grid, [32], strategy=2)
 print(f"{'offset':>8} {'L2 error':>12} {'H1 error':>12}")
 for value, _, l2, h1 in rows:
     marker = "  <- on a mesh line" if value in (0.0, 0.5, 1.0) else ""
@@ -28,7 +28,7 @@ print("\ntilted interface, n = 32, all strategies")
 alphas = [i * np.pi / 8 for i in range(9)]
 by_strategy = {
     strategy: {row[0]: row[2]
-               for row in run_sweep("tilted", "alpha", alphas, [32], strategy)}
+               for row in run_sweep("tilted", alphas, [32], strategy)}
     for strategy in (1, 2, 3)
 }
 print(f"{'alpha/pi':>9} {'S1 L2':>12} {'S2 L2':>12} {'S3 L2':>12}")

@@ -11,7 +11,11 @@ when a vertex is cut).
 Every stage works on whole arrays. ``classify_all`` gives each patch a cut
 code into ``_CUT_CLASSES``, and ``resolve_edge_params`` writes the edge
 parameters of all cut patches at once, each free edge from the lowest
-(patch, local edge) on it.
+(patch, local edge) on it. The interface is a subtriangle edge and the
+diffusion is constant on each side of it, so ``build_configs`` labels each
+subtriangle of a cut patch by the level-set sign at its anchor vertex
+(``_SIDE_ANCHOR``), and each subtriangle of an uncut patch by the sign at its
+centroid (``side_labels``).
 """
 
 from __future__ import annotations
@@ -134,24 +138,19 @@ _CUT_CLASS_ARRAY = np.array(_CUT_CLASSES, dtype=object)
 # The parameter that the node on local edge k sits at: s, r, and q = 1 - t.
 _PARAM_OF_EDGE = ("s", "r", "q")
 
-# For each cut code 1..6 (row code - 1): (subtriangles on the side of the
-# cut segment away from it, their anchor vertex) and the complementary
-# group. The anchor is a patch vertex not lying on the cut, used to resolve
-# side labels robustly.
-_SIDE_GROUPS = (
-    (((0, 2, 3), 0), ((1,), 1)),  # edge-edge (0, 1)
-    (((1, 2, 3), 1), ((0,), 0)),  # edge-edge (0, 2)
-    (((0, 1, 3), 0), ((2,), 2)),  # edge-edge (1, 2)
-    (((0, 3), 2), ((1, 2), 1)),  # vertex 0
-    (((0, 1), 0), ((2, 3), 2)),  # vertex 1
-    (((0, 1), 0), ((2, 3), 1)),  # vertex 2
-)
-# The same table as arrays: group membership masks (6, 4) and anchor
-# vertices (6,) for the groups a and b.
-_GROUP_A = np.array([np.isin(np.arange(4), a) for (a, _), _ in _SIDE_GROUPS])
-_GROUP_B = ~_GROUP_A  # the two groups tile the patch
-_ANCHOR_A = np.array([anchor for (_, anchor), _ in _SIDE_GROUPS])
-_ANCHOR_B = np.array([anchor for _, (_, anchor) in _SIDE_GROUPS])
+# The anchor of each subtriangle of a cut patch, by cut code (row 0 unused):
+# a patch vertex on the subtriangle's side of the cut segment. A patch's two
+# anchors are never hit vertices, and the crossed edge between them has one
+# counted root, so they lie on opposite sides of the interface.
+_SIDE_ANCHOR = np.array([
+    [0, 0, 0, 0],  # uncut (unused)
+    [0, 1, 0, 0],  # edge-edge (0, 1)
+    [0, 1, 1, 1],  # edge-edge (0, 2)
+    [0, 0, 2, 0],  # edge-edge (1, 2)
+    [2, 1, 1, 2],  # vertex 0
+    [0, 0, 2, 2],  # vertex 1
+    [0, 0, 1, 1],  # vertex 2
+])
 
 # One edge-parameter conflict: a patch whose strategy value for a local
 # edge differs from the value the edge keeps (local direction both).
@@ -540,31 +539,6 @@ def side_labels(tris, levelset, scale=1.0) -> np.ndarray:
     return np.where(phi < threshold, 1, 2).astype(np.int8)
 
 
-def _anchor_labels(labels, nodes, situation, levelset) -> np.ndarray:
-    """Make the side labels of cut patches consistent along the cut segment.
-
-    ``labels`` (Nc, 4), ``nodes`` (Nc, 6, 2) and ``situation`` (Nc,), the
-    cut codes less one, index into ``_SIDE_GROUPS``. A subtriangle group whose labels disagree (a sliver
-    centroid across a curved interface) takes the label of its anchor vertex,
-    off the interface. If both groups then carry the same label, each falls
-    back to its anchor.
-    """
-    rows = np.arange(len(situation))
-    group_a, group_b = _GROUP_A[situation], _GROUP_B[situation]  # (Nc, 4)
-    label_a = np.where(levelset.eval(nodes[rows, _ANCHOR_A[situation]]) < 0, 1, 2)
-    label_b = np.where(levelset.eval(nodes[rows, _ANCHOR_B[situation]]) < 0, 1, 2)
-    label_a, label_b = label_a[:, None], label_b[:, None]
-    for group, anchor in ((group_a, label_a), (group_b, label_b)):
-        lowest = np.where(group, labels, 2).min(axis=1)
-        highest = np.where(group, labels, 1).max(axis=1)
-        labels = np.where(group & (lowest != highest)[:, None], anchor, labels)
-    # Both groups are uniform now; compare their first members.
-    first_a, first_b = group_a.argmax(axis=1), group_b.argmax(axis=1)
-    same = labels[rows, first_a] == labels[rows, first_b]
-    labels = np.where(same[:, None], np.where(group_a, label_a, label_b), labels)
-    return labels.astype(np.int8)
-
-
 def _shape_keys(tris) -> np.ndarray:
     """One item per patch: the raw bytes of the vertex differences
     x1 - x0, x2 - x0, x2 - x1 (and in y) of its four subtriangles ``tris``
@@ -587,10 +561,12 @@ def build_configs(mesh: PatchMesh, classification: Classification,
     Topologies come from the fixed tables. The physical subtriangles are
     gathered one patch block at a time: side labels come from a level-set
     evaluation at their centroids, and their vertex differences key the
-    patch's shape. The distinct keys of each block, merged over the blocks,
-    give the same shape ids as one ``np.unique`` over the whole mesh; areas
-    and gradients are computed once per shape, on the subtriangles of its
-    lowest patch.
+    patch's shape. A cut patch's subtriangles then take the side of their
+    anchor vertex (``_SIDE_ANCHOR``) instead: 1 where the level set is
+    negative there, else 2. The distinct keys of each block, merged over the
+    blocks, give the same shape ids as one ``np.unique`` over the whole mesh;
+    areas and gradients are computed once per shape, on the subtriangles of
+    its lowest patch.
     """
     code = classification.code
     topology = TOPOLOGIES[_TOPOLOGY[code]]
@@ -611,9 +587,9 @@ def build_configs(mesh: PatchMesh, classification: Classification,
         firsts.append(first + blk.start)
     del tris
     cut_ids = classification.cut_ids
-    if len(cut_ids):
-        nodes = planes[:, mesh.patch_nodes(cut_ids)].transpose(1, 2, 0)
-        sides[cut_ids] = _anchor_labels(sides[cut_ids], nodes, code[cut_ids] - 1, levelset)
+    phi = levelset.eval(mesh.vertices[mesh.patches[cut_ids]])
+    anchors = np.take_along_axis(phi, _SIDE_ANCHOR[code[cut_ids]], axis=1)
+    sides[cut_ids] = np.where(anchors < 0, 1, 2)
     # Block order is patch order, so the first occurrence of a merged key is
     # its lowest patch.
     _, first, merged = np.unique(np.concatenate(keys), return_index=True,

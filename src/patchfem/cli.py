@@ -16,11 +16,10 @@ import numpy as np
 from .problems import InsufficientData
 from .runner import (
     ANGLES_HEADER,
-    DEFAULT_ALPHA_GRID,
-    DEFAULT_EPS_GRID,
     MAX_ANGLE_BOUND,
     SOLVE_HEADER,
     SWEEP_HEADER,
+    SWEEPS,
     RunConfig,
     _fmt,
     run_angles,
@@ -171,12 +170,9 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_sweep(args, parser) -> int:
-    if args.problem == "horizontal":
-        param, default = "eps", DEFAULT_EPS_GRID
-    elif args.problem == "tilted":
-        param, default = "alpha", DEFAULT_ALPHA_GRID
-    else:
-        parser.error("sweep supports the horizontal and tilted problems")
+    if args.problem not in SWEEPS:
+        parser.error(f"sweep supports the {' and '.join(SWEEPS)} problems")
+    param, default = SWEEPS[args.problem]
     values = args.values if args.values is not None else default
     if not values:
         parser.error("empty sweep value grid")
@@ -185,7 +181,7 @@ def _cmd_sweep(args, parser) -> int:
             _check_param(param, value)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
-    rows = run_sweep(args.problem, param, values, args.n, args.strategy)
+    rows = run_sweep(args.problem, values, args.n, args.strategy)
     if args.out:
         write_csv(args.out, SWEEP_HEADER, rows)
     _print_rows(SWEEP_HEADER, rows)

@@ -68,8 +68,7 @@ __all__ = [
     "SOLVE_HEADER",
     "SWEEP_HEADER",
     "ANGLES_HEADER",
-    "DEFAULT_EPS_GRID",
-    "DEFAULT_ALPHA_GRID",
+    "SWEEPS",
 ]
 
 MAX_REFINE_RETRIES = 3
@@ -87,8 +86,12 @@ SOLVE_HEADER = ["problem", "mode", "strategy", "n", "h", "ndofs", "L2", "H1",
 SWEEP_HEADER = ["param_value", "n", "L2", "H1"]
 ANGLES_HEADER = ["patch_id", "cut_class", "q", "r", "s", "max_angle_deg"]
 
-DEFAULT_EPS_GRID = [round(0.025 * i, 6) for i in range(41)]
-DEFAULT_ALPHA_GRID = [i * np.pi / 64.0 for i in range(65)]
+# The parameter each sweepable problem sweeps, and its default values: the
+# offset of the horizontal cut in cell heights, the tilt of the line.
+SWEEPS = {
+    "horizontal": ("eps", [round(0.025 * i, 6) for i in range(41)]),
+    "tilted": ("alpha", [i * np.pi / 64.0 for i in range(65)]),
+}
 
 
 @dataclass
@@ -337,20 +340,21 @@ def run_convergence(problem: str, levels, strategy: int, mode: str,
     return rows, l2_rate, h1_rate
 
 
-def run_sweep(problem: str, param: str, values, ns, strategy: int):
-    """Cartesian product of sweep values and grid sizes.
+def run_sweep(problem: str, values, ns, strategy: int):
+    """Cartesian product of sweep values and grid sizes. The values set the
+    parameter that ``SWEEPS`` names for ``problem``.
 
     Returns rows [param_value, n, L2, H1] sorted by (value, n), where n is
-    the grid the solve ran at, refined or not. Raises RuntimeError if two
-    grid sizes of one value ran on one grid (``_one_grid_each``).
+    the grid the solve ran at, refined or not. Raises ValueError for a
+    problem without a sweep parameter, and RuntimeError if two grid sizes of
+    one value ran on one grid (``_one_grid_each``).
     """
-    if param not in ("eps", "alpha"):
-        raise ValueError("sweep parameter must be 'eps' or 'alpha'")
+    if problem not in SWEEPS:
+        raise ValueError(f"problem {problem!r} has no sweep parameter")
+    param = SWEEPS[problem][0]
     jobs = [(value, n) for value in values for n in ns]
     results = _run_all([
-        RunConfig(problem=problem, n=n, strategy=strategy,
-                  eps=value if param == "eps" else 0.5,
-                  alpha=value if param == "alpha" else np.pi / 4.0)
+        RunConfig(problem=problem, n=n, strategy=strategy, **{param: value})
         for value, n in jobs
     ])
     for k, value in enumerate(values):

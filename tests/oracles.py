@@ -21,8 +21,9 @@ system, and ``embed`` puts the Dirichlet data back around its solution.
 ``build_structured_mesh_reference`` numbers the edges with a dictionary while
 walking the cells, and ``build_configs_reference`` builds one configuration
 per patch, with ``side_labels_reference`` evaluating the level set patch by
-patch. ``mesh_to_json_reference`` dumps from that list. The package computes
-the same results with whole-array NumPy passes; the tests require them to be
+patch and voting over the subtriangle groups of ``SIDE_GROUPS``.
+``mesh_to_json_reference`` dumps from that list. The package computes the
+same results with whole-array NumPy passes; the tests require them to be
 exactly equal.
 
 ``local_nodes`` and ``local_params`` read one patch from the edge registry,
@@ -62,7 +63,6 @@ import scipy.sparse as sp
 
 from patchfem.adaptation import (
     _CUT_CLASSES,
-    _SIDE_GROUPS,
     EDGE_EDGE,
     MAX_ANGLE_DEG,
     TOPOLOGIES,
@@ -252,15 +252,31 @@ def build_structured_mesh_reference(n: int,
     return PatchMesh(vertices, edges, boundary, patches, patch_edges)
 
 
+# For each cut code 1..6 (row code - 1): (subtriangles on the side of the
+# cut segment away from it, their anchor vertex) and the complementary
+# group. The anchor is a patch vertex not lying on the cut.
+SIDE_GROUPS = (
+    (((0, 2, 3), 0), ((1,), 1)),  # edge-edge (0, 1)
+    (((1, 2, 3), 1), ((0,), 0)),  # edge-edge (0, 2)
+    (((0, 1, 3), 0), ((2,), 2)),  # edge-edge (1, 2)
+    (((0, 3), 2), ((1, 2), 1)),  # vertex 0
+    (((0, 1), 0), ((2, 3), 2)),  # vertex 1
+    (((0, 1), 0), ((2, 3), 1)),  # vertex 2
+)
+
+
 def side_labels_reference(nodes, topology, levelset, cut=None, scale=1.0) -> np.ndarray:
-    """Side labels of one patch, re-anchoring the groups of a cut patch."""
+    """Side labels of one patch by a vote over centroid signs: a group of
+    ``SIDE_GROUPS`` whose labels disagree (a sliver centroid across a curved
+    interface) takes the label of its anchor vertex, and if both groups then
+    carry one label, each falls back to its anchor."""
     tris = nodes[topology]  # (4, 3, 2)
     centroids = tris.mean(axis=1)
     phi = levelset.eval(centroids)
     labels = np.where(phi < -SNAP_TOL * scale, 1, 2).astype(np.int8)
 
     if cut is not None and cut.is_cut:
-        (group_a, anchor_a), (group_b, anchor_b) = _SIDE_GROUPS[_CUT_CLASSES.index(cut) - 1]
+        (group_a, anchor_a), (group_b, anchor_b) = SIDE_GROUPS[_CUT_CLASSES.index(cut) - 1]
         for group, anchor in ((group_a, anchor_a), (group_b, anchor_b)):
             group = list(group)
             if len(set(labels[group])) > 1:

@@ -266,7 +266,7 @@ class TestCriterion7HorizontalSweep:
         """criterion 7: n=32, strategy 2, eps step 0.025: finite errors,
         local minima at eps in {0, 1/2, 1}, max/min ratio below 50."""
         eps_grid = [round(0.025 * i, 6) for i in range(41)]
-        rows = run_sweep("horizontal", "eps", eps_grid, [32], 2)
+        rows = run_sweep("horizontal", eps_grid, [32], 2)
         l2 = {row[0]: row[2] for row in rows}
         assert all(np.isfinite(v) for v in l2.values())
         assert l2[0.0] <= l2[0.1]
@@ -291,9 +291,9 @@ class TestInterfacePositionSpread:
     TILTED_H1_SPREAD_BOUND = 1.3
     NS = [16, 32, 64]
 
-    def spreads(self, problem, param, values, strategy):
+    def spreads(self, problem, values, strategy):
         """(max/min L2, max/min H1) over the sweep values, one pair per n."""
-        rows = run_sweep(problem, param, values, self.NS, strategy)
+        rows = run_sweep(problem, values, self.NS, strategy)
         spreads = []
         for n in self.NS:
             l2 = [row[2] for row in rows if row[1] == n]
@@ -304,7 +304,7 @@ class TestInterfacePositionSpread:
     @pytest.mark.parametrize("strategy", [2, 3])
     def test_spread_is_bounded_and_does_not_grow(self, strategy):
         offsets = [round(0.1 * i, 6) for i in range(11)]
-        spreads = self.spreads("horizontal", "eps", offsets, strategy)
+        spreads = self.spreads("horizontal", offsets, strategy)
         for (l2_spread, h1_spread), (l2_finer, h1_finer) in zip(spreads, spreads[1:]):
             assert l2_finer <= l2_spread and h1_finer <= h1_spread, spreads
         assert all(l2 < self.L2_SPREAD_BOUND and h1 < self.H1_SPREAD_BOUND
@@ -321,7 +321,7 @@ class TestInterfacePositionSpread:
         monotone (n = 32 is 0.8% above n = 16), so the check is that n = 64
         stays within 2% of n = 16."""
         alphas = [round(0.1 * i, 6) for i in range(1, 15)]
-        spreads = self.spreads("tilted", "alpha", alphas, strategy)
+        spreads = self.spreads("tilted", alphas, strategy)
         assert all(l2 < self.TILTED_L2_SPREAD_BOUND and h1 < self.TILTED_H1_SPREAD_BOUND
                    for l2, h1 in spreads), spreads
         (l2_coarse, h1_coarse), (l2_fine, h1_fine) = spreads[0], spreads[-1]
@@ -346,7 +346,7 @@ class TestNearGridLineSpread:
     def test_near_line_spread_is_bounded_and_falls(self, strategy):
         near = [1e-9, 1e-6, 1e-3]
         offsets = [round(0.1 * i, 6) for i in range(11)] + near + [1.0 - e for e in near]
-        rows = run_sweep("horizontal", "eps", offsets, self.NS, strategy)
+        rows = run_sweep("horizontal", offsets, self.NS, strategy)
         spreads = []
         for n in self.NS:
             l2 = [row[2] for row in rows if row[1] == n]
@@ -429,7 +429,7 @@ class TestCriterion8TiltedStrategyInsensitivity:
         results = {
             strategy: {
                 row[0]: row[2]
-                for row in run_sweep("tilted", "alpha", alphas, [32], strategy)
+                for row in run_sweep("tilted", alphas, [32], strategy)
             }
             for strategy in (1, 2, 3)
         }

@@ -5,11 +5,10 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from patchfem.adaptation import (
-    _SIDE_GROUPS,
     TOPOLOGIES,
     Classification,
     CutClass,
@@ -33,6 +32,7 @@ from patchfem.runner import make_problem
 from patchfem.solver import cg_solve
 
 from .oracles import (
+    SIDE_GROUPS,
     angle_cosines_two_edges,
     angle_cosines_vertex_edge,
     determined_params,
@@ -41,6 +41,7 @@ from .oracles import (
     local_t,
     set_local_t,
 )
+from .test_oracles import cases
 
 
 def single_patch(v0, v1, v2):
@@ -366,18 +367,28 @@ class TestSideLabels:
             expect = np.where(centroids[:, 1] < 0.125, 1, 2)
             assert np.array_equal(configs.sides[pid], expect)
 
-    def test_cut_patch_sides_differ_across_interface(self):
-        mesh = build_structured_mesh(8)
-        configs, classification, _ = adapt(mesh, Circle((0, 0), 0.5), 2)
-
-        n_cut = 0
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=cases())
+    def test_cut_patch_sides_differ_across_interface(self, case):
+        """In every cut patch, each subtriangle group of ``SIDE_GROUPS``
+        carries one label, the other group the other label, and each the
+        level-set sign at its own anchor vertex."""
+        levelset, n, strategy = case
+        mesh = build_structured_mesh(n)
+        try:
+            configs, classification, _ = adapt(mesh, levelset, strategy)
+        except RefinementRequired:
+            return
         for pid in classification.cut_ids.tolist():
-            (ga, _), (gb, _) = _SIDE_GROUPS[classification.code[pid] - 1]
-            la = {int(configs.sides[pid, i]) for i in ga}
-            lb = {int(configs.sides[pid, i]) for i in gb}
-            assert len(la) == 1 and len(lb) == 1 and la != lb
-            n_cut += 1
-        assert n_cut > 10
+            labels = []
+            for group, anchor in SIDE_GROUPS[classification.code[pid] - 1]:
+                group_labels = {int(configs.sides[pid, i]) for i in group}
+                assert len(group_labels) == 1
+                phi = levelset.eval(mesh.vertices[mesh.patches[pid, anchor]])
+                assert group_labels == {1 if phi < 0 else 2}
+                labels.append(group_labels)
+            assert labels[0] != labels[1]
 
 
 class TestAngleCosines:

@@ -288,16 +288,17 @@ ERRORS_BOUND_MIB = 5.2
 SMALL_BLOCK = 512
 ASSEMBLE_SMALL_BLOCK_BOUND_MIB = 9.7
 ERRORS_SMALL_BLOCK_BOUND_MIB = 2.2
-# The same for the shape table: 14.8 MiB (build_configs, whose patch-block
-# keys and subtriangles are the largest part) and 0.67 MiB (max_angle_audit,
-# angles of the shapes only), plus 20%. Storing the whole-mesh subtriangle
-# geometry they peaked at 19.8 MiB (returning 14.3 MiB of arrays) and
-# 11.8 MiB.
-CONFIGS_BOUND_MIB = 17.8
+# The same for the shape table: 14.26 MiB (build_configs, whose patch-block
+# keys and subtriangles are the largest part; the cut patches' anchor
+# labels add nothing to the peak) and 0.67 MiB (max_angle_audit, angles of
+# the shapes only), plus 20%. Storing the whole-mesh subtriangle geometry
+# they peaked at 19.8 MiB (returning 14.3 MiB of arrays) and 11.8 MiB.
+CONFIGS_BOUND_MIB = 17.1
 AUDIT_BOUND_MIB = 0.81
-# adapt: 3.0 MiB (what it returns and the crossings of every edge), plus
-# 20%. classify_all over the whole mesh at once peaked at 7.9 MiB.
-ADAPT_SMALL_BLOCK_BOUND_MIB = 3.7
+# adapt with blocks of SMALL_BLOCK patches: 2.33 MiB (what it returns and
+# the crossings of every edge), plus 20%. It read 3.0 MiB in earlier
+# trees; classify_all over the whole mesh at once peaked at 7.9 MiB.
+ADAPT_SMALL_BLOCK_BOUND_MIB = 2.8
 # A vector over the 66,049 dofs at n = 128 is 0.50 MiB and the matrix 4.05
 # (5.52 with its exact zeros stored).
 # LinearSystem.reduced: 1.01 MiB measured (the Dirichlet data vector,

@@ -130,13 +130,13 @@ class TestRefinementRetry:
 
 class TestRunSweep:
     def test_rows_sorted_and_bounded(self):
-        rows = run_sweep("horizontal", "eps", [0.4, 0.1, 0.25], [8], 2)
+        rows = run_sweep("horizontal", [0.4, 0.1, 0.25], [8], 2)
         assert [r[0] for r in rows] == [0.1, 0.25, 0.4]
         assert all(np.isfinite(r[2]) and np.isfinite(r[3]) for r in rows)
 
-    def test_bad_parameter_name(self):
-        with pytest.raises(ValueError):
-            run_sweep("horizontal", "beta", [0.1], [8], 2)
+    def test_problem_without_sweep_parameter(self):
+        with pytest.raises(ValueError, match="no sweep parameter"):
+            run_sweep("circle", [0.1], [8], 2)
 
 
 class TestWriteCsv:
@@ -151,9 +151,9 @@ class TestWriteCsv:
 
     def test_reproducible_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        rows = run_sweep("tilted", "alpha", [0.3, 0.9], [8], 1)
+        rows = run_sweep("tilted", [0.3, 0.9], [8], 1)
         write_csv(str(p1), ["param_value", "n", "L2", "H1"], rows)
-        rows2 = run_sweep("tilted", "alpha", [0.3, 0.9], [8], 1)
+        rows2 = run_sweep("tilted", [0.3, 0.9], [8], 1)
         write_csv(str(p2), ["param_value", "n", "L2", "H1"], rows2)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -516,7 +516,7 @@ class TestWorkerPool:
 
         monkeypatch.setattr(runner_module, "_solve_once", probe)
         cpus(2)
-        rows = run_sweep("horizontal", "eps", [0.25, 0.75], [8, 16], 2)
+        rows = run_sweep("horizontal", [0.25, 0.75], [8, 16], 2)
         assert [row[2] for row in rows] == [1.0] * 4
         assert os.getpid() not in {row[3] for row in rows}
 
@@ -582,7 +582,7 @@ class TestWorkerPool:
         for tag, n_cpus in (("one", 1), ("two", 2)):
             pool = cpus(n_cpus)
             with pytest.raises(RuntimeError, match="synthetic failure"):
-                run_sweep("horizontal", "eps", values, [16, 8], 2)
+                run_sweep("horizontal", values, [16, 8], 2)
             ran[tag] = {p.name[4:] for p in tmp_path.iterdir() if p.name.startswith(tag)}
         assert pool.started == 1
         assert ran["one"] == {"0.05 16"}
@@ -601,7 +601,7 @@ class TestWorkerPool:
         monkeypatch.setattr(runner_module, "_solve_once", probe)
         pool = cpus(n_cpus)
         with pytest.raises(RuntimeError, match="at n=16"):
-            run_sweep("horizontal", "eps", [0.25, 0.75], [8, 16], 2)
+            run_sweep("horizontal", [0.25, 0.75], [8, 16], 2)
         assert pool.started == (n_cpus > 1)
 
     def test_solves_here_run_largest_grid_first(self, monkeypatch, capsys, cpus):
@@ -618,7 +618,7 @@ class TestWorkerPool:
 
         monkeypatch.setattr(runner_module, "_solve_once", probe)
         cpus(1)
-        rows = run_sweep("horizontal", "eps", [0.25, 0.75], [8, 16], 2)
+        rows = run_sweep("horizontal", [0.25, 0.75], [8, 16], 2)
         assert ran == [16, 16, 8, 8]
         assert printed == ["", "0.25 16\n", "0.75 16\n", "0.25 8\n"]
         assert capsys.readouterr().err == "0.75 8\n"
@@ -630,7 +630,7 @@ class TestWorkerPool:
         per_solve = runner_module.SOLVE_BYTES_PER_CELL * 16 * 16
         for free, started in ((2 * per_solve - 1, 0), (2 * per_solve, 1)):
             monkeypatch.setattr(runner_module, "_available_memory", lambda: free)
-            run_sweep("horizontal", "eps", [0.25, 0.75], [8, 16], 2)
+            run_sweep("horizontal", [0.25, 0.75], [8, 16], 2)
             assert pool.started == started
 
     def test_wrapped_run_single_keeps_the_solves_here(self, monkeypatch, cpus):
@@ -644,7 +644,7 @@ class TestWorkerPool:
 
         monkeypatch.setattr(runner_module, "run_single", traced)
         pool = cpus(2)
-        run_sweep("horizontal", "eps", [0.25, 0.75], [8, 16], 2)
+        run_sweep("horizontal", [0.25, 0.75], [8, 16], 2)
         assert pool.started == 0 and calls == [os.getpid()] * 4
 
     def test_single_solves_start_no_pool(self, tmp_path, capsys, cpus):
