@@ -23,14 +23,7 @@ from .adaptation import (
     side_labels,
 )
 from .assembly import LinearSystem, assemble
-from .geometry import (
-    DegenerateTriangle,
-    QuadRule,
-    UnsupportedDegree,
-    interior_angles,
-    reference_quad_rule,
-    triangle_area,
-)
+from .geometry import DegenerateTriangle, QuadRule, interior_angles, triangle_area
 from .levelset import Circle, HorizontalLine, TiltedLine
 from .mesh import PatchMesh, build_structured_mesh, mesh_to_json
 from .problems import (

@@ -25,21 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import (
-    DegenerateTriangle,
-    gather_triangles,
-    map_rule,
-    reference_lambdas,
-    reference_quad_rule,
-)
+from .geometry import LOAD_RULE, DegenerateTriangle, gather_triangles, map_rule
 from .mesh import PatchMesh, index_dtype, patch_blocks
 
 __all__ = [
     "LinearSystem",
     "assemble",
 ]
-
-LOAD_DEGREE = 2  # degree of the load's quadrature rule
 
 
 @dataclass
@@ -107,10 +99,11 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted") -> Linear
     carry the problem's boundary data; ``LinearSystem.reduced`` lifts it.
 
     The loads (and, in mode "baseline", the diffusion of every subtriangle)
-    are formed one patch block at a time (``patch_blocks``), and the loads
-    are added in patch order. The matrix is then built one block of dof rows
-    at a time (``_stiffness``), so the result is the one of a single COO
-    over the whole mesh, for any block size, less its exact zeros.
+    are integrated with ``LOAD_RULE``, exact to degree 2, one patch block at
+    a time (``patch_blocks``), and the loads are added in patch order. The
+    matrix is then built one block of dof rows at a time (``_stiffness``),
+    so the result is the one of a single COO over the whole mesh, for any
+    block size, less its exact zeros.
     """
     if mode not in ("adapted", "baseline"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -121,8 +114,7 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted") -> Linear
     n_dof = mesh.n_vertices + mesh.n_edges
     # The index type SciPy picks for a COO with 36 entries per patch.
     index = index_dtype(36 * mesh.n_patches, n_dof)
-    rule = reference_quad_rule(LOAD_DEGREE)
-    lam = reference_lambdas(rule)  # (nq, 3)
+    lam = LOAD_RULE.lambdas  # (nq, 3)
     sub_dofs = mesh.subtriangle_nodes(slice(None), configs.topology).astype(index,
                                                                             copy=False)
     dirichlet = np.flatnonzero(mesh.boundary_nodes())
@@ -139,7 +131,7 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted") -> Linear
     for blk in patch_blocks(mesh.n_patches):
         areas = table.areas[configs.shape[blk]]
         qpts, qwts = map_rule(gather_triangles(planes, sub_dofs[blk]), areas,
-                              rule)  # (nb,4,nq,2), (nb,4,nq)
+                              LOAD_RULE)  # (nb,4,nq,2), (nb,4,nq)
         mask = problem.inside(qpts)  # true interface side at each load point
         if mode == "baseline":
             # Pointwise diffusion from the true interface, averaged by quadrature.

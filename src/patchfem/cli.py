@@ -60,7 +60,10 @@ def _size(text: str) -> int:
 
 
 def _size_list(text: str):
-    return _distinct([_size(v) for v in text.split(",") if v.strip() != ""])
+    sizes = [_size(v) for v in text.split(",") if v.strip() != ""]
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"empty grid size list {text!r}")
+    return _distinct(sizes)
 
 
 def _out_path(text: str) -> str:

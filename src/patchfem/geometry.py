@@ -1,6 +1,7 @@
 """Planar triangle primitives: signed areas, interior angles, barycentric
-gradients, quadrature rules on the unit reference triangle and their images
-on physical triangles.
+gradients, the two quadrature rules on the unit reference triangle
+(``LOAD_RULE`` for the load, ``ERROR_RULE`` for the error norms) and their
+images on physical triangles.
 
 Triangles are ``(..., 3, 2)`` arrays of vertex coordinates in counterclockwise
 order; all routines broadcast over leading axes. They work on x and y planes
@@ -9,26 +10,26 @@ contiguous plane over the leading axes per vertex and component, as
 ``PatchConfigs`` gathers its subtriangles) runs every NumPy call over long
 contiguous runs; the arrays they return are coordinate-major too. Every
 value is the same for any input layout. Everything here is pure and
-allocation-only, safe for unrestricted concurrent use.
+allocation-only, safe for unrestricted concurrent use; the rules' arrays
+are read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "DegenerateTriangle",
-    "UnsupportedDegree",
     "QuadRule",
+    "LOAD_RULE",
+    "ERROR_RULE",
     "gather_triangles",
     "triangle_area",
     "interior_angles",
     "degenerate",
     "barycentric_gradients",
-    "reference_quad_rule",
-    "reference_lambdas",
     "map_rule",
 ]
 
@@ -39,10 +40,6 @@ DEGENERACY_TOL = 1e-14
 
 class DegenerateTriangle(ValueError):
     """Triangle with (numerically) collinear vertices."""
-
-
-class UnsupportedDegree(ValueError):
-    """No quadrature rule tabulated for the requested degree."""
 
 
 def gather_triangles(planes, ids) -> np.ndarray:
@@ -145,72 +142,57 @@ def barycentric_gradients(tris, areas) -> np.ndarray:
     return grads
 
 
-@dataclass(frozen=True)
-class QuadRule:
-    """Quadrature rule on the unit reference triangle.
+class QuadRule(NamedTuple):
+    """Quadrature rule on the unit reference triangle: points (n, 2) in the
+    closed triangle, positive weights (n,) that sum to its area 1/2, and the
+    barycentric values (n, 3) of the points."""
 
-    Points lie inside the closed reference triangle and the weights sum to its
-    area 1/2.
-    """
-
-    points: np.ndarray  # (n, 2)
-    weights: np.ndarray  # (n,)
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        x, y = self.points[:, 0], self.points[:, 1]
-        eps = 1e-14
-        if np.any(x < -eps) or np.any(y < -eps) or np.any(x + y > 1.0 + eps):
-            raise ValueError("quadrature points outside the reference triangle")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("quadrature weights must be positive")
-        if abs(self.weights.sum() - 0.5) > 1e-14:
-            raise ValueError("quadrature weights must sum to 1/2")
+    points: np.ndarray
+    weights: np.ndarray
+    lambdas: np.ndarray
 
 
-def reference_quad_rule(degree: int) -> QuadRule:
-    """Tabulated rule exact for polynomials up to ``degree`` on the reference triangle.
-
-    degree 2: the three-point rule with points (2/3,1/6), (1/6,1/6),
-    (1/6,2/3) and weights 1/6 (the load); degree 5: the classical
-    seven-point rule (the error norms).
-    """
-    if degree == 2:
-        pts = np.array(
-            [
-                [2.0 / 3.0, 1.0 / 6.0],
-                [1.0 / 6.0, 1.0 / 6.0],
-                [1.0 / 6.0, 2.0 / 3.0],
-            ]
-        )
-        return QuadRule(pts, np.full(3, 1.0 / 6.0))
-    if degree == 5:
-        sq15 = np.sqrt(15.0)
-        a = (6.0 + sq15) / 21.0
-        b = (6.0 - sq15) / 21.0
-        wa = (155.0 + sq15) / 2400.0
-        wb = (155.0 - sq15) / 2400.0
-        pts = np.array(
-            [
-                [1.0 / 3.0, 1.0 / 3.0],
-                [a, a],
-                [1.0 - 2.0 * a, a],
-                [a, 1.0 - 2.0 * a],
-                [b, b],
-                [1.0 - 2.0 * b, b],
-                [b, 1.0 - 2.0 * b],
-            ]
-        )
-        wts = np.array([9.0 / 80.0, wa, wa, wa, wb, wb, wb])
-        return QuadRule(pts, wts)
-    raise UnsupportedDegree(f"no rule tabulated for degree {degree}")
+def _rule(points, weights) -> QuadRule:
+    """The rule of ``points`` and ``weights``, its arrays read-only."""
+    points = np.array(points)
+    x, y = points[:, 0], points[:, 1]
+    rule = QuadRule(points, np.array(weights), np.column_stack([1.0 - x - y, x, y]))
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
-def reference_lambdas(rule: QuadRule) -> np.ndarray:
-    """Barycentric values (nq, 3) of the rule's reference points."""
-    x, y = rule.points[:, 0], rule.points[:, 1]
-    return np.column_stack([1.0 - x - y, x, y])
+def _seven_point_rule() -> QuadRule:
+    sq15 = np.sqrt(15.0)
+    a = (6.0 + sq15) / 21.0
+    b = (6.0 - sq15) / 21.0
+    wa = (155.0 + sq15) / 2400.0
+    wb = (155.0 - sq15) / 2400.0
+    return _rule(
+        [
+            [1.0 / 3.0, 1.0 / 3.0],
+            [a, a],
+            [1.0 - 2.0 * a, a],
+            [a, 1.0 - 2.0 * a],
+            [b, b],
+            [1.0 - 2.0 * b, b],
+            [b, 1.0 - 2.0 * b],
+        ],
+        [9.0 / 80.0, wa, wa, wa, wb, wb, wb],
+    )
+
+
+# The three-point rule exact to degree 2, for the load.
+LOAD_RULE = _rule(
+    [
+        [2.0 / 3.0, 1.0 / 6.0],
+        [1.0 / 6.0, 1.0 / 6.0],
+        [1.0 / 6.0, 2.0 / 3.0],
+    ],
+    np.full(3, 1.0 / 6.0),
+)
+# The classical seven-point rule exact to degree 5, for the error norms.
+ERROR_RULE = _seven_point_rule()
 
 
 def map_rule(tris, areas, rule: QuadRule):

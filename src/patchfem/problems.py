@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import gather_triangles, map_rule, reference_lambdas, reference_quad_rule
+from .geometry import ERROR_RULE, gather_triangles, map_rule
 from .levelset import Circle, HorizontalLine, TiltedLine
 from .mesh import patch_blocks
 
@@ -30,7 +30,6 @@ __all__ = [
     "InsufficientData",
 ]
 
-ERROR_DEGREE = 5  # degree of the error norms' quadrature rule
 # The error integrands hold 28 points per patch and several fields at each:
 # their blocks are PATCH_BLOCK // 16 patches.
 ERROR_BLOCK_WEIGHT = 16
@@ -192,24 +191,23 @@ def tilted_problem(alpha: float, kappa1: float = 0.1,
 def error_norms(mesh, configs, problem: ProblemSpec, u_h: np.ndarray):
     """L2 and H1-seminorm errors of a dof vector against the analytic solution.
 
-    Integrated per subtriangle with the degree-5 rule; the analytic branch at
-    every quadrature point follows the true interface sign, while u_h and its
-    gradient come from the linear basis on the subtriangle. The integrands
-    are formed one block of patches at a time, and each patch's 4 x 7 terms
-    are added in C order (subtriangle, then point) into its own sum. Each
-    norm is the root of the ``np.sum`` of its per-patch sums, so the result
-    does not depend on the block size and no integrand array over the whole
-    mesh is held.
+    Integrated per subtriangle with ``ERROR_RULE``, exact to degree 5; the
+    analytic branch at every quadrature point follows the true interface
+    sign, while u_h and its gradient come from the linear basis on the
+    subtriangle. The integrands are formed one block of patches at a time,
+    and each patch's 4 x 7 terms are added in C order (subtriangle, then
+    point) into its own sum. Each norm is the root of the ``np.sum`` of its
+    per-patch sums, so the result does not depend on the block size and no
+    integrand array over the whole mesh is held.
     """
-    rule = reference_quad_rule(ERROR_DEGREE)
-    lam = reference_lambdas(rule)  # (nq, 3)
+    lam = ERROR_RULE.lambdas  # (nq, 3)
     planes = mesh.node_planes()
     l2_sums, h1_sums = np.empty(mesh.n_patches), np.empty(mesh.n_patches)
     for blk in patch_blocks(mesh.n_patches, ERROR_BLOCK_WEIGHT):
         shape = configs.shape[blk]
         dofs = mesh.subtriangle_nodes(blk, configs.topology[blk])
         qpts, qwts = map_rule(gather_triangles(planes, dofs), configs.table.areas[shape],
-                              rule)
+                              ERROR_RULE)
         coeffs = u_h[dofs]
         uh_q = np.einsum("pqa,na->pqn", coeffs, lam)
         mask = problem.inside(qpts)

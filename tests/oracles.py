@@ -76,13 +76,13 @@ from patchfem.adaptation import (
 )
 from patchfem.geometry import (
     DEGENERACY_TOL,
+    ERROR_RULE,
+    LOAD_RULE,
     DegenerateTriangle,
     degenerate,
     gather_triangles,
     interior_angles,
     map_rule,
-    reference_lambdas,
-    reference_quad_rule,
     triangle_area,
 )
 from patchfem.levelset import SNAP_TOL, Circle, HorizontalLine, TiltedLine
@@ -426,8 +426,7 @@ def assemble_reference(mesh: PatchMesh, configs, problem, mode="adapted", zeros=
     patch-major geometry, with one COO over all element matrices; without
     its exact zeros unless ``zeros``."""
     tris, areas, grads = patch_major_geometry(mesh, configs.topology)
-    rule = reference_quad_rule(2)
-    qpts, qwts = map_rule_reference(tris, areas, rule)
+    qpts, qwts = map_rule_reference(tris, areas, LOAD_RULE)
     inside = problem.inside(qpts)
     if mode == "adapted":
         kap = np.where(configs.sides == 1, problem.kappa1, problem.kappa2)
@@ -436,7 +435,7 @@ def assemble_reference(mesh: PatchMesh, configs, problem, mode="adapted", zeros=
         kap = (qwts * kap_q).sum(axis=-1) / qwts.sum(axis=-1)
     cell = np.einsum("pqad,pqbd->pqab", grads, grads) * (kap * areas)[..., None, None]
     f = problem.f(qpts, inside)
-    load = np.einsum("pqn,pqn,na->pqa", qwts, f, reference_lambdas(rule))
+    load = np.einsum("pqn,pqn,na->pqa", qwts, f, LOAD_RULE.lambdas)
     dof_map = build_dof_map(mesh)
     sub_dofs = mesh.subtriangle_nodes(slice(None), configs.topology)
     rows = np.repeat(sub_dofs[..., :, None], 3, axis=-1).ravel()
@@ -481,15 +480,14 @@ def assemble_buckets_reference(mesh: PatchMesh, configs, problem, mode="adapted"
     kernels, each row put into its slot of one CSR array
     with duplicates, one ``sum_duplicates``, then the exact zeros dropped
     unless ``zeros``; the loads added in patch order."""
-    rule = reference_quad_rule(2)
-    lam = reference_lambdas(rule)
+    lam = LOAD_RULE.lambdas
     dof_map = build_dof_map(mesh)
     n_dof = dof_map.n_dof
     index = np.int32 if max(36 * mesh.n_patches, n_dof) < 2**31 else np.int64
     sub_dofs = mesh.subtriangle_nodes(slice(None), configs.topology).astype(index)
     slots, indptr, indices = row_buckets_reference(sub_dofs, n_dof)
     tris, areas, grads = patch_major_geometry(mesh, configs.topology)
-    qpts, qwts = map_rule(tris, areas, rule)
+    qpts, qwts = map_rule(tris, areas, LOAD_RULE)
     mask = problem.inside(qpts)
     if mode == "adapted":
         kap = np.where(configs.sides == 1, problem.kappa1, problem.kappa2)
@@ -575,15 +573,14 @@ def jacobi_cg_reference(system, tol: float = 1e-10):
     raise RuntimeError("reference Jacobi-CG did not converge")
 
 
-def error_norms_reference(mesh: PatchMesh, configs, problem, u_h, degree=5):
+def error_norms_reference(mesh: PatchMesh, configs, problem, u_h):
     """L2 and H1-seminorm errors over the whole mesh at once, from the
     patch-major geometry. Each patch's 4 x 7 terms are added in C order, one
     term at a time, before the ``np.sum`` over the patches."""
     tris, areas, grads = patch_major_geometry(mesh, configs.topology)
-    rule = reference_quad_rule(degree)
-    qpts, qwts = map_rule_reference(tris, areas, rule)
+    qpts, qwts = map_rule_reference(tris, areas, ERROR_RULE)
     coeffs = u_h[mesh.subtriangle_nodes(slice(None), configs.topology)]
-    uh_q = np.einsum("pqa,na->pqn", coeffs, reference_lambdas(rule))
+    uh_q = np.einsum("pqa,na->pqn", coeffs, ERROR_RULE.lambdas)
     guh = np.einsum("pqa,pqad->pqd", coeffs, grads)
     mask = problem.inside(qpts)
     l2_terms = qwts * (problem.u(qpts, mask) - uh_q) ** 2

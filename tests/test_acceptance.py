@@ -20,7 +20,7 @@ from patchfem.adaptation import (
     reference_local_nodes,
 )
 from patchfem.assembly import assemble
-from patchfem.geometry import interior_angles, map_rule, reference_quad_rule, triangle_area
+from patchfem.geometry import LOAD_RULE, interior_angles, map_rule, triangle_area
 from patchfem.levelset import Circle
 from patchfem.mesh import build_structured_mesh
 from patchfem.problems import (
@@ -183,7 +183,7 @@ class TestCriterion4QuadratureGoldenVectors:
         match the tabulated rationals to 1e-14."""
         nodes = reference_local_nodes(9 / 16, 11 / 16, 1 / 2)
         tris = nodes[TOPOLOGIES[0]]
-        points, _ = map_rule(tris, triangle_area(tris), reference_quad_rule(2))
+        points, _ = map_rule(tris, triangle_area(tris), LOAD_RULE)
         expected = np.array([
             [1 / 3, 3 / 32], [1 / 12, 3 / 32], [1 / 12, 3 / 8],
             [77 / 96, 11 / 96], [53 / 96, 11 / 96], [11 / 24, 11 / 24],
@@ -202,7 +202,6 @@ class TestCriterion5QuadratureConsistency:
         """criterion 5: 1e4 random configurations conserve area and integrate
         global linears exactly (1e-13 relative)."""
         rng = np.random.default_rng(7)
-        rule = reference_quad_rule(2)
         # The uncut topology and the vertex cuts at each vertex.
         topologies = TOPOLOGIES[[0] + [1 + v for v in VERTICES]]
         worst_area, worst_lin = 0.0, 0.0
@@ -223,7 +222,7 @@ class TestCriterion5QuadratureConsistency:
                 tri[2] + (1 - q) * (tri[0] - tri[2]),
             ])
             tris = nodes[topologies[rng.integers(len(topologies))]]
-            points, weights = map_rule(tris, triangle_area(tris), rule)
+            points, weights = map_rule(tris, triangle_area(tris), LOAD_RULE)
             worst_area = max(worst_area, abs(weights.sum() - area) / area)
             a, b, c = rng.uniform(-2, 2, 3)
             pts = points.reshape(-1, 2)

@@ -186,6 +186,58 @@ class TestFreeParamsVertexEdge:
         assert free_params_vertex_edge(2, {"s": 0.2}) == (0.2, 0.5, 0.2)
 
 
+STEP = 1e-12  # each switching parameter moves from 1/2 - STEP to 1/2 + STEP
+
+# (strategy, free, switching, other determined value, free value just below
+# the switch, just above it). The other value lies on the side where the
+# remedy applies; on its other side the free value is 1/2 throughout.
+TWO_EDGE_SWITCHES = [
+    (2, "r", "s", 0.8, 0.5, 0.5),  # r = 1 - s meets 1/2: continuous
+    (2, "r", "q", 0.8, 0.5, 0.2),  # 1/2 -> 1 - s
+    (2, "q", "s", 0.8, 0.5, 0.5),  # q = s meets 1/2: continuous
+    (2, "q", "r", 0.2, 0.5, 0.2),  # 1/2 -> s
+    (2, "s", "r", 0.2, 0.5, 0.5),  # s = 1 - r meets 1/2: continuous
+    (2, "s", "q", 0.2, 0.8, 0.5),  # 1 - r -> 1/2
+    (3, "r", "s", 0.8, 0.5, 0.1),  # 1/2 -> (1 - s)(1 - q)
+    (3, "r", "q", 0.8, 0.5, 0.1),
+    (3, "q", "s", 0.8, 0.1, 0.5),  # (1 - r)s -> 1/2
+    (3, "q", "r", 0.2, 0.5, 0.1),  # 1/2 -> (1 - r)s
+    (3, "s", "r", 0.2, 0.1, 0.5),  # qr -> 1/2
+    (3, "s", "q", 0.2, 0.1, 0.5),
+]
+
+
+def _across_switch(free_params, strategy, switching, other):
+    """(q, r, s) just below and just above 1/2 of the ``switching`` parameter,
+    the ``other`` determined ones held."""
+    return [dict(zip("qrs", free_params(strategy, {switching: 0.5 + d, **other})))
+            for d in (-STEP, STEP)]
+
+
+class TestStrategySwitchJumps:
+    @pytest.mark.parametrize("strategy,free,switching,value,below,above",
+                             TWO_EDGE_SWITCHES)
+    def test_two_edge_free_parameter_jump(self, strategy, free, switching, value,
+                                          below, above):
+        (other,) = {"q", "r", "s"} - {free, switching}
+        lo, hi = _across_switch(free_params_two_edges, strategy, switching,
+                                {other: value})
+        # The free values move at most by the step, so the limits hold to 2e-12.
+        assert abs(lo[free] - below) <= 2e-12 and abs(hi[free] - above) <= 2e-12
+        assert abs(abs(hi[free] - lo[free]) - abs(above - below)) <= 3e-12
+        # Away from the remedy's side of ``other`` nothing switches.
+        lo, hi = _across_switch(free_params_two_edges, strategy, switching,
+                                {other: 1.0 - value})
+        assert lo[free] == hi[free] == 0.5
+
+    @pytest.mark.parametrize("strategy", [1, 2, 3])
+    @pytest.mark.parametrize("fixed", ["q", "r", "s"])
+    def test_vertex_cut_is_continuous(self, strategy, fixed):
+        lo, hi = _across_switch(free_params_vertex_edge, strategy, fixed, {})
+        for name in {"q", "r", "s"} - {fixed}:
+            assert abs(hi[name] - lo[name]) <= 2 * STEP + 1e-15
+
+
 class TestTopologies:
     def test_midpoints_give_uniform_subdivision(self):
         nodes = reference_local_nodes(0.5, 0.5, 0.5)

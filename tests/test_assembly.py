@@ -19,7 +19,7 @@ from patchfem.adaptation import (
     resolve_edge_params,
 )
 from patchfem.assembly import LinearSystem, assemble
-from patchfem.geometry import DegenerateTriangle, map_rule, reference_quad_rule, triangle_area
+from patchfem.geometry import LOAD_RULE, DegenerateTriangle, map_rule, triangle_area
 from patchfem.levelset import Circle
 from patchfem.mesh import build_structured_mesh
 from patchfem.problems import (
@@ -103,7 +103,7 @@ class TestPatchQuadrature:
     def test_worked_example_points(self):
         """Twelve mapped points for q=9/16, s=1/2, r=11/16 on the unit patch."""
         nodes = reference_local_nodes(9 / 16, 11 / 16, 1 / 2)
-        points, weights = patch_rule(nodes, TOPO_A, reference_quad_rule(2))
+        points, weights = patch_rule(nodes, TOPO_A, LOAD_RULE)
         expected = np.array([
             [1 / 3, 3 / 32], [1 / 12, 3 / 32], [1 / 12, 3 / 8],
             [77 / 96, 11 / 96], [53 / 96, 11 / 96], [11 / 24, 11 / 24],
@@ -121,27 +121,25 @@ class TestPatchQuadrature:
 
     def test_uniform_params_weights_are_1_24(self):
         nodes = reference_local_nodes(0.5, 0.5, 0.5)
-        _, weights = patch_rule(nodes, TOPO_A, reference_quad_rule(2))
+        _, weights = patch_rule(nodes, TOPO_A, LOAD_RULE)
         assert np.allclose(weights, 1 / 24)
 
     def test_weights_match_subtriangle_areas(self):
         rng = np.random.default_rng(21)
-        rule = reference_quad_rule(2)
         for _ in range(500):
             q, r, s = rng.uniform(0.02, 0.98, 3)
             nodes = reference_local_nodes(q, r, s)
-            _, weights = patch_rule(nodes, TOPO_A, rule)
+            _, weights = patch_rule(nodes, TOPO_A, LOAD_RULE)
             areas = triangle_area(nodes[TOPO_A])
             assert np.allclose(weights.sum(axis=1), areas, rtol=1e-13)
 
     def test_integrates_linear_functions_exactly(self):
         rng = np.random.default_rng(22)
-        rule = reference_quad_rule(2)
         for _ in range(500):
             q, r, s = rng.uniform(0.02, 0.98, 3)
             a, b, c = rng.uniform(-2, 2, 3)
             nodes = reference_local_nodes(q, r, s)
-            points, weights = patch_rule(nodes, TOPO_A, rule)
+            points, weights = patch_rule(nodes, TOPO_A, LOAD_RULE)
             pts = points.reshape(-1, 2)
             val = (weights.ravel() * (a * pts[:, 0] + b * pts[:, 1] + c)).sum()
             # reference integral over the unit patch: area 1/2, centroid (1/3,1/3)
@@ -171,7 +169,7 @@ class TestLocalStiffness:
 
 class TestLocalLoad:
     def _quad(self, tri):
-        return map_rule(tri, triangle_area(tri), reference_quad_rule(2))
+        return map_rule(tri, triangle_area(tri), LOAD_RULE)
 
     def test_constant_one(self):
         pts, wts = self._quad(UNIT)
@@ -297,8 +295,7 @@ class TestAssemblyOracle:
         system = assemble(mesh, configs, problem)
 
         patch_dofs = build_dof_map(mesh).patch_dofs
-        rule = reference_quad_rule(2)
-        x, y = rule.points.T
+        x, y = LOAD_RULE.points.T
         matrix = np.zeros((system.n_dof, system.n_dof))
         rhs = np.zeros(system.n_dof)
         for pid in range(mesh.n_patches):
@@ -309,7 +306,7 @@ class TestAssemblyOracle:
                 matrix[np.ix_(dofs, dofs)] += local_stiffness(tri, kappa)
                 points = (np.outer(1 - x - y, tri[0]) + np.outer(x, tri[1])
                           + np.outer(y, tri[2]))
-                weights = 2 * triangle_area(tri) * rule.weights
+                weights = 2 * triangle_area(tri) * LOAD_RULE.weights
                 rhs[dofs] += local_load(tri, points, weights, problem.f)
 
         dense = system.matrix.toarray()

@@ -174,9 +174,18 @@ class TestCliExitCodes:
             main(["solve", "--strategy", "4"])
         assert info.value.code == 2
 
-    def test_empty_sweep_grid_usage_error(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--problem", "horizontal", "--values", "", "--n", "8"],
+            ["sweep", "--problem", "horizontal", "--n", ","],
+            ["convergence", "--levels", ","],
+        ],
+        ids=["values", "n", "levels"],
+    )
+    def test_empty_sweep_grid_usage_error(self, argv):
         with pytest.raises(SystemExit) as info:
-            main(["sweep", "--problem", "horizontal", "--values", "", "--n", "8"])
+            main(argv)
         assert info.value.code == 2
 
     def test_sweep_on_circle_usage_error(self):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from patchfem.geometry import (
+    ERROR_RULE,
+    LOAD_RULE,
     DegenerateTriangle,
-    UnsupportedDegree,
     degenerate,
     interior_angles,
-    reference_quad_rule,
     triangle_area,
 )
 
@@ -78,26 +78,48 @@ class TestInteriorAngles:
                 interior_angles(tri)
 
 
+RULES = {2: LOAD_RULE, 5: ERROR_RULE}  # each rule by the degree it is exact to
+
+
 class TestQuadRules:
     def test_degree_2_matches_tabulated_rule(self):
-        rule = reference_quad_rule(2)
+        rule = LOAD_RULE
         assert rule.points.shape == (3, 2)
         assert np.allclose(
             rule.points, [[2 / 3, 1 / 6], [1 / 6, 1 / 6], [1 / 6, 2 / 3]]
         )
         assert np.allclose(rule.weights, 1 / 6)
 
-    def test_unsupported_degree(self):
-        with pytest.raises(UnsupportedDegree):
-            reference_quad_rule(3)
-
     @pytest.mark.parametrize("degree", [2, 5])
     def test_weights_sum_to_half(self, degree):
-        assert abs(reference_quad_rule(degree).weights.sum() - 0.5) <= 1e-14
+        assert abs(RULES[degree].weights.sum() - 0.5) <= 1e-14
+
+    @pytest.mark.parametrize("degree", [2, 5])
+    def test_points_in_closed_reference_triangle(self, degree):
+        x, y = RULES[degree].points.T
+        eps = 1e-14
+        assert np.all(x >= -eps) and np.all(y >= -eps) and np.all(x + y <= 1.0 + eps)
+
+    @pytest.mark.parametrize("degree", [2, 5])
+    def test_weights_positive(self, degree):
+        assert np.all(RULES[degree].weights > 0.0)
+
+    @pytest.mark.parametrize("degree", [2, 5])
+    def test_lambdas_are_barycentric_values_of_points(self, degree):
+        rule = RULES[degree]
+        assert rule.lambdas.shape == (len(rule.points), 3)
+        assert np.allclose(rule.lambdas.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+        assert np.array_equal(rule.lambdas[:, 1:], rule.points)
+
+    @pytest.mark.parametrize("degree", [2, 5])
+    def test_arrays_are_read_only(self, degree):
+        for array in RULES[degree]:
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
     @pytest.mark.parametrize("degree", [2, 5])
     def test_exactness_up_to_degree(self, degree):
-        rule = reference_quad_rule(degree)
+        rule = RULES[degree]
         x, y = rule.points.T
         for a in range(degree + 1):
             for b in range(degree + 1 - a):
@@ -106,7 +128,7 @@ class TestQuadRules:
                 assert approx == pytest.approx(exact, rel=1e-13)
 
     def test_degree_5_on_x2y3(self):
-        rule = reference_quad_rule(5)
+        rule = ERROR_RULE
         x, y = rule.points.T
         got = rule.weights @ (x**2 * y**3)
         assert got == pytest.approx(exact_monomial_integral(2, 3), rel=1e-13)
