@@ -2,20 +2,14 @@
 elements on the four-triangle patch splits. The dofs are the nodes of the
 mesh (``PatchMesh.node_planes``): the vertices, then the edge nodes.
 
-The subtriangle areas and barycentric gradients come from the shape table
-of ``PatchConfigs``, and the stiffness forms the gradient products once per
-shape; the subtriangles themselves are gathered per patch block for the
-load quadrature. The basis restricted to a subtriangle is linear, so
-stiffness entries use the exact constant-gradient formulas and only the
-load (and the pointwise diffusion sampling of the unfitted baseline) needs
-quadrature. The per-patch work runs over fixed-size patch
-blocks (``mesh.patch_blocks``), so its temporaries do not grow with the
-mesh. The matrix is built one block of dof rows at a time, its
-element-matrix rows in the order SciPy's COO -> CSR conversion of all
-element matrices in patch order would bucket them, SciPy sums each
-block's duplicates, and the block drops its exact zeros; the loads are
-added in patch order. The result is the same for any block size, and no
-array with one slot per element-matrix entry is held.
+The basis restricted to a subtriangle is linear, so stiffness entries use
+the exact constant-gradient formulas, from the areas and gradients of the
+shape table of ``PatchConfigs``, and only the load (and the pointwise
+diffusion sampling of the unfitted baseline) needs quadrature. The
+per-patch work runs over fixed-size patch blocks (``mesh.patch_blocks``),
+so its temporaries do not grow with the mesh, and adds the loads, the
+segment weights of the edge halves and the matrix diagonal in patch order
+(``_Weights``): the result is the same for any block size.
 """
 
 from __future__ import annotations
@@ -98,12 +92,10 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted") -> Linear
     level-set sign, i.e. the mesh ignores the interface. The Dirichlet dofs
     carry the problem's boundary data; ``LinearSystem.reduced`` lifts it.
 
-    The loads (and, in mode "baseline", the diffusion of every subtriangle)
-    are integrated with ``LOAD_RULE``, exact to degree 2, one patch block at
-    a time (``patch_blocks``), and the loads are added in patch order. The
-    matrix is then built one block of dof rows at a time (``_stiffness``),
-    so the result is the one of a single COO over the whole mesh, for any
-    block size, less its exact zeros.
+    One patch block at a time, the loads (and, in mode "baseline", the
+    diffusion of every subtriangle) are integrated with ``LOAD_RULE``, exact
+    to degree 2, and the stiffness terms are summed into segment weights,
+    from which the matrix is then written (``_Weights``).
     """
     if mode not in ("adapted", "baseline"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -112,32 +104,23 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted") -> Linear
         raise DegenerateTriangle("inverted subtriangle during assembly")
     # The dofs are the nodes of the mesh: vertices, then edge nodes.
     n_dof = mesh.n_vertices + mesh.n_edges
-    # The index type SciPy picks for a COO with 36 entries per patch.
-    index = index_dtype(36 * mesh.n_patches, n_dof)
     lam = LOAD_RULE.lambdas  # (nq, 3)
-    sub_dofs = mesh.subtriangle_nodes(slice(None), configs.topology).astype(index,
-                                                                            copy=False)
     dirichlet = np.flatnonzero(mesh.boundary_nodes())
     planes = mesh.node_planes()
-    if mode == "adapted":
-        def kappa(patch, j):
-            return np.where(configs.sides[patch, j] == 1, problem.kappa1, problem.kappa2)
-    else:
-        kap = np.empty((mesh.n_patches, 4))
-
-        def kappa(patch, j):
-            return kap[patch, j]
+    weights = _Weights(mesh, table)
     rhs = np.zeros(n_dof)
     for blk in patch_blocks(mesh.n_patches):
+        dofs = mesh.subtriangle_nodes(blk, configs.topology[blk])
         areas = table.areas[configs.shape[blk]]
-        qpts, qwts = map_rule(gather_triangles(planes, sub_dofs[blk]), areas,
+        qpts, qwts = map_rule(gather_triangles(planes, dofs), areas,
                               LOAD_RULE)  # (nb,4,nq,2), (nb,4,nq)
         mask = problem.inside(qpts)  # true interface side at each load point
-        if mode == "baseline":
+        if mode == "adapted":
+            kappa = np.where(configs.sides[blk] == 1, problem.kappa1, problem.kappa2)
+        else:
             # Pointwise diffusion from the true interface, averaged by quadrature.
-            kap_q = np.where(mask, problem.kappa1, problem.kappa2)
-            kap[blk] = (qwts * kap_q).sum(axis=-1) / qwts.sum(axis=-1)
-            del kap_q
+            kappa = np.where(mask, problem.kappa1, problem.kappa2)
+            kappa = (qwts * kappa).sum(axis=-1) / qwts.sum(axis=-1)
         # Load: f from the true level-set sign at each quadrature point,
         # weighted and summed against each basis function in quadrature-point
         # order, as einsum("pqn,pqn,na->pqa", qwts, f, lam) sums it. The
@@ -150,114 +133,138 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted") -> Linear
             for q in range(1, len(lam)):
                 acc += wf[..., q] * lam[q, a]
             load[..., a] = acc
-        np.add.at(rhs, sub_dofs[blk].ravel(), load.ravel())
-        # Freed before the next block's arrays are made.
+        np.add.at(rhs, dofs.ravel(), load.ravel())
+        # Freed before the stiffness terms are formed.
         del qpts, qwts, mask, wf, acc, load
+        weights.add(blk, configs.topology[blk], dofs, configs.shape[blk], areas * kappa)
+        del dofs, areas, kappa
     values = problem.u(planes.T[dirichlet])
     del planes
-    # The four subtriangles of a patch tile the hexagon of its vertices and
-    # edge nodes, which takes three diagonals whatever the topology, and each
-    # mesh edge is two segments: every node couples with itself and each
-    # such segment couples two nodes.
-    nnz = n_dof + 2 * (3 * mesh.n_patches + 2 * mesh.n_edges)
-    matrix = _stiffness(sub_dofs, configs.shape, table, kappa, n_dof, nnz)
-    return LinearSystem(matrix, rhs, dirichlet, values)
+    return LinearSystem(weights.matrix(), rhs, dirichlet, values)
 
 
-def _stiffness(sub_dofs: np.ndarray, shape: np.ndarray, table, kappa, n_dof: int,
-               nnz: int):
-    """The stiffness matrix, one block of ``PATCH_BLOCK`` dof rows at a time,
-    without its exact zeros.
+# The segments of a patch's split, as pairs of local nodes (the vertices
+# 0, 1, 2, then the nodes 3 + k on the local edges k), in the
+# counterclockwise order of a subtriangle that runs them. The halves of
+# local edge k, from vertex k to its node and on to vertex k + 1, lie in one
+# subtriangle each. The diagonal at corner v lies in two, run once each
+# way: the middle triangle's side that cuts the corner off, or, in a vertex
+# cut at v, the segment from v to the opposite edge's node.
+HALVES = np.array([pair for k in range(3) for pair in ((k, 3 + k), (3 + k, (k + 1) % 3))])
+MIDDLE_SIDES = np.array([(3 + v, 3 + (v + 2) % 3) for v in range(3)])
+CUT_DIAGONALS = np.array([(v, 3 + (v + 1) % 3) for v in range(3)])
+DIAGONALS = np.concatenate([MIDDLE_SIDES, CUT_DIAGONALS])
+# The slot of each segment in a patch's twelve weights (the halves, the
+# middle sides, then the cut diagonals), by the code 6 * p + q of a
+# subtriangle edge from local node p to q; -1 for no segment.
+SEGMENT_SLOTS = np.full(36, -1)
+SEGMENT_SLOTS[HALVES @ (6, 1)] = range(6)
+SEGMENT_SLOTS[DIAGONALS @ (6, 1)] = SEGMENT_SLOTS[DIAGONALS @ (1, 6)] = range(6, 12)
+# Vertex a + 1 of a subtriangle, for a = 0, 1, 2.
+AHEAD = np.array([1, 2, 0])
 
-    Element-matrix row 3 * t + a (the flat position of ``sub_dofs[t, a]``,
-    subtriangle t = 4 * patch + j) holds kappa * area * grad(l_a).grad(l_b)
-    at the dofs ``sub_dofs[t, b]``; the area and the gradients are entry j
-    of the shape table's ``areas`` and ``grads`` at ``shape[patch]``, and
-    kappa is ``kappa(patch, j)``. The products grad(l_a).grad(l_b) are
-    formed once per subtriangle of the table, and each element row takes its
-    three from there. In the COO triplets of all element matrices in patch
-    order its three entries are consecutive, and SciPy's COO -> CSR
-    conversion buckets them by row dof in that order, i.e. in a stable sort
-    of the row dofs. For each block of dof rows, the element-matrix rows of
-    the block are found (``_row_order``) and gathered in that order, and
-    SciPy sorts and sums the duplicates of the block, row by row as it would
-    over the whole matrix. So every bit is the one of a single COO over the
-    whole mesh, and nothing with one slot per element-matrix entry is held.
 
-    The coupling graph has ``nnz`` entries, counted before each block drops
-    its exact zeros: the couplings across the right angles of the
-    right-isosceles subtriangles, whose cotangent is 0. The blocks are
-    written one after another into arrays of ``nnz`` entries, which are then
-    shrunk in place to the stored ones: arrays grown block by block are
-    copied whenever the allocator cannot extend them in place, and then held
-    twice, and SciPy copies a view of less than half its base.
+class _Weights:
+    """The segment weights of the stiffness matrix, summed one patch block
+    at a time, and the matrix written from them.
+
+    Entry (a, b) of a subtriangle's element matrix is the term
+    grad(l_a).grad(l_b) * (area * kappa), the products formed once per
+    shape. An off-diagonal entry of the matrix couples the ends of one
+    segment of the subtriangle mesh, and its value, the segment's weight,
+    sums the terms of the one or two subtriangles that share it. A segment
+    is a half of a mesh edge, whose id 2 * edge + half (from the edge's
+    lower vertex) the grid fixes, or a diagonal inside one patch.
     """
-    flat = sub_dofs.ravel()
-    # grad(l_a).grad(l_b) of vertex a of subtriangle j of each shape, for
-    # all b, as row 12 * shape + 3 * j + a: the x products, then the y
-    # products added.
-    gx, gy = np.moveaxis(table.grads, -1, 0)  # (n_shapes, 4, 3)
-    dots = gx[..., :, None] * gx[..., None, :]
-    dots += gy[..., :, None] * gy[..., None, :]
-    areas = table.areas.ravel()
-    # The three values, and the three dofs, of an element row as one item.
-    row_items = dots.reshape(-1, 3).view(np.dtype((np.void, 3 * dots.itemsize))).ravel()
-    cols = sub_dofs.reshape(-1, 3)
-    col_items = cols.view(np.dtype((np.void, 3 * cols.itemsize))).ravel()
-    indptr = np.zeros(n_dof + 1, dtype=sub_dofs.dtype)
-    data, indices = np.empty(nnz), np.empty(nnz, dtype=sub_dofs.dtype)
-    coupled = 0  # the coupling graph's entries so far
-    for blk in patch_blocks(n_dof):
-        order, row_ptr = _row_order(flat, blk)
-        # Element row 3 * t + a, vertex a of subtriangle t = 4 * patch + j; at
-        # is its shape's subtriangle 4 * shape + j in the table, then its row
-        # 3 * at + a of the products.
-        tri, a = np.divmod(order.astype(flat.dtype), 3)
-        del order
-        patch, j = tri >> 2, tri & 3
-        at = np.take(shape, patch)
-        at *= 4
-        at += j
-        scale = np.take(areas, at)
-        scale *= kappa(patch, j)
-        del patch, j
-        at *= 3
-        at += a
-        vals = np.take(row_items, at).view(np.float64).reshape(-1, 3)
-        vals *= scale[:, None]
-        del a, at, scale
-        block = sp.csr_matrix((vals.ravel(), np.take(col_items, tri).view(cols.dtype),
-                               3 * row_ptr), shape=(blk.stop - blk.start, n_dof))
-        del tri, vals
-        block.sum_duplicates()
-        coupled += block.nnz
-        block.eliminate_zeros()
-        indptr[blk.start + 1:blk.stop + 1] = block.indptr[1:] + indptr[blk.start]
-        start, stop = indptr[blk.start], indptr[blk.stop]
-        data[start:stop], indices[start:stop] = block.data, block.indices
-        del block
-    if coupled != nnz:
-        raise RuntimeError(f"the coupling graph has {coupled} entries, not {nnz}")
-    stored = int(indptr[-1])
-    data.resize(stored, refcheck=False)
-    indices.resize(stored, refcheck=False)
-    return sp.csr_matrix((data, indices, indptr), shape=(n_dof, n_dof))
 
+    def __init__(self, mesh: PatchMesh, table):
+        self.mesh = mesh
+        # grad(l_a).grad(l_a), and grad(l_a).grad(l_b) along the edge from a to
+        # b = a + 1, per subtriangle of each shape: x products, y added.
+        gx, gy = np.moveaxis(table.grads, -1, 0)  # (n_shapes, 4, 3)
+        self.own = np.ascontiguousarray(gx * gx + gy * gy)
+        self.along = np.ascontiguousarray(gx * gx[..., AHEAD] + gy * gy[..., AHEAD])
+        self.diagonal = np.zeros(mesh.n_vertices + mesh.n_edges)
+        self.halves = np.zeros(2 * mesh.n_edges)
+        self.middle = np.empty((mesh.n_patches, 3))  # 0 where a cut diagonal replaces it
+        self.cuts = []  # (patch, corner, weight) of the cut diagonals
 
-def _row_order(flat: np.ndarray, rows: slice):
-    """The element-matrix rows whose row dof is in the range ``rows``, in a
-    stable sort of their row dofs, each as its flat position ``3 * t + a``
-    in the subtriangle dofs ``flat`` (subtriangle t, local vertex a), and
-    the start of each row's run in that order (``rows.stop - rows.start +
-    1`` offsets). ``flat`` is scanned one patch block (12 entries per
-    patch) at a time."""
-    spans = (slice(12 * p.start, 12 * p.stop) for p in patch_blocks(len(flat) // 12))
-    order = np.concatenate([np.flatnonzero((flat[span] >= rows.start)
-                                           & (flat[span] < rows.stop)) + span.start
-                            for span in spans])
-    dofs = flat[order]
-    sort = np.argsort(dofs, kind="stable")
-    order = order[sort]
-    row_ptr = np.searchsorted(dofs[sort], np.arange(rows.start, rows.stop + 1,
-                                                    dtype=flat.dtype))
-    return order, row_ptr.astype(flat.dtype)
+    def add(self, blk: slice, topology, dofs, shape, scale) -> None:
+        """Add the terms of the patches ``blk``: their subtriangles' local
+        nodes ``topology`` and dofs ``dofs``, shapes ``shape`` and area *
+        kappa ``scale`` (nb, 4)."""
+        mesh, scale = self.mesh, scale[..., None]
+        np.add.at(self.diagonal, dofs.ravel(), (self.own[shape] * scale).ravel())
+        slot = np.take(SEGMENT_SLOTS, 6 * topology + topology[..., AHEAD])
+        slot += 12 * np.arange(len(slot))[:, None, None]
+        weights = np.bincount(slot.ravel(), (self.along[shape] * scale).ravel(),
+                              minlength=slot.size).reshape(-1, 12)
+        # Half h of local edge k is half h of the edge, or 1 - h where the
+        # patch runs the edge against its direction.
+        backward = ~mesh.patch_edge_forward[blk]
+        half = 2 * mesh.patch_edges[blk][..., None] + np.stack([backward, ~backward], axis=-1)
+        np.add.at(self.halves, half.ravel(), weights[:, :6].ravel())
+        self.middle[blk] = weights[:, 6:9]
+        p, v = np.nonzero(weights[:, 9:])
+        self.cuts.append((blk.start + p, v, weights[p, 9 + v]))
+
+    def matrix(self) -> sp.csr_matrix:
+        """The stiffness matrix, without its exact zeros, written one block
+        of ``PATCH_BLOCK`` dof rows at a time into arrays of its stored
+        size: each block's entries gathered from the weights, then sorted
+        by row and column."""
+        mesh, diagonal, halves = self.mesh, self.diagonal, self.halves
+        n_vertices, n_dof = mesh.n_vertices, len(diagonal)
+        p, v, cut_weights = (np.concatenate(parts) for parts in zip(*self.cuts))
+        cut_ends = (mesh.patches[p, v], n_vertices + mesh.patch_edges[p, (v + 1) % 3])
+        stored = (np.count_nonzero(diagonal) + 2 * np.count_nonzero(halves)
+                  + 2 * np.count_nonzero(self.middle) + 2 * len(cut_weights))
+        index = index_dtype(stored, n_dof)
+        indptr = np.zeros(n_dof + 1, dtype=index)
+        data, indices = np.empty(stored), np.empty(stored, dtype=index)
+        edges, patch_edges = mesh.edges.ravel(), mesh.patch_edges.ravel()
+        middle = self.middle.ravel()
+        for rows in patch_blocks(n_dof):
+            lo, hi = rows.start, rows.stop
+            every = np.arange(lo, hi, dtype=index)
+            entries = [(every, every, diagonal[rows])]  # (rows, columns, values)
+            if lo < n_vertices:
+                # A vertex couples with the node of each of its edges.
+                m = np.flatnonzero((edges >= lo) & (edges < hi))
+                entries.append((edges[m], n_vertices + (m >> 1), halves[m]))
+            if hi > n_vertices:
+                # An edge node couples with the edge's two vertices, and in
+                # each patch of the edge with the nodes of its other edges.
+                e = slice(max(lo - n_vertices, 0), hi - n_vertices)
+                entries.append((np.repeat(every[max(n_vertices - lo, 0):], 2),
+                                edges[2 * e.start:2 * e.stop], halves[2 * e.start:2 * e.stop]))
+                m = np.flatnonzero((patch_edges >= e.start) & (patch_edges < e.stop))
+                k = m % 3
+                row = n_vertices + patch_edges[m]
+                before, after = m - k + (k + 2) % 3, m - k + (k + 1) % 3
+                entries.append((row, n_vertices + patch_edges[before], middle[m]))
+                entries.append((row, n_vertices + patch_edges[after], middle[after]))
+            for ends in (cut_ends, cut_ends[::-1]):
+                m = np.flatnonzero((ends[0] >= lo) & (ends[0] < hi))
+                entries.append((ends[0][m], ends[1][m], cut_weights[m]))
+            r, c, w = (np.concatenate(parts) for parts in zip(*entries))
+            # By row, then column, with the exact zeros after every row.
+            r -= lo
+            zero = w == 0.0
+            np.cumsum(np.bincount(r[~zero], minlength=hi - lo), out=indptr[lo + 1:hi + 1])
+            indptr[lo + 1:hi + 1] += indptr[lo]
+            key = r.astype(np.int64) * n_dof + c
+            key[zero] = (hi - lo) * n_dof
+            # Each entry's position in the low digits, so that sorting the keys
+            # sorts the entries: (hi - lo) * n_dof * len(key) fits an int64 for
+            # any mesh whose node ids fit int32.
+            key *= len(key)
+            key += np.arange(len(key))
+            key.sort()
+            start, stop = indptr[lo], indptr[hi]
+            order = key[:stop - start] % len(key)
+            np.take(c, order, out=indices[start:stop])
+            np.take(w, order, out=data[start:stop])
+            del entries, every, r, c, w, zero, key, order
+        return sp.csr_matrix((data, indices, indptr), shape=(n_dof, n_dof))
+

@@ -13,7 +13,6 @@ import sys
 
 import numpy as np
 
-from .problems import InsufficientData
 from .runner import (
     ANGLES_HEADER,
     MAX_ANGLE_BOUND,
@@ -64,6 +63,14 @@ def _size_list(text: str):
     if not sizes:
         raise argparse.ArgumentTypeError(f"empty grid size list {text!r}")
     return _distinct(sizes)
+
+
+def _levels(text: str):
+    """Grid sizes of a convergence study: a rate needs at least two."""
+    sizes = _size_list(text)
+    if len(sizes) < 2:
+        raise argparse.ArgumentTypeError(f"a rate needs at least two levels, not {text!r}")
+    return sizes
 
 
 def _out_path(text: str) -> str:
@@ -121,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("convergence", help="refinement study with rates")
     common(p_conv)
-    p_conv.add_argument("--levels", type=_size_list, default=[8, 16, 32, 64, 128],
-                        help="comma-separated grid sizes")
+    p_conv.add_argument("--levels", type=_levels, default=[8, 16, 32, 64, 128],
+                        help="comma-separated grid sizes, at least two")
 
     p_sweep = sub.add_parser("sweep", help="interface-position sweep")
     common(p_sweep, with_mode=False)
@@ -161,14 +168,11 @@ def _cmd_convergence(args) -> int:
         eps=args.eps, alpha=args.alpha,
     )
     out_rows = [r.as_list() for r in rows]
-    if l2_rate is not None:
-        out_rows.append([args.problem, args.mode, args.strategy, "rates", "", "",
-                         l2_rate, h1_rate, "", ""])
+    out_rows.append([args.problem, args.mode, args.strategy, "rates", "", "",
+                     l2_rate, h1_rate, "", ""])
     if args.out:
         write_csv(args.out, SOLVE_HEADER, out_rows)
     _print_rows(SOLVE_HEADER, out_rows)
-    if l2_rate is None:
-        raise InsufficientData("need at least two levels for rates")
     return 0
 
 
@@ -215,8 +219,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args, parser)
         return _cmd_angles(args)
-    except (NonConvergence, RuntimeError, InsufficientData, ValueError, MemoryError,
-            OSError) as exc:
+    except (NonConvergence, RuntimeError, ValueError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -165,7 +165,8 @@ class PatchMesh:
         """Node ids (n, 4, 3) of the subtriangles of the patches selected by
         ``patches``, given by their local node triples ``topology``
         (n, 4, 3)."""
-        return np.take_along_axis(self.patch_nodes(patches)[:, None, :], topology, axis=2)
+        nodes = self.patch_nodes(patches)
+        return np.take(nodes, topology + 6 * np.arange(len(nodes))[:, None, None])
 
     def local_nodes_all(self) -> np.ndarray:
         """Six node positions of every patch, (n_patches, 6, 2), in the order

@@ -284,54 +284,50 @@ def _pool(workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _run_all(configs: list[RunConfig]) -> list[ResultRow]:
+def _run_all(configs: list[RunConfig], labels, why: str) -> list[ResultRow]:
     """``run_single`` over ``configs``: one row per config, in order.
 
     The solves run on ``_workers(configs)`` worker processes, or here with
     one, largest ``n`` first (ties in input order), so that the pool's last
     solves are its smallest and no worker waits long on another. Each solve's
     stderr lines are printed, and the first exception raised, in that run
-    order, whatever the number of workers. The solves after a failure do
-    not run here; in the pool, those no worker has taken are cancelled
-    (``_pool``).
+    order, whatever the number of workers. So is the RuntimeError for the
+    first solve that ran on the grid of an earlier one with the same label
+    in ``labels``, which refinement can bring about: it names the label, the
+    two sizes asked for, in input order, and ``why``, what the repeat
+    spoils. The solves after a failure do not run here; in the pool, those
+    no worker has taken are cancelled (``_pool``).
     """
     order = sorted(range(len(configs)), key=lambda i: -configs[i].n)
     rows = [None] * len(configs)
+    ran = {}
     with _pool(_workers(configs)) as pool:
         results = (map if pool is None else pool.map)(_job, [configs[i] for i in order])
         for i, (row, exc, err) in zip(order, results):
             sys.stderr.write(err)
             if exc is not None:
                 raise exc
+            first = ran.setdefault((labels[i], row.n), i)
+            if first != i:
+                a, b = sorted((first, i))
+                raise RuntimeError(f"{labels[i]} {configs[a].n} and {configs[b].n} both "
+                                   f"ran at n={row.n} (refined): {why}")
             rows[i] = row
     return rows
-
-
-def _one_grid_each(ns, rows, what: str, why: str) -> None:
-    """Raise RuntimeError if two of the grid sizes ``ns`` ran on one grid,
-    which refinement can bring about: ``rows[i]`` is the row of ``ns[i]``,
-    and gives the grid it ran at. ``what`` names the sizes in the message,
-    and ``why`` says what the repeat spoils."""
-    ran = {}
-    for n, row in zip(ns, rows):
-        if row.n in ran:
-            raise RuntimeError(f"{what} {ran[row.n]} and {n} both ran at "
-                               f"n={row.n} (refined): {why}")
-        ran[row.n] = n
 
 
 def run_convergence(problem: str, levels, strategy: int, mode: str,
                     eps: float = 0.5, alpha: float = np.pi / 4.0):
     """One ResultRow per level plus fitted (L2, H1) rates (None if < 2 rows).
 
-    Raises RuntimeError if two levels ran on one grid (``_one_grid_each``):
-    a rate fitted through their rows would be meaningless."""
+    Raises RuntimeError at the first solve that runs on the grid of another
+    level (``_run_all``): a rate fitted through their rows would be
+    meaningless."""
     rows = _run_all([
         RunConfig(problem=problem, n=n, strategy=strategy, mode=mode,
                   eps=eps, alpha=alpha)
         for n in levels
-    ])
-    _one_grid_each(levels, rows, "levels", "a rate needs distinct grids")
+    ], ["levels"] * len(levels), "a rate needs distinct grids")
     try:
         l2_rate = convergence_rate([(r.h, r.l2) for r in rows])
         h1_rate = convergence_rate([(r.h, r.h1) for r in rows])
@@ -346,8 +342,8 @@ def run_sweep(problem: str, values, ns, strategy: int):
 
     Returns rows [param_value, n, L2, H1] sorted by (value, n), where n is
     the grid the solve ran at, refined or not. Raises ValueError for a
-    problem without a sweep parameter, and RuntimeError if two grid sizes of
-    one value ran on one grid (``_one_grid_each``).
+    problem without a sweep parameter, and RuntimeError at the first solve
+    that runs on the grid of another size of its value (``_run_all``).
     """
     if problem not in SWEEPS:
         raise ValueError(f"problem {problem!r} has no sweep parameter")
@@ -356,10 +352,7 @@ def run_sweep(problem: str, values, ns, strategy: int):
     results = _run_all([
         RunConfig(problem=problem, n=n, strategy=strategy, **{param: value})
         for value, n in jobs
-    ])
-    for k, value in enumerate(values):
-        _one_grid_each(ns, results[k * len(ns):(k + 1) * len(ns)],
-                       f"{param}={value!r}: grid sizes", "their rows would repeat")
+    ], [f"{param}={value!r}: grid sizes" for value, _ in jobs], "their rows would repeat")
     rows = [[float(value), res.n, res.l2, res.h1]
             for (value, _), res in zip(jobs, results)]
     rows.sort(key=lambda row: (row[0], row[1]))

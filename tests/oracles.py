@@ -14,6 +14,9 @@ assembly replaced: every element-matrix row written into its slot of one
 row-bucketed CSR array with duplicates (``row_buckets_reference``), then
 one ``sum_duplicates``. Both drop the exact zeros, as ``assemble`` does,
 unless asked for the coupling graph with them (``zeros=True``).
+``assert_same_matrix`` compares ``assemble``'s matrix with theirs: the
+stored pattern and the off-diagonal values bit for bit, the diagonal
+within ``DIAGONAL_RTOL``.
 ``reduced_reference`` eliminates the Dirichlet dofs
 (those off ``free_mask``) by slicing the matrix into a separate free-dof
 system, and ``embed`` puts the Dirichlet data back around its solution.
@@ -518,6 +521,28 @@ def assemble_buckets_reference(mesh: PatchMesh, configs, problem, mode="adapted"
     rhs = np.zeros(n_dof)
     np.add.at(rhs, sub_dofs.ravel(), load.ravel())
     return matrix, rhs
+
+
+# An off-diagonal entry sums the terms of at most two subtriangles, so
+# every summation order gives its bits. A diagonal entry sums the terms of
+# all the subtriangles at its dof: ``assemble`` adds them in patch order,
+# SciPy's duplicate sum of the references in an order of its own.
+DIAGONAL_RTOL = 1e-15
+
+
+def assert_same_matrix(actual, expected) -> None:
+    """The stored pattern, the dtypes and the off-diagonal values of two
+    CSR matrices are equal bit for bit, and their diagonals within
+    ``DIAGONAL_RTOL`` of each other."""
+    for attr in ("indptr", "indices", "data"):
+        assert getattr(actual, attr).dtype == getattr(expected, attr).dtype, attr
+    assert actual.indptr.tobytes() == expected.indptr.tobytes()
+    assert actual.indices.tobytes() == expected.indices.tobytes()
+    rows = np.repeat(np.arange(actual.shape[0]), np.diff(actual.indptr))
+    diagonal = rows == actual.indices
+    assert actual.data[~diagonal].tobytes() == expected.data[~diagonal].tobytes()
+    np.testing.assert_allclose(actual.data[diagonal], expected.data[diagonal],
+                               rtol=DIAGONAL_RTOL, atol=0.0)
 
 
 def free_mask(system) -> np.ndarray:

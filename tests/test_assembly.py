@@ -18,7 +18,14 @@ from patchfem.adaptation import (
     reference_local_nodes,
     resolve_edge_params,
 )
-from patchfem.assembly import LinearSystem, assemble
+from patchfem.assembly import (
+    CUT_DIAGONALS,
+    HALVES,
+    MIDDLE_SIDES,
+    SEGMENT_SLOTS,
+    LinearSystem,
+    assemble,
+)
 from patchfem.geometry import LOAD_RULE, DegenerateTriangle, map_rule, triangle_area
 from patchfem.levelset import Circle
 from patchfem.mesh import build_structured_mesh
@@ -33,6 +40,7 @@ from patchfem.solver import cg_solve
 
 from .oracles import (
     assemble_reference,
+    assert_same_matrix,
     barycentric,
     build_dof_map,
     edge_points,
@@ -204,6 +212,64 @@ class TestLocalLoad:
         lam = barycentric(tri, pts)
         assert np.allclose(lam.sum(axis=1), 1.0)
         assert np.allclose(lam @ tri, pts)
+
+
+def segment_counts(topology) -> dict:
+    """How often each segment of ``assembly``'s tables is an edge of one of
+    the subtriangles ``topology`` (4, 3), run in its table order (the
+    halves) or either way (the diagonals); raises on an edge that is none of
+    them."""
+    counts = {}
+    halves = {tuple(pair) for pair in HALVES}
+    diagonals = {tuple(pair) for pair in np.concatenate([MIDDLE_SIDES, CUT_DIAGONALS])}
+    for tri in topology.tolist():
+        for p, q in zip(tri, tri[1:] + tri[:1]):
+            segment = (q, p) if (q, p) in diagonals else (p, q)
+            if segment not in halves and segment not in diagonals:
+                raise ValueError(f"edge {(p, q)} is no segment of a patch split")
+            counts[segment] = counts.get(segment, 0) + 1
+    return counts
+
+
+def check_segments(topology, cut_at) -> None:
+    """Each half lies in one subtriangle; the diagonal at each corner, the
+    middle side or, at the cut vertex ``cut_at`` (or None), the cut
+    diagonal, in two. These nine are every subtriangle edge."""
+    counts = segment_counts(topology)
+    expected = {tuple(pair): 1 for pair in HALVES}
+    for v in range(3):
+        expected[tuple((CUT_DIAGONALS if v == cut_at else MIDDLE_SIDES)[v])] = 2
+    assert counts == expected
+
+
+class TestSegmentTables:
+    """The segments whose weights ``assemble`` sums, against the four
+    topologies: row 0 splits uncut and edge-edge patches, row 1 + v a
+    vertex cut at v."""
+
+    @pytest.mark.parametrize("row", range(4))
+    def test_topologies_split_into_the_nine_segments(self, row):
+        check_segments(TOPOLOGIES[row], None if row == 0 else row - 1)
+        # The slots of the weights: the halves, the middle sides, the cut
+        # diagonals.
+        slots = SEGMENT_SLOTS[6 * TOPOLOGIES[row] + TOPOLOGIES[row][:, [1, 2, 0]]]
+        assert np.all(slots >= 0)
+        cut = [v == row - 1 for v in range(3)]
+        assert np.bincount(slots.ravel(), minlength=12).tolist() == (
+            [1] * 6 + [0 if c else 2 for c in cut] + [2 if c else 0 for c in cut])
+
+    @pytest.mark.parametrize("row", range(4))
+    @pytest.mark.parametrize("mutation", ["reversed", "swapped node", "other diagonal"])
+    def test_mutated_topology_fails(self, row, mutation):
+        topology = TOPOLOGIES[row].copy()
+        if mutation == "reversed":
+            topology[1] = topology[1][::-1]
+        elif mutation == "swapped node":
+            topology = np.choose(topology, [0, 1, 2, 4, 3, 5])
+        else:
+            topology = TOPOLOGIES[(row + 1) % 4]
+        with pytest.raises((AssertionError, ValueError)):
+            check_segments(topology, None if row == 0 else row - 1)
 
 
 class TestAssemble:
@@ -426,13 +492,16 @@ class TestSparsityPattern:
         configs, classification, _ = adapt(mesh, problem.levelset, 2)
         stored = assemble(mesh, configs, problem).matrix
         graph, _ = assemble_reference(mesh, configs, problem, zeros=True)
-        # The stored entries are the graph's nonzero entries, bit for bit.
+        # The stored entries are the graph's nonzero entries, bit for bit
+        # but the diagonal's last digits.
         kept = graph.data != 0.0
         rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
         np.testing.assert_array_equal(np.diff(stored.indptr),
                                       np.bincount(rows[kept], minlength=graph.shape[0]))
         np.testing.assert_array_equal(stored.indices, graph.indices[kept])
-        assert stored.data.tobytes() == graph.data[kept].tobytes()
+        graph_stored = graph.copy()
+        graph_stored.eliminate_zeros()
+        assert_same_matrix(stored, graph_stored)
         has_vertex_cut = any(c.kind == "vertex_edge" for c in classification.cuts)
         if len(classification.cut_ids) == 0:
             # Each patch's inner diagonal and its half of the cell diagonal

@@ -26,7 +26,12 @@ from patchfem.problems import ERROR_BLOCK_WEIGHT, circle_problem, error_norms, t
 from patchfem.runner import RunConfig, run_single
 from patchfem.solver import cg_solve
 
-from .oracles import assemble_buckets_reference, assemble_reference, error_norms_reference
+from .oracles import (
+    assemble_buckets_reference,
+    assemble_reference,
+    assert_same_matrix,
+    error_norms_reference,
+)
 
 MIB = 2**20
 
@@ -121,9 +126,7 @@ class TestBlockInvariance:
         matrix, rhs = assemble_reference(mesh, configs, problem, mode)
         u_h = np.random.default_rng(n).standard_normal(system.n_dof)
 
-        for attr in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(system.matrix, attr),
-                                          getattr(matrix, attr))
+        assert_same_matrix(system.matrix, matrix)
         np.testing.assert_array_equal(system.rhs, rhs)
         assert norms == error_norms_reference(mesh, configs, problem, u_h)
 
@@ -134,11 +137,12 @@ def _same_bits(actual, expected):
 
 
 class TestRowBlocks:
-    """The matrix is built one block of ``PATCH_BLOCK`` dof rows at a time.
-    It equals the whole-mesh bucketed path (every element-matrix row in one
-    CSR array with duplicates, one ``sum_duplicates``, the exact zeros
-    dropped) bit for bit, with row blocks that do not divide the dof count
-    and with a single block."""
+    """The matrix is written one block of ``PATCH_BLOCK`` dof rows at a
+    time. It equals the whole-mesh bucketed path (every element-matrix row
+    in one CSR array with duplicates, one ``sum_duplicates``, the exact
+    zeros dropped) in its pattern and off-diagonals bit for bit, and in its
+    diagonal within ``DIAGONAL_RTOL``, with row blocks that do not divide
+    the dof count and with a single block."""
 
     @pytest.mark.parametrize("block", [5, "one"])
     @pytest.mark.parametrize(
@@ -168,8 +172,7 @@ class TestRowBlocks:
 
         if problem.name == "tilted":
             assert np.any(configs.kind == CUT_KINDS.index(VERTEX_EDGE))
-        for attr in ("indptr", "indices", "data"):
-            _same_bits(getattr(system.matrix, attr), getattr(matrix, attr))
+        assert_same_matrix(system.matrix, matrix)
         _same_bits(system.rhs, rhs)
         assert matrix.nnz < graph.nnz
 
@@ -185,8 +188,7 @@ class TestRowBlocks:
             configs, _, _ = adapt(mesh, problem.levelset, 2)
             system = assemble(mesh, configs, problem)
             matrix, _ = assemble_buckets_reference(mesh, configs, problem)
-            for attr in ("indptr", "indices", "data"):
-                _same_bits(getattr(system.matrix, attr), getattr(matrix, attr))
+            assert_same_matrix(system.matrix, matrix)
             graph, _ = assemble_buckets_reference(mesh, configs, problem, zeros=True)
             assert graph.nnz == system.n_dof + 6 * mesh.n_patches + 4 * mesh.n_edges
             patterns.add((graph.indptr.tobytes(), graph.indices.tobytes()))
@@ -254,11 +256,13 @@ def _traced_peak_mib(fn, *args, **kwargs):
 # 14.1 MiB.
 MESH_BOUND_MIB = 8.2
 ADAPT_BOUND_MIB = 17.2
-# Measured traced peaks at n = 128 are 14.0 MiB (assemble, the matrix built
-# one block of dof rows at a time, each block finding and sorting its own
-# element rows and taking each one's three gradient products from a table
-# formed once per shape, each patch block's load arrays freed before the
-# next block's are made) and 4.3 MiB (error_norms: the node coordinates,
+# Measured traced peaks at n = 128 are 15.4 MiB (assemble: the loads and
+# the segment weights summed in one pass over the patch blocks, each
+# block's load arrays freed before its stiffness terms are made, then the
+# matrix written one block of dof rows at a time into arrays of its stored
+# size; the bound stays, below that peak + 20%; with each block of dof rows
+# finding and sorting its own element rows it was 14.0 MiB, and 36.1 against
+# 33.0 MiB at n = 256) and 4.3 MiB (error_norms: the node coordinates,
 # the per-patch sums and one block of PATCH_BLOCK // 16 patches'
 # integrands, each block's freed before the next block's are made); the
 # bounds add 20%. With integrand spans of at most 4 * PATCH_BLOCK elements
@@ -277,8 +281,10 @@ ASSEMBLE_BOUND_MIB = 16.9
 ERRORS_BOUND_MIB = 5.2
 # With blocks of 512 patches (and dof rows) the block temporaries are
 # small, and the peaks show what each call holds over the whole mesh:
-# measured 8.1 MiB (assemble: the loads, the node coordinates and the
-# returned matrix) and 1.8 MiB (error_norms, which holds the node
+# measured 7.0 MiB (assemble: the loads, the node coordinates, the segment
+# weights and the returned matrix; 8.1 MiB with the whole-mesh subtriangle
+# dofs and the matrix arrays at the coupling graph's size) and 1.8 MiB
+# (error_norms, which holds the node
 # coordinates instead of the patch dofs, and the per-patch sums), plus 20%. Holding kappa * area
 # over the mesh, assemble peaked at 9.1 MiB; holding the whole-mesh row
 # order, at 10.7 MiB; with the whole-mesh subtriangle geometry they peaked
@@ -286,7 +292,7 @@ ERRORS_BOUND_MIB = 5.2
 # whole-mesh COO at 43.1, and the whole-mesh integrand arrays at 16.9 (2.8
 # with the patch-block spans).
 SMALL_BLOCK = 512
-ASSEMBLE_SMALL_BLOCK_BOUND_MIB = 9.7
+ASSEMBLE_SMALL_BLOCK_BOUND_MIB = 8.4
 ERRORS_SMALL_BLOCK_BOUND_MIB = 2.2
 # The same for the shape table: 14.26 MiB (build_configs, whose patch-block
 # keys and subtriangles are the largest part; the cut patches' anchor
@@ -451,11 +457,11 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("mode", ["adapted", "baseline"])
     def test_assemble_forms_no_float_per_subtriangle(self, monkeypatch, mode):
-        """Adapted assembly forms kappa * area of each element row from its
-        side label and the shape table's area: no NumPy call in
-        ``patchfem.assembly`` returns a float array with one entry per
-        subtriangle of the mesh. The baseline, whose kappa is a quadrature
-        average, holds one, which shows the check sees it."""
+        """Assembly forms kappa * area of each subtriangle one patch block at
+        a time, from its side label or, in the baseline, its quadrature
+        average: no NumPy call in ``patchfem.assembly`` returns a float
+        array with one entry per subtriangle of the mesh. A call that forms
+        one is seen."""
         problem = circle_problem()
         mesh = build_structured_mesh(8, problem.domain)
         configs, _, _ = adapt(mesh, problem.levelset, 2)
@@ -481,7 +487,9 @@ class TestPeakMemory:
 
         monkeypatch.setattr(assembly_module, "np", Watched(np))
         assemble(mesh, configs, problem, mode=mode)
-        assert bool(formed) == (mode == "baseline"), formed
+        assert formed == []
+        assembly_module.np.zeros((mesh.n_patches, 4))
+        assert formed == ["zeros"]
 
     def test_index_dtypes(self):
         """The mesh's index arrays are int32 at n = 256; the rule widens
@@ -494,7 +502,6 @@ class TestPeakMemory:
         # The mesh's count is its nodes, (2n + 1)^2 on the n x n grid.
         assert index_dtype((2 * 23169 + 1) ** 2) is np.int32
         assert index_dtype((2 * 23170 + 1) ** 2) is np.int64
-        # Assembly's: 36 element-matrix entries per patch, and the dofs.
-        n_patches = 2**31 // 36
-        assert index_dtype(36 * n_patches, 10) is np.int32
-        assert index_dtype(36 * (n_patches + 1), 10) is np.int64
+        # Assembly's: the stored entries, and the dofs.
+        assert index_dtype(2**31 - 1, 10) is np.int32
+        assert index_dtype(2**31, 10) is np.int64

@@ -272,14 +272,16 @@ class TestCliExitCodes:
         assert main(["solve", "--problem", "horizontal", "--eps", "1", "--n", "2"]) == 0
         assert main(["solve", "--problem", "tilted", "--alpha", "0", "--n", "2"]) == 0
 
-    def test_convergence_single_level_exits_1_but_emits_rows(self, tmp_path, capsys):
+    def test_convergence_single_level_is_a_usage_error(self, tmp_path, capsys):
+        # A rate needs two levels: refused before any solve, as usage.
         out = tmp_path / "conv.csv"
-        code = main(["convergence", "--problem", "circle", "--levels", "8",
-                     "--out", str(out)])
-        assert code == 1
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows) == 2  # header + the single level, no rates row
+        with pytest.raises(SystemExit) as info:
+            main(["convergence", "--problem", "circle", "--levels", "8",
+                  "--out", str(out)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert not out.exists() and captured.out == ""
+        assert "--levels" in captured.err and "at least two levels" in captured.err
 
     def test_convergence_rates_row(self, tmp_path):
         out = tmp_path / "conv.csv"
@@ -549,7 +551,9 @@ class TestWorkerPool:
         # Grids below n = 16 need refining: one line per doubling, printed
         # in run order (largest n first, ties in job order) whichever
         # worker finishes first. Every size then runs at n = 16, so the
-        # sweep fails after the last solve, on one CPU and on two alike.
+        # sweep fails at the first solve that lands on the grid of another
+        # size of its value, (0.25, 8) after (0.25, 16), on one CPU and on
+        # two alike.
         def coarse_fails(mesh, levelset, strategy):
             if mesh.n_patches < 2 * 16 * 16:
                 raise RefinementRequired(mesh.n_patches, "synthetic")
@@ -565,10 +569,9 @@ class TestWorkerPool:
         assert pool.started == 1
         assert pooled == serial
         from_8 = "refining: n=8 -> n=16 (patch 128: synthetic)"
-        from_4 = "refining: n=4 -> n=8 (patch 32: synthetic)"
         assert serial[:3] == (1, None, "")
-        assert serial[3].splitlines() == [from_8, from_8] + [from_4, from_8] * 2 + [
-            "error: eps=0.25: grid sizes 4 and 8 both ran at n=16 (refined): "
+        assert serial[3].splitlines() == [
+            from_8, "error: eps=0.25: grid sizes 8 and 16 both ran at n=16 (refined): "
             "their rows would repeat"]
 
     def test_first_failure_cancels_the_jobs_after_it(self, monkeypatch, tmp_path,
@@ -660,7 +663,9 @@ class TestWorkerPool:
         pool = cpus(2)
         assert main(["solve", "--n", "8"]) == 0
         run_angles("circle", 8, 2)
-        assert main(["convergence", "--levels", "8"]) == 1  # one level: no rates
+        with pytest.raises(SystemExit) as info:
+            main(["convergence", "--levels", "8"])  # one level: no rate
+        assert info.value.code == 2
         assert main(["sweep", "--problem", "horizontal", "--values", "0.3",
                      "--n", "8"]) == 0
         assert pool.started == 0

@@ -2,6 +2,8 @@
 per-patch reference oracles in ``tests/oracles.py``, fuzzed over interfaces,
 grid sizes and strategies."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,11 +22,15 @@ from patchfem.adaptation import (
     resolve_edge_params,
     side_labels,
 )
+from patchfem.assembly import assemble
 from patchfem.geometry import triangle_area
 from patchfem.levelset import Circle, HorizontalLine, TiltedLine
 from patchfem.mesh import PatchMesh, build_structured_mesh, mesh_to_json
+from patchfem.problems import circle_problem
 
 from .oracles import (
+    assemble_buckets_reference,
+    assert_same_matrix,
     build_configs_reference,
     build_structured_mesh_reference,
     mesh_to_json_reference,
@@ -104,6 +110,28 @@ def check_against_oracles(levelset, n, strategy):
 @given(case=cases())
 def test_array_paths_equal_oracles(case):
     check_against_oracles(*case)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=cases(), mode=st.sampled_from(["adapted", "baseline"]))
+def test_assemble_equals_bucketed_oracle(case, mode):
+    # The circle problem's f and kappas with the drawn interface. Its
+    # pattern, off-diagonals and load are the oracle's bit for bit, its
+    # diagonal within DIAGONAL_RTOL.
+    levelset, n, strategy = case
+    problem = dataclasses.replace(circle_problem(), levelset=levelset)
+    mesh = build_structured_mesh(n)
+    if mode == "baseline":
+        configs = build_configs(mesh, Classification.uncut(mesh), levelset)
+    else:
+        configs = _configs(mesh, build_configs, levelset, strategy)
+        if configs is None:
+            return
+    system = assemble(mesh, configs, problem, mode=mode)
+    matrix, rhs = assemble_buckets_reference(mesh, configs, problem, mode)
+    assert_same_matrix(system.matrix, matrix)
+    assert system.rhs.tobytes() == rhs.tobytes()
 
 
 @pytest.mark.parametrize("strategy", [1, 2, 3])

@@ -361,10 +361,10 @@ def adapted_problems(draw):
 @given(case=adapted_problems())
 def test_dropped_zeros_change_no_bit_of_cg(case):
     """CG on the assembled system, which stores no exact zeros, takes the
-    iterates of CG on the oracle matrix with them on one span: the same
-    iteration count, solution and residual history, bit for bit. (Two spans
-    split at half of each matrix's own stored entries, so there the two
-    matrices split at different rows.)"""
+    iterates of CG on the oracle matrix with them, and with the assembled
+    diagonal, on one span: the same iteration count, solution and residual
+    history, bit for bit. (Two spans split at half of each matrix's own
+    stored entries, so there the two matrices split at different rows.)"""
     problem, n, strategy = case
     mesh = build_structured_mesh(n, problem.domain)
     try:
@@ -374,6 +374,8 @@ def test_dropped_zeros_change_no_bit_of_cg(case):
     system = assemble(mesh, configs, problem)
     graph, _ = assemble_reference(mesh, configs, problem, zeros=True)
     assert graph.nnz > system.matrix.nnz
+    # The diagonal sums its terms in another order (``DIAGONAL_RTOL``).
+    graph.setdiag(system.matrix.diagonal())
     with_zeros = LinearSystem(graph, system.rhs.copy(), system.dirichlet_dofs,
                               system.dirichlet_values)
     assert len(row_spans(system.matrix, np.count_nonzero(free_mask(system)))) == 1
