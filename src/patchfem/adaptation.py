@@ -182,24 +182,36 @@ class ShapeTable:
 class PatchConfigs:
     """Adaptation result of every patch, as arrays indexed by patch id.
 
-    ``kind`` codes index ``CUT_KINDS``. ``shape`` indexes ``table``, the
-    subtriangle geometry that assembly, error norms and the angle audit
-    share: patches the interface leaves alone share a few shapes, so nothing
-    is stored per subtriangle of the mesh; quadrature gathers the physical
-    subtriangles of a patch block from ``PatchMesh.node_planes`` where it
-    needs their position. The parameters (q, r, s) live on the mesh's
-    edges; ``PatchMesh.local_params_all`` forms them for the outputs that
-    list them.
+    ``code`` is each patch's cut code into ``_CUT_CLASSES``, as in
+    ``Classification``; its cut kind (``kind``, into ``CUT_KINDS``) and its
+    subtriangles' local nodes (``topology``) follow from fixed tables and
+    are formed where they are read, one patch block at a time in a solve.
+    ``shape`` indexes ``table``, the subtriangle geometry that assembly,
+    error norms and the angle audit share: patches the interface leaves
+    alone share a few shapes, so nothing is stored per subtriangle of the
+    mesh; quadrature gathers the physical subtriangles of a patch block from
+    ``PatchMesh.node_planes`` where it needs their position. The parameters
+    (q, r, s) live on the mesh's edges; ``PatchMesh.local_params_all``
+    forms them for the outputs that list them.
     """
 
-    kind: np.ndarray  # (n_patches,) int8
-    topology: np.ndarray  # (n_patches, 4, 3) int8
+    code: np.ndarray  # (n_patches,) int8
     sides: np.ndarray  # (n_patches, 4) int8
     shape: np.ndarray  # (n_patches,) int32 index into table
     table: ShapeTable
 
     def __len__(self) -> int:
-        return len(self.kind)
+        return len(self.code)
+
+    @property
+    def kind(self) -> np.ndarray:
+        """Cut kind of every patch, (n_patches,) int8 into ``CUT_KINDS``."""
+        return _KIND[self.code]
+
+    def topology(self, patches=slice(None)) -> np.ndarray:
+        """Local node triples (n, 4, 3) int8 of the subtriangles of the
+        patches selected by ``patches`` (every patch by default)."""
+        return TOPOLOGIES[_TOPOLOGY[self.code[patches]]]
 
     def kind_names(self) -> list[str]:
         """Cut kind of every patch as its name."""
@@ -569,15 +581,14 @@ def build_configs(mesh: PatchMesh, classification: Classification,
     its lowest patch.
     """
     code = classification.code
-    topology = TOPOLOGIES[_TOPOLOGY[code]]
-
     planes = mesh.node_planes()
     diameters = mesh.patch_diameters()
     sides = np.empty((mesh.n_patches, 4), dtype=np.int8)
     shape = np.empty(mesh.n_patches, dtype=np.int32)
     keys, firsts, n_keys = [], [], 0
     for blk in patch_blocks(mesh.n_patches):
-        tris = gather_triangles(planes, mesh.subtriangle_nodes(blk, topology[blk]))
+        topology = TOPOLOGIES[_TOPOLOGY[code[blk]]]
+        tris = gather_triangles(planes, mesh.subtriangle_nodes(blk, topology))
         sides[blk] = side_labels(tris, levelset, diameters[blk])
         block_keys, first, inverse = np.unique(_shape_keys(tris), return_index=True,
                                                return_inverse=True)
@@ -585,7 +596,7 @@ def build_configs(mesh: PatchMesh, classification: Classification,
         n_keys += len(block_keys)
         keys.append(block_keys)
         firsts.append(first + blk.start)
-    del tris
+    del topology, tris
     cut_ids = classification.cut_ids
     phi = levelset.eval(mesh.vertices[mesh.patches[cut_ids]])
     anchors = np.take_along_axis(phi, _SIDE_ANCHOR[code[cut_ids]], axis=1)
@@ -596,13 +607,13 @@ def build_configs(mesh: PatchMesh, classification: Classification,
                                  return_inverse=True)
     shape = merged.astype(np.int32)[shape]
     representatives = np.concatenate(firsts)[first]
-    tris = gather_triangles(planes, mesh.subtriangle_nodes(representatives,
-                                                           topology[representatives]))
+    topology = TOPOLOGIES[_TOPOLOGY[code[representatives]]]
+    tris = gather_triangles(planes, mesh.subtriangle_nodes(representatives, topology))
     areas = triangle_area(tris)
     # A zero-area shape gets infinite gradients; assemble rejects it first.
     with np.errstate(divide="ignore", invalid="ignore"):
         grads = barycentric_gradients(tris, areas)
-    return PatchConfigs(_KIND[code], topology, sides, shape, ShapeTable(tris, areas, grads))
+    return PatchConfigs(code, sides, shape, ShapeTable(tris, areas, grads))
 
 
 def adapt(mesh: PatchMesh, levelset, strategy: int):

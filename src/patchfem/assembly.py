@@ -27,6 +27,14 @@ __all__ = [
     "assemble",
 ]
 
+# The load integrands hold 12 points per patch and several fields at each:
+# their blocks, and those of the stiffness terms, are PATCH_BLOCK // 4
+# patches. The matrix is written in blocks of PATCH_BLOCK // 4 dof rows:
+# the entries and sort keys of blocks of PATCH_BLOCK rows raised the peak
+# RSS of the n = 256 circle solve by 4 MiB.
+LOAD_BLOCK_WEIGHT = 4
+ROW_BLOCK_WEIGHT = 4
+
 
 @dataclass
 class LinearSystem:
@@ -94,8 +102,9 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted") -> Linear
 
     One patch block at a time, the loads (and, in mode "baseline", the
     diffusion of every subtriangle) are integrated with ``LOAD_RULE``, exact
-    to degree 2, and the stiffness terms are summed into segment weights,
-    from which the matrix is then written (``_Weights``).
+    to degree 2. The stiffness terms are summed into segment weights in a
+    second pass over the blocks (in mode "baseline", in the loads' pass),
+    and the matrix is then written from them (``_Weights``).
     """
     if mode not in ("adapted", "baseline"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -107,17 +116,20 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted") -> Linear
     lam = LOAD_RULE.lambdas  # (nq, 3)
     dirichlet = np.flatnonzero(mesh.boundary_nodes())
     planes = mesh.node_planes()
-    weights = _Weights(mesh, table)
     rhs = np.zeros(n_dof)
-    for blk in patch_blocks(mesh.n_patches):
-        dofs = mesh.subtriangle_nodes(blk, configs.topology[blk])
-        areas = table.areas[configs.shape[blk]]
+    # The baseline's diffusion is averaged at the load points, so its
+    # stiffness terms are summed in the loads' pass. The adapted ones take a
+    # pass of their own once the loads' pass has freed its temporaries, so
+    # that the segment weights, and then the matrix, reuse that memory.
+    weights = _Weights(mesh, table) if mode == "baseline" else None
+    for blk in patch_blocks(mesh.n_patches, LOAD_BLOCK_WEIGHT):
+        topology, shape = configs.topology(blk), configs.shape[blk]
+        dofs = mesh.subtriangle_nodes(blk, topology)
+        areas = table.areas[shape]
         qpts, qwts = map_rule(gather_triangles(planes, dofs), areas,
                               LOAD_RULE)  # (nb,4,nq,2), (nb,4,nq)
         mask = problem.inside(qpts)  # true interface side at each load point
-        if mode == "adapted":
-            kappa = np.where(configs.sides[blk] == 1, problem.kappa1, problem.kappa2)
-        else:
+        if weights is not None:
             # Pointwise diffusion from the true interface, averaged by quadrature.
             kappa = np.where(mask, problem.kappa1, problem.kappa2)
             kappa = (qwts * kappa).sum(axis=-1) / qwts.sum(axis=-1)
@@ -127,7 +139,7 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted") -> Linear
         # weighted f is coordinate-major, like qwts, so each plane is
         # contiguous.
         wf = np.multiply(qwts, problem.f(qpts, mask), order="F")
-        load = np.empty(areas.shape + (3,))
+        load = np.empty(dofs.shape)
         for a in range(3):
             acc = wf[..., 0] * lam[0, a]
             for q in range(1, len(lam)):
@@ -136,10 +148,19 @@ def assemble(mesh: PatchMesh, configs, problem, mode: str = "adapted") -> Linear
         np.add.at(rhs, dofs.ravel(), load.ravel())
         # Freed before the stiffness terms are formed.
         del qpts, qwts, mask, wf, acc, load
-        weights.add(blk, configs.topology[blk], dofs, configs.shape[blk], areas * kappa)
-        del dofs, areas, kappa
+        if weights is not None:
+            weights.add(blk, topology, dofs, shape, areas * kappa)
+            del kappa
+        del dofs, areas
     values = problem.u(planes.T[dirichlet])
     del planes
+    if weights is None:
+        weights = _Weights(mesh, table)
+        for blk in patch_blocks(mesh.n_patches, LOAD_BLOCK_WEIGHT):
+            topology, shape = configs.topology(blk), configs.shape[blk]
+            kappa = np.where(configs.sides[blk] == 1, problem.kappa1, problem.kappa2)
+            weights.add(blk, topology, mesh.subtriangle_nodes(blk, topology), shape,
+                        table.areas[shape] * kappa)
     return LinearSystem(weights.matrix(), rhs, dirichlet, values)
 
 
@@ -210,27 +231,34 @@ class _Weights:
 
     def matrix(self) -> sp.csr_matrix:
         """The stiffness matrix, without its exact zeros, written one block
-        of ``PATCH_BLOCK`` dof rows at a time into arrays of its stored
-        size: each block's entries gathered from the weights, then sorted
-        by row and column."""
+        of dof rows at a time into arrays of its stored size: each block's
+        entries gathered from the weights, then sorted by row and column.
+        A block reads the vertex pairs of ``mesh.edges`` and the edge ids
+        of ``mesh.patch_edges`` only within the window of positions that
+        holds its rows (``_windows``)."""
         mesh, diagonal, halves = self.mesh, self.diagonal, self.halves
         n_vertices, n_dof = mesh.n_vertices, len(diagonal)
         p, v, cut_weights = (np.concatenate(parts) for parts in zip(*self.cuts))
         cut_ends = (mesh.patches[p, v], n_vertices + mesh.patch_edges[p, (v + 1) % 3])
+        edges, patch_edges = mesh.edges.ravel(), mesh.patch_edges.ravel()
+        middle = self.middle.ravel()
+        blocks = list(patch_blocks(n_dof, ROW_BLOCK_WEIGHT))
+        size = blocks[0].stop
+        vertex_windows = _windows(edges, size, len(blocks))
+        edge_windows = _windows(patch_edges + n_vertices, size, len(blocks))
         stored = (np.count_nonzero(diagonal) + 2 * np.count_nonzero(halves)
                   + 2 * np.count_nonzero(self.middle) + 2 * len(cut_weights))
         index = index_dtype(stored, n_dof)
         indptr = np.zeros(n_dof + 1, dtype=index)
         data, indices = np.empty(stored), np.empty(stored, dtype=index)
-        edges, patch_edges = mesh.edges.ravel(), mesh.patch_edges.ravel()
-        middle = self.middle.ravel()
-        for rows in patch_blocks(n_dof):
+        for rows, vertex_window, edge_window in zip(blocks, vertex_windows, edge_windows):
             lo, hi = rows.start, rows.stop
             every = np.arange(lo, hi, dtype=index)
             entries = [(every, every, diagonal[rows])]  # (rows, columns, values)
             if lo < n_vertices:
                 # A vertex couples with the node of each of its edges.
-                m = np.flatnonzero((edges >= lo) & (edges < hi))
+                m = vertex_window.start + np.flatnonzero(
+                    (edges[vertex_window] >= lo) & (edges[vertex_window] < hi))
                 entries.append((edges[m], n_vertices + (m >> 1), halves[m]))
             if hi > n_vertices:
                 # An edge node couples with the edge's two vertices, and in
@@ -238,7 +266,8 @@ class _Weights:
                 e = slice(max(lo - n_vertices, 0), hi - n_vertices)
                 entries.append((np.repeat(every[max(n_vertices - lo, 0):], 2),
                                 edges[2 * e.start:2 * e.stop], halves[2 * e.start:2 * e.stop]))
-                m = np.flatnonzero((patch_edges >= e.start) & (patch_edges < e.stop))
+                window = patch_edges[edge_window]
+                m = edge_window.start + np.flatnonzero((window >= e.start) & (window < e.stop))
                 k = m % 3
                 row = n_vertices + patch_edges[m]
                 before, after = m - k + (k + 2) % 3, m - k + (k + 1) % 3
@@ -268,3 +297,18 @@ class _Weights:
             del entries, every, r, c, w, zero, key, order
         return sp.csr_matrix((data, indices, indptr), shape=(n_dof, n_dof))
 
+
+def _windows(ids, size: int, n_blocks: int) -> list[slice]:
+    """For each of ``n_blocks`` blocks of ``size`` consecutive ids, the
+    slice of positions in ``ids`` from the first to the last that holds one
+    of them (empty for none), found one block of positions at a time. The
+    grid numbers its vertices and edges row by row, so each window spans a
+    few grid rows of a block's entries."""
+    first = np.full(n_blocks, len(ids))
+    stop = np.zeros(n_blocks, dtype=first.dtype)
+    for at in patch_blocks(len(ids)):
+        block = ids[at] // size
+        positions = np.arange(at.start, at.stop)
+        np.minimum.at(first, block, positions)
+        np.maximum.at(stop, block, positions + 1)
+    return [slice(a, max(a, b)) for a, b in zip(first.tolist(), stop.tolist())]

@@ -282,7 +282,7 @@ def mesh_to_json(mesh: PatchMesh, configs=None) -> str:
     }
     if configs is not None:
         columns = zip(configs.kind_names(), mesh.local_params_all().tolist(),
-                      mesh.local_nodes_all().tolist(), configs.topology.tolist(),
+                      mesh.local_nodes_all().tolist(), configs.topology().tolist(),
                       configs.sides.tolist())
         doc["subtriangles"] = [
             {"patch": pid, "cut": kind, "params": params, "nodes": nodes,

@@ -205,7 +205,7 @@ def error_norms(mesh, configs, problem: ProblemSpec, u_h: np.ndarray):
     l2_sums, h1_sums = np.empty(mesh.n_patches), np.empty(mesh.n_patches)
     for blk in patch_blocks(mesh.n_patches, ERROR_BLOCK_WEIGHT):
         shape = configs.shape[blk]
-        dofs = mesh.subtriangle_nodes(blk, configs.topology[blk])
+        dofs = mesh.subtriangle_nodes(blk, configs.topology(blk))
         qpts, qwts = map_rule(gather_triangles(planes, dofs), configs.table.areas[shape],
                               ERROR_RULE)
         coeffs = u_h[dofs]

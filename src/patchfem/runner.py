@@ -73,11 +73,12 @@ __all__ = [
 
 MAX_REFINE_RETRIES = 3
 MAX_ANGLE_BOUND = MAX_ANGLE_DEG + 1e-9
-# Peak memory of one solve above the imported package, per grid cell (n * n
-# cells): the ru_maxrss of run_single measured 1,296-1,356 bytes at
-# n = 128, 741-784 at n = 256 and 676-692 at n = 512 on the circle,
+# Peak memory of one solve above the imported package and a warm-up solve,
+# per grid cell (n * n cells): the ru_maxrss of run_single measured
+# 1,160-1,172 bytes at n = 128 (where adapt's patch-block transients set
+# the peak), 622-624 at n = 256 and 617-627 at n = 512 on the circle,
 # horizontal and tilted problems. A solve keeps nothing for the next, so a
-# worker holds one solve at a time. This is the largest with about 10% to
+# worker holds one solve at a time. This is the largest with about 25% to
 # spare.
 SOLVE_BYTES_PER_CELL = 1500
 
@@ -167,6 +168,9 @@ def _solve_once(config: RunConfig, n: int):
     problem, mesh, configs = _adapted(config, n)
     system = assemble(mesh, configs, problem, mode=config.mode)
     report = cg_solve(system)
+    # The matrix and load are freed before the error norms and the audit.
+    ndofs = system.n_dof
+    del system
     l2, h1 = error_norms(mesh, configs, problem, report.solution)
     audit = max_angle_audit(mesh, configs)
     if config.dump_mesh:
@@ -178,7 +182,7 @@ def _solve_once(config: RunConfig, n: int):
         strategy=config.strategy,
         n=n,
         h=mesh.h_max,
-        ndofs=system.n_dof,
+        ndofs=ndofs,
         l2=l2,
         h1=h1,
         cg_iters=report.iterations,

@@ -77,10 +77,10 @@ def row_block(a: sp.csr_matrix, rows: slice) -> sp.csr_matrix:
     """The rows ``rows`` of ``a`` as a CSR matrix sharing its data and
     column indices."""
     lo, hi = a.indptr[rows.start], a.indptr[rows.stop]
-    indptr = a.indptr[rows.start:rows.stop + 1] - lo
-    block = sp.csr_matrix((a.data[lo:hi], a.indices[lo:hi], indptr),
-                          shape=(rows.stop - rows.start, a.shape[1]), copy=False)
-    # SciPy copies a view of less than half its base on construction.
+    # Built empty and then given the views: SciPy copies a view of less
+    # than half its base on construction.
+    block = sp.csr_matrix((rows.stop - rows.start, a.shape[1]), dtype=a.dtype)
+    block.indptr = a.indptr[rows.start:rows.stop + 1] - lo
     block.data, block.indices = a.data[lo:hi], a.indices[lo:hi]
     return block
 
@@ -132,6 +132,7 @@ def cg_solve(system: LinearSystem, tol: float = 1e-10,
     aps = [None] * len(spans)
 
     def product(k):
+        aps[k] = None  # the old product is freed before the new one is formed
         aps[k] = blocks[k] @ p
         return np.einsum("i,i->", ps[k], aps[k])
 

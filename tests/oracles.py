@@ -428,7 +428,7 @@ def assemble_reference(mesh: PatchMesh, configs, problem, mode="adapted", zeros=
     """Stiffness matrix and load vector over the whole mesh at once, from the
     patch-major geometry, with one COO over all element matrices; without
     its exact zeros unless ``zeros``."""
-    tris, areas, grads = patch_major_geometry(mesh, configs.topology)
+    tris, areas, grads = patch_major_geometry(mesh, configs.topology())
     qpts, qwts = map_rule_reference(tris, areas, LOAD_RULE)
     inside = problem.inside(qpts)
     if mode == "adapted":
@@ -440,7 +440,7 @@ def assemble_reference(mesh: PatchMesh, configs, problem, mode="adapted", zeros=
     f = problem.f(qpts, inside)
     load = np.einsum("pqn,pqn,na->pqa", qwts, f, LOAD_RULE.lambdas)
     dof_map = build_dof_map(mesh)
-    sub_dofs = mesh.subtriangle_nodes(slice(None), configs.topology)
+    sub_dofs = mesh.subtriangle_nodes(slice(None), configs.topology())
     rows = np.repeat(sub_dofs[..., :, None], 3, axis=-1).ravel()
     cols = np.repeat(sub_dofs[..., None, :], 3, axis=-2).ravel()
     matrix = sp.coo_matrix((cell.ravel(), (rows, cols)),
@@ -487,9 +487,9 @@ def assemble_buckets_reference(mesh: PatchMesh, configs, problem, mode="adapted"
     dof_map = build_dof_map(mesh)
     n_dof = dof_map.n_dof
     index = np.int32 if max(36 * mesh.n_patches, n_dof) < 2**31 else np.int64
-    sub_dofs = mesh.subtriangle_nodes(slice(None), configs.topology).astype(index)
+    sub_dofs = mesh.subtriangle_nodes(slice(None), configs.topology()).astype(index)
     slots, indptr, indices = row_buckets_reference(sub_dofs, n_dof)
-    tris, areas, grads = patch_major_geometry(mesh, configs.topology)
+    tris, areas, grads = patch_major_geometry(mesh, configs.topology())
     qpts, qwts = map_rule(tris, areas, LOAD_RULE)
     mask = problem.inside(qpts)
     if mode == "adapted":
@@ -602,9 +602,9 @@ def error_norms_reference(mesh: PatchMesh, configs, problem, u_h):
     """L2 and H1-seminorm errors over the whole mesh at once, from the
     patch-major geometry. Each patch's 4 x 7 terms are added in C order, one
     term at a time, before the ``np.sum`` over the patches."""
-    tris, areas, grads = patch_major_geometry(mesh, configs.topology)
+    tris, areas, grads = patch_major_geometry(mesh, configs.topology())
     qpts, qwts = map_rule_reference(tris, areas, ERROR_RULE)
-    coeffs = u_h[mesh.subtriangle_nodes(slice(None), configs.topology)]
+    coeffs = u_h[mesh.subtriangle_nodes(slice(None), configs.topology())]
     uh_q = np.einsum("pqa,na->pqn", coeffs, ERROR_RULE.lambdas)
     guh = np.einsum("pqa,pqad->pqd", coeffs, grads)
     mask = problem.inside(qpts)

@@ -319,7 +319,7 @@ class TestInterfaceAlignment:
             mid = 0.5 * (nodes[cut_nodes[0]] + nodes[cut_nodes[1]])
             # midpoint must lie on an edge of some subtriangle
             best = np.inf
-            for tri in configs.topology[pid]:
+            for tri in configs.topology(pid):
                 for i in range(3):
                     a, b = nodes[tri[i]], nodes[tri[(i + 1) % 3]]
                     t = np.dot(mid - a, b - a) / np.dot(b - a, b - a)
@@ -415,7 +415,7 @@ class TestSideLabels:
         configs, classification, _ = adapt(mesh, ls, 2)
         nodes = mesh.local_nodes_all()
         for pid in range(mesh.n_patches):
-            centroids = nodes[pid][configs.topology[pid]].mean(axis=1)
+            centroids = nodes[pid][configs.topology(pid)].mean(axis=1)
             expect = np.where(centroids[:, 1] < 0.125, 1, 2)
             assert np.array_equal(configs.sides[pid], expect)
 

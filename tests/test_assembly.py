@@ -24,6 +24,7 @@ from patchfem.assembly import (
     MIDDLE_SIDES,
     SEGMENT_SLOTS,
     LinearSystem,
+    _windows,
     assemble,
 )
 from patchfem.geometry import LOAD_RULE, DegenerateTriangle, map_rule, triangle_area
@@ -272,6 +273,31 @@ class TestSegmentTables:
             check_segments(topology, None if row == 0 else row - 1)
 
 
+class TestRowWindows:
+    """Each block of dof rows reads the mesh's id arrays only within its
+    window, so a window must hold every position of its block's ids."""
+
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    def test_windows_hold_every_position(self, size):
+        ids = np.random.default_rng(size).integers(0, 300, size=1000)
+        windows = _windows(ids, size, -(-300 // size))
+        for block, window in enumerate(windows):
+            at = np.flatnonzero(ids // size == block)
+            if len(at) == 0:
+                assert window.start == window.stop
+            else:
+                assert (window.start, window.stop) == (at[0], at[-1] + 1)
+
+    def test_grid_windows_are_narrow(self):
+        # The row-by-row numbering keeps the windows of the 17 row blocks at
+        # n = 128 to about one pass over each array.
+        mesh = build_structured_mesh(128)
+        n_blocks = -(-(mesh.n_vertices + mesh.n_edges) // 4096)
+        for ids in (mesh.edges.ravel(), mesh.n_vertices + mesh.patch_edges.ravel()):
+            scanned = sum(w.stop - w.start for w in _windows(ids, 4096, n_blocks))
+            assert scanned < 1.25 * len(ids)
+
+
 class TestAssemble:
     def _adapted(self, n, problem, strategy=2):
         mesh = build_structured_mesh(n, problem.domain)
@@ -366,7 +392,7 @@ class TestAssemblyOracle:
         rhs = np.zeros(system.n_dof)
         for pid in range(mesh.n_patches):
             nodes = local_nodes(mesh, pid)
-            for topo, side in zip(configs.topology[pid], configs.sides[pid]):
+            for topo, side in zip(configs.topology(pid), configs.sides[pid]):
                 tri, dofs = nodes[topo], patch_dofs[pid, topo]
                 kappa = problem.kappa1 if side == 1 else problem.kappa2
                 matrix[np.ix_(dofs, dofs)] += local_stiffness(tri, kappa)
@@ -556,7 +582,7 @@ class TestLocality:
         edges = mesh.patch_edges
         changed = (np.any(mesh.edge_param[edges] != other.edge_param[edges], axis=1)
                    | np.any(configs.sides != other_configs.sides, axis=1)
-                   | np.any(configs.topology != other_configs.topology, axis=(1, 2)))
+                   | np.any(configs.topology() != other_configs.topology(), axis=(1, 2)))
         near = np.zeros(system.n_dof, dtype=bool)
         near[mesh.patches[changed]] = True
         near[mesh.n_vertices + edges[changed]] = True

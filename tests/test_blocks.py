@@ -20,7 +20,7 @@ from patchfem.adaptation import (
     classify_all,
     max_angle_audit,
 )
-from patchfem.assembly import assemble
+from patchfem.assembly import LOAD_BLOCK_WEIGHT, assemble
 from patchfem.mesh import build_structured_mesh, index_dtype, patch_blocks
 from patchfem.problems import ERROR_BLOCK_WEIGHT, circle_problem, error_norms, tilted_problem
 from patchfem.runner import RunConfig, run_single
@@ -215,12 +215,14 @@ class TestOneLevelSetPass:
         mesh = build_structured_mesh(6, problem.domain)
         configs, _, _ = adapt(mesh, problem.levelset, 2)
         monkeypatch.setattr(mesh_module, "PATCH_BLOCK", 5)
-        n_blocks = len(list(patch_blocks(mesh.n_patches)))
+        n_blocks = len(list(patch_blocks(mesh.n_patches, LOAD_BLOCK_WEIGHT)))
         counting = _CountingLevelSet(problem.levelset)
         problem = dataclasses.replace(problem, levelset=counting)
 
         system = assemble(mesh, configs, problem, mode=mode)
-        assert counting.calls == n_blocks + 1  # load points, then Dirichlet data
+        # Load points per load block (here one patch), then Dirichlet data.
+        assert counting.calls == n_blocks + 1
+        assert n_blocks == mesh.n_patches
         counting.calls = 0
         error_norms(mesh, configs, problem, np.zeros(system.n_dof))
         # The error integrands are formed per error block, here one patch.
@@ -250,19 +252,22 @@ def _traced_peak_mib(fn, *args, **kwargs):
 
 # Measured traced peaks at n = 128 are 6.8 MiB (build_structured_mesh:
 # int32 index arrays, the edge directions and diameters formed one patch
-# block at a time) and 14.3 MiB (adapt, whose largest part is build_configs'
-# patch-block keys and subtriangles); the bounds add 20%. With int64 index
+# block at a time) and 14.1 MiB (adapt, whose largest part is build_configs'
+# patch-block keys and subtriangles; 14.3 MiB while the configs held every
+# patch's cut kind and topology); the bounds add 20%. With int64 index
 # arrays and (n_patches, 3, 2) temporaries the mesh build peaked at
 # 14.1 MiB.
 MESH_BOUND_MIB = 8.2
-ADAPT_BOUND_MIB = 17.2
-# Measured traced peaks at n = 128 are 15.4 MiB (assemble: the loads and
-# the segment weights summed in one pass over the patch blocks, each
-# block's load arrays freed before its stiffness terms are made, then the
-# matrix written one block of dof rows at a time into arrays of its stored
-# size; the bound stays, below that peak + 20%; with each block of dof rows
-# finding and sorting its own element rows it was 14.0 MiB, and 36.1 against
-# 33.0 MiB at n = 256) and 4.3 MiB (error_norms: the node coordinates,
+ADAPT_BOUND_MIB = 16.9
+# Measured traced peaks at n = 128 are 8.4 MiB (assemble: the loads in one
+# pass over blocks of PATCH_BLOCK // 4 patches, the segment weights in a
+# second, then the matrix written one block of PATCH_BLOCK // 4 dof rows at
+# a time into arrays of its stored size; 15.4 MiB with the loads and the
+# weights summed in one pass over blocks of PATCH_BLOCK patches and the
+# matrix written in blocks of PATCH_BLOCK rows, 28.1 against 32.7 MiB at
+# n = 256; with each block of dof rows finding and sorting its own element
+# rows it was 14.0 MiB, and 36.1 against 33.0 MiB at n = 256) and 4.3 MiB
+# (error_norms: the node coordinates,
 # the per-patch sums and one block of PATCH_BLOCK // 16 patches'
 # integrands, each block's freed before the next block's are made); the
 # bounds add 20%. With integrand spans of at most 4 * PATCH_BLOCK elements
@@ -277,12 +282,12 @@ ADAPT_BOUND_MIB = 17.2
 # calls peaked at 36.5 and 42.0 MiB, with the
 # whole-mesh COO and integrand arrays at 43.1 and 59.5 MiB, and without the
 # patch blocks at 84.6 and 89.0 MiB.
-ASSEMBLE_BOUND_MIB = 16.9
+ASSEMBLE_BOUND_MIB = 10.1
 ERRORS_BOUND_MIB = 5.2
 # With blocks of 512 patches (and dof rows) the block temporaries are
 # small, and the peaks show what each call holds over the whole mesh:
-# measured 7.0 MiB (assemble: the loads, the node coordinates, the segment
-# weights and the returned matrix; 8.1 MiB with the whole-mesh subtriangle
+# measured 7.0 MiB (assemble: the load, the segment weights and the
+# returned matrix; 8.1 MiB with the whole-mesh subtriangle
 # dofs and the matrix arrays at the coupling graph's size) and 1.8 MiB
 # (error_norms, which holds the node
 # coordinates instead of the patch dofs, and the per-patch sums), plus 20%. Holding kappa * area
@@ -294,17 +299,19 @@ ERRORS_BOUND_MIB = 5.2
 SMALL_BLOCK = 512
 ASSEMBLE_SMALL_BLOCK_BOUND_MIB = 8.4
 ERRORS_SMALL_BLOCK_BOUND_MIB = 2.2
-# The same for the shape table: 14.26 MiB (build_configs, whose patch-block
+# The same for the shape table: 14.07 MiB (build_configs, whose patch-block
 # keys and subtriangles are the largest part; the cut patches' anchor
-# labels add nothing to the peak) and 0.67 MiB (max_angle_audit, angles of
-# the shapes only), plus 20%. Storing the whole-mesh subtriangle geometry
-# they peaked at 19.8 MiB (returning 14.3 MiB of arrays) and 11.8 MiB.
-CONFIGS_BOUND_MIB = 17.1
+# labels add nothing to the peak; 14.26 MiB returning every patch's cut
+# kind and topology) and 0.67 MiB (max_angle_audit, angles of the shapes
+# only), plus 20%. Storing the whole-mesh subtriangle geometry they peaked
+# at 19.8 MiB (returning 14.3 MiB of arrays) and 11.8 MiB.
+CONFIGS_BOUND_MIB = 16.9
 AUDIT_BOUND_MIB = 0.81
-# adapt with blocks of SMALL_BLOCK patches: 2.33 MiB (what it returns and
-# the crossings of every edge), plus 20%. It read 3.0 MiB in earlier
+# adapt with blocks of SMALL_BLOCK patches: 1.96 MiB (what it returns and
+# the crossings of every edge), plus 20%. It read 2.33 MiB while the
+# configs held every patch's cut kind and topology, 3.0 MiB in earlier
 # trees; classify_all over the whole mesh at once peaked at 7.9 MiB.
-ADAPT_SMALL_BLOCK_BOUND_MIB = 2.8
+ADAPT_SMALL_BLOCK_BOUND_MIB = 2.4
 # A vector over the 66,049 dofs at n = 128 is 0.50 MiB and the matrix 4.05
 # (5.52 with its exact zeros stored).
 # LinearSystem.reduced: 1.01 MiB measured (the Dirichlet data vector,
@@ -314,14 +321,19 @@ ADAPT_SMALL_BLOCK_BOUND_MIB = 2.8
 # peaked at 1.07 MiB, copying the free rows and columns into A_ff at
 # 8.1 MiB, slicing them at 12.2.
 REDUCED_BOUND_MIB = 1.2
-# cg_solve: 2.80 MiB measured (x, p, the inverse diagonal and each span's
-# A p, whose buffer also holds alpha p and z; r is the system's lifted
-# load), plus 20%: below the matrix itself, so a copy of it fails. With r
-# a vector of its own it peaked at 3.37 MiB, with separate vectors for
-# alpha p and z at 4.38 MiB, on a separate A_ff at 10.3 MiB.
-CG_SOLVE_BOUND_MIB = 3.5
+# cg_solve: 2.30 MiB measured (x, p, the inverse diagonal and each span's
+# A p, whose buffer also holds alpha p and z and is dropped before the next
+# product is formed; r is the system's lifted load), plus 20%: below the
+# matrix itself, so a copy of it fails. Holding the old A p beside the new
+# one it peaked at 2.80 MiB, with r a vector of its own at 3.37 MiB, with
+# separate vectors for alpha p and z at 4.38 MiB, on a separate A_ff at
+# 10.3 MiB.
+CG_SOLVE_BOUND_MIB = 2.8
 # A whole run_single of the tilted problem at n = 128 with strategy 3,
-# every stage included: 16.5 MiB measured, plus 20%. It was 17.8 MiB with
+# every stage included: 16.3 MiB measured (adapt's build_configs sets it),
+# plus 20%. It was 17.5 MiB with the loads and the weights summed in one
+# pass and the matrix and load held through the error norms and the audit,
+# 17.8 MiB with
 # the gradient products formed per element row, 19.1 MiB with
 # the exact zeros stored, kappa * area held and a second load vector,
 # 24.9 MiB with int64 mesh arrays and whole-mesh sorts and
@@ -329,9 +341,9 @@ CG_SOLVE_BOUND_MIB = 3.5
 # 38.1 MiB with a separate A_ff and the patch dofs held through the matrix
 # build, and its largest stage was error_norms at 67.0 MiB before the row
 # blocks and the capped spans.
-RUN_SINGLE_BOUND_MIB = 19.8
+RUN_SINGLE_BOUND_MIB = 19.5
 # A second run_single on the grid of the first (the circle at n = 128,
-# strategy 2 then 3), both traced from before the first: 17.1 MiB each,
+# strategy 2 then 3), both traced from before the first: 16.3 MiB each,
 # since a solve keeps nothing for the next. It was 21.55 against 17.90 MiB
 # (1.20x) while each process kept the last grid's mesh, matrix, edge
 # parameters, topologies and side labels into the next solve.
@@ -343,10 +355,11 @@ KEPT_BOUND_MIB = 0.25
 
 
 class TestPeakMemory:
-    """Traced peaks at n = 128 (32,768 patches, two patch blocks, five blocks
-    of dof rows), above what each call holds on entry. tracemalloc sees
-    every NumPy allocation, so a new temporary over the whole mesh, in any
-    stage of a solve, fails these bounds."""
+    """Traced peaks at n = 128 (32,768 patches: two patch blocks, eight of
+    PATCH_BLOCK // 4 patches for the loads, 17 blocks of as many dof rows),
+    above what each call holds on entry. tracemalloc sees every NumPy allocation, so
+    a new temporary over the whole mesh, in any stage of a solve, fails
+    these bounds."""
 
     @pytest.fixture(scope="class")
     def circle(self):

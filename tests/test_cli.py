@@ -405,6 +405,33 @@ class TestImportCost:
         assert proc.stdout.splitlines()[-1] == "False"
 
 
+class TestSolveMemory:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    def test_peak_rss_per_cell(self):
+        # The pool sizes itself by SOLVE_BYTES_PER_CELL: a fresh process's
+        # peak RSS may grow by no more than that per cell in one solve, after
+        # the import and a warm-up solve. The peak is read as VmHWM, not as
+        # ru_maxrss, which Linux carries over exec from the forked copy of
+        # this (larger) process.
+        n = 128
+        script = (
+            "from patchfem.runner import RunConfig, run_single\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        line = next(line for line in fh if line.startswith('VmHWM:'))\n"
+            "    return int(line.split()[1]) * 1024\n"
+            "run_single(RunConfig(problem='circle', n=16))\n"
+            "before = peak()\n"
+            f"run_single(RunConfig(problem='circle', n={n}))\n"
+            "print(peak() - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=_package_env(), check=False, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        grown = int(proc.stdout.split()[-1])
+        assert 0 < grown < runner_module.SOLVE_BYTES_PER_CELL * n * n
+
+
 class TestBlasThreads:
     def test_csv_does_not_depend_on_blas_threads(self, tmp_path):
         # OpenBLAS splits a dot product of more than 10,000 entries over its

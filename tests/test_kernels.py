@@ -187,7 +187,7 @@ def check_adapted_mesh(problem, n, strategy):
 
     resolve_edge_params(mesh, classification, strategy)
     configs = build_configs(mesh, classification, problem.levelset)
-    tris, areas, grads = patch_major_geometry(mesh, configs.topology)
+    tris, areas, grads = patch_major_geometry(mesh, configs.topology())
     table = configs.table
     assert configs.shape.dtype == np.int32
     for got in (table.tris, table.areas, table.grads):
@@ -199,7 +199,7 @@ def check_adapted_mesh(problem, n, strategy):
     assert np.array_equal(table.areas[configs.shape], areas)
     assert np.array_equal(table.grads[configs.shape], grads)
     gathered = gather_triangles(mesh.node_planes(),
-                                mesh.subtriangle_nodes(slice(None), configs.topology))
+                                mesh.subtriangle_nodes(slice(None), configs.topology()))
     assert gathered.T.flags.c_contiguous
     assert np.array_equal(gathered, tris)
     angles = interior_angles_reference(tris)

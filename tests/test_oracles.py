@@ -92,9 +92,9 @@ def check_against_oracles(levelset, n, strategy):
         return
 
     assert configs.kind_names() == [cfg.cut.kind for cfg in reference]
-    assert np.array_equal(configs.topology, np.stack([cfg.topology for cfg in reference]))
+    assert np.array_equal(configs.topology(), np.stack([cfg.topology for cfg in reference]))
     assert np.array_equal(configs.sides, np.stack([cfg.sides for cfg in reference]))
-    assert configs.topology.dtype == configs.sides.dtype == np.int8
+    assert configs.topology().dtype == configs.sides.dtype == np.int8
     assert mesh.local_params_all().tolist() == [list(cfg.params) for cfg in reference]
     assert mesh_to_json(mesh, configs) == mesh_to_json_reference(ref_mesh, reference)
 
@@ -232,7 +232,7 @@ def test_patch_view_and_audit_rows():
     params = mesh.local_params_all().tolist()
     for pid, want in enumerate(reference):
         assert cuts[pid] == want.cut and tuple(params[pid]) == want.params
-        assert np.array_equal(configs.topology[pid], want.topology)
+        assert np.array_equal(configs.topology(pid), want.topology)
         assert np.array_equal(configs.sides[pid], want.sides)
 
     audit = max_angle_audit(mesh, configs)
