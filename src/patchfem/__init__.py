@@ -20,7 +20,6 @@ from .adaptation import (
     free_params_vertex_edge,
     max_angle_audit,
     resolve_edge_params,
-    side_labels,
 )
 from .assembly import LinearSystem, assemble
 from .geometry import DegenerateTriangle, QuadRule, interior_angles, triangle_area

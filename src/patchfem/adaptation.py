@@ -11,11 +11,12 @@ when a vertex is cut).
 Every stage works on whole arrays. ``classify_all`` gives each patch a cut
 code into ``_CUT_CLASSES``, and ``resolve_edge_params`` writes the edge
 parameters of all cut patches at once, each free edge from the lowest
-(patch, local edge) on it. The interface is a subtriangle edge and the
-diffusion is constant on each side of it, so ``build_configs`` labels each
-subtriangle of a cut patch by the level-set sign at its anchor vertex
-(``_SIDE_ANCHOR``), and each subtriangle of an uncut patch by the sign at its
-centroid (``side_labels``).
+(patch, local edge) on it. The interface only places the subtriangle
+vertices: the diffusion is constant on each side of the discrete interface,
+the polygon through the crossings and the hit vertices. So ``build_configs``
+labels each subtriangle by the level-set sign at one patch vertex: in a cut
+patch its anchor vertex (``_SIDE_ANCHOR``), in an uncut patch the vertex of
+largest |phi|, which is not hit.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "free_params_two_edges",
     "free_params_vertex_edge",
     "resolve_edge_params",
-    "side_labels",
     "build_configs",
     "adapt",
     "reference_local_nodes",
@@ -138,10 +138,11 @@ _CUT_CLASS_ARRAY = np.array(_CUT_CLASSES, dtype=object)
 # The parameter that the node on local edge k sits at: s, r, and q = 1 - t.
 _PARAM_OF_EDGE = ("s", "r", "q")
 
-# The anchor of each subtriangle of a cut patch, by cut code (row 0 unused):
-# a patch vertex on the subtriangle's side of the cut segment. A patch's two
-# anchors are never hit vertices, and the crossed edge between them has one
-# counted root, so they lie on opposite sides of the interface.
+# The anchor of each subtriangle of a cut patch, by cut code (row 0 unused,
+# see _sides): a patch vertex on the subtriangle's side of the cut
+# segment. A patch's two anchors are never hit vertices, and the crossed edge
+# between them has one counted root, so they lie on opposite sides of the
+# interface.
 _SIDE_ANCHOR = np.array([
     [0, 0, 0, 0],  # uncut (unused)
     [0, 1, 0, 0],  # edge-edge (0, 1)
@@ -259,8 +260,10 @@ def classify_all(mesh: PatchMesh, levelset) -> Classification:
     endpoint belongs to that vertex and is dropped. Two crossings on one
     edge, more than two boundary cut points, a crossing on an edge adjacent
     to a cut vertex, or a lone tangential contact point raise
-    RefinementRequired for the lowest such patch id. A patch whose interface
-    passes through two vertices counts as uncut. The recorded edge crossings
+    RefinementRequired for the lowest such patch id; three hit vertices are
+    more than two boundary cut points too. A patch with no counted crossing
+    and at most two hit vertices is uncut: its other vertices lie on one
+    side of the interface. The recorded edge crossings
     are the ones classification counted, taken from the lowest cut patch
     through each edge and converted to the edge storage direction.
 
@@ -306,10 +309,9 @@ def _classify_block(mesh: PatchMesh, blk: slice, phi, roots):
     checks = (
         (counts.max(axis=1) >= 2, "interface enters and leaves through one edge"),
         (single & (n_hits == 0), "single boundary contact point"),
-        (single & (n_hits > 1), "more than two boundary cut points"),
         (single & (n_hits == 1) & (counts.argmax(axis=1) != (hit_vertex + 1) % 3),
          "vertex cut with crossing on adjacent edge"),
-        ((total >= 2) & ((total > 2) | (n_hits > 0)), "more than two boundary cut points"),
+        (total + n_hits > 2, "more than two boundary cut points"),
     )
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     if bad.any():
@@ -534,23 +536,6 @@ def _keep_angle_bound(mesh: PatchMesh, code: np.ndarray, eids, forward, plain) -
         pending &= ~revert
 
 
-def side_labels(tris, levelset, scale=1.0) -> np.ndarray:
-    """Side label (1 or 2) per subtriangle from the level-set sign at its
-    centroid; ties break toward side 2.
-
-    Batched over leading axes: subtriangles ``tris`` (..., 4, 3, 2) and
-    ``scale`` (...) give labels (..., 4), int8. The sign threshold is
-    ``-SNAP_TOL * scale``.
-    """
-    centroids = np.empty(tris.shape[:-2] + (2,), order="F")
-    for c in range(2):
-        x = tris[..., c]
-        centroids[..., c] = (x[..., 0] + x[..., 1] + x[..., 2]) / 3.0
-    phi = levelset.eval(centroids)
-    threshold = -SNAP_TOL * np.asarray(scale)[..., None]
-    return np.where(phi < threshold, 1, 2).astype(np.int8)
-
-
 def _shape_keys(tris) -> np.ndarray:
     """One item per patch: the raw bytes of the vertex differences
     x1 - x0, x2 - x0, x2 - x1 (and in y) of its four subtriangles ``tris``
@@ -566,30 +551,45 @@ def _shape_keys(tris) -> np.ndarray:
     return diffs.reshape(len(tris), -1).view(np.dtype((np.void, 24 * 8))).ravel()
 
 
+def _sides(phi, code) -> np.ndarray:
+    """Side labels (n, 4) of patches of cut codes ``code`` (n,) from the
+    level set ``phi`` (n, 3) at their vertices: 1 where phi < 0 at a
+    subtriangle's anchor vertex, else 2. A cut patch's anchors are
+    ``_SIDE_ANCHOR``'s. An uncut patch's subtriangles share the vertex of
+    largest |phi|, which is not hit, so the patch takes the side of its
+    vertices that are not hit."""
+    anchor = np.where(code[:, None] == 0, np.abs(phi).argmax(axis=1)[:, None],
+                      _SIDE_ANCHOR[code])
+    return np.where(np.take_along_axis(phi, anchor, axis=1) < 0, 1, 2)
+
+
 def build_configs(mesh: PatchMesh, classification: Classification,
                   levelset) -> PatchConfigs:
     """Configurations of all patches after the edge parameters are resolved.
 
-    Topologies come from the fixed tables. The physical subtriangles are
-    gathered one patch block at a time: side labels come from a level-set
-    evaluation at their centroids, and their vertex differences key the
-    patch's shape. A cut patch's subtriangles then take the side of their
-    anchor vertex (``_SIDE_ANCHOR``) instead: 1 where the level set is
-    negative there, else 2. The distinct keys of each block, merged over the
-    blocks, give the same shape ids as one ``np.unique`` over the whole mesh;
-    areas and gradients are computed once per shape, on the subtriangles of
-    its lowest patch.
+    Topologies come from the fixed tables. Side labels come from one
+    level-set evaluation at the mesh vertices, read one patch block at a
+    time (``_sides``) and freed before the shapes are keyed; the unfitted
+    baseline calls every patch uncut, so each of its patches takes the side
+    of its vertex of largest |phi|. The physical subtriangles are gathered
+    one patch block at a time, and their vertex differences key the patch's
+    shape. The distinct keys of each block, merged over the blocks, give the
+    same shape ids as one ``np.unique`` over the whole mesh; areas and
+    gradients are computed once per shape, on the subtriangles of its lowest
+    patch.
     """
     code = classification.code
     planes = mesh.node_planes()
-    diameters = mesh.patch_diameters()
+    phi = levelset.eval(mesh.vertices)
     sides = np.empty((mesh.n_patches, 4), dtype=np.int8)
+    for blk in patch_blocks(mesh.n_patches):
+        sides[blk] = _sides(phi[mesh.patches[blk]], code[blk])
+    del phi
     shape = np.empty(mesh.n_patches, dtype=np.int32)
     keys, firsts, n_keys = [], [], 0
     for blk in patch_blocks(mesh.n_patches):
         topology = TOPOLOGIES[_TOPOLOGY[code[blk]]]
         tris = gather_triangles(planes, mesh.subtriangle_nodes(blk, topology))
-        sides[blk] = side_labels(tris, levelset, diameters[blk])
         block_keys, first, inverse = np.unique(_shape_keys(tris), return_index=True,
                                                return_inverse=True)
         shape[blk] = inverse + n_keys  # into the concatenated block keys
@@ -597,10 +597,6 @@ def build_configs(mesh: PatchMesh, classification: Classification,
         keys.append(block_keys)
         firsts.append(first + blk.start)
     del topology, tris
-    cut_ids = classification.cut_ids
-    phi = levelset.eval(mesh.vertices[mesh.patches[cut_ids]])
-    anchors = np.take_along_axis(phi, _SIDE_ANCHOR[code[cut_ids]], axis=1)
-    sides[cut_ids] = np.where(anchors < 0, 1, 2)
     # Block order is patch order, so the first occurrence of a merged key is
     # its lowest patch.
     _, first, merged = np.unique(np.concatenate(keys), return_index=True,

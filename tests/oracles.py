@@ -24,7 +24,9 @@ system, and ``embed`` puts the Dirichlet data back around its solution.
 ``build_structured_mesh_reference`` numbers the edges with a dictionary while
 walking the cells, and ``build_configs_reference`` builds one configuration
 per patch, with ``side_labels_reference`` evaluating the level set patch by
-patch and voting over the subtriangle groups of ``SIDE_GROUPS``.
+patch: at the vertices of an uncut patch, and at the centroids of a cut
+patch's subtriangles (``centroid_labels_reference``), voting over the
+subtriangle groups of ``SIDE_GROUPS``.
 ``mesh_to_json_reference`` dumps from that list. The package computes the
 same results with whole-array NumPy passes; the tests require them to be
 exactly equal.
@@ -268,26 +270,37 @@ SIDE_GROUPS = (
 )
 
 
-def side_labels_reference(nodes, topology, levelset, cut=None, scale=1.0) -> np.ndarray:
-    """Side labels of one patch by a vote over centroid signs: a group of
-    ``SIDE_GROUPS`` whose labels disagree (a sliver centroid across a curved
-    interface) takes the label of its anchor vertex, and if both groups then
-    carry one label, each falls back to its anchor."""
-    tris = nodes[topology]  # (4, 3, 2)
-    centroids = tris.mean(axis=1)
-    phi = levelset.eval(centroids)
-    labels = np.where(phi < -SNAP_TOL * scale, 1, 2).astype(np.int8)
+def centroid_labels_reference(tris, levelset, scale=1.0) -> np.ndarray:
+    """Side label (1 or 2) per subtriangle of ``tris`` (..., 3, 2) from the
+    level-set sign at its centroid, ties toward side 2: the sign threshold
+    is ``-SNAP_TOL * scale``. Cut patches vote over it; on a straight
+    interface it gives every uncut patch its vertex sign."""
+    phi = levelset.eval(tris.mean(axis=-2))
+    return np.where(phi < -SNAP_TOL * np.asarray(scale)[..., None], 1, 2).astype(np.int8)
 
-    if cut is not None and cut.is_cut:
-        (group_a, anchor_a), (group_b, anchor_b) = SIDE_GROUPS[_CUT_CLASSES.index(cut) - 1]
-        for group, anchor in ((group_a, anchor_a), (group_b, anchor_b)):
-            group = list(group)
-            if len(set(labels[group])) > 1:
-                lab = 1 if levelset.eval(nodes[anchor]) < 0 else 2
-                labels[group] = lab
-        if labels[list(group_a)][0] == labels[list(group_b)][0]:
-            labels[list(group_a)] = 1 if levelset.eval(nodes[anchor_a]) < 0 else 2
-            labels[list(group_b)] = 1 if levelset.eval(nodes[anchor_b]) < 0 else 2
+
+def side_labels_reference(nodes, topology, levelset, cut, scale=1.0) -> np.ndarray:
+    """Side labels of one patch. An uncut patch takes the sign of its
+    vertices that are not hit, which must agree: 1 where phi < 0, else 2.
+    A cut patch votes over centroid signs: a group of ``SIDE_GROUPS`` whose
+    labels disagree (a sliver centroid across a curved interface) takes the
+    label of its anchor vertex, and if both groups then carry one label,
+    each falls back to its anchor."""
+    if not cut.is_cut:
+        phi = [levelset_eval_reference(levelset, v) for v in nodes[:3]]
+        (label,) = {1 if p < 0 else 2 for p in phi if abs(p) > SNAP_TOL * scale}
+        return np.full(4, label, dtype=np.int8)
+
+    labels = centroid_labels_reference(nodes[topology], levelset, scale)
+    (group_a, anchor_a), (group_b, anchor_b) = SIDE_GROUPS[_CUT_CLASSES.index(cut) - 1]
+    for group, anchor in ((group_a, anchor_a), (group_b, anchor_b)):
+        group = list(group)
+        if len(set(labels[group])) > 1:
+            lab = 1 if levelset.eval(nodes[anchor]) < 0 else 2
+            labels[group] = lab
+    if labels[list(group_a)][0] == labels[list(group_b)][0]:
+        labels[list(group_a)] = 1 if levelset.eval(nodes[anchor_a]) < 0 else 2
+        labels[list(group_b)] = 1 if levelset.eval(nodes[anchor_b]) < 0 else 2
     return labels
 
 
@@ -409,11 +422,6 @@ def map_rule_reference(tris, areas, rule):
     x = rule.points[:, 0][..., None]
     y = rule.points[:, 1][..., None]
     return a + x * e1 + y * e2, rule.weights * (2.0 * np.asarray(areas))[..., None]
-
-
-def centroids_reference(tris):
-    """Subtriangle centroids (..., 2) as the mean of the vertices."""
-    return tris.mean(axis=-2)
 
 
 def patch_major_geometry(mesh: PatchMesh, topology):
@@ -701,6 +709,8 @@ def _classify(mesh: PatchMesh, pid: int, levelset):
     if max(counts) >= 2:
         raise RefinementRequired(pid, "interface enters and leaves through one edge")
     if total == 0:
+        if n_hits == 3:
+            raise RefinementRequired(pid, "more than two boundary cut points")
         return CutClass(UNCUT), per_edge
     if total == 1:
         (k,) = [k for k in range(3) if counts[k] == 1]

@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from patchfem.adaptation import (
@@ -21,11 +21,10 @@ from patchfem.adaptation import (
     max_angle_audit,
     reference_local_nodes,
     resolve_edge_params,
-    side_labels,
 )
 from patchfem.assembly import assemble
 from patchfem.geometry import interior_angles, triangle_area
-from patchfem.levelset import Circle, HorizontalLine
+from patchfem.levelset import SNAP_TOL, Circle, HorizontalLine, TiltedLine
 from patchfem.mesh import FREE, INTERFACE_LOCKED, STRATEGY_SET, PatchMesh, build_structured_mesh
 from patchfem.problems import circle_problem, horizontal_problem
 from patchfem.runner import make_problem
@@ -35,6 +34,7 @@ from .oracles import (
     SIDE_GROUPS,
     angle_cosines_two_edges,
     angle_cosines_vertex_edge,
+    centroid_labels_reference,
     determined_params,
     edge_points,
     local_params,
@@ -78,6 +78,16 @@ class TestClassifyPatch:
         # interface along the bottom edge
         mesh = single_patch([0.0, 0.0], [1.0, 0.0], [0.0, 1.0])
         assert classify_patch(mesh, 0, HorizontalLine(0.0)).kind == "uncut"
+
+    def test_three_vertex_hits_require_refinement(self):
+        # The circle through the four corners of one cell hits every vertex
+        # of its two patches, 54 and 55, and crosses none of their edges.
+        h = 2.0 / 8
+        circle = Circle((-1.0 + 3.5 * h, -1.0 + 3.5 * h), h / np.sqrt(2.0))
+        with pytest.raises(RefinementRequired) as info:
+            classify_all(build_structured_mesh(8), circle)
+        assert info.value.patch_id == 54
+        assert info.value.reason == "more than two boundary cut points"
 
     def test_double_crossing_one_edge_requires_refinement(self):
         mesh = single_patch([0.0, 0.0], [1.0, 0.0], [0.0, 1.0])
@@ -404,10 +414,9 @@ class TestResolveEdgeParams:
 
 class TestSideLabels:
     def test_uncut_inside_circle(self):
-        nodes = reference_local_nodes(0.5, 0.5, 0.5) * 0.1
-        labels = side_labels(nodes[TOPOLOGIES[0]],
-                             Circle((0, 0), 0.5))
-        assert np.all(labels == 1)
+        mesh = single_patch([0.0, 0.0], [0.1, 0.0], [0.0, 0.1])
+        configs = build_configs(mesh, Classification.uncut(mesh), Circle((0, 0), 0.5))
+        assert configs.sides.tolist() == [[1, 1, 1, 1]]
 
     def test_horizontal_line_partition(self):
         mesh = build_structured_mesh(4)
@@ -441,6 +450,39 @@ class TestSideLabels:
                 assert group_labels == {1 if phi < 0 else 2}
                 labels.append(group_labels)
             assert labels[0] != labels[1]
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=cases())
+    # Two hit vertices, with the arc between them inside an uncut patch.
+    @example(case=(Circle((0.0, 0.0), 1.0), 2, 2))
+    @example(case=(circle_problem().levelset, 4, 2))
+    # Every vertex of patches 54 and 55 hit: refinement is required.
+    @example(case=(Circle((-0.125, -0.125), 0.25 / np.sqrt(2.0)), 8, 2))
+    def test_uncut_patch_sides_are_its_vertex_sign(self, case):
+        """Every uncut patch has a vertex that is not hit, its vertices that
+        are not hit share one level-set sign, and all four subtriangles
+        carry it. On a straight interface every centroid has that sign
+        too, so the lines' labels are the centroid rule's."""
+        levelset, n, strategy = case
+        mesh = build_structured_mesh(n)
+        try:
+            configs, classification, _ = adapt(mesh, levelset, strategy)
+        except RefinementRequired:
+            return
+        uncut = np.flatnonzero(classification.code == 0)
+        phi = levelset.eval(mesh.vertices)[mesh.patches[uncut]]
+        diameters = mesh.patch_diameters()[uncut]
+        far = np.abs(phi) > SNAP_TOL * diameters[:, None]
+        inside = (far & (phi < 0)).any(axis=1)
+        outside = (far & (phi >= 0)).any(axis=1)
+        assert np.all(inside != outside)
+        want = np.where(inside, 1, 2)
+        assert np.array_equal(configs.sides[uncut], np.repeat(want[:, None], 4, axis=1))
+        if isinstance(levelset, (HorizontalLine, TiltedLine)):
+            tris = mesh.local_nodes_all()[uncut][:, TOPOLOGIES[0]]
+            assert np.array_equal(configs.sides[uncut],
+                                  centroid_labels_reference(tris, levelset, diameters))
 
 
 class TestAngleCosines:

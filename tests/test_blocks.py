@@ -300,18 +300,21 @@ SMALL_BLOCK = 512
 ASSEMBLE_SMALL_BLOCK_BOUND_MIB = 8.4
 ERRORS_SMALL_BLOCK_BOUND_MIB = 2.2
 # The same for the shape table: 14.07 MiB (build_configs, whose patch-block
-# keys and subtriangles are the largest part; the cut patches' anchor
-# labels add nothing to the peak; 14.26 MiB returning every patch's cut
+# keys and subtriangles are the largest part; the side labels, read from
+# the level set at the vertices in a pass of their own, add nothing to the
+# peak: 14.19 MiB, and 18.43 against 17.93 at n = 256, while the vertex
+# values were held through the keys; 14.26 MiB returning every patch's cut
 # kind and topology) and 0.67 MiB (max_angle_audit, angles of the shapes
 # only), plus 20%. Storing the whole-mesh subtriangle geometry they peaked
 # at 19.8 MiB (returning 14.3 MiB of arrays) and 11.8 MiB.
 CONFIGS_BOUND_MIB = 16.9
 AUDIT_BOUND_MIB = 0.81
-# adapt with blocks of SMALL_BLOCK patches: 1.96 MiB (what it returns and
-# the crossings of every edge), plus 20%. It read 2.33 MiB while the
+# adapt with blocks of SMALL_BLOCK patches: 1.93 MiB (what it returns and
+# the crossings of every edge), plus 20%; 1.96 MiB with the uncut patches'
+# side labels taken at subtriangle centroids. It read 2.33 MiB while the
 # configs held every patch's cut kind and topology, 3.0 MiB in earlier
 # trees; classify_all over the whole mesh at once peaked at 7.9 MiB.
-ADAPT_SMALL_BLOCK_BOUND_MIB = 2.4
+ADAPT_SMALL_BLOCK_BOUND_MIB = 2.32
 # A vector over the 66,049 dofs at n = 128 is 0.50 MiB and the matrix 4.05
 # (5.52 with its exact zeros stored).
 # LinearSystem.reduced: 1.01 MiB measured (the Dirichlet data vector,

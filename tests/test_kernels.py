@@ -16,7 +16,6 @@ from patchfem.adaptation import (
     classify_all,
     max_angle_audit,
     resolve_edge_params,
-    side_labels,
 )
 from patchfem.assembly import assemble
 from patchfem.geometry import (
@@ -37,7 +36,6 @@ from .oracles import (
     assemble_reference,
     assert_same_matrix,
     barycentric_gradients_reference,
-    centroids_reference,
     classify_all_reference,
     error_norms_reference,
     interior_angles_reference,
@@ -65,18 +63,6 @@ def _random_triangles(rng, count, scale, sliver):
     return tris
 
 
-class _Recording:
-    """Level set that keeps the points it is evaluated at."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.points = []
-
-    def eval(self, points):
-        self.points.append(np.array(points))
-        return self.inner.eval(points)
-
-
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 40),
        scale=st.sampled_from([1e-3, 1.0, 1e3]), sliver=st.booleans())
@@ -102,9 +88,6 @@ def test_triangle_kernels_equal_patch_major(seed, count, scale, sliver):
             want_points, want_weights = map_rule_reference(tris, areas, rule)
             assert np.array_equal(points, want_points)
             assert np.array_equal(weights, want_weights)
-        recording = _Recording(Circle((0.1, -0.2), 0.7 * scale))
-        side_labels(layout, recording, np.ones(count))
-        assert np.array_equal(recording.points[0], centroids_reference(tris))
 
 
 @SETTINGS

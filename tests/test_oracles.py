@@ -12,15 +12,12 @@ from hypothesis import strategies as st
 from patchfem.adaptation import (
     CONFLICT,
     CUT_KINDS,
-    TOPOLOGIES,
     Classification,
     RefinementRequired,
     build_configs,
     classify_all,
     max_angle_audit,
-    reference_local_nodes,
     resolve_edge_params,
-    side_labels,
 )
 from patchfem.assembly import assemble
 from patchfem.geometry import triangle_area
@@ -261,14 +258,3 @@ def test_side_groups_fall_back_to_their_anchors():
     assert configs.sides.tolist() == [[1, 2, 1, 1]]
     (reference,) = build_configs_reference(mesh, classification, levelset)
     assert reference.sides.tolist() == [1, 2, 1, 1]
-
-
-def test_centroid_within_snap_tolerance_is_side_2():
-    nodes = reference_local_nodes(0.5, 0.5, 0.5)
-    topology = TOPOLOGIES[0]
-    y = nodes[topology].mean(axis=1)[0, 1]
-    # phi = -1e-12 at the first centroid: inside the tolerance 1e-10 * scale
-    tris = nodes[topology]
-    assert side_labels(tris, HorizontalLine(y + 1e-12))[0] == 2
-    assert side_labels(tris, HorizontalLine(y + 1e-12), scale=1e-3)[0] == 1
-    assert side_labels(tris, HorizontalLine(y + 1e-9))[0] == 1
